@@ -18,13 +18,12 @@ constants by KL-basis expansion, never by reading mu).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .coxeter import Element, Word, bruhat_interval, evaluate_word, mult_gen, word_name
 from .kl import KLTable
 from .laurent import LaurentPoly, ZERO
-from .leaves import enumerate_leaves, split_top_generator
+from .leaves import character_map, split_top_generator
 
 
 @dataclass(frozen=True)
@@ -136,16 +135,18 @@ def verify_branching(kl: KLTable, word: Word) -> list[dict]:
     table = kl.table
     s, tail = word[0], word[1:]
     records = []
-    word_chars = _degree_multisets(table, word)
-    tail_chars = _degree_multisets(table, tail)
+    word_chars = character_map(table, word)
+    tail_chars = character_map(table, tail)
+    parts = split_top_generator(table, word)
     for x in bruhat_interval(table, w):
         sx = mult_gen(table, x, s, "left")
-        down = sx.length < x.length
-        shift = -1 if down else 1
-        lhs = _poly_of(word_chars.get(x.index, Counter()))
-        rhs = _poly_of(tail_chars.get(x.index, Counter())).shift(shift) + _poly_of(
-            tail_chars.get(sx.index, Counter())
-        )
+        tail_x, tail_sx = tail_chars.get(x, ZERO), tail_chars.get(sx, ZERO)
+        if sx.length < x.length:
+            want_sub, want_quot = tail_sx, tail_x.shift(-1)
+        else:
+            want_sub, want_quot = tail_x.shift(1), tail_sx
+        lhs = word_chars.get(x, ZERO)
+        rhs = want_sub + want_quot
         records.append(
             {
                 "identity": "branching_characters",
@@ -156,42 +157,21 @@ def verify_branching(kl: KLTable, word: Word) -> list[dict]:
                 "pass": lhs == rhs,
             }
         )
-        part_sub, part_quot = split_top_generator(table, word, x)
-        got_sub = Counter(p.degree for p in part_sub)
-        got_quot = Counter(p.degree for p in part_quot)
-        if down:
-            want_sub = tail_chars.get(sx.index, Counter())
-            want_quot = _shift_counter(tail_chars.get(x.index, Counter()), -1)
-        else:
-            want_sub = _shift_counter(tail_chars.get(x.index, Counter()), +1)
-            want_quot = tail_chars.get(sx.index, Counter())
+        part_sub, part_quot = parts.get(x, ([], []))
+        got_sub = LaurentPoly.from_terms((p.degree, 1) for p in part_sub)
+        got_quot = LaurentPoly.from_terms((p.degree, 1) for p in part_quot)
         ok = got_sub == want_sub and got_quot == want_quot
         records.append(
             {
                 "identity": "leaf_partition",
                 "word": word_name(word),
                 "x": x.name,
-                "lhs": f"sub={sorted(got_sub.items())} quot={sorted(got_quot.items())}",
-                "rhs": f"sub={sorted(want_sub.items())} quot={sorted(want_quot.items())}",
+                "lhs": f"sub={got_sub.items()} quot={got_quot.items()}",
+                "rhs": f"sub={want_sub.items()} quot={want_quot.items()}",
                 "pass": ok,
             }
         )
     return records
-
-
-def _degree_multisets(table, word: Word) -> dict[int, Counter]:
-    out: dict[int, Counter] = {}
-    for p in enumerate_leaves(table, word).paths:
-        out.setdefault(p.endpoint.index, Counter())[p.degree] += 1
-    return out
-
-
-def _shift_counter(counter: Counter, k: int) -> Counter:
-    return Counter({d + k: n for d, n in counter.items()})
-
-
-def _poly_of(counter: Counter) -> LaurentPoly:
-    return LaurentPoly(dict(counter))
 
 
 def verify_restriction_counts(kl: KLTable, word: Word) -> list[dict]:

@@ -1,9 +1,9 @@
 """Command-line interface: build groups, dump KL tables, report cells, run suites.
 
 Exit codes: 0 success / all identities pass, 1 identity failure, 2 bad
-group specification, 3 cache mismatch, 4 bad input (word, bound, table
-overflow).  All output is deterministic: identical invocations produce
-byte-identical bytes, independent of --jobs.
+group specification, 3 unusable cache (mismatched, malformed or
+unwritable), 4 bad input (word, bound, table overflow).  All output is
+deterministic: identical invocations produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -98,6 +98,19 @@ def _cache_path(args, matrix, bound: int) -> Path | None:
     return None
 
 
+def _write_replacing(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``, so a reader never sees a partly written cache."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_kl(args, out) -> int:
     _, table = _group_from_args(args)
     bound = args.up_to_length if args.up_to_length is not None else table.complete_length
@@ -112,15 +125,19 @@ def cmd_kl(args, out) -> int:
     if path is not None and path.exists():
         try:
             obj = json.loads(path.read_text())
+            if not isinstance(obj, dict):
+                raise CacheMismatchError("cache is not a JSON object")
             validate_cache_header(obj.get("header", {}), table.matrix, bound)
-            kl = kl_from_json_obj(table, obj)
-        except (CacheMismatchError, KeyError, json.JSONDecodeError) as exc:
+            kl = kl_from_json_obj(table, obj, bound)
+        except (CacheMismatchError, KeyError, TypeError, ValueError) as exc:
             raise CliError(EXIT_CACHE_ERROR, f"cache at {path}: {exc}")
     if kl is None:
         kl = compute_kl(table, bound)
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(canonical_json(kl_to_json_obj(kl)))
+            try:
+                _write_replacing(path, canonical_json(kl_to_json_obj(kl)))
+            except OSError as exc:
+                raise CliError(EXIT_CACHE_ERROR, f"cache at {path}: {exc}")
     if args.format == "csv":
         out.write(kl_to_csv(kl))
     else:
@@ -152,7 +169,7 @@ def cmd_verify(args, out) -> int:
             raise CliError(EXIT_INPUT_ERROR, "--max-length must be nonnegative")
         bound = min(bound, args.max_length)
     kl = compute_kl(table, bound)
-    report = run_suite(kl, args.suite, jobs=args.jobs)
+    report = run_suite(kl, args.suite)
     if args.format == "json":
         out.write(canonical_json(report))
     else:
@@ -203,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     add_group_args(p_verify)
     p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1, help="ignored: suites run serially")
     p_verify.add_argument(
         "--max-length",
         type=int,

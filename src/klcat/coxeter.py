@@ -231,7 +231,7 @@ class GroupTable:
     """Interned elements of one Coxeter system with generator multiplication tables.
 
     Immutable after construction; downstream modules hang memo caches off
-    the private dicts created here (benign to recompute, so thread-safe).
+    the private dicts created here.
     """
 
     def __init__(
@@ -360,23 +360,35 @@ def bruhat_leq(table: GroupTable, x: Element, w: Element) -> bool:
     """Bruhat order by the lifting recursion, memoized per table.
 
     With s a left descent of w: x <= w iff min(x, sx) <= sw, where "min"
-    picks the shorter of x and sx.
+    picks the shorter of x and sx.  That is a chain of tail calls, walked
+    here as a loop (deep truncated tables would overflow the stack); every
+    pair on the chain is memoized with the answer.  The early returns keep
+    the memo-hit path, by far the most common, as cheap as a lookup.
     """
-    if x.index == w.index:
-        return True
     if x.length >= w.length:
-        return False
+        return x.index == w.index
     memo = table._bruhat_memo
     key = (x.index, w.index)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    s = descents(table, w, "left")[0]
-    sw = table.elements[table._left[w.index][s]]
-    sx = table.elements[table._left[x.index][s]]
-    shorter = sx if sx.length < x.length else x
-    result = bruhat_leq(table, shorter, sw)
-    memo[key] = result
+    result = memo.get(key)
+    if result is not None:
+        return result
+    chain = [key]
+    while True:
+        s = descents(table, w, "left")[0]
+        w = table.elements[table._left[w.index][s]]
+        sx = table.elements[table._left[x.index][s]]
+        if sx.length < x.length:
+            x = sx
+        if x.length >= w.length:
+            result = x.index == w.index
+            break
+        key = (x.index, w.index)
+        result = memo.get(key)
+        if result is not None:
+            break
+        chain.append(key)
+    for key in chain:
+        memo[key] = result
     return result
 
 
@@ -386,19 +398,23 @@ def bruhat_interval(table: GroupTable, w: Element) -> list[Element]:
 
 
 def all_reduced_words(table: GroupTable, w: Element) -> frozenset[Word]:
-    """Every reduced word of w, by recursive peeling of left descents."""
+    """Every reduced word of w, by peeling left descents.
+
+    The elements that peeling reaches from w and that are not memoized yet
+    are filled in increasing length, so deep elements need no recursion.
+    """
     memo = table._redwords_memo
-    cached = memo.get(w.index)
-    if cached is not None:
-        return cached
-    if w.length == 0:
-        result = frozenset({()})
-    else:
-        acc = set()
-        for s in descents(table, w, "left"):
-            rest = table.elements[table._left[w.index][s]]
-            for tail in all_reduced_words(table, rest):
-                acc.add((s,) + tail)
-        result = frozenset(acc)
-    memo[w.index] = result
-    return result
+    lower: dict[int, list[tuple[int, int]]] = {}  # index -> [(s, index of s*y)]
+    stack = [w.index]
+    while stack:
+        i = stack.pop()
+        if i in memo or i in lower:
+            continue
+        lower[i] = [(s, table._left[i][s]) for s in descents(table, table.elements[i], "left")]
+        stack.extend(j for _, j in lower[i])
+    for i in sorted(lower):
+        if lower[i]:
+            memo[i] = frozenset((s,) + tail for s, j in lower[i] for tail in memo[j])
+        else:
+            memo[i] = frozenset({()})
+    return memo[w.index]

@@ -46,8 +46,7 @@ class KLTable:
 
     ``kl_element(w)`` is the bar-invariant basis element of w; its
     H_x-coefficient is the KL polynomial h_{x,w}.  Structure constants and
-    product expansions are memoized on the table (pure recomputation, so
-    races are benign).
+    product expansions are memoized on the table.
     """
 
     def __init__(self, table: GroupTable, complete_up_to: int):
@@ -263,27 +262,58 @@ def kl_to_json_obj(kl: KLTable) -> dict:
     }
 
 
-def kl_from_json_obj(table: GroupTable, obj: dict) -> KLTable:
-    body = obj["body"]
-    kl = KLTable(table, int(body["complete_up_to"]))
-    for word, coeffs in body["kl"]:
-        w = table.element_from_word(tuple(word))
-        elt = HeckeElt(
-            table,
-            {
-                table.element_from_word(tuple(xw)): LaurentPoly.from_json_obj(poly)
-                for xw, poly in coeffs
-            },
+def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable:
+    """Decode the body of a cache document written by :func:`kl_to_json_obj`.
+
+    One pass checks the body's shape, that it covers lengths up to
+    ``up_to_length``, and that it holds exactly one entry per element of
+    that length or less; any failure raises :class:`CacheMismatchError`.
+    The polynomials themselves are taken on trust (checking them would
+    mean recomputing the table).
+    """
+    body = obj.get("body")
+    if not isinstance(body, dict) or not isinstance(body.get("kl"), list):
+        raise CacheMismatchError('cache body is not {"complete_up_to": n, "kl": [...]}')
+    if body.get("complete_up_to") != up_to_length:
+        raise CacheMismatchError(
+            f"cache body complete_up_to is {body.get('complete_up_to')!r}, expected {up_to_length!r}"
         )
+    kl = KLTable(table, up_to_length)
+    for entry in body["kl"]:
+        try:
+            word, coeffs = entry
+            w = table.element_from_word(tuple(word))
+            elt = HeckeElt(
+                table,
+                {
+                    table.element_from_word(tuple(xw)): _poly_from_json(poly)
+                    for xw, poly in coeffs
+                },
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheMismatchError(f"malformed cache entry {entry!r:.80}") from exc
+        if w.length > up_to_length or w.index in kl._kl:
+            raise CacheMismatchError(f"unexpected or repeated cache entry for {w.name}")
         kl._kl[w.index] = elt
+    expected = len(kl.stored_elements())
+    if len(kl._kl) != expected:
+        raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {expected}")
     return kl
 
 
+def _poly_from_json(obj) -> LaurentPoly:
+    if not isinstance(obj, dict):
+        raise TypeError(f"polynomial must be an object, got {type(obj).__name__}")
+    return LaurentPoly.from_json_obj(obj)
+
+
 class CacheMismatchError(Exception):
-    """A cache file exists but its header does not match the request."""
+    """A cache file exists but does not match the request or is malformed."""
 
 
 def validate_cache_header(header: dict, matrix, up_to_length: int) -> None:
+    if not isinstance(header, dict):
+        raise CacheMismatchError("cache header is not a JSON object")
     expected = {
         "matrix_hash": matrix_content_hash(matrix, up_to_length),
         "rank": matrix.rank,

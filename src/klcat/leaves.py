@@ -84,10 +84,11 @@ def cell_character(table: GroupTable, word: Word, x: Element) -> LaurentPoly:
 
 
 def split_top_generator(
-    table: GroupTable, word: Word, x: Element
-) -> tuple[list[LeafPath], list[LeafPath]]:
-    """Partition the leaves at ``x`` by the final level's branch.
+    table: GroupTable, word: Word
+) -> dict[Element, tuple[list[LeafPath], list[LeafPath]]]:
+    """Partition the leaves at every endpoint x by the final level's branch.
 
+    One walk of the tree serves every endpoint; keys are in element order.
     The final level consumes the leftmost letter s.  The first part
     collects the sub-module side of the branching short exact sequence,
     the second the quotient side:
@@ -97,13 +98,16 @@ def split_top_generator(
     """
     if not word:
         raise ValueError("the empty word has no top generator")
-    at_x = [p for p in enumerate_leaves(table, word).paths if p.endpoint == x]
-    movers = [p for p in at_x if p.bits[-1] == 1]
-    stayers = [p for p in at_x if p.bits[-1] == 0]
-    sx = mult_gen(table, x, word[0], "left")
-    if sx.length < x.length:
-        return movers, stayers
-    return stayers, movers
+    by_branch: dict[Element, tuple[list[LeafPath], list[LeafPath]]] = {}
+    for p in enumerate_leaves(table, word).paths:
+        movers, stayers = by_branch.setdefault(p.endpoint, ([], []))
+        (movers if p.bits[-1] == 1 else stayers).append(p)
+    out = {}
+    for x in sorted(by_branch):
+        movers, stayers = by_branch[x]
+        sx = mult_gen(table, x, word[0], "left")
+        out[x] = (movers, stayers) if sx.length < x.length else (stayers, movers)
+    return out
 
 
 def leafset_to_json_obj(leafset: LeafSet) -> dict:

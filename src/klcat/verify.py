@@ -2,9 +2,8 @@
 
 Each suite walks every stored element (and every reduced word, where the
 checked statement is per-expression) and emits one record per identity
-instance: ``{identity, word, x?, u?, lhs, rhs, pass}``.  Suites shard by
-element or word across a thread pool when ``jobs > 1``; the shard results
-are merged in input order, so output is identical for every thread count.
+instance: ``{identity, word, x?, u?, lhs, rhs, pass}``.  Suites run
+serially, element by element and word by word, in a fixed order.
 
 Suites:
   * ``kl``        - KL basis invariants and the two single-step recursions
@@ -20,14 +19,12 @@ Suites:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable
-
 from . import branch as branch_mod
 from . import cells as cells_mod
 from .coxeter import (
     Element,
     GroupTable,
+    IncompleteTableError,
     Word,
     all_reduced_words,
     bruhat_interval,
@@ -138,8 +135,11 @@ def _mu_structure_checks(kl: KLTable, u: Element) -> list[dict]:
     table = kl.table
     records = []
     for s in range(table.rank):
-        su = table.elements[table._left[u.index][s]] if table._left[u.index][s] is not None else None
-        if su is None or su.length > kl.complete_up_to:
+        try:
+            su = mult_gen(table, u, s, "left")
+        except IncompleteTableError:
+            continue
+        if su.length > kl.complete_up_to:
             continue
         sc = kl.structure_constants(s, u)
         name = word_name(u.word)
@@ -331,44 +331,31 @@ def _recursion_word_checks(kl: KLTable, word: Word) -> list[dict]:
 # -- runner -------------------------------------------------------------------
 
 
-def _run_sharded(tasks: list[Callable[[], list[dict]]], jobs: int) -> list[dict]:
-    if jobs <= 1:
-        shards: Iterable[list[dict]] = (task() for task in tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            shards = list(pool.map(lambda task: task(), tasks))
-    merged: list[dict] = []
-    for shard in shards:
-        merged.extend(shard)
-    return merged
-
-
-def run_suite(kl: KLTable, suite: str, jobs: int = 1) -> dict:
+def run_suite(kl: KLTable, suite: str) -> dict:
     """Run one named suite (or ``all``) and return the full report."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     table = kl.table
     words = [w for w in reduced_words_in_order(table) if len(w) <= kl.complete_up_to]
-    tasks: list[Callable[[], list[dict]]] = []
+    records: list[dict] = []
     if suite in ("kl", "all"):
         for w in kl.stored_elements():
             if w.length > 0:
-                tasks.append(lambda w=w: _kl_element_checks(kl, w))
+                records.extend(_kl_element_checks(kl, w))
         for u in kl.stored_elements():
-            tasks.append(lambda u=u: _mu_structure_checks(kl, u))
-        tasks.append(lambda: _descent_choice_check(table, kl))
+            records.extend(_mu_structure_checks(kl, u))
+        records.extend(_descent_choice_check(table, kl))
     if suite in ("leaves", "all"):
         for word in words:
-            tasks.append(lambda word=word: _leaves_word_checks(kl, word))
+            records.extend(_leaves_word_checks(kl, word))
     if suite in ("branch", "all"):
         for word in words:
             if word:
-                tasks.append(lambda word=word: _branch_word_checks(kl, word))
+                records.extend(_branch_word_checks(kl, word))
     if suite in ("recursion", "all"):
         for word in words:
             if word:
-                tasks.append(lambda word=word: _recursion_word_checks(kl, word))
-    records = _run_sharded(tasks, jobs)
+                records.extend(_recursion_word_checks(kl, word))
     summary: dict[str, dict[str, int]] = {}
     for rec in records:
         bucket = summary.setdefault(rec["identity"], {"pass": 0, "fail": 0})

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import os
 
 import pytest
 
@@ -102,6 +104,37 @@ def test_kl_cache_mismatch_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda body: body.update(kl=[[0, 1]]),  # wrong shape
+        lambda body: body.update(kl=body["kl"][:2]),  # valid header, truncated body
+    ],
+    ids=["wrong-shape", "truncated"],
+)
+def test_kl_cache_bad_body_exits_3(tmp_path, capsys, damage):
+    cache = tmp_path / "kl.json"
+    assert main(["kl", "--type", "A3", "--cache", str(cache)], out=io.StringIO()) == 0
+    obj = json.loads(cache.read_text())
+    damage(obj["body"])
+    cache.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["kl", "--type", "A3", "--cache", str(cache)], out=io.StringIO()) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"klcat: cache at {cache}") and "Traceback" not in err
+
+
+def test_kl_cache_write_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    cache = tmp_path / "kl.json"
+    assert main(["kl", "--type", "A2", "--cache", str(cache)], out=io.StringIO()) == 3
+    assert list(tmp_path.iterdir()) == []
+    assert "disk full" in capsys.readouterr().err
+
+
 def test_kl_cache_dir_env(tmp_path, monkeypatch):
     code, text = run_cli(
         ["kl", "--type", "A2"], env={"KLCAT_CACHE_DIR": str(tmp_path)}, monkeypatch=monkeypatch
@@ -151,6 +184,14 @@ def test_verify_deterministic_across_runs_and_jobs():
     ]
     assert all(code == 0 for code, _ in runs)
     assert runs[0][1] == runs[1][1] == runs[2][1]
+
+
+def test_verify_a3_json_bytes_are_pinned():
+    # every record's lhs/rhs strings, including the leaf_partition ones
+    code, text = run_cli(["verify", "--type", "A3", "--suite", "all", "--format", "json"])
+    assert code == 0
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "42b39db09096687584e3c8bcb487dfba1fe25acec30d288b94ee88e03041e9b0"
 
 
 def test_verify_json_summary_shape():

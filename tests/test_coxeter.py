@@ -178,6 +178,15 @@ def test_reduced_words_are_braid_closure(a3):
         assert all_reduced_words(a3, w) == braid_closure(a3.matrix, w.word)
 
 
+def test_deep_truncated_table_needs_no_recursion():
+    # length 1200 is far beyond the default recursion limit
+    t = build_group(INFINITE_DIHEDRAL, 2401)
+    w = t.elements[-1]
+    assert t.partial and w.length == 1200
+    assert all(bruhat_leq(t, x, w) for x in t.elements[:3])  # e, s1, s2
+    assert all_reduced_words(t, w) == frozenset({w.word})
+
+
 def test_normal_form_detects_non_reduced(a2):
     reduced, canon = normal_form(a2.matrix, (0, 1, 0, 1))
     assert not reduced and canon == (1, 0)

@@ -214,7 +214,7 @@ def test_json_round_trip_is_identity(a3, kl_a3):
 
     obj = kl_to_json_obj(kl_a3)
     text = canonical_json(obj)
-    reloaded = kl_from_json_obj(a3, obj)
+    reloaded = kl_from_json_obj(a3, obj, 6)
     assert canonical_json(kl_to_json_obj(reloaded)) == text
     for w in a3.elements:
         assert reloaded.kl_element(w) == kl_a3.kl_element(w)
