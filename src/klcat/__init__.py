@@ -10,7 +10,6 @@ one-step KL recursion, bit-exactly.
 from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, v_power
 from .coxeter import (
     CoxeterMatrix,
-    Element,
     GroupTable,
     IncompleteTableError,
     all_reduced_words,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import Element, Word, bruhat_interval, evaluate_word, mult_gen, word_name
+from .coxeter import Word, bruhat_interval, evaluate_word, is_reduced, mult_gen, word_name
 from .kl import KLTable
 from .laurent import LaurentPoly, ZERO
 from .leaves import character_map, split_top_generator
@@ -28,25 +28,21 @@ from .leaves import character_map, split_top_generator
 
 @dataclass(frozen=True)
 class GrothendieckVector:
-    """Coordinates over a fixed simple-class basis (zero entries dropped)."""
+    """Coordinates over a fixed simple-class basis (zero entries dropped, keys in id order)."""
 
-    basis: tuple[Element, ...]
-    coords: tuple[tuple[Element, LaurentPoly], ...]
+    basis: tuple[int, ...]
+    coords: dict[int, LaurentPoly]
 
     @classmethod
-    def make(cls, basis, coords: dict[Element, LaurentPoly]) -> "GrothendieckVector":
-        basis = tuple(sorted(basis))
-        kept = tuple(sorted((y, c) for y, c in coords.items() if c))
-        for y, _ in kept:
-            if y not in basis:
-                raise ValueError(f"coordinate {y.name} outside the basis")
-        return cls(basis, kept)
+    def make(cls, basis, coords: dict[int, LaurentPoly]) -> "GrothendieckVector":
+        kept = {y: c for y, c in sorted(coords.items()) if c}
+        outside = kept.keys() - set(basis)
+        if outside:
+            raise ValueError(f"coordinates {sorted(outside)} outside the basis")
+        return cls(tuple(sorted(basis)), kept)
 
-    def coord(self, y: Element) -> LaurentPoly:
-        for z, c in self.coords:
-            if z.index == y.index:
-                return c
-        return ZERO
+    def coord(self, y: int) -> LaurentPoly:
+        return self.coords.get(y, ZERO)
 
 
 @dataclass
@@ -56,64 +52,62 @@ class ResData:
     word: Word
     tail: Word
     generator: int
-    domain: list[Element]  # simple support of the word
-    codomain: list[Element]  # simple support of the tail
-    columns: dict[int, GrothendieckVector]  # domain element index -> image vector
+    domain: list[int]  # simple support of the word
+    codomain: list[int]  # simple support of the tail
+    columns: dict[int, GrothendieckVector]  # domain element -> image vector
 
-    def apply(self, vector: dict[Element, LaurentPoly]) -> GrothendieckVector:
-        acc: dict[Element, LaurentPoly] = {}
+    def apply(self, vector: dict[int, LaurentPoly]) -> GrothendieckVector:
+        acc: dict[int, LaurentPoly] = {}
         for x, c in vector.items():
-            for u, h in self.columns[x.index].coords:
+            for u, h in self.columns[x].coords.items():
                 acc[u] = acc.get(u, ZERO) + h * c
         return GrothendieckVector.make(self.codomain, acc)
 
 
-def _checked_word(kl: KLTable, word: Word) -> tuple[Word, Element]:
+def _checked_word(kl: KLTable, word: Word) -> Word:
+    """``word`` as a tuple, after checking that it is reduced and not empty."""
     word = tuple(word)
-    w = evaluate_word(kl.table, word)
-    if w.length != len(word):
+    if not word:
+        raise ValueError("branching needs a word of length >= 1")
+    if not is_reduced(kl.table, word):
         raise ValueError(f"word {word_name(word)} is not reduced")
-    return word, w
+    return word
 
 
 def build_res(kl: KLTable, word: Word) -> ResData:
     """Restriction matrix on simple classes: column of x is u -> h_{s,u}^x."""
-    word, _ = _checked_word(kl, word)
-    if not word:
-        raise ValueError("restriction needs a word of length >= 1")
+    word = _checked_word(kl, word)
     s, tail = word[0], word[1:]
     domain = sorted(kl.bott_samelson_expansion(word))
     codomain = sorted(kl.bott_samelson_expansion(tail))
-    columns: dict[int, dict[Element, LaurentPoly]] = {x.index: {} for x in domain}
+    columns: dict[int, dict[int, LaurentPoly]] = {x: {} for x in domain}
     for u in codomain:
         for x, h in kl.structure_constants(s, u).items():
-            if x.index not in columns:
+            if x not in columns:
                 raise ValueError(
-                    f"structure constant support {x.name} escapes the simple support of {word_name(word)}"
+                    f"structure constant support {kl.table.names[x]} escapes the simple support of {word_name(word)}"
                 )
-            columns[x.index][u] = h
+            columns[x][u] = h
     return ResData(
         word=word,
         tail=tail,
         generator=s,
         domain=domain,
         codomain=codomain,
-        columns={i: GrothendieckVector.make(codomain, col) for i, col in columns.items()},
+        columns={x: GrothendieckVector.make(codomain, col) for x, col in columns.items()},
     )
 
 
-def res_cell_class(kl: KLTable, word: Word, x: Element) -> GrothendieckVector:
+def res_cell_class(kl: KLTable, word: Word, x: int) -> GrothendieckVector:
     """Image of the cell class of x in the tail's simple basis.
 
     Expands v^{-+1} [cell'(x)] + [cell'(sx)] through the tail's
     decomposition numbers: coordinate at u is v^{-+1} h_{x,u} + h_{sx,u}.
     """
-    word, _ = _checked_word(kl, word)
-    if not word:
-        raise ValueError("restriction needs a word of length >= 1")
+    word = _checked_word(kl, word)
     s, tail = word[0], word[1:]
     sx = mult_gen(kl.table, x, s, "left")
-    shift = -1 if sx.length < x.length else 1
+    shift = -1 if kl.table.length[sx] < kl.table.length[x] else 1
     codomain = sorted(kl.bott_samelson_expansion(tail))
     coords = {}
     for u in codomain:
@@ -129,19 +123,19 @@ def verify_branching(kl: KLTable, word: Word) -> list[dict]:
     (b) the two parts of the final-level leaf partition realize exactly the
         degree multisets of the two summands (shifted on the sub side).
     """
-    word, w = _checked_word(kl, word)
-    if not word:
-        raise ValueError("branching needs a word of length >= 1")
+    word = _checked_word(kl, word)
     table = kl.table
+    length, names = table.length, table.names
     s, tail = word[0], word[1:]
+    name = word_name(word)
     records = []
     word_chars = character_map(table, word)
     tail_chars = character_map(table, tail)
     parts = split_top_generator(table, word)
-    for x in bruhat_interval(table, w):
+    for x in bruhat_interval(table, evaluate_word(table, word)):
         sx = mult_gen(table, x, s, "left")
         tail_x, tail_sx = tail_chars.get(x, ZERO), tail_chars.get(sx, ZERO)
-        if sx.length < x.length:
+        if length[sx] < length[x]:
             want_sub, want_quot = tail_sx, tail_x.shift(-1)
         else:
             want_sub, want_quot = tail_x.shift(1), tail_sx
@@ -150,8 +144,8 @@ def verify_branching(kl: KLTable, word: Word) -> list[dict]:
         records.append(
             {
                 "identity": "branching_characters",
-                "word": word_name(word),
-                "x": x.name,
+                "word": name,
+                "x": names[x],
                 "lhs": lhs.render(),
                 "rhs": rhs.render(),
                 "pass": lhs == rhs,
@@ -164,8 +158,8 @@ def verify_branching(kl: KLTable, word: Word) -> list[dict]:
         records.append(
             {
                 "identity": "leaf_partition",
-                "word": word_name(word),
-                "x": x.name,
+                "word": name,
+                "x": names[x],
                 "lhs": f"sub={got_sub.items()} quot={got_quot.items()}",
                 "rhs": f"sub={want_sub.items()} quot={want_quot.items()}",
                 "pass": ok,
@@ -182,29 +176,29 @@ def verify_restriction_counts(kl: KLTable, word: Word) -> list[dict]:
     sum over x in the word's simple support of h_{s,u}^x h_{z,x}, must
     match the coordinate of the restricted cell class at u.
     """
-    word, w = _checked_word(kl, word)
-    if not word:
-        raise ValueError("restriction needs a word of length >= 1")
+    word = _checked_word(kl, word)
+    names = kl.table.names
+    name = word_name(word)
     s = word[0]
     domain = sorted(kl.bott_samelson_expansion(word))
     codomain = sorted(kl.bott_samelson_expansion(word[1:]))
-    sc = {u.index: kl.structure_constants(s, u) for u in codomain}
+    sc = {u: kl.structure_constants(s, u) for u in codomain}
     records = []
-    for z in bruhat_interval(kl.table, w):
+    for z in bruhat_interval(kl.table, evaluate_word(kl.table, word)):
         image = res_cell_class(kl, word, z)
         for u in codomain:
             lhs = ZERO
             for x in domain:
-                h = sc[u.index].get(x, ZERO)
+                h = sc[u].get(x, ZERO)
                 if h:
                     lhs = lhs + h * kl.kl_poly(z, x)
             rhs = image.coord(u)
             records.append(
                 {
                     "identity": "restriction_counts",
-                    "word": word_name(word),
-                    "x": z.name,
-                    "u": u.name,
+                    "word": name,
+                    "x": names[z],
+                    "u": names[u],
                     "lhs": lhs.render(),
                     "rhs": rhs.render(),
                     "pass": lhs == rhs,
@@ -213,7 +207,7 @@ def verify_restriction_counts(kl: KLTable, word: Word) -> list[dict]:
     return records
 
 
-def derive_kl_recursion(kl: KLTable, word: Word, x: Element) -> tuple[LaurentPoly, LaurentPoly, bool]:
+def derive_kl_recursion(kl: KLTable, word: Word, x: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
     """Reproduce h_{x,w} from the branching pipeline alone.
 
     rhs = (coefficient of the tail-top simple class in Res[cell(x)])
@@ -224,9 +218,8 @@ def derive_kl_recursion(kl: KLTable, word: Word, x: Element) -> tuple[LaurentPol
     from mu) and the first term read off :func:`res_cell_class`.  lhs is
     the stored h_{x,w}; the two must agree.
     """
-    word, w = _checked_word(kl, word)
-    if not word:
-        raise ValueError("the derivation needs a word of length >= 1")
+    word = _checked_word(kl, word)
+    w = evaluate_word(kl.table, word)
     s = word[0]
     wp = mult_gen(kl.table, w, s, "left")  # product of the tail
     support = sorted(kl.bott_samelson_expansion(word))
@@ -234,7 +227,7 @@ def derive_kl_recursion(kl: KLTable, word: Word, x: Element) -> tuple[LaurentPol
     lhs = kl.kl_poly(x, w)
     rhs = res_cell_class(kl, word, x).coord(wp)
     for z in support:
-        if z.index == w.index:
+        if z == w:
             continue
         h = sc.get(z, ZERO)
         if h:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coxeter import Element, Word, bruhat_interval, evaluate_word, word_name
+from .coxeter import GroupTable, Word, bruhat_interval, evaluate_word, is_reduced, word_name
 from .kl import KLTable
 from .laurent import LaurentPoly, ZERO
 from .leaves import character_map
@@ -24,16 +24,17 @@ from .leaves import character_map
 
 @dataclass
 class CellDatum:
+    table: GroupTable = field(repr=False)
     word: Word
-    top: Element
-    interval: list[Element]
-    simple_support: list[Element]
-    cell_chars: dict[Element, LaurentPoly]
-    simple_gdims: dict[Element, LaurentPoly]
+    top: int
+    interval: list[int]
+    simple_support: list[int]
+    cell_chars: dict[int, LaurentPoly]
+    simple_gdims: dict[int, LaurentPoly]
     decomp: dict[tuple[int, int], LaurentPoly] = field(repr=False)
 
-    def decomposition(self, x: Element, y: Element) -> LaurentPoly:
-        return self.decomp.get((x.index, y.index), ZERO)
+    def decomposition(self, x: int, y: int) -> LaurentPoly:
+        return self.decomp.get((x, y), ZERO)
 
 
 def build_cell_datum(kl: KLTable, word: Word) -> CellDatum:
@@ -44,11 +45,11 @@ def build_cell_datum(kl: KLTable, word: Word) -> CellDatum:
     """
     table = kl.table
     word = tuple(word)
-    w = evaluate_word(table, word)
-    if w.length != len(word):
+    if not is_reduced(table, word):
         raise ValueError(f"word {word_name(word)} is not reduced")
-    if w.length > kl.complete_up_to:
-        raise ValueError(f"KL table bound {kl.complete_up_to} does not cover {w.name}")
+    w = evaluate_word(table, word)
+    if len(word) > kl.complete_up_to:
+        raise ValueError(f"KL table bound {kl.complete_up_to} does not cover {table.names[w]}")
     gdims = kl.bott_samelson_expansion(word)
     support = sorted(gdims)
     interval = bruhat_interval(table, w)
@@ -57,8 +58,9 @@ def build_cell_datum(kl: KLTable, word: Word) -> CellDatum:
         for x in interval:
             d = kl.kl_poly(x, y)
             if d:
-                decomp[(x.index, y.index)] = d
+                decomp[(x, y)] = d
     return CellDatum(
+        table=table,
         word=word,
         top=w,
         interval=interval,
@@ -69,7 +71,7 @@ def build_cell_datum(kl: KLTable, word: Word) -> CellDatum:
     )
 
 
-def char_cell_via_hecke(kl: KLTable, word: Word, x: Element) -> LaurentPoly:
+def char_cell_via_hecke(kl: KLTable, word: Word, x: int) -> LaurentPoly:
     """Cell character read off the Hecke side: the H_x-coefficient of the chain product."""
     from .hecke import bott_samelson_class
 
@@ -78,6 +80,7 @@ def char_cell_via_hecke(kl: KLTable, word: Word, x: Element) -> LaurentPoly:
 
 def verify_decomposition_identity(datum: CellDatum) -> dict:
     """Check char(x) = sum over the simple support of d_{x,y} * gdim(y), per x."""
+    names = datum.table.names
     checks = []
     for x in datum.interval:
         lhs = datum.cell_chars.get(x, ZERO)
@@ -86,7 +89,7 @@ def verify_decomposition_identity(datum: CellDatum) -> dict:
             rhs = rhs + datum.decomposition(x, y) * datum.simple_gdims[y]
         checks.append(
             {
-                "x": x.name,
+                "x": names[x],
                 "lhs": lhs.to_json_obj(),
                 "rhs": rhs.to_json_obj(),
                 "pass": lhs == rhs,
@@ -94,8 +97,8 @@ def verify_decomposition_identity(datum: CellDatum) -> dict:
         )
     return {
         "word": word_name(datum.word),
-        "lambda0": [y.name for y in datum.simple_support],
-        "simple_gdims": [[y.name, datum.simple_gdims[y].to_json_obj()] for y in datum.simple_support],
+        "lambda0": [names[y] for y in datum.simple_support],
+        "simple_gdims": [[names[y], datum.simple_gdims[y].to_json_obj()] for y in datum.simple_support],
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }

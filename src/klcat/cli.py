@@ -1,8 +1,8 @@
 """Command-line interface: build groups, dump KL tables, report cells, run suites.
 
 Exit codes: 0 success / all identities pass, 1 identity failure, 2 bad
-group specification, 3 unusable cache (mismatched, malformed or
-unwritable), 4 bad input (word, bound, table overflow).  All output is
+group specification, 3 unusable cache (mismatched, malformed, unreadable
+or unwritable), 4 bad input (word, bound, table overflow).  All output is
 deterministic: identical invocations produce byte-identical bytes.
 """
 
@@ -62,7 +62,7 @@ def _matrix_from_args(args) -> tuple[str, CoxeterMatrix]:
     if args.matrix:
         try:
             return "custom", CoxeterMatrix.from_json_obj(json.loads(args.matrix))
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise CliError(EXIT_SPEC_ERROR, f"bad matrix JSON: {exc}")
     raise CliError(EXIT_SPEC_ERROR, "a group is required: --type NAME or --matrix JSON")
 
@@ -100,19 +100,31 @@ def _cache_path(args, matrix, bound: int) -> Path | None:
 
 def _write_replacing(path: Path, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it over
-    ``path``, so a reader never sees a partly written cache."""
+    ``path``, so a reader never sees a partly written cache.  The file is
+    synced before the rename and the directory after it, so the new cache
+    also survives a power loss."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def cmd_kl(args, out) -> int:
     _, table = _group_from_args(args)
+    if args.up_to_length is not None and args.up_to_length < 0:
+        raise CliError(EXIT_INPUT_ERROR, "--up-to-length must be nonnegative")
     bound = args.up_to_length if args.up_to_length is not None else table.complete_length
     if table.partial and bound > table.complete_length:
         raise CliError(
@@ -122,15 +134,15 @@ def cmd_kl(args, out) -> int:
     bound = min(bound, table.complete_length)
     path = _cache_path(args, table.matrix, bound)
     kl = None
-    if path is not None and path.exists():
-        try:
+    try:
+        if path is not None and path.exists():
             obj = json.loads(path.read_text())
             if not isinstance(obj, dict):
                 raise CacheMismatchError("cache is not a JSON object")
             validate_cache_header(obj.get("header", {}), table.matrix, bound)
             kl = kl_from_json_obj(table, obj, bound)
-        except (CacheMismatchError, KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_CACHE_ERROR, f"cache at {path}: {exc}")
+    except (CacheMismatchError, OSError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(EXIT_CACHE_ERROR, f"cache at {path}: {exc}")
     if kl is None:
         kl = compute_kl(table, bound)
         if path is not None:

@@ -1,13 +1,16 @@
 """Coxeter systems from an arbitrary Coxeter matrix.
 
-Group elements are interned in a :class:`GroupTable` under their
-ShortLex-minimal reduced word.  Word normalization uses Tits' solution to
-the word problem: saturating braid moves on a word either exposes an
-adjacent repeated letter (the word is not reduced; delete the pair and
-recurse) or enumerates every reduced word of the element, whose
-lexicographic minimum is the canonical form.  This is exact and
-representation-free, and entirely adequate at desk scale (tables of at
-most a few thousand elements).
+A group element is a plain ``int`` id into a :class:`GroupTable`.  Ids
+are assigned in (length, ShortLex) order of the element's canonical word,
+its ShortLex-minimal reduced word; the table keeps each id's word, length
+and name, which are read only to parse, print and cache.
+
+Word normalization uses Tits' solution to the word problem: saturating
+braid moves on a word either exposes an adjacent repeated letter (the
+word is not reduced; delete the pair and recurse) or enumerates every
+reduced word of the element, whose lexicographic minimum is the canonical
+form.  This is exact and representation-free, and entirely adequate at
+desk scale (tables of at most a few thousand elements).
 
 Construction is a breadth-first search from the identity over right
 multiplication by generators.  If the group does not close within the
@@ -67,10 +70,16 @@ class CoxeterMatrix:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CoxeterMatrix":
-        if not isinstance(obj, dict) or "rank" not in obj or "m" not in obj:
-            raise ValueError('matrix JSON must be {"rank": n, "m": [[...]]}')
-        matrix = cls.from_rows(obj["m"])
-        if matrix.rank != int(obj["rank"]):
+        """Decode ``{"rank": n, "m": [[...]]}``; the rank and every entry must be JSON integers."""
+        rank, rows = (obj.get("rank"), obj.get("m")) if isinstance(obj, dict) else (None, None)
+        if not (
+            type(rank) is int
+            and isinstance(rows, list)
+            and all(isinstance(row, list) and all(type(m) is int for m in row) for row in rows)
+        ):
+            raise ValueError('matrix JSON must be {"rank": n, "m": [[...]]} with integer entries')
+        matrix = cls.from_rows(rows)
+        if matrix.rank != rank:
             raise ValueError("declared rank does not match matrix size")
         return matrix
 
@@ -123,26 +132,6 @@ def parse_word(text: str, rank: int) -> Word:
             raise ValueError(f"generator {token!r} out of range for rank {rank}")
         letters.append(i)
     return tuple(letters)
-
-
-@dataclass(frozen=True, order=True)
-class Element:
-    """An interned group element: table index, length, canonical reduced word.
-
-    Indices are assigned in (length, ShortLex) order, so dataclass ordering
-    agrees with the canonical sort everywhere.
-    """
-
-    index: int
-    length: int
-    word: Word
-
-    @property
-    def name(self) -> str:
-        return word_name(self.word)
-
-    def __repr__(self) -> str:
-        return f"<{self.name}>"
 
 
 # -- Tits rewriting ------------------------------------------------------
@@ -228,11 +217,17 @@ def normal_form(
 
 
 class GroupTable:
-    """Interned elements of one Coxeter system with generator multiplication tables.
+    """The elements of one Coxeter system, as int ids, with multiplication tables.
 
-    Immutable after construction; downstream modules hang memo caches off
-    the private dicts created here.
+    Ids run in (length, ShortLex) order, so the identity is 0 and sorting
+    ids sorts elements canonically.  ``words[x]``, ``length[x]`` and
+    ``names[x]`` are x's canonical reduced word, its length and its
+    printed name.  Immutable after construction apart from its memo dicts:
+    Bruhat pairs, reduced-word sets and (filled by :mod:`klcat.hecke`)
+    inverse standard-basis elements.
     """
+
+    identity = 0
 
     def __init__(
         self,
@@ -244,19 +239,19 @@ class GroupTable:
         cap: int,
     ):
         self.matrix = matrix
-        self.elements = [Element(i, len(w), w) for i, w in enumerate(words)]
+        self.words = words
+        self.length = [len(w) for w in words]
+        self.names = [word_name(w) for w in words]
+        self.elements = range(len(words))
         self._index = {w: i for i, w in enumerate(words)}
         self._right = right
         self._left = left
         self.partial = partial
         self.cap = cap
-        self.complete_length = self.elements[-1].length
+        self.complete_length = self.length[-1]
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._redwords_memo: dict[int, frozenset[Word]] = {}
-
-    @property
-    def identity(self) -> Element:
-        return self.elements[0]
+        self._inverse_memo: dict = {}  # id -> inverse of H_{x^-1}, filled by hecke
 
     @property
     def rank(self) -> int:
@@ -264,16 +259,16 @@ class GroupTable:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.words)
 
-    def element_from_word(self, word: Word) -> Element:
-        """The element whose canonical word is ``word`` (must be canonical)."""
-        return self.elements[self._index[tuple(word)]]
+    def element_from_word(self, word: Word) -> int:
+        """The id of the element whose canonical word is ``word`` (must be canonical)."""
+        return self._index[tuple(word)]
 
     def counts_by_length(self) -> list[int]:
         counts = [0] * (self.complete_length + 1)
-        for el in self.elements:
-            counts[el.length] += 1
+        for n in self.length:
+            counts[n] += 1
         return counts
 
 
@@ -321,18 +316,17 @@ def build_group(matrix: CoxeterMatrix, cap: int) -> GroupTable:
     return GroupTable(matrix, words, right, left, partial, cap)
 
 
-def mult_gen(table: GroupTable, w: Element, s: int, side: str = "left") -> Element:
+def mult_gen(table: GroupTable, w: int, s: int, side: str = "left") -> int:
     """The product ``s*w`` (left) or ``w*s`` (right); length changes by exactly 1."""
-    row = table._left if side == "left" else table._right
-    j = row[w.index][s]
+    j = (table._left if side == "left" else table._right)[w][s]
     if j is None:
         raise IncompleteTableError(
-            f"product of {w.name} with s{s + 1} lies beyond length {table.complete_length}"
+            f"product of {table.names[w]} with s{s + 1} lies beyond length {table.complete_length}"
         )
-    return table.elements[j]
+    return j
 
 
-def evaluate_word(table: GroupTable, word: Word) -> Element:
+def evaluate_word(table: GroupTable, word: Word) -> int:
     """Left-to-right product of the letters; the empty word is the identity."""
     x = table.identity
     for s in word:
@@ -342,21 +336,22 @@ def evaluate_word(table: GroupTable, word: Word) -> Element:
 
 def is_reduced(table: GroupTable, word: Word) -> bool:
     """True iff the letter count equals the length of the product."""
-    return len(word) == evaluate_word(table, word).length
+    return len(word) == table.length[evaluate_word(table, word)]
 
 
-def descents(table: GroupTable, w: Element, side: str = "left") -> tuple[int, ...]:
+def descents(table: GroupTable, w: int, side: str = "left") -> tuple[int, ...]:
     """Generators s with ``l(sw) < l(w)`` (left) or ``l(ws) < l(w)`` (right), ascending."""
-    row = table._left if side == "left" else table._right
+    row = (table._left if side == "left" else table._right)[w]
+    length = table.length
+    lw = length[w]
     out = []
-    for s in range(table.rank):
-        j = row[w.index][s]
-        if j is not None and table.elements[j].length < w.length:
+    for s, j in enumerate(row):
+        if j is not None and length[j] < lw:
             out.append(s)
     return tuple(out)
 
 
-def bruhat_leq(table: GroupTable, x: Element, w: Element) -> bool:
+def bruhat_leq(table: GroupTable, x: int, w: int) -> bool:
     """Bruhat order by the lifting recursion, memoized per table.
 
     With s a left descent of w: x <= w iff min(x, sx) <= sw, where "min"
@@ -365,24 +360,26 @@ def bruhat_leq(table: GroupTable, x: Element, w: Element) -> bool:
     pair on the chain is memoized with the answer.  The early returns keep
     the memo-hit path, by far the most common, as cheap as a lookup.
     """
-    if x.length >= w.length:
-        return x.index == w.index
+    length = table.length
+    if length[x] >= length[w]:
+        return x == w
     memo = table._bruhat_memo
-    key = (x.index, w.index)
+    key = (x, w)
     result = memo.get(key)
     if result is not None:
         return result
     chain = [key]
+    left = table._left
     while True:
         s = descents(table, w, "left")[0]
-        w = table.elements[table._left[w.index][s]]
-        sx = table.elements[table._left[x.index][s]]
-        if sx.length < x.length:
+        w = left[w][s]
+        sx = left[x][s]
+        if length[sx] < length[x]:
             x = sx
-        if x.length >= w.length:
-            result = x.index == w.index
+        if length[x] >= length[w]:
+            result = x == w
             break
-        key = (x.index, w.index)
+        key = (x, w)
         result = memo.get(key)
         if result is not None:
             break
@@ -392,29 +389,29 @@ def bruhat_leq(table: GroupTable, x: Element, w: Element) -> bool:
     return result
 
 
-def bruhat_interval(table: GroupTable, w: Element) -> list[Element]:
-    """All x <= w, in (length, ShortLex) order."""
-    return [x for x in table.elements if x.length <= w.length and bruhat_leq(table, x, w)]
+def bruhat_interval(table: GroupTable, w: int) -> list[int]:
+    """All x <= w, in id order; none has an id above w's, since ids follow length."""
+    return [x for x in range(w + 1) if bruhat_leq(table, x, w)]
 
 
-def all_reduced_words(table: GroupTable, w: Element) -> frozenset[Word]:
+def all_reduced_words(table: GroupTable, w: int) -> frozenset[Word]:
     """Every reduced word of w, by peeling left descents.
 
     The elements that peeling reaches from w and that are not memoized yet
     are filled in increasing length, so deep elements need no recursion.
     """
     memo = table._redwords_memo
-    lower: dict[int, list[tuple[int, int]]] = {}  # index -> [(s, index of s*y)]
-    stack = [w.index]
+    lower: dict[int, list[tuple[int, int]]] = {}  # id -> [(s, id of s*y)]
+    stack = [w]
     while stack:
         i = stack.pop()
         if i in memo or i in lower:
             continue
-        lower[i] = [(s, table._left[i][s]) for s in descents(table, table.elements[i], "left")]
+        lower[i] = [(s, table._left[i][s]) for s in descents(table, i, "left")]
         stack.extend(j for _, j in lower[i])
     for i in sorted(lower):
         if lower[i]:
             memo[i] = frozenset((s,) + tail for s, j in lower[i] for tail in memo[j])
         else:
             memo[i] = frozenset({()})
-    return memo[w.index]
+    return memo[w]

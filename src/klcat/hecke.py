@@ -1,7 +1,7 @@
 """The Hecke algebra of a Coxeter system in its standard basis.
 
-Elements are finite maps from group elements to Laurent polynomials in v
-(standard-basis coordinates), pruned after every operation so equality is
+Elements are finite maps from group element ids to Laurent polynomials in
+v (standard-basis coordinates), pruned after every operation so equality is
 structural.  The generator relations are
 
     H_s^2 = (v^-1 - v) H_s + 1,      H_s H_t H_s ... = H_t H_s H_t ...  (m_st factors)
@@ -17,33 +17,31 @@ generic product is provided for tests and structure constants.
 
 from __future__ import annotations
 
-import weakref
-
-from .coxeter import Element, GroupTable, Word, mult_gen
+from .coxeter import GroupTable, Word, mult_gen
 from .laurent import LaurentPoly, ONE, V, V_INV, ZERO
 
 _STD_INV_MINUS_ONE = LaurentPoly({1: 1, -1: -1})  # v - v^-1, from inverting H_s
 
 
 class HeckeElt:
-    """A Hecke algebra element in standard-basis coordinates."""
+    """A Hecke algebra element in standard-basis coordinates, keyed by element id."""
 
     __slots__ = ("table", "_coeffs")
 
-    def __init__(self, table: GroupTable, coeffs: dict[Element, LaurentPoly] | None = None):
+    def __init__(self, table: GroupTable, coeffs: dict[int, LaurentPoly] | None = None):
         self.table = table
-        self._coeffs: dict[Element, LaurentPoly] = (
+        self._coeffs: dict[int, LaurentPoly] = (
             {w: c for w, c in coeffs.items() if c} if coeffs else {}
         )
 
-    def coeff(self, w: Element) -> LaurentPoly:
+    def coeff(self, w: int) -> LaurentPoly:
         return self._coeffs.get(w, ZERO)
 
-    def items(self) -> list[tuple[Element, LaurentPoly]]:
+    def items(self) -> list[tuple[int, LaurentPoly]]:
         """Coordinates sorted by (length, ShortLex) of the basis element."""
         return sorted(self._coeffs.items())
 
-    def support(self) -> list[Element]:
+    def support(self) -> list[int]:
         return sorted(self._coeffs)
 
     def is_zero(self) -> bool:
@@ -76,26 +74,16 @@ class HeckeElt:
         return hash((id(self.table), frozenset(self._coeffs.items())))
 
     def __repr__(self) -> str:
-        terms = " + ".join(f"({c})H[{w.name}]" for w, c in self.items()) or "0"
+        names = self.table.names
+        terms = " + ".join(f"({c})H[{names[w]}]" for w, c in self.items()) or "0"
         return f"HeckeElt({terms})"
-
-    def to_json_obj(self) -> dict:
-        return {"coeffs": [[list(w.word), c.to_json_obj()] for w, c in self.items()]}
-
-    @classmethod
-    def from_json_obj(cls, table: GroupTable, obj: dict) -> "HeckeElt":
-        coeffs = {}
-        for word, poly in obj["coeffs"]:
-            w = table.element_from_word(tuple(word))
-            coeffs[w] = LaurentPoly.from_json_obj(poly)
-        return cls(table, coeffs)
 
 
 def unit(table: GroupTable) -> HeckeElt:
     return HeckeElt(table, {table.identity: ONE})
 
 
-def std_basis(table: GroupTable, w: Element) -> HeckeElt:
+def std_basis(table: GroupTable, w: int) -> HeckeElt:
     """The standard basis element H_w."""
     return HeckeElt(table, {w: ONE})
 
@@ -106,12 +94,13 @@ def left_mul_std(s: int, h: HeckeElt) -> HeckeElt:
     H_s H_x = H_sx when l(sx) > l(x), and H_sx + (v^-1 - v) H_x otherwise.
     """
     table = h.table
-    acc: dict[Element, LaurentPoly] = {}
+    length = table.length
+    acc: dict[int, LaurentPoly] = {}
     quad = LaurentPoly({-1: 1, 1: -1})  # v^-1 - v
     for x, c in h._coeffs.items():
         sx = mult_gen(table, x, s, "left")
         acc[sx] = acc.get(sx, ZERO) + c
-        if sx.length < x.length:
+        if length[sx] < length[x]:
             acc[x] = acc.get(x, ZERO) + c * quad
     return HeckeElt(table, acc)
 
@@ -119,11 +108,12 @@ def left_mul_std(s: int, h: HeckeElt) -> HeckeElt:
 def left_mul_kl(s: int, h: HeckeElt) -> HeckeElt:
     """Left multiplication by the shifted generator C_s = H_s + v."""
     table = h.table
-    acc: dict[Element, LaurentPoly] = {}
+    length = table.length
+    acc: dict[int, LaurentPoly] = {}
     for x, c in h._coeffs.items():
         sx = mult_gen(table, x, s, "left")
         acc[sx] = acc.get(sx, ZERO) + c
-        stay = V if sx.length > x.length else V_INV
+        stay = V if length[sx] > length[x] else V_INV
         acc[x] = acc.get(x, ZERO) + c * stay
     return HeckeElt(table, acc)
 
@@ -135,7 +125,7 @@ def product(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     total = HeckeElt(a.table)
     for w, c in a.items():
         acc = b
-        for s in reversed(w.word):
+        for s in reversed(a.table.words[w]):
             acc = left_mul_std(s, acc)
         total = total + acc.scale(c)
     return total
@@ -146,21 +136,16 @@ def _left_mul_std_inverse(s: int, h: HeckeElt) -> HeckeElt:
     return left_mul_std(s, h) + h.scale(_STD_INV_MINUS_ONE)
 
 
-_inverse_memo: "weakref.WeakKeyDictionary[GroupTable, dict[int, HeckeElt]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _inverse_of_inverse_word(table: GroupTable, w: Element) -> HeckeElt:
-    """Standard-basis expansion of the inverse of H_{w^-1}."""
-    memo = _inverse_memo.setdefault(table, {})
-    cached = memo.get(w.index)
+def _inverse_of_inverse_word(table: GroupTable, w: int) -> HeckeElt:
+    """Standard-basis expansion of the inverse of H_{w^-1}, memoized on the table."""
+    memo = table._inverse_memo
+    cached = memo.get(w)
     if cached is not None:
         return cached
     acc = unit(table)
-    for s in reversed(w.word):
+    for s in reversed(table.words[w]):
         acc = _left_mul_std_inverse(s, acc)
-    memo[w.index] = acc
+    memo[w] = acc
     return acc
 
 

@@ -26,7 +26,6 @@ import hashlib
 import json
 
 from .coxeter import (
-    Element,
     GroupTable,
     IncompleteTableError,
     Word,
@@ -42,7 +41,7 @@ TOOL_VERSION = "0.1.0"
 
 
 class KLTable:
-    """KL basis elements, stored as full standard-basis expansions.
+    """KL basis elements, stored by element id as full standard-basis expansions.
 
     ``kl_element(w)`` is the bar-invariant basis element of w; its
     H_x-coefficient is the KL polynomial h_{x,w}.  Structure constants and
@@ -53,32 +52,33 @@ class KLTable:
         self.table = table
         self.complete_up_to = complete_up_to
         self._kl: dict[int, HeckeElt] = {}
-        self._sc_memo: dict[tuple[int, int], dict[Element, LaurentPoly]] = {}
-        self._bs_memo: dict[Word, dict[Element, LaurentPoly]] = {}
+        self._sc_memo: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
+        self._bs_memo: dict[Word, dict[int, LaurentPoly]] = {}
 
-    def stored_elements(self) -> list[Element]:
-        return [w for w in self.table.elements if w.length <= self.complete_up_to]
+    def stored_elements(self) -> list[int]:
+        length, bound = self.table.length, self.complete_up_to
+        return [w for w in self.table.elements if length[w] <= bound]
 
-    def kl_element(self, w: Element) -> HeckeElt:
+    def kl_element(self, w: int) -> HeckeElt:
         try:
-            return self._kl[w.index]
+            return self._kl[w]
         except KeyError:
-            raise ValueError(f"KL data for {w.name} not stored (bound {self.complete_up_to})")
+            raise ValueError(f"KL data for {self.table.names[w]} not stored (bound {self.complete_up_to})")
 
-    def kl_poly(self, x: Element, w: Element) -> LaurentPoly:
+    def kl_poly(self, x: int, w: int) -> LaurentPoly:
         """h_{x,w}: 1 when x = w, 0 when x is not below w."""
-        if x.index == w.index:
+        if x == w:
             return ONE
         return self.kl_element(w).coeff(x)
 
-    def mu(self, z: Element, w: Element) -> int:
+    def mu(self, z: int, w: int) -> int:
         """The linear coefficient of h_{z,w}."""
         return self.kl_poly(z, w).coefficient(1)
 
-    def expand_in_kl_basis(self, h: HeckeElt) -> dict[Element, LaurentPoly]:
+    def expand_in_kl_basis(self, h: HeckeElt) -> dict[int, LaurentPoly]:
         """Coefficients a_y with h = sum a_y C_y, by back-substitution from the top."""
         remaining = h
-        out: dict[Element, LaurentPoly] = {}
+        out: dict[int, LaurentPoly] = {}
         while remaining:
             y = max(remaining.support())
             a = remaining.coeff(y)
@@ -86,16 +86,16 @@ class KLTable:
             remaining = remaining - self.kl_element(y).scale(a)
         return dict(sorted(out.items()))
 
-    def structure_constants(self, s: int, u: Element) -> dict[Element, LaurentPoly]:
+    def structure_constants(self, s: int, u: int) -> dict[int, LaurentPoly]:
         """Coefficients of C_s * C_u in the KL basis, memoized."""
-        key = (s, u.index)
+        key = (s, u)
         cached = self._sc_memo.get(key)
         if cached is None:
             cached = self.expand_in_kl_basis(left_mul_kl(s, self.kl_element(u)))
             self._sc_memo[key] = cached
         return cached
 
-    def bott_samelson_expansion(self, word: Word) -> dict[Element, LaurentPoly]:
+    def bott_samelson_expansion(self, word: Word) -> dict[int, LaurentPoly]:
         """KL-basis coefficients of the chain product of ``word``, memoized.
 
         The support of this expansion is the simple-support of the word
@@ -128,21 +128,19 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
         raise ValueError("descent_choice must be 'min' or 'max'")
     bound = min(up_to_length, table.complete_length)
     kl = KLTable(table, bound)
-    kl._kl[table.identity.index] = unit(table)
-    for w in table.elements:
-        if w.length == 0 or w.length > bound:
-            continue
+    kl._kl[table.identity] = unit(table)
+    for w in kl.stored_elements()[1:]:
         ds = descents(table, w, "left")
         s = ds[0] if descent_choice == "min" else ds[-1]
         u = mult_gen(table, w, s, "left")
-        prod = left_mul_kl(s, kl._kl[u.index])
+        prod = left_mul_kl(s, kl._kl[u])
         for z, g in prod.items():
-            if z.index == w.index:
+            if z == w:
                 continue
             g0 = g.coefficient(0)
             if g0:
-                prod = prod - kl._kl[z.index].scale(g0)
-        kl._kl[w.index] = prod
+                prod = prod - kl._kl[z].scale(g0)
+        kl._kl[w] = prod
     return kl
 
 
@@ -164,7 +162,7 @@ def to_classical(h: LaurentPoly, lx: int, lw: int) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def recursion_kl_poly(kl: KLTable, x: Element, w: Element, s: int) -> LaurentPoly:
+def recursion_kl_poly(kl: KLTable, x: int, w: int, s: int) -> LaurentPoly:
     """h_{x,w} by the one-step recursion, never touching the stored element of w.
 
     Requires s to be a left descent of w; every ingredient is read from
@@ -172,18 +170,18 @@ def recursion_kl_poly(kl: KLTable, x: Element, w: Element, s: int) -> LaurentPol
     """
     table = kl.table
     if s not in descents(table, w, "left"):
-        raise ValueError(f"s{s + 1} is not a left descent of {w.name}")
+        raise ValueError(f"s{s + 1} is not a left descent of {table.names[w]}")
     sw = mult_gen(table, w, s, "left")
     try:
         sx = mult_gen(table, x, s, "left")
-        shift = 1 if sx.length > x.length else -1
+        shift = 1 if table.length[sx] > table.length[x] else -1
         sx_term = kl.kl_poly(sx, sw)
     except IncompleteTableError:
         # sx beyond a truncated table is longer than x, hence not below sw
         shift, sx_term = 1, ZERO
     total = kl.kl_poly(x, sw).shift(shift) + sx_term
     for z in bruhat_interval(table, sw):
-        if z.index == sw.index or s not in descents(table, z, "left"):
+        if z == sw or s not in descents(table, z, "left"):
             continue
         m = kl.mu(z, sw)
         if m:
@@ -191,11 +189,11 @@ def recursion_kl_poly(kl: KLTable, x: Element, w: Element, s: int) -> LaurentPol
     return total
 
 
-def _classical(kl: KLTable, x: Element, w: Element) -> LaurentPoly:
-    return to_classical(kl.kl_poly(x, w), x.length, w.length)
+def _classical(kl: KLTable, x: int, w: int) -> LaurentPoly:
+    return to_classical(kl.kl_poly(x, w), kl.table.length[x], kl.table.length[w])
 
 
-def classical_recursion(kl: KLTable, x: Element, w: Element, s: int) -> LaurentPoly:
+def classical_recursion(kl: KLTable, x: int, w: int, s: int) -> LaurentPoly:
     """P_{x,w} by the classical q-form recursion.
 
     P is 1 when x = w and 0 when x is not below w; otherwise, with c = 0
@@ -210,25 +208,26 @@ def classical_recursion(kl: KLTable, x: Element, w: Element, s: int) -> LaurentP
     either sign backwards breaks the identity with :func:`to_classical`.
     """
     table = kl.table
+    length = table.length
     if s not in descents(table, w, "left"):
-        raise ValueError(f"s{s + 1} is not a left descent of {w.name}")
-    if x.index == w.index:
+        raise ValueError(f"s{s + 1} is not a left descent of {table.names[w]}")
+    if x == w:
         return ONE
     if not bruhat_leq(table, x, w):
         return ZERO
     sw = mult_gen(table, w, s, "left")
     sx = mult_gen(table, x, s, "left")  # x < w keeps sx within any stored bound
-    c = 0 if sx.length > x.length else 1
+    c = 0 if length[sx] > length[x] else 1
     total = _classical(kl, sx, sw).shift(1 - c) + _classical(kl, x, sw).shift(c)
     for z in bruhat_interval(table, sw):
-        if z.index == sw.index or s not in descents(table, z, "left"):
+        if z == sw or s not in descents(table, z, "left"):
             continue
-        exp = sw.length - z.length - 1
+        exp = length[sw] - length[z] - 1
         if exp % 2 != 0:
             continue
         m = _classical(kl, z, sw).coefficient(exp // 2)
         if m:
-            term = _classical(kl, x, z).shift((w.length - z.length) // 2) * m
+            term = _classical(kl, x, z).shift((length[w] - length[z]) // 2) * m
             total = total - term
     return total
 
@@ -247,10 +246,11 @@ def matrix_content_hash(matrix, up_to_length: int) -> str:
 
 
 def kl_to_json_obj(kl: KLTable) -> dict:
+    words = kl.table.words
     body = []
     for w in kl.stored_elements():
-        coeffs = [[list(x.word), c.to_json_obj()] for x, c in kl.kl_element(w).items()]
-        body.append([list(w.word), coeffs])
+        coeffs = [[list(words[x]), c.to_json_obj()] for x, c in kl.kl_element(w).items()]
+        body.append([list(words[w]), coeffs])
     return {
         "header": {
             "matrix_hash": matrix_content_hash(kl.table.matrix, kl.complete_up_to),
@@ -292,9 +292,9 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheMismatchError(f"malformed cache entry {entry!r:.80}") from exc
-        if w.length > up_to_length or w.index in kl._kl:
-            raise CacheMismatchError(f"unexpected or repeated cache entry for {w.name}")
-        kl._kl[w.index] = elt
+        if table.length[w] > up_to_length or w in kl._kl:
+            raise CacheMismatchError(f"unexpected or repeated cache entry for {table.names[w]}")
+        kl._kl[w] = elt
     expected = len(kl.stored_elements())
     if len(kl._kl) != expected:
         raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {expected}")
@@ -328,14 +328,13 @@ def validate_cache_header(header: dict, matrix, up_to_length: int) -> None:
 
 def kl_to_csv(kl: KLTable) -> str:
     """Rows (x, w, h_{x,w}, P_{x,w}, mu) for all x <= w, length-then-ShortLex order."""
+    length, names = kl.table.length, kl.table.names
     lines = ["x,w,h,P,mu"]
     for w in kl.stored_elements():
         for x in bruhat_interval(kl.table, w):
             h = kl.kl_poly(x, w)
-            p = to_classical(h, x.length, w.length)
-            lines.append(
-                f"{x.name},{w.name},{h.render('v')},{p.render('q')},{kl.mu(x, w)}"
-            )
+            p = to_classical(h, length[x], length[w])
+            lines.append(f"{names[x]},{names[w]},{h.render('v')},{p.render('q')},{kl.mu(x, w)}")
     return "\n".join(lines) + "\n"
 
 

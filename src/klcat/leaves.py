@@ -4,7 +4,8 @@ For a word (s_1, ..., s_n) the tree has 2^n leaves, one per binary path.
 Levels consume generators right to left (level 1 handles s_n, level n
 handles s_1).  Walking a path keeps a state element x, starting at the
 identity, and at each level with generator u either moves to ux or stays
-at x.  The degree contributions per level are:
+at x.  States and endpoints are element ids; words appear only in the
+JSON export.  The degree contributions per level are:
 
   * l(ux) > l(x): move contributes 0, stay contributes +1;
   * l(ux) < l(x): move contributes 0 (a -1 and a +1 cancel), stay -1.
@@ -25,14 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import Element, GroupTable, Word, mult_gen, word_name
+from .coxeter import GroupTable, Word, mult_gen, word_name
 from .laurent import LaurentPoly, ZERO
 
 
 @dataclass(frozen=True)
 class LeafPath:
     bits: tuple[int, ...]
-    endpoint: Element
+    endpoint: int
     degree: int
 
 
@@ -55,12 +56,13 @@ def enumerate_leaves(table: GroupTable, word: Word, direction: str = "rl") -> Le
     word = tuple(word)
     letters = word[::-1] if direction == "rl" else word
     side = "left" if direction == "rl" else "right"
-    states: list[tuple[tuple[int, ...], Element, int]] = [((), table.identity, 0)]
+    length = table.length
+    states: list[tuple[tuple[int, ...], int, int]] = [((), table.identity, 0)]
     for u in letters:
         nxt = []
         for bits, x, deg in states:
             ux = mult_gen(table, x, u, side)
-            up = ux.length > x.length
+            up = length[ux] > length[x]
             nxt.append((bits + (1,), ux, deg))
             nxt.append((bits + (0,), x, deg + (1 if up else -1)))
         states = nxt
@@ -68,9 +70,9 @@ def enumerate_leaves(table: GroupTable, word: Word, direction: str = "rl") -> Le
     return LeafSet(word, tuple(LeafPath(*entry) for entry in states))
 
 
-def character_map(table: GroupTable, word: Word, direction: str = "rl") -> dict[Element, LaurentPoly]:
+def character_map(table: GroupTable, word: Word, direction: str = "rl") -> dict[int, LaurentPoly]:
     """Sum of v^degree over leaves, grouped by endpoint; zero entries dropped."""
-    acc: dict[Element, dict[int, int]] = {}
+    acc: dict[int, dict[int, int]] = {}
     for path in enumerate_leaves(table, word, direction).paths:
         bucket = acc.setdefault(path.endpoint, {})
         bucket[path.degree] = bucket.get(path.degree, 0) + 1
@@ -78,14 +80,14 @@ def character_map(table: GroupTable, word: Word, direction: str = "rl") -> dict[
     return {x: p for x, p in sorted(out.items()) if p}
 
 
-def cell_character(table: GroupTable, word: Word, x: Element) -> LaurentPoly:
+def cell_character(table: GroupTable, word: Word, x: int) -> LaurentPoly:
     """Graded dimension of the cell module of ``word`` at ``x``."""
     return character_map(table, word).get(x, ZERO)
 
 
 def split_top_generator(
     table: GroupTable, word: Word
-) -> dict[Element, tuple[list[LeafPath], list[LeafPath]]]:
+) -> dict[int, tuple[list[LeafPath], list[LeafPath]]]:
     """Partition the leaves at every endpoint x by the final level's branch.
 
     One walk of the tree serves every endpoint; keys are in element order.
@@ -98,24 +100,25 @@ def split_top_generator(
     """
     if not word:
         raise ValueError("the empty word has no top generator")
-    by_branch: dict[Element, tuple[list[LeafPath], list[LeafPath]]] = {}
+    by_branch: dict[int, tuple[list[LeafPath], list[LeafPath]]] = {}
     for p in enumerate_leaves(table, word).paths:
         movers, stayers = by_branch.setdefault(p.endpoint, ([], []))
         (movers if p.bits[-1] == 1 else stayers).append(p)
+    length = table.length
     out = {}
     for x in sorted(by_branch):
         movers, stayers = by_branch[x]
         sx = mult_gen(table, x, word[0], "left")
-        out[x] = (movers, stayers) if sx.length < x.length else (stayers, movers)
+        out[x] = (movers, stayers) if length[sx] < length[x] else (stayers, movers)
     return out
 
 
-def leafset_to_json_obj(leafset: LeafSet) -> dict:
+def leafset_to_json_obj(table: GroupTable, leafset: LeafSet) -> dict:
     return {
         "word": list(leafset.word),
         "bit_convention": "processing order right-to-left; 1=move, 0=stay",
         "paths": [
-            {"bits": list(p.bits), "endpoint": list(p.endpoint.word), "degree": p.degree}
+            {"bits": list(p.bits), "endpoint": list(table.words[p.endpoint]), "degree": p.degree}
             for p in leafset.paths
         ],
     }
@@ -126,5 +129,5 @@ def character_report(table: GroupTable, word: Word) -> dict:
     chars = character_map(table, word)
     return {
         "word": word_name(word),
-        "characters": [[x.name, poly.to_json_obj()] for x, poly in chars.items()],
+        "characters": [[table.names[x], poly.to_json_obj()] for x, poly in chars.items()],
     }

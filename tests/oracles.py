@@ -77,14 +77,14 @@ def brute_force_reduced_words(table, x) -> list[tuple[int, ...]]:
 
     return [
         word
-        for word in itertools.product(range(table.rank), repeat=x.length)
+        for word in itertools.product(range(table.rank), repeat=table.length[x])
         if evaluate_word(table, word) == x
     ]
 
 
 def bruhat_leq_subword_oracle(table, x, w) -> bool:
     """x <= w iff some reduced word of x is a subword of the fixed canonical word of w."""
-    return any(is_subsequence(r, w.word) for r in brute_force_reduced_words(table, x))
+    return any(is_subsequence(r, table.words[w]) for r in brute_force_reduced_words(table, x))
 
 
 # -- dihedral KL oracle --------------------------------------------------------
@@ -99,9 +99,9 @@ def dihedral_kl_candidate(table, w):
     from klcat.hecke import HeckeElt
 
     coeffs = {
-        x: LaurentPoly({w.length - x.length: 1})
+        x: LaurentPoly({table.length[w] - table.length[x]: 1})
         for x in table.elements
-        if x.length < w.length
+        if table.length[x] < table.length[w]
     }
     coeffs[w] = LaurentPoly({0: 1})
     return HeckeElt(table, coeffs)

@@ -47,6 +47,27 @@ def test_bad_spec_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    ['{"rank":1,"m":5}', '{"rank":null,"m":[[1]]}', '{"rank":2,"m":[[1,2.7],[2.7,1]]}', "[" * 100000],
+    ids=["rows-not-a-list", "rank-not-an-integer", "entry-not-an-integer", "nested-too-deep"],
+)
+def test_bad_matrix_json_exits_2(capsys, matrix):
+    assert main(["group", "--matrix", matrix], out=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith("klcat: bad matrix JSON")
+
+
+@pytest.mark.parametrize(
+    "extra, code",
+    [(["--up-to-length", "-1"], 4), (["--cache", "{tmp}"], 3)],
+    ids=["negative-bound", "cache-is-a-directory"],
+)
+def test_kl_bad_input_exits_without_traceback(tmp_path, capsys, extra, code):
+    argv = ["kl", "--type", "A2"] + [arg.format(tmp=tmp_path) for arg in extra]
+    assert main(argv, out=io.StringIO()) == code
+    assert capsys.readouterr().err.startswith("klcat: ")
+
+
 def test_kl_csv_a2_is_triangular_monomial():
     code, text = run_cli(["kl", "--type", "A2"])
     assert code == 0
@@ -135,6 +156,31 @@ def test_kl_cache_write_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert "disk full" in capsys.readouterr().err
 
 
+def test_kl_cache_write_is_durable(tmp_path, monkeypatch):
+    # the temp file is synced, then renamed over the cache, then the directory is synced
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, str(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    cache = tmp_path / "kl.json"
+    assert main(["kl", "--type", "A2", "--cache", str(cache)], out=io.StringIO()) == 0
+    inode = cache.stat().st_ino
+    assert events == [
+        ("fsync", inode),
+        ("replace", inode, str(cache)),
+        ("fsync", tmp_path.stat().st_ino),
+    ]
+
+
 def test_kl_cache_dir_env(tmp_path, monkeypatch):
     code, text = run_cli(
         ["kl", "--type", "A2"], env={"KLCAT_CACHE_DIR": str(tmp_path)}, monkeypatch=monkeypatch
@@ -192,6 +238,38 @@ def test_verify_a3_json_bytes_are_pinned():
     assert code == 0
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "42b39db09096687584e3c8bcb487dfba1fe25acec30d288b94ee88e03041e9b0"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["kl", "--type", "A3", "--format", "json"],
+            "7678ce402a75d8f4f59e5b1ec9f95a129f0e8e0f95d02220c3c32e49be464960",
+        ),
+        (
+            ["kl", "--type", "B3", "--format", "csv"],
+            "5dbddae836a0d5b0b4b1287bc7d0fa453d5e65cf85a0d107ffeffb01d666dc53",
+        ),
+        (
+            ["kl", "--matrix", '{"rank":3,"m":[[1,4,0],[4,1,3],[0,3,1]]}', "--cap", "300", "--format", "csv"],
+            "04426a9069ebba016d6c6b329353c1196b6783a22454d473bb9a11754c2d47b4",
+        ),
+        (
+            ["cells", "--type", "A3", "--word", "s2,s1,s3,s2"],
+            "5a98b8791ee9b48ed6ab96fd8e44e8bafaf5330c6280c163636cbc2bfd49f049",
+        ),
+        (
+            ["group", "--type", "B3"],
+            "34313c9bd94f6b49b62c4c94c7542b69da501031db4c78fcaa4a5ab8f12dfe67",
+        ),
+    ],
+    ids=["kl-A3-json", "kl-B3-csv", "kl-triangle-csv", "cells-A3", "group-B3"],
+)
+def test_output_bytes_are_pinned(argv, digest):
+    code, text = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_verify_json_summary_shape():

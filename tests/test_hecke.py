@@ -130,10 +130,3 @@ def test_bott_samelson_class_examples(a2):
     assert sq == HeckeElt(
         a2, {s: LaurentPoly({1: 1, -1: 1}), e: LaurentPoly({0: 1, 2: 1})}
     )
-
-
-def test_json_round_trip(a2):
-    rng = random.Random(5)
-    for _ in range(10):
-        h = random_hecke_elt(a2, rng)
-        assert HeckeElt.from_json_obj(a2, h.to_json_obj()) == h

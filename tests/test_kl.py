@@ -40,9 +40,9 @@ def test_a2_length_two_element(a2, kl_a2):
 def test_a3_smallest_non_monomial(a3, kl_a3):
     w = evaluate_word(a3, (1, 0, 2, 1))
     x = a3.elements[2]
-    assert x.name == "s2"
+    assert a3.names[x] == "s2"
     assert kl_a3.kl_poly(x, w) == LaurentPoly({1: 1, 3: 1})
-    assert to_classical(kl_a3.kl_poly(x, w), x.length, w.length) == LaurentPoly({0: 1, 1: 1})
+    assert to_classical(kl_a3.kl_poly(x, w), a3.length[x], a3.length[w]) == LaurentPoly({0: 1, 1: 1})
 
 
 def test_kl_poly_edge_cases(a2, kl_a2):
@@ -61,14 +61,14 @@ def test_dihedral_tables_are_monomial(m, i2, kl_i2):
         assert satisfies_kl_conditions(table, w, candidate)
         assert kl.kl_element(w) == candidate
         for x in bruhat_interval(table, w):
-            assert kl.kl_poly(x, w) == v_power(w.length - x.length)
+            assert kl.kl_poly(x, w) == v_power(table.length[w] - table.length[x])
 
 
 def test_mu_examples(a2, a3, kl_a2, kl_a3):
     # codimension one always gives mu = 1
     for w in a3.elements:
         for z in bruhat_interval(a3, w):
-            if w.length - z.length == 1:
+            if a3.length[w] - a3.length[z] == 1:
                 assert kl_a3.mu(z, w) == 1
     sts = evaluate_word(a2, (0, 1, 0))
     assert kl_a2.kl_poly(a2.identity, sts) == v_power(3)
@@ -97,7 +97,7 @@ def test_recursion_matches_table_everywhere(name):
             for x in table.elements:
                 assert recursion_kl_poly(kl, x, w, s) == kl.kl_poly(x, w)
                 want = (
-                    to_classical(kl.kl_poly(x, w), x.length, w.length)
+                    to_classical(kl.kl_poly(x, w), table.length[x], table.length[w])
                     if bruhat_leq(table, x, w)
                     else ZERO
                 )
@@ -135,7 +135,7 @@ def test_bar_invariance_and_degree_conditions(a3, kl_a3):
             if x != w:
                 assert c.in_positive_part()
             assert c.is_nonnegative()
-            assert all((e - (w.length - x.length)) % 2 == 0 for e in c.exponents())
+            assert all((e - (a3.length[w] - a3.length[x])) % 2 == 0 for e in c.exponents())
 
 
 def test_expand_in_kl_basis(a2, kl_a2):
@@ -180,7 +180,7 @@ def test_mu_structure_identity(name):
         for s in range(table.rank):
             if s in descents(table, u, "left"):
                 continue
-            su = evaluate_word(table, (s,) + u.word)
+            su = evaluate_word(table, (s,) + table.words[u])
             expected = {su: ONE}
             for z in bruhat_interval(table, su):
                 if z != su and s in descents(table, z, "left"):

@@ -22,7 +22,7 @@ from klcat.leaves import (
 
 
 def leaf_multiset(table, word):
-    return Counter((p.endpoint.name, p.degree) for p in enumerate_leaves(table, word).paths)
+    return Counter((table.names[p.endpoint], p.degree) for p in enumerate_leaves(table, word).paths)
 
 
 def test_single_letter_word(a2):
@@ -109,12 +109,12 @@ def test_enumerate_rejects_bad_direction(a2):
 def test_split_single_letter(a2):
     s = a2.elements[1]
     sub, quot = split_top_generator(a2, (0,)).get(s, ([], []))
-    assert [(p.endpoint.name, p.degree) for p in sub] == [("s1", 0)]
+    assert [(a2.names[p.endpoint], p.degree) for p in sub] == [("s1", 0)]
     assert quot == []
     sub, quot = split_top_generator(a2, (0,)).get(a2.identity, ([], []))
     # up case: the stayer carries the shifted tail character; the quotient side
     # would need a tail leaf at s1, and the empty word has none
-    assert [(p.endpoint.name, p.degree) for p in sub] == [("e", 1)]
+    assert [(a2.names[p.endpoint], p.degree) for p in sub] == [("e", 1)]
     assert quot == []
 
 
@@ -122,7 +122,7 @@ def test_split_two_letter_word(a2):
     # leaves of (s1, s2): one lands on each interval element
     t = a2.elements[2]
     sub, quot = split_top_generator(a2, (0, 1)).get(t, ([], []))
-    assert [(p.endpoint.name, p.degree) for p in sub] == [("s2", 1)]
+    assert [(a2.names[p.endpoint], p.degree) for p in sub] == [("s2", 1)]
     assert quot == []
 
 
@@ -157,8 +157,8 @@ def test_split_degree_bookkeeping_against_tail(a3):
                 tail_sets.setdefault(p.endpoint, Counter())[p.degree] += 1
             for x in bruhat_interval(a3, w):
                 sub, quot = split_top_generator(a3, word).get(x, ([], []))
-                sx = evaluate_word(a3, (s,) + x.word)
-                if sx.length < x.length:
+                sx = evaluate_word(a3, (s,) + a3.words[x])
+                if a3.length[sx] < a3.length[x]:
                     want_sub = tail_sets.get(sx, Counter())
                     want_quot = Counter({d - 1: n for d, n in tail_sets.get(x, Counter()).items()})
                 else:
@@ -169,8 +169,9 @@ def test_split_degree_bookkeeping_against_tail(a3):
 
 
 def test_leafset_json_export(a2):
-    obj = leafset_to_json_obj(enumerate_leaves(a2, (0, 1)))
+    obj = leafset_to_json_obj(a2, enumerate_leaves(a2, (0, 1)))
     assert obj["word"] == [0, 1]
     assert len(obj["paths"]) == 4
     assert obj["paths"][0]["bits"] == [0, 0]
+    assert [p["endpoint"] for p in obj["paths"]] == [[], [0], [1], [0, 1]]
     assert {"bits", "endpoint", "degree"} <= set(obj["paths"][0])

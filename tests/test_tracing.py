@@ -1,0 +1,37 @@
+"""The benchmark's tracer must still bind to the library's names.
+
+``perfbench/tracing.py`` rebinds klcat functions by module attribute, so a
+renamed or re-homed function silently drops out of its counts.  The tracer
+rebinds names for the rest of the process, so it runs in a subprocess.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+import klcat.cli
+tracer = tracing.Tracer()
+tracing.install(tracer.wrap, tracer.count)
+code = klcat.cli.main(["verify", "--type", "A2", "--suite", "all"], out=io.StringIO())
+print(json.dumps({"code": code, "counts": dict(tracer.counts)}))
+"""
+
+
+def test_tracer_binds_to_the_library():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    for name in ("coxeter.mult_gen.calls", "coxeter.descents.calls", "leaves.paths"):
+        assert result["counts"].get(name, 0) > 0, name
