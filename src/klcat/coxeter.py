@@ -5,23 +5,24 @@ are assigned in (length, ShortLex) order of the element's canonical word,
 its ShortLex-minimal reduced word; the table keeps each id's word, length
 and name, which are read only to parse, print and cache.
 
-Word normalization uses Tits' solution to the word problem: saturating
-braid moves on a word either exposes an adjacent repeated letter (the
-word is not reduced; delete the pair and recurse) or enumerates every
-reduced word of the element, whose lexicographic minimum is the canonical
-form.  This is exact and representation-free, and entirely adequate at
-desk scale (tables of at most a few thousand elements).
+The table is built by a breadth-first search by length over right
+multiplication, using only integer lookups in the part already built.
+Two products ``x*s`` and ``y*t`` of the current level with s != t are the
+same element exactly when it has both s and t as right descents, which by
+the rank-2 parabolic lemma means it is ``v*w0(s,t)`` with the lengths
+adding (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, 2.4): x walks
+down from ``v*w0(s,t)*s`` to v along right descents, and y is v times the
+other alternating word.  No word is ever rewritten and no element's set of
+reduced words is listed.
 
-Construction is a breadth-first search from the identity over right
-multiplication by generators.  If the group does not close within the
-requested element cap, the table is truncated by length: it contains all
-elements of length <= ``complete_length`` and nothing longer, and any
-product falling outside raises :class:`IncompleteTableError`.
+If the group does not close within the requested element cap, the table
+is truncated by length: it contains all elements of length <=
+``complete_length`` and nothing longer, and any product falling outside
+raises :class:`IncompleteTableError`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -134,85 +135,6 @@ def parse_word(text: str, rank: int) -> Word:
     return tuple(letters)
 
 
-# -- Tits rewriting ------------------------------------------------------
-
-
-def _adjacent_duplicate(word: Word) -> int:
-    """Index of the first adjacent equal pair, or -1."""
-    for i in range(len(word) - 1):
-        if word[i] == word[i + 1]:
-            return i
-    return -1
-
-
-def _braid_neighbors(matrix: CoxeterMatrix, word: Word):
-    """Words reachable from ``word`` by one braid move."""
-    n = len(word)
-    orders = matrix.orders
-    for i in range(n - 1):
-        a, b = word[i], word[i + 1]
-        if a == b:
-            continue
-        m = orders[a][b]
-        if m == INFINITE or i + m > n:
-            continue
-        if all(word[i + j] == (a if j % 2 == 0 else b) for j in range(m)):
-            flipped = tuple(b if j % 2 == 0 else a for j in range(m))
-            yield word[:i] + flipped + word[i + m:]
-
-
-def braid_closure(matrix: CoxeterMatrix, word: Word) -> frozenset[Word]:
-    """All words reachable from ``word`` by braid moves (including itself)."""
-    seen = {word}
-    queue = deque([word])
-    while queue:
-        for nb in _braid_neighbors(matrix, queue.popleft()):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return frozenset(seen)
-
-
-def normal_form(
-    matrix: CoxeterMatrix,
-    word: Word,
-    memo: Optional[dict[Word, tuple[bool, Word]]] = None,
-) -> tuple[bool, Word]:
-    """``(is_reduced, canonical_word)`` of the element that ``word`` spells.
-
-    The canonical word is the ShortLex-minimal reduced word.  A word is
-    reduced exactly when no braid-equivalent word carries an adjacent
-    repeated letter; otherwise such a pair is deleted and normalization
-    recurses on the shorter word.
-    """
-    if memo is None:
-        memo = {}
-    cached = memo.get(word)
-    if cached is not None:
-        return cached
-    seen = {word}
-    queue = deque([word])
-    dup_word, dup_at = None, -1
-    while queue:
-        w = queue.popleft()
-        at = _adjacent_duplicate(w)
-        if at >= 0:
-            dup_word, dup_at = w, at
-            break
-        for nb in _braid_neighbors(matrix, w):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    if dup_word is not None:
-        _, canonical = normal_form(matrix, dup_word[:dup_at] + dup_word[dup_at + 2:], memo)
-        result = (False, canonical)
-    else:
-        result = (True, min(seen))
-    for w in seen:
-        memo[w] = result
-    return result
-
-
 # -- group tables ---------------------------------------------------------
 
 
@@ -222,7 +144,8 @@ class GroupTable:
     Ids run in (length, ShortLex) order, so the identity is 0 and sorting
     ids sorts elements canonically.  ``words[x]``, ``length[x]`` and
     ``names[x]`` are x's canonical reduced word, its length and its
-    printed name.  Immutable after construction apart from its memo dicts:
+    printed name; the build also stores each id's left and right descents.
+    Immutable after construction apart from its memo dicts:
     Bruhat pairs, reduced-word sets and (filled by :mod:`klcat.hecke`)
     inverse standard-basis elements.
     """
@@ -235,6 +158,8 @@ class GroupTable:
         words: list[Word],
         right: list[list[Optional[int]]],
         left: list[list[Optional[int]]],
+        right_descents: list[tuple[int, ...]],
+        left_descents: list[tuple[int, ...]],
         partial: bool,
         cap: int,
     ):
@@ -246,6 +171,8 @@ class GroupTable:
         self._index = {w: i for i, w in enumerate(words)}
         self._right = right
         self._left = left
+        self._right_descents = right_descents
+        self._left_descents = left_descents
         self.partial = partial
         self.cap = cap
         self.complete_length = self.length[-1]
@@ -273,7 +200,18 @@ class GroupTable:
 
 
 def build_group(matrix: CoxeterMatrix, cap: int) -> GroupTable:
-    """BFS-close the group over right multiplication, interning canonical words.
+    """Build the table level by level in length, merging up-products by rank-2 descent walks.
+
+    The up-products of level k are the pairs (x, s) with l(x) = k and
+    ``x*s`` not yet in the table.  Pairs (x, s) and (y, t), s < t with m_st
+    finite, are the same element exactly when x walks down through m_st - 1
+    right descents by t, s, t, ... to some v, and y is v times the
+    alternating word of length m_st - 1 that ends in s; every entry the
+    walks read belongs to an earlier level.  Matching pairs are merged by
+    union-find, each merged class is one new element whose right descents
+    are its pairs' generators and whose canonical word is the least
+    ``words[x] + (s,)``, and the level is numbered in canonical-word order.
+    The left table and left descents come through inverses.
 
     If closure is not reached within ``cap`` elements the table keeps only
     the complete length strata and is marked partial.
@@ -284,36 +222,69 @@ def build_group(matrix: CoxeterMatrix, cap: int) -> GroupTable:
     """
     if cap < 1:
         raise ValueError("cap must be a positive element count")
-    memo: dict[Word, tuple[bool, Word]] = {}
     rank = matrix.rank
+    orders = matrix.orders
     words: list[Word] = [()]
-    index: dict[Word, int] = {(): 0}
-    frontier: list[Word] = [()]
+    length = [0]
+    right: list[list[Optional[int]]] = [[None] * rank]
+    right_descents: list[tuple[int, ...]] = [()]
+    level = [0]
     partial = False
     while True:
-        candidates = set()
-        for w in frontier:
-            for s in range(rank):
-                reduced, canonical = normal_form(matrix, w + (s,), memo)
-                if reduced and canonical not in index:
-                    candidates.add(canonical)
-        if not candidates:
+        ups = [(x, s) for x in level for s in range(rank) if right[x][s] is None]
+        parent = {pair: pair for pair in ups}
+
+        def find(pair):
+            while parent[pair] != pair:
+                parent[pair] = pair = parent[parent[pair]]
+            return pair
+
+        for x, s in ups:
+            for t in range(s + 1, rank):
+                m = orders[s][t]
+                if m == INFINITE:
+                    continue
+                # x down by t, s, t, ... to v, then v up by the alternating word ending in s
+                v, a, b = x, t, s
+                for _ in range(m - 1):
+                    u = right[v][a]
+                    if u is None or length[u] > length[v]:
+                        break
+                    v, a, b = u, b, a
+                else:
+                    for _ in range(m - 1):
+                        v, a, b = right[v][a], b, a
+                    parent[find((v, t))] = find((x, s))
+        classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for pair in ups:
+            classes.setdefault(find(pair), []).append(pair)
+        if not classes:
             break
-        if len(words) + len(candidates) > cap:
+        if len(words) + len(classes) > cap:
             partial = True
             break
-        frontier = sorted(candidates)
-        for w in frontier:
-            index[w] = len(words)
-            words.append(w)
+        new = sorted((min(words[x] + (s,) for x, s in pairs), pairs) for pairs in classes.values())
+        level = []
+        for word, pairs in new:
+            w = len(words)
+            words.append(word)
+            length.append(len(word))
+            right.append([None] * rank)
+            for x, s in pairs:
+                right[x][s] = w
+                right[w][s] = x
+            right_descents.append(tuple(sorted(s for _, s in pairs)))
+            level.append(w)
 
-    def resolve(word: Word) -> Optional[int]:
-        _, canonical = normal_form(matrix, word, memo)
-        return index.get(canonical)
-
-    right = [[resolve(w + (s,)) for s in range(rank)] for w in words]
-    left = [[resolve((s,) + w) for s in range(rank)] for w in words]
-    return GroupTable(matrix, words, right, left, partial, cap)
+    inverse = []
+    for word in words:
+        x = 0
+        for s in reversed(word):
+            x = right[x][s]
+        inverse.append(x)
+    left = [[None if j is None else inverse[j] for j in right[inverse[w]]] for w in range(len(words))]
+    left_descents = [right_descents[inverse[w]] for w in range(len(words))]
+    return GroupTable(matrix, words, right, left, right_descents, left_descents, partial, cap)
 
 
 def mult_gen(table: GroupTable, w: int, s: int, side: str = "left") -> int:
@@ -341,14 +312,7 @@ def is_reduced(table: GroupTable, word: Word) -> bool:
 
 def descents(table: GroupTable, w: int, side: str = "left") -> tuple[int, ...]:
     """Generators s with ``l(sw) < l(w)`` (left) or ``l(ws) < l(w)`` (right), ascending."""
-    row = (table._left if side == "left" else table._right)[w]
-    length = table.length
-    lw = length[w]
-    out = []
-    for s, j in enumerate(row):
-        if j is not None and length[j] < lw:
-            out.append(s)
-    return tuple(out)
+    return (table._left_descents if side == "left" else table._right_descents)[w]
 
 
 def bruhat_leq(table: GroupTable, x: int, w: int) -> bool:

@@ -1,17 +1,137 @@
 """Independent oracles the tests check production code against.
 
-Nothing here calls into the code paths being verified: the symmetric-group
-model uses one-line permutation arithmetic, Bruhat comparison uses the
-subword characterization over brute-force word enumeration, and the
-dihedral KL oracle checks the defining bar-invariance conditions directly.
+Nothing here calls into the code paths being verified: group tables come
+from saturating braid moves on words (Tits' solution to the word problem),
+the symmetric-group model uses one-line permutation arithmetic, Bruhat
+comparison uses the subword characterization over brute-force word
+enumeration, and the dihedral KL oracle checks the defining
+bar-invariance conditions directly.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import lru_cache
+from typing import Optional
 
+from klcat.coxeter import INFINITE
 from klcat.laurent import LaurentPoly
+
+# -- braid-move saturation (independent oracle for coxeter.build_group) -------
+
+
+def _adjacent_duplicate(word: tuple[int, ...]) -> int:
+    """Index of the first adjacent equal pair, or -1."""
+    for i in range(len(word) - 1):
+        if word[i] == word[i + 1]:
+            return i
+    return -1
+
+
+def _braid_neighbors(matrix, word: tuple[int, ...]):
+    """Words reachable from ``word`` by one braid move."""
+    n = len(word)
+    orders = matrix.orders
+    for i in range(n - 1):
+        a, b = word[i], word[i + 1]
+        if a == b:
+            continue
+        m = orders[a][b]
+        if m == INFINITE or i + m > n:
+            continue
+        if all(word[i + j] == (a if j % 2 == 0 else b) for j in range(m)):
+            flipped = tuple(b if j % 2 == 0 else a for j in range(m))
+            yield word[:i] + flipped + word[i + m:]
+
+
+def braid_closure(matrix, word: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """All words reachable from ``word`` by braid moves (including itself)."""
+    seen = {word}
+    queue = deque([word])
+    while queue:
+        for nb in _braid_neighbors(matrix, queue.popleft()):
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return frozenset(seen)
+
+
+def normal_form(matrix, word: tuple[int, ...], memo: Optional[dict] = None) -> tuple[bool, tuple[int, ...]]:
+    """``(is_reduced, canonical_word)`` of the element that ``word`` spells.
+
+    The canonical word is the ShortLex-minimal reduced word.  A word is
+    reduced exactly when no braid-equivalent word carries an adjacent
+    repeated letter (Tits); otherwise such a pair is deleted and
+    normalization recurses on the shorter word.  Exponential in the
+    length, so only for small groups.
+    """
+    if memo is None:
+        memo = {}
+    cached = memo.get(word)
+    if cached is not None:
+        return cached
+    seen = {word}
+    queue = deque([word])
+    dup_word, dup_at = None, -1
+    while queue:
+        w = queue.popleft()
+        at = _adjacent_duplicate(w)
+        if at >= 0:
+            dup_word, dup_at = w, at
+            break
+        for nb in _braid_neighbors(matrix, w):
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    if dup_word is not None:
+        _, canonical = normal_form(matrix, dup_word[:dup_at] + dup_word[dup_at + 2:], memo)
+        result = (False, canonical)
+    else:
+        result = (True, min(seen))
+    for w in seen:
+        memo[w] = result
+    return result
+
+
+def braid_saturation_tables(matrix, cap: int):
+    """``(words, right, left, partial)`` of the group, by normal forms of words.
+
+    A breadth-first search by length from the identity interns the
+    canonical word of every reduced ``w + (s,)``.  A level that would take
+    the table past ``cap`` elements is dropped and the table is partial;
+    products outside the table are ``None``.
+    """
+    memo: dict = {}
+    rank = matrix.rank
+    words = [()]
+    index = {(): 0}
+    frontier = [()]
+    partial = False
+    while True:
+        candidates = set()
+        for w in frontier:
+            for s in range(rank):
+                reduced, canonical = normal_form(matrix, w + (s,), memo)
+                if reduced and canonical not in index:
+                    candidates.add(canonical)
+        if not candidates:
+            break
+        if len(words) + len(candidates) > cap:
+            partial = True
+            break
+        frontier = sorted(candidates)
+        for w in frontier:
+            index[w] = len(words)
+            words.append(w)
+
+    def resolve(word):
+        return index.get(normal_form(matrix, word, memo)[1])
+
+    right = [[resolve(w + (s,)) for s in range(rank)] for w in words]
+    left = [[resolve((s,) + w) for s in range(rank)] for w in words]
+    return words, right, left, partial
+
 
 # -- symmetric group model (type A backend) ---------------------------------
 

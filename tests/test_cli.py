@@ -252,6 +252,10 @@ def test_verify_a3_json_bytes_are_pinned():
             "5dbddae836a0d5b0b4b1287bc7d0fa453d5e65cf85a0d107ffeffb01d666dc53",
         ),
         (
+            ["kl", "--type", "B4", "--format", "csv"],
+            "f7ec3bbd282a9c36ec1613b99781014a100af0d039ddc4fb6a0a91f1d056072c",
+        ),
+        (
             ["kl", "--matrix", '{"rank":3,"m":[[1,4,0],[4,1,3],[0,3,1]]}', "--cap", "300", "--format", "csv"],
             "04426a9069ebba016d6c6b329353c1196b6783a22454d473bb9a11754c2d47b4",
         ),
@@ -264,7 +268,7 @@ def test_verify_a3_json_bytes_are_pinned():
             "34313c9bd94f6b49b62c4c94c7542b69da501031db4c78fcaa4a5ab8f12dfe67",
         ),
     ],
-    ids=["kl-A3-json", "kl-B3-csv", "kl-triangle-csv", "cells-A3", "group-B3"],
+    ids=["kl-A3-json", "kl-B3-csv", "kl-B4-csv", "kl-triangle-csv", "cells-A3", "group-B3"],
 )
 def test_output_bytes_are_pinned(argv, digest):
     code, text = run_cli(argv)

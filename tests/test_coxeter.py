@@ -6,7 +6,6 @@ from klcat.coxeter import (
     CoxeterMatrix,
     IncompleteTableError,
     all_reduced_words,
-    braid_closure,
     bruhat_interval,
     bruhat_leq,
     build_group,
@@ -14,7 +13,6 @@ from klcat.coxeter import (
     evaluate_word,
     is_reduced,
     mult_gen,
-    normal_form,
     parse_word,
     preset_matrix,
     word_name,
@@ -22,13 +20,21 @@ from klcat.coxeter import (
 
 from oracles import (
     SymmetricGroupModel,
+    braid_closure,
+    braid_saturation_tables,
     bruhat_leq_subword_oracle,
     brute_force_reduced_words,
+    normal_form,
     perm_left_mult,
     perm_right_mult,
 )
 
 INFINITE_DIHEDRAL = CoxeterMatrix.from_rows([[1, 0], [0, 1]])
+H3 = [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
+D4 = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
+AFFINE_A2 = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
+F4 = [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]]
+H4 = [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]
 
 
 def test_matrix_validation():
@@ -185,6 +191,71 @@ def test_deep_truncated_table_needs_no_recursion():
     assert t.partial and t.length[w] == 1200
     assert all(bruhat_leq(t, x, w) for x in t.elements[:3])  # e, s1, s2
     assert all_reduced_words(t, w) == frozenset({t.words[w]})
+
+
+ORACLE_CASES = (
+    [(name, preset_matrix(name), 1000) for name in ("A3", "B3", "A4")]
+    + [("H3", CoxeterMatrix.from_rows(H3), 1000), ("D4", CoxeterMatrix.from_rows(D4), 1000)]
+    + [(f"I2({m})", preset_matrix(f"I2({m})"), 1000) for m in range(2, 10)]
+    + [("I2(inf)", INFINITE_DIHEDRAL, 50), ("affineA2", CoxeterMatrix.from_rows(AFFINE_A2), 300)]
+    + [("A1", preset_matrix("A1"), cap) for cap in (1, 10)]
+    + [("A3", preset_matrix("A3"), 5)]
+    + [
+        (f"triangle{a}-{b}-{c}", CoxeterMatrix.from_rows([[1, a, b], [a, 1, c], [b, c, 1]]), 300)
+        for a, b, c in itertools.combinations_with_replacement((3, 4, 5, 6, 0), 3)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "matrix, cap", [pytest.param(m, cap, id=f"{name}-cap{cap}") for name, m, cap in ORACLE_CASES]
+)
+def test_build_matches_braid_saturation(matrix, cap):
+    t = build_group(matrix, cap)
+    words, right, left, partial = braid_saturation_tables(matrix, cap)
+    assert t.words == words
+    assert t._right == right and t._left == left
+    assert t.partial == partial and t.complete_length == len(words[-1])
+    for w, word in enumerate(words):
+        for side, table in (("right", right), ("left", left)):
+            down = tuple(s for s, j in enumerate(table[w]) if j is not None and len(words[j]) < len(word))
+            assert descents(t, w, side) == down
+
+
+def q_integer_product(degrees) -> list[int]:
+    """Coefficients of the product of [d]_q = 1 + q + ... + q^(d-1)."""
+    coeffs = [1]
+    for d in degrees:
+        product = [0] * (len(coeffs) + d - 1)
+        for n, c in enumerate(coeffs):
+            for i in range(d):
+                product[n + i] += c
+        coeffs = product
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "matrix, cap, degrees",
+    [
+        (preset_matrix("A5"), 1000, range(2, 7)),
+        (preset_matrix("A6"), 10000, range(2, 8)),
+        (preset_matrix("B5"), 10000, (2, 4, 6, 8, 10)),
+        (CoxeterMatrix.from_rows(F4), 10000, (2, 6, 8, 12)),
+        (CoxeterMatrix.from_rows(H4), 20000, (2, 12, 20, 30)),
+    ],
+    ids=["A5", "A6", "B5", "F4", "H4"],
+)
+def test_length_distribution_matches_degrees(matrix, cap, degrees):
+    t = build_group(matrix, cap)
+    assert not t.partial
+    assert t.counts_by_length() == q_integer_product(degrees)
+    gens = range(t.rank)
+    for w in t.elements:
+        for s in gens:
+            sw = mult_gen(t, w, s, "left")
+            assert mult_gen(t, sw, s, "left") == w
+            for u in gens:
+                assert mult_gen(t, sw, u, "right") == mult_gen(t, mult_gen(t, w, u, "right"), s, "left")
 
 
 def test_normal_form_detects_non_reduced(a2):
