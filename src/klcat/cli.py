@@ -143,17 +143,19 @@ def cmd_kl(args, out) -> int:
             kl = kl_from_json_obj(table, obj, bound)
     except (CacheMismatchError, OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_CACHE_ERROR, f"cache at {path}: {exc}")
+    text = None  # the canonical JSON document, once encoded
     if kl is None:
         kl = compute_kl(table, bound)
         if path is not None:
+            text = canonical_json(kl_to_json_obj(kl))
             try:
-                _write_replacing(path, canonical_json(kl_to_json_obj(kl)))
+                _write_replacing(path, text)
             except OSError as exc:
                 raise CliError(EXIT_CACHE_ERROR, f"cache at {path}: {exc}")
     if args.format == "csv":
         out.write(kl_to_csv(kl))
     else:
-        out.write(canonical_json(kl_to_json_obj(kl)))
+        out.write(text if text is not None else canonical_json(kl_to_json_obj(kl)))
     return EXIT_OK
 
 

@@ -24,6 +24,7 @@ raises :class:`IncompleteTableError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 INFINITE = 0  # JSON encoding of an infinite braid order m_st
@@ -144,9 +145,10 @@ class GroupTable:
     Ids run in (length, ShortLex) order, so the identity is 0 and sorting
     ids sorts elements canonically.  ``words[x]``, ``length[x]`` and
     ``names[x]`` are x's canonical reduced word, its length and its
-    printed name; the build also stores each id's left and right descents.
-    Immutable after construction apart from its memo dicts:
-    Bruhat pairs, reduced-word sets and (filled by :mod:`klcat.hecke`)
+    printed name (built on first use, since only output reads them); the
+    build also stores each id's left and right descents.  Immutable after
+    construction apart from its memo dicts: Bruhat pairs, lower Bruhat
+    intervals, reduced-word sets and (filled by :mod:`klcat.hecke`)
     inverse standard-basis elements.
     """
 
@@ -166,7 +168,6 @@ class GroupTable:
         self.matrix = matrix
         self.words = words
         self.length = [len(w) for w in words]
-        self.names = [word_name(w) for w in words]
         self.elements = range(len(words))
         self._index = {w: i for i, w in enumerate(words)}
         self._right = right
@@ -177,8 +178,13 @@ class GroupTable:
         self.cap = cap
         self.complete_length = self.length[-1]
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
+        self._interval_memo: dict[int, tuple[int, ...]] = {0: (0,)}  # id -> [e, id]
         self._redwords_memo: dict[int, frozenset[Word]] = {}
         self._inverse_memo: dict = {}  # id -> inverse of H_{x^-1}, filled by hecke
+
+    @cached_property
+    def names(self) -> list[str]:
+        return [word_name(w) for w in self.words]
 
     @property
     def rank(self) -> int:
@@ -354,8 +360,25 @@ def bruhat_leq(table: GroupTable, x: int, w: int) -> bool:
 
 
 def bruhat_interval(table: GroupTable, w: int) -> list[int]:
-    """All x <= w, in id order; none has an id above w's, since ids follow length."""
-    return [x for x in range(w + 1) if bruhat_leq(table, x, w)]
+    """All x <= w, in id order, as a fresh list; memoized per table.
+
+    With s the first left descent of w, [e, w] is the union of [e, sw]
+    and s*[e, sw] (Bjorner-Brenti, *Combinatorics of Coxeter Groups*,
+    2.2).  The chain w, sw, ... is walked down to the first memoized
+    interval and the intervals are filled back up it, so deep elements
+    need no recursion.
+    """
+    memo, left = table._interval_memo, table._left
+    chain = []
+    u = w
+    while u not in memo:
+        s = descents(table, u, "left")[0]
+        chain.append((u, s))
+        u = left[u][s]
+    for u, s in reversed(chain):
+        lower = memo[left[u][s]]
+        memo[u] = tuple(sorted({*lower, *(left[x][s] for x in lower)}))
+    return list(memo[w])
 
 
 def all_reduced_words(table: GroupTable, w: int) -> frozenset[Word]:

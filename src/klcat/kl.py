@@ -34,7 +34,7 @@ from .coxeter import (
     descents,
     mult_gen,
 )
-from .hecke import HeckeElt, bott_samelson_class, left_mul_kl, unit
+from .hecke import HeckeElt, bott_samelson_class, left_mul_kl
 from .laurent import LaurentPoly, ONE, ZERO
 
 TOOL_VERSION = "0.1.0"
@@ -44,16 +44,26 @@ class KLTable:
     """KL basis elements, stored by element id as full standard-basis expansions.
 
     ``kl_element(w)`` is the bar-invariant basis element of w; its
-    H_x-coefficient is the KL polynomial h_{x,w}.  Structure constants and
-    product expansions are memoized on the table.
+    H_x-coefficient is the KL polynomial h_{x,w}, and its support is
+    exactly the Bruhat interval [e, w].  A table holds few distinct
+    polynomials, so every stored coefficient is the table's single
+    instance of its value (as in du Cloux's Coxeter3): equal coefficients
+    are the same object, and the exporters format each one once.
+    Structure constants and product expansions are memoized on the table.
     """
 
     def __init__(self, table: GroupTable, complete_up_to: int):
         self.table = table
         self.complete_up_to = complete_up_to
         self._kl: dict[int, HeckeElt] = {}
+        self._polys: dict[LaurentPoly, LaurentPoly] = {}  # value -> the interned instance
         self._sc_memo: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
         self._bs_memo: dict[Word, dict[int, LaurentPoly]] = {}
+
+    def _store(self, w: int, coeffs: list[tuple[int, LaurentPoly]]) -> None:
+        """Keep the (x, h_{x,w}) pairs as the KL element of w, each coefficient interned."""
+        intern = self._polys.setdefault
+        self._kl[w] = HeckeElt(self.table, {x: intern(c, c) for x, c in coeffs})
 
     def stored_elements(self) -> list[int]:
         length, bound = self.table.length, self.complete_up_to
@@ -116,7 +126,8 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
     (smallest generator index by default; the result is independent of the
     choice, which ``descent_choice='max'`` lets tests confirm), forms
     C_s * (KL element of sw), and subtracts the constant term of each lower
-    coefficient times the corresponding lower KL element.
+    coefficient times the corresponding lower KL element.  Each coefficient
+    is stored as the table's interned instance of its value.
     """
     if up_to_length < 0:
         raise ValueError("up_to_length must be nonnegative")
@@ -128,7 +139,7 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
         raise ValueError("descent_choice must be 'min' or 'max'")
     bound = min(up_to_length, table.complete_length)
     kl = KLTable(table, bound)
-    kl._kl[table.identity] = unit(table)
+    kl._store(table.identity, [(table.identity, ONE)])
     for w in kl.stored_elements()[1:]:
         ds = descents(table, w, "left")
         s = ds[0] if descent_choice == "min" else ds[-1]
@@ -140,7 +151,7 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
             g0 = g.coefficient(0)
             if g0:
                 prod = prod - kl._kl[z].scale(g0)
-        kl._kl[w] = prod
+        kl._store(w, prod.items())
     return kl
 
 
@@ -246,11 +257,18 @@ def matrix_content_hash(matrix, up_to_length: int) -> str:
 
 
 def kl_to_json_obj(kl: KLTable) -> dict:
-    words = kl.table.words
+    """The cache document of ``kl``; each interned polynomial is converted once."""
+    words = [list(word) for word in kl.table.words]
+    polys: dict[int, dict[str, int]] = {}  # id of an interned coefficient -> its JSON object
     body = []
     for w in kl.stored_elements():
-        coeffs = [[list(words[x]), c.to_json_obj()] for x, c in kl.kl_element(w).items()]
-        body.append([list(words[w]), coeffs])
+        coeffs = []
+        for x, c in kl.kl_element(w).items():
+            obj = polys.get(id(c))
+            if obj is None:
+                obj = polys[id(c)] = c.to_json_obj()
+            coeffs.append([words[x], obj])
+        body.append([words[w], coeffs])
     return {
         "header": {
             "matrix_hash": matrix_content_hash(kl.table.matrix, kl.complete_up_to),
@@ -267,9 +285,16 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
 
     One pass checks the body's shape, that it covers lengths up to
     ``up_to_length``, and that it holds exactly one entry per element of
-    that length or less; any failure raises :class:`CacheMismatchError`.
-    The polynomials themselves are taken on trust (checking them would
-    mean recomputing the table).
+    that length or less, each naming every x at most once; each distinct
+    JSON polynomial is decoded once, strictly
+    (:meth:`LaurentPoly.from_json_obj`), into the table's intern map.
+    Then every support is proven to be its Bruhat interval, which the CSV
+    writer relies on: the coefficient at w must be exactly 1 and, with s
+    the first left descent of w and S the support of C_sw, the support of
+    C_w must be S together with s*S, which by induction is [e, w].  Any
+    failure raises :class:`CacheMismatchError`.  The polynomials'
+    values are taken on trust (checking them would mean recomputing the
+    table).
     """
     body = obj.get("body")
     if not isinstance(body, dict) or not isinstance(body.get("kl"), list):
@@ -279,32 +304,44 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
             f"cache body complete_up_to is {body.get('complete_up_to')!r}, expected {up_to_length!r}"
         )
     kl = KLTable(table, up_to_length)
+    # a JSON polynomial's terms and their types (so 1.0 and true never reuse the
+    # decoding of 1) -> the interned value
+    decoded: dict[tuple, LaurentPoly] = {}
     for entry in body["kl"]:
         try:
             word, coeffs = entry
             w = table.element_from_word(tuple(word))
-            elt = HeckeElt(
-                table,
-                {
-                    table.element_from_word(tuple(xw)): _poly_from_json(poly)
-                    for xw, poly in coeffs
-                },
-            )
+            elt = {}
+            for xw, poly in coeffs:
+                if type(poly) is not dict:
+                    raise TypeError(f"polynomial must be an object, got {type(poly).__name__}")
+                key = (*poly.items(), *map(type, poly.values()))
+                c = decoded.get(key)
+                if c is None:
+                    c = LaurentPoly.from_json_obj(poly)
+                    c = decoded[key] = kl._polys.setdefault(c, c)
+                elt[table.element_from_word(tuple(xw))] = c
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheMismatchError(f"malformed cache entry {entry!r:.80}") from exc
-        if table.length[w] > up_to_length or w in kl._kl:
+        if table.length[w] > up_to_length or w in kl._kl or len(elt) != len(coeffs):
             raise CacheMismatchError(f"unexpected or repeated cache entry for {table.names[w]}")
-        kl._kl[w] = elt
-    expected = len(kl.stored_elements())
-    if len(kl._kl) != expected:
-        raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {expected}")
+        kl._kl[w] = HeckeElt(table, elt)
+    stored = kl.stored_elements()
+    if len(kl._kl) != len(stored):
+        raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {len(stored)}")
+    for w in stored:
+        elt = kl._kl[w]
+        if w == table.identity:
+            interval = {w}
+        else:
+            s = descents(table, w, "left")[0]
+            lower = kl._kl[mult_gen(table, w, s, "left")].support()
+            interval = {*lower, *(mult_gen(table, x, s, "left") for x in lower)}
+        if elt.coeff(w) != ONE:
+            raise CacheMismatchError(f"cache coefficient of {table.names[w]} at itself is not 1")
+        if set(elt.support()) != interval:
+            raise CacheMismatchError(f"cache support of {table.names[w]} is not its Bruhat interval")
     return kl
-
-
-def _poly_from_json(obj) -> LaurentPoly:
-    if not isinstance(obj, dict):
-        raise TypeError(f"polynomial must be an object, got {type(obj).__name__}")
-    return LaurentPoly.from_json_obj(obj)
 
 
 class CacheMismatchError(Exception):
@@ -327,14 +364,25 @@ def validate_cache_header(header: dict, matrix, up_to_length: int) -> None:
 
 
 def kl_to_csv(kl: KLTable) -> str:
-    """Rows (x, w, h_{x,w}, P_{x,w}, mu) for all x <= w, length-then-ShortLex order."""
+    """Rows (x, w, h_{x,w}, P_{x,w}, mu) for all x <= w, length-then-ShortLex order.
+
+    The rows of w walk the support of C_w, which is exactly [e, w] (the
+    ``kl_support`` record of ``verify`` checks this, and the cache decoder
+    proves it).  The ``h,P,mu`` cell depends only on h and l(w) - l(x), so
+    it is formatted once per interned polynomial and length gap.
+    """
     length, names = kl.table.length, kl.table.names
+    cells: dict[tuple[int, int], str] = {}  # (id of h, l(w) - l(x)) -> "h,P,mu"
     lines = ["x,w,h,P,mu"]
     for w in kl.stored_elements():
-        for x in bruhat_interval(kl.table, w):
-            h = kl.kl_poly(x, w)
-            p = to_classical(h, length[x], length[w])
-            lines.append(f"{names[x]},{names[w]},{h.render('v')},{p.render('q')},{kl.mu(x, w)}")
+        lw, tail = length[w], f",{names[w]},"
+        for x, h in kl.kl_element(w).items():
+            key = (id(h), lw - length[x])
+            cell = cells.get(key)
+            if cell is None:
+                p = to_classical(h, length[x], lw)
+                cell = cells[key] = f"{h.render('v')},{p.render('q')},{h.coefficient(1)}"
+            lines.append(names[x] + tail + cell)
     return "\n".join(lines) + "\n"
 
 

@@ -167,7 +167,22 @@ class LaurentPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, int]) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in obj.items()})
+        """Decode exactly what :meth:`to_json_obj` writes.
+
+        Every key must be a canonical decimal exponent (``"2"``, not
+        ``" +2 "`` or ``"0_2"``) and every coefficient a nonzero JSON
+        integer (no floats, no booleans); anything else raises ValueError.
+
+        >>> LaurentPoly.from_json_obj({"-1": 2, "3": -1}) == LaurentPoly({-1: 2, 3: -1})
+        True
+        """
+        coeffs = {}
+        for key, c in obj.items():
+            e = int(key)
+            if str(e) != key or type(c) is not int or not c:
+                raise ValueError(f"bad polynomial term {key!r}: {c!r}")
+            coeffs[e] = c
+        return cls(coeffs)
 
 
 ZERO = LaurentPoly()

@@ -52,3 +52,22 @@ def kl_i2(i2):
         return tables[m]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def ladder():
+    """``ladder(name)`` is (table, KL table to its complete length) for a LADDER group."""
+    from klcat.coxeter import CoxeterMatrix
+
+    from oracles import LADDER
+
+    built = {}
+
+    def get(name):
+        if name not in built:
+            rows, cap = LADDER[name]
+            table = build_group(CoxeterMatrix.from_rows(rows), cap)
+            built[name] = (table, compute_kl(table, table.complete_length))
+        return built[name]
+
+    return get

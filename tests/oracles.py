@@ -4,8 +4,9 @@ Nothing here calls into the code paths being verified: group tables come
 from saturating braid moves on words (Tits' solution to the word problem),
 the symmetric-group model uses one-line permutation arithmetic, Bruhat
 comparison uses the subword characterization over brute-force word
-enumeration, and the dihedral KL oracle checks the defining
-bar-invariance conditions directly.
+enumeration, the dihedral KL oracle checks the defining
+bar-invariance conditions directly, and the KL CSV oracle walks Bruhat
+intervals by pairwise comparison instead of the stored supports.
 """
 
 from __future__ import annotations
@@ -236,3 +237,45 @@ def satisfies_kl_conditions(table, w, candidate) -> bool:
     if candidate.coeff(w) != LaurentPoly({0: 1}):
         return False
     return all(c.in_positive_part() for x, c in candidate.items() if x != w)
+
+
+# -- interval-driven KL CSV (independent oracle for kl.kl_to_csv) -------------
+
+
+def interval_kl_csv(kl) -> str:
+    """The KL CSV dump, row by row: each x with ``bruhat_leq(x, w)``, looked up and formatted.
+
+    This is the writer ``kl_to_csv`` replaced.  It finds [e, w] by
+    comparing every id up to w, and reads h_{x,w} and mu one row at a
+    time, so it trusts neither the stored supports nor the interning.
+    """
+    from klcat.coxeter import bruhat_leq
+    from klcat.kl import to_classical
+
+    table = kl.table
+    length, names = table.length, table.names
+    lines = ["x,w,h,P,mu"]
+    for w in kl.stored_elements():
+        for x in range(w + 1):
+            if not bruhat_leq(table, x, w):
+                continue
+            h = kl.kl_poly(x, w)
+            p = to_classical(h, length[x], length[w])
+            lines.append(f"{names[x]},{names[w]},{h.render('v')},{p.render('q')},{kl.mu(x, w)}")
+    return "\n".join(lines) + "\n"
+
+
+# -- the group ladder the fast paths are checked on ----------------------------
+
+# name -> (Coxeter matrix rows, element cap); the last two are length-truncated
+LADDER = {
+    "A3": ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], 1000),
+    "B3": ([[1, 3, 2], [3, 1, 4], [2, 4, 1]], 1000),
+    "H3": ([[1, 5, 2], [5, 1, 3], [2, 3, 1]], 1000),
+    "D4": ([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]], 1000),
+    "A4": ([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]], 1000),
+    "B4": ([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]], 1000),
+    "I2(7)": ([[1, 7], [7, 1]], 1000),
+    "affineA2": ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], 300),
+    "triangle4-0-3": ([[1, 4, 0], [4, 1, 3], [0, 3, 1]], 300),
+}

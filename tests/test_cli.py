@@ -25,6 +25,18 @@ def test_group_preset_a3():
     assert "elements by length: 1,3,5,6,5,3,1" in text
 
 
+def test_group_command_leaves_names_unbuilt(monkeypatch):
+    import klcat.cli as cli_mod
+
+    tables = []
+    build = cli_mod.build_group
+    monkeypatch.setattr(cli_mod, "build_group", lambda *args: tables.append(build(*args)) or tables[-1])
+    code, _ = run_cli(["group", "--type", "B3"])
+    assert code == 0 and len(tables) == 1
+    assert "names" not in vars(tables[0])
+    assert tables[0].names[-1] == "s1.s2.s1.s3.s2.s1.s3.s2.s3"
+
+
 def test_group_dihedral_preset():
     code, text = run_cli(["group", "--type", "I2(7)"])
     assert code == 0 and "order: 14" in text
@@ -125,13 +137,34 @@ def test_kl_cache_mismatch_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _set_poly(body, w, i, poly):
+    """Replace the polynomial of the i-th coefficient of entry w (ids: 1 is s1, 5 has length 2)."""
+    body["kl"][w][1][i][1] = poly
+
+
 @pytest.mark.parametrize(
     "damage",
     [
         lambda body: body.update(kl=[[0, 1]]),  # wrong shape
         lambda body: body.update(kl=body["kl"][:2]),  # valid header, truncated body
+        lambda body: body["kl"][5][1].pop(0),  # h_{e,w} dropped
+        lambda body: body["kl"][1][1].insert(1, [[1], {"1": 1}]),  # s2 is not below s1
+        lambda body: _set_poly(body, 5, -1, {"0": 2}),  # h_{w,w} = 2
+        # h_{e,w} = v^2 for l(w) = 2, already decoded for the entry before
+        lambda body: _set_poly(body, 5, 0, {"2": 1.0}),
+        lambda body: _set_poly(body, 5, 0, {"2": True}),
+        lambda body: _set_poly(body, 1, 0, {" +1 ": 1}),
     ],
-    ids=["wrong-shape", "truncated"],
+    ids=[
+        "wrong-shape",
+        "truncated",
+        "dropped-coefficient",
+        "x-outside-interval",
+        "diagonal-not-1",
+        "float-coefficient",
+        "bool-coefficient",
+        "non-canonical-exponent",
+    ],
 )
 def test_kl_cache_bad_body_exits_3(tmp_path, capsys, damage):
     cache = tmp_path / "kl.json"
@@ -143,6 +176,18 @@ def test_kl_cache_bad_body_exits_3(tmp_path, capsys, damage):
     assert main(["kl", "--type", "A3", "--cache", str(cache)], out=io.StringIO()) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"klcat: cache at {cache}") and "Traceback" not in err
+
+
+def test_cold_json_run_encodes_once(tmp_path, monkeypatch):
+    import klcat.cli as cli_mod
+
+    calls = []
+    encode = cli_mod.kl_to_json_obj
+    monkeypatch.setattr(cli_mod, "kl_to_json_obj", lambda kl: calls.append(kl) or encode(kl))
+    cache = tmp_path / "a3.json"
+    code, text = run_cli(["kl", "--type", "A3", "--format", "json", "--cache", str(cache)])
+    assert code == 0 and len(calls) == 1
+    assert text == cache.read_text() == run_cli(["kl", "--type", "A3", "--format", "json"])[1]
 
 
 def test_kl_cache_write_failure_leaves_no_file(tmp_path, monkeypatch, capsys):

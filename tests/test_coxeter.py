@@ -19,6 +19,7 @@ from klcat.coxeter import (
 )
 
 from oracles import (
+    LADDER,
     SymmetricGroupModel,
     braid_closure,
     braid_saturation_tables,
@@ -164,6 +165,17 @@ def test_bruhat_interval_examples(a2):
     assert len(bruhat_interval(a2, sts)) == 6
 
 
+@pytest.mark.parametrize("name", LADDER)
+def test_bruhat_interval_is_the_lower_set(name):
+    rows, cap = LADDER[name]
+    t = build_group(CoxeterMatrix.from_rows(rows), cap)
+    for w in t.elements:
+        interval = bruhat_interval(t, w)
+        assert interval == [x for x in t.elements if bruhat_leq(t, x, w)]
+        interval.append(-1)  # the caller's list is its own
+        assert bruhat_interval(t, w)[-1] == w
+
+
 def test_all_reduced_words_examples(a2, a3):
     assert all_reduced_words(a2, a2.identity) == frozenset({()})
     sts = evaluate_word(a2, (0, 1, 0))
@@ -190,6 +202,7 @@ def test_deep_truncated_table_needs_no_recursion():
     w = t.elements[-1]
     assert t.partial and t.length[w] == 1200
     assert all(bruhat_leq(t, x, w) for x in t.elements[:3])  # e, s1, s2
+    assert bruhat_interval(t, w) == list(t.elements[:-2]) + [w]  # every shorter element, and w
     assert all_reduced_words(t, w) == frozenset({t.words[w]})
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from klcat.coxeter import (
 )
 from klcat.hecke import HeckeElt, bar_involution, unit
 from klcat.kl import (
+    canonical_json,
     classical_recursion,
     compute_kl,
     kl_from_json_obj,
@@ -22,7 +24,7 @@ from klcat.kl import (
 )
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
 
-from oracles import dihedral_kl_candidate, satisfies_kl_conditions
+from oracles import LADDER, dihedral_kl_candidate, interval_kl_csv, satisfies_kl_conditions
 
 
 def test_first_kl_elements(a2, kl_a2):
@@ -210,11 +212,30 @@ def test_csv_export(a2, a3, kl_a2, kl_a3):
 
 
 def test_json_round_trip_is_identity(a3, kl_a3):
-    from klcat.kl import canonical_json
-
     obj = kl_to_json_obj(kl_a3)
     text = canonical_json(obj)
     reloaded = kl_from_json_obj(a3, obj, 6)
     assert canonical_json(kl_to_json_obj(reloaded)) == text
     for w in a3.elements:
         assert reloaded.kl_element(w) == kl_a3.kl_element(w)
+
+
+def _reloaded(kl):
+    text = canonical_json(kl_to_json_obj(kl))
+    return kl_from_json_obj(kl.table, json.loads(text), kl.complete_up_to)
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_csv_matches_interval_oracle(ladder, name):
+    _, kl = ladder(name)
+    expected = interval_kl_csv(kl)
+    assert kl_to_csv(kl) == expected
+    assert kl_to_csv(_reloaded(kl)) == expected
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_coefficients_are_interned(ladder, name):
+    _, kl = ladder(name)
+    for table in (kl, _reloaded(kl)):
+        coeffs = [c for w in table.stored_elements() for _, c in table.kl_element(w).items()]
+        assert len({id(c) for c in coeffs}) == len(set(coeffs))

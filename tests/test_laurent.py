@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -65,6 +66,15 @@ def test_json_round_trip():
     assert LaurentPoly.from_json_obj(p.to_json_obj()) == p
     assert ZERO.to_json_obj() == {}
     assert list(p.to_json_obj()) == ["-2", "0", "7"]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"2": 1.7}, {"2": 1.0}, {"2": True}, {"0_2": 1}, {" +2 ": 1}, {"+2": 1}, {"02": 1}, {"-0": 1}, {"2": 0}, {"x": 1}],
+)
+def test_json_decode_is_strict(obj):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json_obj(obj)
 
 
 @given(sparse_polys)
