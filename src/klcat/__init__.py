@@ -36,9 +36,9 @@ from .hecke import (
 )
 from .kl import (
     KLTable,
-    classical_recursion,
+    classical_recursion_column,
     compute_kl,
-    recursion_kl_poly,
+    recursion_column,
     to_classical,
 )
 from .leaves import (

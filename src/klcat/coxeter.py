@@ -180,7 +180,7 @@ class GroupTable:
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._interval_memo: dict[int, tuple[int, ...]] = {0: (0,)}  # id -> [e, id]
         self._redwords_memo: dict[int, frozenset[Word]] = {}
-        self._inverse_memo: dict = {}  # id -> inverse of H_{x^-1}, filled by hecke
+        self._inverse_memo: dict = {}  # id -> terms of the inverse of H_{x^-1}, filled by hecke
 
     @cached_property
     def names(self) -> list[str]:

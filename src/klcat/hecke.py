@@ -12,16 +12,15 @@ and the degree-shifted generators C_s = H_s + v act on the standard basis by
     C_s H_x = H_sx + v^-1 H_x  if l(sx) < l(x).
 
 Only left multiplication by generators is needed by the algorithms here; a
-generic product is provided for tests and structure constants.
+generic product is provided for tests and structure constants.  The bar
+involution sums its products into one ``{x: {exponent: coefficient}}``
+dict and builds each coefficient once.
 """
 
 from __future__ import annotations
 
 from .coxeter import GroupTable, Word, mult_gen
 from .laurent import LaurentPoly, ONE, V, V_INV, ZERO
-
-_STD_INV_MINUS_ONE = LaurentPoly({1: 1, -1: -1})  # v - v^-1, from inverting H_s
-
 
 class HeckeElt:
     """A Hecke algebra element in standard-basis coordinates, keyed by element id."""
@@ -131,30 +130,68 @@ def product(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     return total
 
 
-def _left_mul_std_inverse(s: int, h: HeckeElt) -> HeckeElt:
-    # H_s^-1 = H_s + (v - v^-1), from the quadratic relation
-    return left_mul_std(s, h) + h.scale(_STD_INV_MINUS_ONE)
+Terms = tuple[tuple[int, int], ...]  # a polynomial's nonzero (exponent, coefficient) pairs
 
 
-def _inverse_of_inverse_word(table: GroupTable, w: int) -> HeckeElt:
-    """Standard-basis expansion of the inverse of H_{w^-1}, memoized on the table."""
-    memo = table._inverse_memo
-    cached = memo.get(w)
-    if cached is not None:
-        return cached
-    acc = unit(table)
-    for s in reversed(table.words[w]):
-        acc = _left_mul_std_inverse(s, acc)
-    memo[w] = acc
-    return acc
+def _inverse_of_inverse_word(table: GroupTable, w: int) -> dict[int, Terms]:
+    """Standard-basis terms of the inverse of H_{w^-1}, memoized on the table.
+
+    With s the first letter of the canonical word of w, that inverse is
+    H_s^-1 times the inverse for sw, whose canonical word is the tail
+    (the tail of a ShortLex word is ShortLex).  H_s^-1 = H_s + (v - v^-1)
+    sends H_y to H_sy, plus (v - v^-1) H_y when l(sy) > l(y).  The chain
+    w, sw, ... is walked down to the first memoized element and filled
+    back up, each step accumulated in one dict of dicts.
+    """
+    memo, length = table._inverse_memo, table.length
+    if not memo:
+        memo[table.identity] = {table.identity: ((0, 1),)}
+    chain = []
+    u = w
+    while u not in memo:
+        s = table.words[u][0]
+        chain.append((u, s))
+        u = mult_gen(table, u, s, "left")
+    for u, s in reversed(chain):
+        acc: dict[int, dict[int, int]] = {}
+        for y, terms in memo[mult_gen(table, u, s, "left")].items():
+            sy = mult_gen(table, y, s, "left")
+            _add_terms(acc.setdefault(sy, {}), terms, 0, 1)
+            if length[sy] > length[y]:
+                d = acc.setdefault(y, {})
+                _add_terms(d, terms, 1, 1)
+                _add_terms(d, terms, -1, -1)
+        memo[u] = {y: t for y, d in acc.items() if (t := tuple((e, c) for e, c in d.items() if c))}
+    return memo[w]
+
+
+def _add_terms(acc: dict[int, int], terms: Terms, shift: int, factor: int) -> None:
+    """acc += factor * v^shift * (the polynomial of ``terms``), in place."""
+    get = acc.get
+    for e, c in terms:
+        e += shift
+        acc[e] = get(e, 0) + factor * c
 
 
 def bar_involution(h: HeckeElt) -> HeckeElt:
-    """The ring involution with v -> v^-1 and H_w -> (H_{w^-1})^-1."""
-    total = HeckeElt(h.table)
-    for w, c in h.items():
-        total = total + _inverse_of_inverse_word(h.table, w).scale(c.bar())
-    return total
+    """The ring involution with v -> v^-1 and H_w -> (H_{w^-1})^-1.
+
+    Every product of a barred coefficient with an inverse's coefficient is
+    accumulated into one dict of dicts; each ``LaurentPoly`` is built once.
+    """
+    acc: dict[int, dict[int, int]] = {}
+    for w, c in h._coeffs.items():
+        inverse = _inverse_of_inverse_word(h.table, w)
+        for e, k in c.items():
+            for y, terms in inverse.items():
+                d = acc.get(y)
+                if d is None:
+                    d = acc[y] = {}
+                get = d.get
+                for f, j in terms:
+                    f -= e
+                    d[f] = get(f, 0) + k * j
+    return HeckeElt(h.table, {y: LaurentPoly(d) for y, d in acc.items()})
 
 
 def bott_samelson_class(table: GroupTable, word: Word) -> HeckeElt:

@@ -9,20 +9,25 @@ verification suites:
     element of z.  The result is the unique bar-invariant element whose
     lower coefficients lie in vZ[v].
 
-  * :func:`recursion_kl_poly` evaluates the normalized one-step recursion
+  * :func:`recursion_column` evaluates the normalized one-step recursion
 
         h_{x,w} = v^{+-1} h_{x,sw} + h_{sx,sw} - sum mu(z,sw) h_{x,z}
 
     (exponent +1 when l(sx) > l(x), -1 otherwise; the sum over z with
-    sz < z < sw) using only table entries strictly below w.
+    sz < z < sw) for every x at once, using only table entries strictly
+    below w; :func:`classical_recursion_column` does the same for the
+    q-form, reading mu on the classical side.
 
 Classical polynomials in q are related by h_{x,w}(v) = v^(l(w)-l(x)) P_{x,w}(v^-2),
-and mu(z,w) is the linear coefficient of h_{z,w}.
+and mu(z,w) is the linear coefficient of h_{z,w}.  Sums of many products
+(the recursions, :meth:`KLTable.expand_in_kl_basis`) accumulate into one
+``{x: {exponent: coefficient}}`` dict and build each polynomial once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 
 from .coxeter import (
@@ -30,12 +35,11 @@ from .coxeter import (
     IncompleteTableError,
     Word,
     bruhat_interval,
-    bruhat_leq,
     descents,
     mult_gen,
 )
 from .hecke import HeckeElt, bott_samelson_class, left_mul_kl
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ONE
 
 TOOL_VERSION = "0.1.0"
 
@@ -86,14 +90,31 @@ class KLTable:
         return self.kl_poly(z, w).coefficient(1)
 
     def expand_in_kl_basis(self, h: HeckeElt) -> dict[int, LaurentPoly]:
-        """Coefficients a_y with h = sum a_y C_y, by back-substitution from the top."""
-        remaining = h
+        """Coefficients a_y with h = sum a_y C_y, by back-substitution from the top.
+
+        The remainder lives in one ``{x: {exponent: coefficient}}`` dict: the
+        largest id y left with a nonzero coefficient a is taken, and a times
+        the stored C_y is subtracted in place, until nothing is left.
+        """
+        acc = {x: dict(c._coeffs) for x, c in h._coeffs.items()}
+        queued = set(acc)  # every id with a nonzero remainder is queued
+        heap = [-x for x in queued]
+        heapq.heapify(heap)
         out: dict[int, LaurentPoly] = {}
-        while remaining:
-            y = max(remaining.support())
-            a = remaining.coeff(y)
+        while heap:
+            y = -heapq.heappop(heap)
+            queued.discard(y)
+            a = LaurentPoly(acc[y])
+            if not a:
+                continue
             out[y] = a
-            remaining = remaining - self.kl_element(y).scale(a)
+            for x, c in self.kl_element(y)._coeffs.items():
+                d = acc.setdefault(x, {})
+                for e, k in a._coeffs.items():
+                    c.add_to(d, e, -k)
+                if x not in queued:
+                    queued.add(x)
+                    heapq.heappush(heap, -x)
         return dict(sorted(out.items()))
 
     def structure_constants(self, s: int, u: int) -> dict[int, LaurentPoly]:
@@ -173,74 +194,128 @@ def to_classical(h: LaurentPoly, lx: int, lw: int) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def recursion_kl_poly(kl: KLTable, x: int, w: int, s: int) -> LaurentPoly:
-    """h_{x,w} by the one-step recursion, never touching the stored element of w.
+def recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly]:
+    """h_{x,w} for every x by the one-step recursion, never touching the stored element of w.
 
-    Requires s to be a left descent of w; every ingredient is read from
-    strictly shorter table entries.
+    The column is the standard-basis expansion of
+
+        C_s C_{sw} - sum_{sz < z < sw} mu(z,sw) C_z,
+
+    so its H_x-coefficient is v^{+-1} h_{x,sw} + h_{sx,sw} - sum mu(z,sw) h_{x,z}
+    (exponent +1 when l(sx) > l(x) or sx lies beyond a truncated table,
+    -1 otherwise).  z runs over the Bruhat interval [e, sw], not over the
+    stored support of C_sw, and every h_{y,y} is read as 1, so a damaged
+    table gives exactly the per-x values.  Requires s to be a left
+    descent of w; x absent from the result has h_{x,w} = 0 by the
+    recursion.
     """
     table = kl.table
-    if s not in descents(table, w, "left"):
-        raise ValueError(f"s{s + 1} is not a left descent of {table.names[w]}")
-    sw = mult_gen(table, w, s, "left")
-    try:
-        sx = mult_gen(table, x, s, "left")
-        shift = 1 if table.length[sx] > table.length[x] else -1
-        sx_term = kl.kl_poly(sx, sw)
-    except IncompleteTableError:
-        # sx beyond a truncated table is longer than x, hence not below sw
-        shift, sx_term = 1, ZERO
-    total = kl.kl_poly(x, sw).shift(shift) + sx_term
+    length = table.length
+    sw = _descent_neighbour(table, w, s)
+    acc: dict[int, dict[int, int]] = {}
+    for y, h in _with_unit_diagonal(kl, sw):
+        try:
+            sy = mult_gen(table, y, s, "left")
+        except IncompleteTableError:
+            # sy beyond a truncated table is longer than y
+            h.add_to(acc.setdefault(y, {}), 1)
+            continue
+        h.add_to(acc.setdefault(sy, {}))
+        h.add_to(acc.setdefault(y, {}), 1 if length[sy] > length[y] else -1)
+    upper = kl.kl_element(sw)
     for z in bruhat_interval(table, sw):
         if z == sw or s not in descents(table, z, "left"):
             continue
-        m = kl.mu(z, sw)
+        m = upper.coeff(z).coefficient(1)
         if m:
-            total = total - kl.kl_poly(x, z) * m
-    return total
+            for x, h in _with_unit_diagonal(kl, z):
+                h.add_to(acc.setdefault(x, {}), 0, -m)
+    return {x: c for x, d in acc.items() if (c := LaurentPoly(d))}
 
 
-def _classical(kl: KLTable, x: int, w: int) -> LaurentPoly:
-    return to_classical(kl.kl_poly(x, w), kl.table.length[x], kl.table.length[w])
+def classical_recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly | None]:
+    """P_{x,w} for every x in [e, w] by the classical q-form recursion.
 
-
-def classical_recursion(kl: KLTable, x: int, w: int, s: int) -> LaurentPoly:
-    """P_{x,w} by the classical q-form recursion.
-
-    P is 1 when x = w and 0 when x is not below w; otherwise, with c = 0
-    when l(sx) > l(x) and c = 1 when l(sx) < l(x),
+    P is 1 when x = w (and 0 when x is not below w, which the result
+    leaves out); otherwise, with c = 0 when l(sx) > l(x) and c = 1 when
+    l(sx) < l(x),
 
         P_{x,w} = q^(1-c) P_{sx,sw} + q^c P_{x,sw}
                   - sum_{sz < z < sw} mu(z,sw) q^((l(w)-l(z))/2) P_{x,z},
 
     where mu(z,sw) reads the coefficient of q^((l(sw)-l(z)-1)/2) on the
-    classical side (never the v-side linear coefficient).  These exponents
-    are forced by substituting q = v^-2 into the v-form recursion; getting
-    either sign backwards breaks the identity with :func:`to_classical`.
+    classical side (never the v-side linear coefficient or ``kl.mu``).
+    These exponents are forced by substituting q = v^-2 into the v-form
+    recursion; getting either sign backwards breaks the identity with
+    :func:`to_classical`.  The (z, mu, shift) list depends only on (w, s)
+    and is built once.  An x whose ingredients include a stored h_{y,z}
+    that is not a classical polynomial (wrong parity, or an exponent above
+    l(z) - l(y)) maps to None, as does every x below w when a mu
+    ingredient is one.
     """
     table = kl.table
     length = table.length
-    if s not in descents(table, w, "left"):
-        raise ValueError(f"s{s + 1} is not a left descent of {table.names[w]}")
-    if x == w:
-        return ONE
-    if not bruhat_leq(table, x, w):
-        return ZERO
-    sw = mult_gen(table, w, s, "left")
-    sx = mult_gen(table, x, s, "left")  # x < w keeps sx within any stored bound
-    c = 0 if length[sx] > length[x] else 1
-    total = _classical(kl, sx, sw).shift(1 - c) + _classical(kl, x, sw).shift(c)
+    sw = _descent_neighbour(table, w, s)
+    classical: dict[tuple[int, int], LaurentPoly | None] = {}  # (id of h, gap) -> P
+
+    def p(x: int, y: int) -> LaurentPoly | None:
+        h = kl.kl_poly(x, y)  # every h is held by the table, so ids stay unique
+        key = (id(h), length[y] - length[x])
+        if key not in classical:
+            try:
+                classical[key] = to_classical(h, length[x], length[y])
+            except ValueError:
+                classical[key] = None
+        return classical[key]
+
+    terms: list[tuple[int, int, int]] | None = []
     for z in bruhat_interval(table, sw):
         if z == sw or s not in descents(table, z, "left"):
             continue
         exp = length[sw] - length[z] - 1
         if exp % 2 != 0:
             continue
-        m = _classical(kl, z, sw).coefficient(exp // 2)
+        pz = p(z, sw)
+        if pz is None:
+            terms = None
+            break
+        m = pz.coefficient(exp // 2)
         if m:
-            term = _classical(kl, x, z).shift((length[w] - length[z]) // 2) * m
-            total = total - term
-    return total
+            terms.append((z, m, (length[w] - length[z]) // 2))
+    column: dict[int, LaurentPoly | None] = {}
+    for x in bruhat_interval(table, w):
+        if x == w:
+            column[x] = ONE
+            continue
+        column[x] = None
+        if terms is None:
+            continue
+        sx = mult_gen(table, x, s, "left")  # x < w keeps sx within any stored bound
+        c = 0 if length[sx] > length[x] else 1
+        parts = [(p(sx, sw), 1 - c, 1), (p(x, sw), c, 1)]
+        parts += [(p(x, z), k, -m) for z, m, k in terms]
+        if all(q is not None for q, _, _ in parts):
+            acc: dict[int, int] = {}
+            for q, k, m in parts:
+                q.add_to(acc, k, m)
+            column[x] = LaurentPoly(acc)
+    return column
+
+
+def _descent_neighbour(table: GroupTable, w: int, s: int) -> int:
+    """sw, for s a left descent of w."""
+    if s not in descents(table, w, "left"):
+        raise ValueError(f"s{s + 1} is not a left descent of {table.names[w]}")
+    return mult_gen(table, w, s, "left")
+
+
+def _with_unit_diagonal(kl: KLTable, z: int):
+    """The (x, h_{x,z}) pairs of the stored C_z, with h_{z,z} read as 1 as ``kl_poly`` does."""
+    coeffs = kl.kl_element(z)._coeffs
+    yield z, ONE
+    for x, h in coeffs.items():
+        if x != z:
+            yield x, h
 
 
 # -- export and cache ------------------------------------------------------
@@ -291,10 +366,13 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
     Then every support is proven to be its Bruhat interval, which the CSV
     writer relies on: the coefficient at w must be exactly 1 and, with s
     the first left descent of w and S the support of C_sw, the support of
-    C_w must be S together with s*S, which by induction is [e, w].  Any
-    failure raises :class:`CacheMismatchError`.  The polynomials'
-    values are taken on trust (checking them would mean recomputing the
-    table).
+    C_w must be S together with s*S, which by induction is [e, w].  Each
+    distinct (polynomial, l(w) - l(x)) pair with x < w is checked once for
+    the shape of an h_{x,w}: every exponent e has 0 < e <= l(w) - l(x)
+    and the parity of l(w) - l(x), so :func:`to_classical` accepts it.
+    Any failure raises :class:`CacheMismatchError`.  Beyond that the
+    polynomials' values are taken on trust (checking them would mean
+    recomputing the table).
     """
     body = obj.get("body")
     if not isinstance(body, dict) or not isinstance(body.get("kl"), list):
@@ -329,18 +407,31 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
     stored = kl.stored_elements()
     if len(kl._kl) != len(stored):
         raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {len(stored)}")
+    length = table.length
+    # ids of the (interned, so never reused) polynomials checked at each length difference
+    bounded: list[set[int]] = [set() for _ in range(table.complete_length + 1)]
     for w in stored:
         elt = kl._kl[w]
         if w == table.identity:
             interval = {w}
         else:
             s = descents(table, w, "left")[0]
-            lower = kl._kl[mult_gen(table, w, s, "left")].support()
+            lower = kl._kl[mult_gen(table, w, s, "left")]._coeffs
             interval = {*lower, *(mult_gen(table, x, s, "left") for x in lower)}
         if elt.coeff(w) != ONE:
             raise CacheMismatchError(f"cache coefficient of {table.names[w]} at itself is not 1")
-        if set(elt.support()) != interval:
+        if elt._coeffs.keys() != interval:
             raise CacheMismatchError(f"cache support of {table.names[w]} is not its Bruhat interval")
+        lw = length[w]
+        for x, c in elt._coeffs.items():
+            gap = lw - length[x]  # 0 only on the diagonal, checked above
+            if id(c) not in bounded[gap]:
+                if gap and not all(0 < e <= gap and (gap - e) % 2 == 0 for e in c.exponents()):
+                    raise CacheMismatchError(
+                        f"cache entry of {table.names[w]} holds {c.render()} at length difference "
+                        f"{gap}; its exponents must lie in 1..{gap} and have the parity of {gap}"
+                    )
+                bounded[gap].add(id(c))
     return kl
 
 
@@ -390,8 +481,8 @@ __all__ = [
     "KLTable",
     "compute_kl",
     "to_classical",
-    "recursion_kl_poly",
-    "classical_recursion",
+    "recursion_column",
+    "classical_recursion_column",
     "canonical_json",
     "matrix_content_hash",
     "kl_to_json_obj",

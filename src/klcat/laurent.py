@@ -113,6 +113,22 @@ class LaurentPoly:
         """
         return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
 
+    def add_to(self, acc: dict[int, int], shift: int = 0, factor: int = 1) -> None:
+        """Add ``factor * v^shift * self`` into an ``{exponent: coefficient}`` dict, in place.
+
+        A long sum accumulated this way builds its ``LaurentPoly`` once, at
+        the end, instead of once per term.
+
+        >>> acc = {1: 1}
+        >>> LaurentPoly({0: 2, 2: 1}).add_to(acc, 1, -1)
+        >>> LaurentPoly(acc)
+        LaurentPoly({1: -1, 3: -1})
+        """
+        get = acc.get
+        for e, c in self._coeffs.items():
+            e += shift
+            acc[e] = get(e, 0) + factor * c
+
     def bar(self) -> "LaurentPoly":
         """The involution ``v -> v^-1``: negate every exponent.
 

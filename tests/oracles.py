@@ -5,13 +5,16 @@ from saturating braid moves on words (Tits' solution to the word problem),
 the symmetric-group model uses one-line permutation arithmetic, Bruhat
 comparison uses the subword characterization over brute-force word
 enumeration, the dihedral KL oracle checks the defining
-bar-invariance conditions directly, and the KL CSV oracle walks Bruhat
-intervals by pairwise comparison instead of the stored supports.
+bar-invariance conditions directly, the KL CSV oracle walks Bruhat
+intervals by pairwise comparison instead of the stored supports, and the
+KL recursions, bar involution and KL-basis expansion are evaluated one
+entry at a time instead of accumulated a column at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import deque
 from functools import lru_cache
 from typing import Optional
@@ -279,3 +282,228 @@ LADDER = {
     "affineA2": ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], 300),
     "triangle4-0-3": ([[1, 4, 0], [4, 1, 3], [0, 3, 1]], 300),
 }
+
+
+def generator_products(kl):
+    """C_s * C_u for every generator s and stored u with su stored too."""
+    from klcat.coxeter import IncompleteTableError, mult_gen
+    from klcat.hecke import left_mul_kl
+
+    table = kl.table
+    for u in kl.stored_elements():
+        for s in range(table.rank):
+            try:
+                su = mult_gen(table, u, s, "left")
+            except IncompleteTableError:
+                continue
+            if table.length[su] <= kl.complete_up_to:
+                yield left_mul_kl(s, kl.kl_element(u))
+
+
+# -- per-x KL recursions, bar involution, KL-basis expansion ------------------
+# Independent oracles for kl.recursion_column, kl.classical_recursion_column,
+# hecke.bar_involution and KLTable.expand_in_kl_basis: the per-entry code
+# those replaced, which rebuilds a LaurentPoly or HeckeElt at every step.
+
+
+def recursion_kl_poly(kl, x, w, s):
+    """h_{x,w} by the one-step recursion, one x at a time, never touching the stored element of w.
+
+    h_{x,w} = v^{+-1} h_{x,sw} + h_{sx,sw} - sum mu(z,sw) h_{x,z}, the sum
+    over z in [e, sw] with sz < z < sw.
+    """
+    from klcat.coxeter import IncompleteTableError, bruhat_interval, descents, mult_gen
+    from klcat.laurent import ZERO
+
+    table = kl.table
+    if s not in descents(table, w, "left"):
+        raise ValueError(f"s{s + 1} is not a left descent of {table.names[w]}")
+    sw = mult_gen(table, w, s, "left")
+    try:
+        sx = mult_gen(table, x, s, "left")
+        shift = 1 if table.length[sx] > table.length[x] else -1
+        sx_term = kl.kl_poly(sx, sw)
+    except IncompleteTableError:
+        # sx beyond a truncated table is longer than x, hence not below sw
+        shift, sx_term = 1, ZERO
+    total = kl.kl_poly(x, sw).shift(shift) + sx_term
+    upper = kl.kl_element(sw)
+    for z in bruhat_interval(table, sw):
+        if z == sw or s not in descents(table, z, "left"):
+            continue
+        m = upper.coeff(z).coefficient(1)  # mu(z, sw)
+        if m:
+            total = total - kl.kl_poly(x, z) * m
+    return total
+
+
+def _classical(kl, x, w):
+    from klcat.kl import to_classical
+
+    return to_classical(kl.kl_poly(x, w), kl.table.length[x], kl.table.length[w])
+
+
+def classical_recursion(kl, x, w, s):
+    """P_{x,w} by the classical q-form recursion, one x at a time.
+
+    P is 1 when x = w and 0 when x is not below w; otherwise, with c = 0
+    when l(sx) > l(x) and c = 1 when l(sx) < l(x),
+
+        P_{x,w} = q^(1-c) P_{sx,sw} + q^c P_{x,sw}
+                  - sum_{sz < z < sw} mu(z,sw) q^((l(w)-l(z))/2) P_{x,z},
+
+    where mu(z,sw) is read on the classical side.  Raises ValueError when an
+    ingredient is not a classical polynomial.
+    """
+    from klcat.coxeter import bruhat_interval, bruhat_leq, descents, mult_gen
+    from klcat.laurent import ONE, ZERO
+
+    table = kl.table
+    length = table.length
+    if s not in descents(table, w, "left"):
+        raise ValueError(f"s{s + 1} is not a left descent of {table.names[w]}")
+    if x == w:
+        return ONE
+    if not bruhat_leq(table, x, w):
+        return ZERO
+    sw = mult_gen(table, w, s, "left")
+    sx = mult_gen(table, x, s, "left")
+    c = 0 if length[sx] > length[x] else 1
+    total = _classical(kl, sx, sw).shift(1 - c) + _classical(kl, x, sw).shift(c)
+    for z in bruhat_interval(table, sw):
+        if z == sw or s not in descents(table, z, "left"):
+            continue
+        exp = length[sw] - length[z] - 1
+        if exp % 2 != 0:
+            continue
+        m = _classical(kl, z, sw).coefficient(exp // 2)
+        if m:
+            term = _classical(kl, x, z).shift((length[w] - length[z]) // 2) * m
+            total = total - term
+    return total
+
+
+_INVERSES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()  # table -> {suffix word: product}
+
+
+def _inverse_of_inverse_word(table, w):
+    """(H_{w^-1})^-1 = H_{s_1}^-1 ... H_{s_k}^-1 over the canonical word, one generator at a time.
+
+    The products of the word's suffixes are memoized by their words, so
+    each costs one generator step beyond a shorter one.
+    """
+    from klcat.hecke import left_mul_std, unit
+
+    memo = _INVERSES.setdefault(table, {(): unit(table)})
+    word = table.words[w]
+    k = 0
+    while word[k:] not in memo:
+        k += 1
+    for i in reversed(range(k)):
+        acc = memo[word[i + 1:]]
+        # H_s^-1 = H_s + (v - v^-1), from the quadratic relation
+        memo[word[i:]] = left_mul_std(word[i], acc) + acc.scale(LaurentPoly({1: 1, -1: -1}))
+    return memo[word]
+
+
+def bar_involution(h):
+    """v -> v^-1 and H_w -> (H_{w^-1})^-1, summed one HeckeElt at a time."""
+    from klcat.hecke import HeckeElt
+
+    total = HeckeElt(h.table)
+    for w, c in h.items():
+        total = total + _inverse_of_inverse_word(h.table, w).scale(c.bar())
+    return total
+
+
+def expand_in_kl_basis(kl, h):
+    """Coefficients a_y with h = sum a_y C_y, subtracting one whole a_y C_y at a time from the top."""
+    remaining = h
+    out = {}
+    while remaining:
+        y = max(remaining.support())
+        a = remaining.coeff(y)
+        out[y] = a
+        remaining = remaining - kl.kl_element(y).scale(a)
+    return dict(sorted(out.items()))
+
+
+class _OracleStructureConstants:
+    """A KL table whose ``structure_constants`` come from :func:`expand_in_kl_basis`."""
+
+    def __init__(self, kl):
+        self._kl = kl
+
+    def __getattr__(self, name):
+        return getattr(self._kl, name)
+
+    def structure_constants(self, s, u):
+        from klcat.hecke import left_mul_kl
+
+        return expand_in_kl_basis(self._kl, left_mul_kl(s, self._kl.kl_element(u)))
+
+
+def kl_suite_records(kl):
+    """The ``kl`` suite's records, element by element and x by x through the oracles above.
+
+    The per-element checks are the per-x code the column form replaced;
+    the mu-structure records are shaped by ``verify`` (unchanged) from
+    oracle structure constants.  A q-form side whose ingredients include a
+    stored polynomial that is not classical (wrong parity or degree) is
+    rendered ``undefined`` and its record fails.
+    """
+    from klcat import verify
+    from klcat.coxeter import bruhat_leq, descents
+    from klcat.kl import to_classical
+    from klcat.laurent import ZERO
+
+    record = verify._record
+    table = kl.table
+    length, names = table.length, table.names
+    records = []
+    for w in kl.stored_elements()[1:]:
+        elt = kl.kl_element(w)
+        name = names[w]
+        records.append(record("bar_invariance", name, bar_involution(elt) == elt, lhs="bar(C_w)", rhs="C_w"))
+        positive = all(c.in_positive_part() for x, c in elt.items() if x != w)
+        records.append(record("positive_degrees", name, positive))
+        parity_ok = all(
+            all((e - (length[w] - length[x])) % 2 == 0 for e in c.exponents()) for x, c in elt.items()
+        )
+        records.append(record("exponent_parity", name, parity_ok))
+        records.append(record("positivity", name, all(c.is_nonnegative() for _, c in elt.items())))
+        support_ok = elt.coeff(w).coefficient(0) == 1 and all(
+            bool(kl.kl_poly(x, w)) == bruhat_leq(table, x, w) for x in table.elements if length[x] <= length[w]
+        )
+        records.append(record("kl_support", name, support_ok))
+        for s in descents(table, w, "left"):
+            for x in kl.stored_elements():
+                got = recursion_kl_poly(kl, x, w, s)
+                want = kl.kl_poly(x, w)
+                spot = {"x": names[x], "s": f"s{s + 1}"}
+                records.append(
+                    record("recursion_agreement", name, got == want, lhs=got.render(), rhs=want.render(), **spot)
+                )
+                try:
+                    gotq = classical_recursion(kl, x, w, s)
+                except ValueError:
+                    gotq = None
+                try:
+                    wantq = to_classical(want, length[x], length[w]) if bruhat_leq(table, x, w) else ZERO
+                except ValueError:
+                    wantq = None
+                records.append(
+                    record(
+                        "classical_recursion_agreement",
+                        name,
+                        gotq is not None and gotq == wantq,
+                        lhs="undefined" if gotq is None else gotq.render("q"),
+                        rhs="undefined" if wantq is None else wantq.render("q"),
+                        **spot,
+                    )
+                )
+    shim = _OracleStructureConstants(kl)
+    for u in kl.stored_elements():
+        records.extend(verify._mu_structure_checks(shim, u))
+    records.extend(verify._descent_choice_check(table, kl))
+    return records

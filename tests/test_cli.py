@@ -154,6 +154,10 @@ def _set_poly(body, w, i, poly):
         lambda body: _set_poly(body, 5, 0, {"2": 1.0}),
         lambda body: _set_poly(body, 5, 0, {"2": True}),
         lambda body: _set_poly(body, 1, 0, {" +1 ": 1}),
+        # h_{e,s1} must be v^1: v^2 breaks the parity, v^3 the degree bound, v^-1 the lower one
+        lambda body: _set_poly(body, 1, 0, {"2": 1}),
+        lambda body: _set_poly(body, 1, 0, {"3": 1}),
+        lambda body: _set_poly(body, 1, 0, {"-1": 1}),
     ],
     ids=[
         "wrong-shape",
@@ -164,6 +168,9 @@ def _set_poly(body, w, i, poly):
         "float-coefficient",
         "bool-coefficient",
         "non-canonical-exponent",
+        "wrong-parity",
+        "over-degree",
+        "non-positive-degree",
     ],
 )
 def test_kl_cache_bad_body_exits_3(tmp_path, capsys, damage):
@@ -173,9 +180,11 @@ def test_kl_cache_bad_body_exits_3(tmp_path, capsys, damage):
     damage(obj["body"])
     cache.write_text(json.dumps(obj))
     capsys.readouterr()
-    assert main(["kl", "--type", "A3", "--cache", str(cache)], out=io.StringIO()) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"klcat: cache at {cache}") and "Traceback" not in err
+    for fmt in ("csv", "json"):
+        argv = ["kl", "--type", "A3", "--format", fmt, "--cache", str(cache)]
+        assert main(argv, out=io.StringIO()) == 3, fmt
+        err = capsys.readouterr().err
+        assert err.startswith(f"klcat: cache at {cache}") and "Traceback" not in err
 
 
 def test_cold_json_run_encodes_once(tmp_path, monkeypatch):
@@ -312,8 +321,22 @@ def test_verify_a3_json_bytes_are_pinned():
             ["group", "--type", "B3"],
             "34313c9bd94f6b49b62c4c94c7542b69da501031db4c78fcaa4a5ab8f12dfe67",
         ),
+        (
+            ["verify", "--type", "B3", "--suite", "kl", "--format", "json"],
+            "410435f0509c1d0d077196a375c6032a12d46cfb1f19d2b8caeea01c72311a60",
+        ),
+        (
+            [
+                "verify", "--matrix", '{"rank":3,"m":[[1,4,0],[4,1,3],[0,3,1]]}', "--cap", "300",
+                "--max-length", "6", "--suite", "kl", "--format", "json",
+            ],
+            "505a5e5cf7a0c2261250175f85dcf58faf8c9e92cda958fa699d4e305bd3f8a1",
+        ),
     ],
-    ids=["kl-A3-json", "kl-B3-csv", "kl-B4-csv", "kl-triangle-csv", "cells-A3", "group-B3"],
+    ids=[
+        "kl-A3-json", "kl-B3-csv", "kl-B4-csv", "kl-triangle-csv", "cells-A3", "group-B3",
+        "verify-kl-B3-json", "verify-kl-triangle-json",
+    ],
 )
 def test_output_bytes_are_pinned(argv, digest):
     code, text = run_cli(argv)

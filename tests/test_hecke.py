@@ -15,6 +15,9 @@ from klcat.hecke import (
 )
 from klcat.laurent import LaurentPoly, ONE, V
 
+import oracles
+from oracles import LADDER
+
 
 def random_hecke_elt(table, rng, max_terms=4):
     coeffs = {}
@@ -130,3 +133,18 @@ def test_bott_samelson_class_examples(a2):
     assert sq == HeckeElt(
         a2, {s: LaurentPoly({1: 1, -1: 1}), e: LaurentPoly({0: 1, 2: 1})}
     )
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_bar_matches_oracle(ladder, name):
+    table, kl = ladder(name)
+    rng = random.Random(name)
+    # every H_w, whose image is the inverse of H_{w^-1}, and elements that are not bar-invariant
+    samples = [std_basis(table, w) for w in kl.stored_elements()]
+    samples += [random_hecke_elt(table, rng) for _ in range(20)]
+    for h in samples:
+        assert bar_involution(h) == oracles.bar_involution(h)
+    # C_w is bar-invariant, so the oracle's image of it is itself (evaluating the
+    # oracle on every C_w takes 22 s on B4)
+    for u in kl.stored_elements():
+        assert bar_involution(kl.kl_element(u)) == kl.kl_element(u)

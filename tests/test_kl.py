@@ -14,17 +14,28 @@ from klcat.coxeter import (
 from klcat.hecke import HeckeElt, bar_involution, unit
 from klcat.kl import (
     canonical_json,
-    classical_recursion,
+    classical_recursion_column,
     compute_kl,
     kl_from_json_obj,
     kl_to_csv,
     kl_to_json_obj,
-    recursion_kl_poly,
+    recursion_column,
     to_classical,
 )
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
+from klcat.verify import run_suite
 
-from oracles import LADDER, dihedral_kl_candidate, interval_kl_csv, satisfies_kl_conditions
+from oracles import (
+    LADDER,
+    classical_recursion,
+    dihedral_kl_candidate,
+    expand_in_kl_basis,
+    generator_products,
+    interval_kl_csv,
+    kl_suite_records,
+    recursion_kl_poly,
+    satisfies_kl_conditions,
+)
 
 
 def test_first_kl_elements(a2, kl_a2):
@@ -96,31 +107,141 @@ def test_recursion_matches_table_everywhere(name):
     kl = compute_kl(table, table.complete_length)
     for w in table.elements:
         for s in descents(table, w, "left"):
+            column = recursion_column(kl, w, s)
+            columnq = classical_recursion_column(kl, w, s)
             for x in table.elements:
-                assert recursion_kl_poly(kl, x, w, s) == kl.kl_poly(x, w)
+                assert column.get(x, ZERO) == kl.kl_poly(x, w)
                 want = (
                     to_classical(kl.kl_poly(x, w), table.length[x], table.length[w])
                     if bruhat_leq(table, x, w)
                     else ZERO
                 )
-                assert classical_recursion(kl, x, w, s) == want
+                assert columnq.get(x, ZERO) == want
 
 
 def test_recursion_on_the_a3_example(a3, kl_a3):
     w = evaluate_word(a3, (1, 0, 2, 1))
     x = a3.elements[2]
-    assert recursion_kl_poly(kl_a3, x, w, 1) == LaurentPoly({1: 1, 3: 1})
-    assert recursion_kl_poly(kl_a3, w, w, 1) == ONE
-    assert classical_recursion(kl_a3, x, w, 1) == LaurentPoly({0: 1, 1: 1})
-    assert classical_recursion(kl_a3, w, w, 1) == ONE
+    assert recursion_column(kl_a3, w, 1)[x] == LaurentPoly({1: 1, 3: 1})
+    assert recursion_column(kl_a3, w, 1)[w] == ONE
+    assert classical_recursion_column(kl_a3, w, 1)[x] == LaurentPoly({0: 1, 1: 1})
+    assert classical_recursion_column(kl_a3, w, 1)[w] == ONE
 
 
 def test_recursion_rejects_non_descent(a2, kl_a2):
     st = evaluate_word(a2, (0, 1))
     with pytest.raises(ValueError):
-        recursion_kl_poly(kl_a2, a2.identity, st, 1)
+        recursion_column(kl_a2, st, 1)
     with pytest.raises(ValueError):
-        classical_recursion(kl_a2, a2.identity, st, 1)
+        classical_recursion_column(kl_a2, st, 1)
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_recursion_columns_match_per_x_oracles(ladder, name):
+    table, kl = ladder(name)
+    stored = kl.stored_elements()
+    for w in stored:
+        for s in descents(table, w, "left"):
+            column = recursion_column(kl, w, s)
+            columnq = classical_recursion_column(kl, w, s)
+            for x in stored:
+                assert column.get(x, ZERO) == recursion_kl_poly(kl, x, w, s)
+                assert columnq.get(x, ZERO) == classical_recursion(kl, x, w, s)
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_expansion_matches_oracle(ladder, name):
+    _, kl = ladder(name)
+    for u in kl.stored_elements():
+        cu = kl.kl_element(u)
+        assert kl.expand_in_kl_basis(cu) == expand_in_kl_basis(kl, cu) == {u: ONE}
+    for h in generator_products(kl):
+        assert kl.expand_in_kl_basis(h) == expand_in_kl_basis(kl, h)
+
+
+def _damaged(table, bound, w, x, change):
+    """A fresh KL table whose h_{x,w} is ``change(h_{x,w})``, or dropped when that is None."""
+    kl = compute_kl(table, bound)
+    coeffs = dict(kl.kl_element(w).items())
+    new = change(coeffs.get(x, ZERO))
+    if new is None:
+        del coeffs[x]
+    else:
+        coeffs[x] = new
+    kl._kl[w] = HeckeElt(table, coeffs)
+    return kl
+
+
+def _q_oracle(kl, x, w, s):
+    try:
+        return classical_recursion(kl, x, w, s)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("name", ["A3", "triangle4-0-3"])
+@pytest.mark.parametrize("damage", ["diagonal", "entry-above"])
+def test_columns_match_per_x_oracles_on_damaged_entries(ladder, name, damage):
+    # h_{w,w} = 2 (read as 1 by both paths), or h_{x,w} = v for a top-length x not
+    # below w, which the recursions read as mu(x, w) and, in the truncated table,
+    # has left products beyond it
+    table, _ = ladder(name)
+    top = table.complete_length
+    w = max(x for x in table.elements if table.length[x] == top - 1)
+    if damage == "diagonal":
+        kl = _damaged(table, top, w, w, lambda c: LaurentPoly({0: 2}))
+    else:
+        kl = _damaged(table, top, w, max(table.elements), lambda c: V)
+    stored = kl.stored_elements()
+    for u in stored:
+        for s in descents(table, u, "left"):
+            column = recursion_column(kl, u, s)
+            columnq = classical_recursion_column(kl, u, s)
+            for y in stored:
+                assert column.get(y, ZERO) == recursion_kl_poly(kl, y, u, s)
+                assert columnq.get(y, ZERO) == _q_oracle(kl, y, u, s)
+
+
+# (group, word of w, word of x, change): a changed value keeps the parity,
+# and the changed mu is at an odd length difference
+DAMAGES = {
+    "A3-value": ("A3", (1, 0, 2, 1), (1,), lambda c: c + c.shift(-2)),
+    "A3-dropped": ("A3", (1, 0, 2, 1), (), lambda c: None),
+    "A3-mu": ("A3", (0, 1, 0), (), lambda c: c + V),
+    "A4-value": ("A4", (1, 0, 2, 1, 3, 2), (2,), lambda c: c + c.shift(-2)),
+    "A4-dropped": ("A4", (1, 0, 2, 1, 3), (1,), lambda c: None),
+    "A4-mu": ("A4", (0, 1, 2, 1, 0), (1,), lambda c: c + V),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_damaged_table_records_match_oracle(a3, a4, damage):
+    group, wword, xword, change = DAMAGES[damage]
+    table = {"A3": a3, "A4": a4}[group]
+    w, x = evaluate_word(table, wword), evaluate_word(table, xword)
+    assert table.words[w] == wword and bruhat_leq(table, x, w) and x != w
+    kl = _damaged(table, table.complete_length, w, x, change)
+    report = run_suite(kl, "kl")
+    failed = {r["identity"] for r in report["records"] if not r["pass"]}
+    assert {"recursion_agreement", "classical_recursion_agreement"} <= failed
+    assert report["records"] == kl_suite_records(kl)
+
+
+# v^2 breaks the parity of h_{e,s1}, and of h_{s2,s1s2}, which the q-form of
+# s2s1s2 reads as its mu(s2, s1s2)
+@pytest.mark.parametrize("wword, xword", [((0,), ()), ((0, 1), (1,))], ids=["e-s1", "s2-s1s2"])
+def test_kl_suite_fails_on_a_non_classical_coefficient(a3, wword, xword):
+    w, x = evaluate_word(a3, wword), evaluate_word(a3, xword)
+    kl = _damaged(a3, a3.complete_length, w, x, lambda c: v_power(2))
+    report = run_suite(kl, "kl")
+    assert report["pass"] is False
+    undefined = [
+        r
+        for r in report["records"]
+        if r["identity"] == "classical_recursion_agreement" and "undefined" in (r["lhs"], r["rhs"])
+    ]
+    assert undefined and not any(r["pass"] for r in undefined)
+    assert report["records"] == kl_suite_records(kl)
 
 
 def test_descent_choice_independence(a3, kl_a3):

@@ -19,8 +19,12 @@ import tracing
 import klcat.cli
 tracer = tracing.Tracer()
 tracing.install(tracer.wrap, tracer.count)
-code = klcat.cli.main(["verify", "--type", "A2", "--suite", "all"], out=io.StringIO())
-print(json.dumps({"code": code, "counts": dict(tracer.counts)}))
+runs = []
+for suite in ("all", "kl"):
+    tracer.counts.clear()
+    code = klcat.cli.main(["verify", "--type", "A2", "--suite", suite], out=io.StringIO())
+    runs.append({"code": code, "counts": dict(tracer.counts)})
+print(json.dumps(runs))
 """
 
 
@@ -31,7 +35,10 @@ def test_tracer_binds_to_the_library():
         text=True,
         check=True,
     )
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["code"] == 0
+    all_run, kl_run = json.loads(proc.stdout.splitlines()[-1])
+    assert all_run["code"] == kl_run["code"] == 0
     for name in ("coxeter.mult_gen.calls", "coxeter.descents.calls", "leaves.paths"):
-        assert result["counts"].get(name, 0) > 0, name
+        assert all_run["counts"].get(name, 0) > 0, name
+    # the kl suite's column spans, named by function now that the per-x recursions are gone
+    for name in ("kl.recursion_column", "kl.classical_recursion_column", "hecke.bar_involution"):
+        assert kl_run["counts"].get(name + ".calls", 0) > 0, name
