@@ -41,15 +41,8 @@ from .kl import (
     recursion_column,
     to_classical,
 )
-from .leaves import (
-    LeafPath,
-    LeafSet,
-    cell_character,
-    character_map,
-    enumerate_leaves,
-    split_top_generator,
-)
-from .cells import CellDatum, build_cell_datum, char_cell_via_hecke, verify_decomposition_identity
+from .leaves import cell_character, character_map, characters, leaf_counts, leaf_step, split_by_last_bit
+from .cells import CellDatum, build_cell_datum, decomposition_sides, verify_decomposition_identity
 from .branch import (
     GrothendieckVector,
     ResData,

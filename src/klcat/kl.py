@@ -33,12 +33,11 @@ import json
 from .coxeter import (
     GroupTable,
     IncompleteTableError,
-    Word,
     bruhat_interval,
     descents,
     mult_gen,
 )
-from .hecke import HeckeElt, bott_samelson_class, left_mul_kl
+from .hecke import HeckeElt, left_mul_kl
 from .laurent import LaurentPoly, ONE
 
 TOOL_VERSION = "0.1.0"
@@ -53,7 +52,7 @@ class KLTable:
     polynomials, so every stored coefficient is the table's single
     instance of its value (as in du Cloux's Coxeter3): equal coefficients
     are the same object, and the exporters format each one once.
-    Structure constants and product expansions are memoized on the table.
+    Structure constants are memoized on the table.
     """
 
     def __init__(self, table: GroupTable, complete_up_to: int):
@@ -62,7 +61,6 @@ class KLTable:
         self._kl: dict[int, HeckeElt] = {}
         self._polys: dict[LaurentPoly, LaurentPoly] = {}  # value -> the interned instance
         self._sc_memo: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
-        self._bs_memo: dict[Word, dict[int, LaurentPoly]] = {}
 
     def _store(self, w: int, coeffs: list[tuple[int, LaurentPoly]]) -> None:
         """Keep the (x, h_{x,w}) pairs as the KL element of w, each coefficient interned."""
@@ -94,7 +92,9 @@ class KLTable:
 
         The remainder lives in one ``{x: {exponent: coefficient}}`` dict: the
         largest id y left with a nonzero coefficient a is taken, and a times
-        the stored C_y is subtracted in place, until nothing is left.
+        the stored C_y is subtracted in place, until nothing is left.  That
+        clears y only when the stored h_{y,y} is 1; any other value raises
+        ValueError naming y, since the remainder at y would never vanish.
         """
         acc = {x: dict(c._coeffs) for x, c in h._coeffs.items()}
         queued = set(acc)  # every id with a nonzero remainder is queued
@@ -108,7 +108,14 @@ class KLTable:
             if not a:
                 continue
             out[y] = a
-            for x, c in self.kl_element(y)._coeffs.items():
+            stored = self.kl_element(y)
+            if stored.coeff(y) != ONE:
+                name = self.table.names[y]
+                raise ValueError(
+                    f"stored h_{{{name},{name}}} is {stored.coeff(y).render()}, not 1: "
+                    f"the expansion cannot clear {name}"
+                )
+            for x, c in stored._coeffs.items():
                 d = acc.setdefault(x, {})
                 for e, k in a._coeffs.items():
                     c.add_to(d, e, -k)
@@ -124,19 +131,6 @@ class KLTable:
         if cached is None:
             cached = self.expand_in_kl_basis(left_mul_kl(s, self.kl_element(u)))
             self._sc_memo[key] = cached
-        return cached
-
-    def bott_samelson_expansion(self, word: Word) -> dict[int, LaurentPoly]:
-        """KL-basis coefficients of the chain product of ``word``, memoized.
-
-        The support of this expansion is the simple-support of the word
-        (the y whose graded simple module is nonzero).
-        """
-        word = tuple(word)
-        cached = self._bs_memo.get(word)
-        if cached is None:
-            cached = self.expand_in_kl_basis(bott_samelson_class(self.table, word))
-            self._bs_memo[word] = cached
         return cached
 
 

@@ -1,22 +1,31 @@
-"""Combinatorial shadow of the light-leaves tree of an expression.
+"""Leaf characters of an expression, by a count DP over the light-leaves tree.
 
 For a word (s_1, ..., s_n) the tree has 2^n leaves, one per binary path.
-Levels consume generators right to left (level 1 handles s_n, level n
-handles s_1).  Walking a path keeps a state element x, starting at the
-identity, and at each level with generator u either moves to ux or stays
-at x.  States and endpoints are element ids; words appear only in the
-JSON export.  The degree contributions per level are:
+In the native right-to-left walk, levels consume generators right to left
+(level 1 handles s_n, level n handles s_1).  Walking a path keeps a state
+element x, starting at the identity, and at each level with generator u
+either moves to ux or stays at x.  The degree contributions per level are:
 
   * l(ux) > l(x): move contributes 0, stay contributes +1;
   * l(ux) < l(x): move contributes 0 (a -1 and a +1 cancel), stay -1.
 
-Only the (endpoint, degree) data of each path is materialized; the
+Only the (endpoint, degree) data of each path is read downstream: the
 morphisms behind the steps enter solely through these degrees, which is
-all the graded character theory downstream ever reads.
+all the graded character theory ever reads.  A path's future depends only
+on its current (state, degree), so the leaves are counted, not listed:
+:func:`leaf_step` takes the ``{(endpoint, degree, last_bit): count}`` of
+one level to the next (1 = move, 0 = stay), and :func:`leaf_counts` runs
+it over the word, n steps over at most 2 * |[e, w]| * (2n + 1) keys
+instead of 2^n paths.  A word's right-to-left counts are one step from
+its tail's.  The counts sum to 2^n, and their last-bit split is the
+partition behind the branching rule of the source paper.  The explicit
+path enumeration is kept as the oracle in ``tests/oracles.py``.
 
-Bit convention, fixed in the JSON export: bits are listed in processing
-order (first bit = rightmost letter), 1 = move, 0 = stay.  Paths are
-ordered bit-lexicographically.
+The mirrored left-to-right walk (``direction='lr'``: letters from the
+front, states grown by right multiplication) gives the same characters;
+the suites check that, and compare the lr walk with the Hecke side,
+because the rl walk is the same recurrence as the chain product
+``C_{s_1} ... C_{s_n}``.
 
 Words need not be reduced here; reducedness is asserted by the modules
 (cells, branch) whose statements require it.
@@ -24,110 +33,77 @@ Words need not be reduced here; reducedness is asserted by the modules
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coxeter import GroupTable, Word, mult_gen, word_name
+from .coxeter import GroupTable, Word, mult_gen
 from .laurent import LaurentPoly, ZERO
 
-
-@dataclass(frozen=True)
-class LeafPath:
-    bits: tuple[int, ...]
-    endpoint: int
-    degree: int
+LeafCounts = dict[tuple[int, int, int], int]  # (endpoint, degree, last bit) -> number of leaves
 
 
-@dataclass(frozen=True)
-class LeafSet:
-    word: Word
-    paths: tuple[LeafPath, ...]
+def leaf_counts(table: GroupTable, word: Word, direction: str = "rl") -> LeafCounts:
+    """Number of leaves of ``word`` per (endpoint, degree, final-level bit).
 
-
-def enumerate_leaves(table: GroupTable, word: Word, direction: str = "rl") -> LeafSet:
-    """All 2^n leaves of ``word`` with endpoints and degrees.
-
-    ``direction='rl'`` is the native right-to-left walk (letters consumed
-    from the end, states grown by left multiplication).  ``'lr'`` is the
-    mirrored walk (letters from the front, right multiplication); the
-    character map is direction-independent, which the suites check.
+    The final level consumes the leftmost letter in the ``'rl'`` walk and
+    the rightmost in the ``'lr'`` walk.  The empty word's single leaf has
+    no levels; it is counted as ``(identity, 0, 0)``.
     """
     if direction not in ("rl", "lr"):
         raise ValueError("direction must be 'rl' or 'lr'")
     word = tuple(word)
     letters = word[::-1] if direction == "rl" else word
     side = "left" if direction == "rl" else "right"
-    length = table.length
-    states: list[tuple[tuple[int, ...], int, int]] = [((), table.identity, 0)]
+    counts = {(table.identity, 0, 0): 1}
     for u in letters:
-        nxt = []
-        for bits, x, deg in states:
-            ux = mult_gen(table, x, u, side)
-            up = length[ux] > length[x]
-            nxt.append((bits + (1,), ux, deg))
-            nxt.append((bits + (0,), x, deg + (1 if up else -1)))
-        states = nxt
-    states.sort(key=lambda entry: entry[0])
-    return LeafSet(word, tuple(LeafPath(*entry) for entry in states))
+        counts = leaf_step(table, counts, u, side)
+    return counts
+
+
+def leaf_step(table: GroupTable, counts: LeafCounts, u: int, side: str = "left") -> LeafCounts:
+    """The counts one level deeper: every leaf moves to ux or stays at x.
+
+    With ``side='left'`` this turns the right-to-left counts of a word into
+    those of the word with ``u`` prepended; with ``'right'``, the
+    left-to-right counts into those of the word with ``u`` appended.
+    """
+    length = table.length
+    states: dict[int, dict[int, int]] = {}
+    for (x, d, _), n in counts.items():
+        degrees = states.get(x)
+        if degrees is None:
+            degrees = states[x] = {}
+        degrees[d] = degrees.get(d, 0) + n
+    # x -> ux and x -> x are both one-to-one, so no two new keys collide
+    out: LeafCounts = {}
+    for x, degrees in states.items():
+        ux = mult_gen(table, x, u, side)
+        step = 1 if length[ux] > length[x] else -1
+        for d, n in degrees.items():
+            out[(ux, d, 1)] = n
+            out[(x, d + step, 0)] = n
+    return out
+
+
+def characters(counts: LeafCounts) -> dict[int, LaurentPoly]:
+    """Sum of v^degree over the counted leaves, by endpoint in element order."""
+    acc: dict[int, dict[int, int]] = {}
+    for (x, d, _), n in counts.items():
+        degrees = acc.setdefault(x, {})
+        degrees[d] = degrees.get(d, 0) + n
+    return {x: LaurentPoly(acc[x]) for x in sorted(acc)}
+
+
+def split_by_last_bit(counts: LeafCounts) -> dict[int, tuple[LaurentPoly, LaurentPoly]]:
+    """Per endpoint, the degree polynomials of its (movers, stayers) at the final level."""
+    acc: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    for (x, d, bit), n in counts.items():
+        acc.setdefault(x, ({}, {}))[1 - bit][d] = n
+    return {x: (LaurentPoly(movers), LaurentPoly(stayers)) for x, (movers, stayers) in acc.items()}
 
 
 def character_map(table: GroupTable, word: Word, direction: str = "rl") -> dict[int, LaurentPoly]:
     """Sum of v^degree over leaves, grouped by endpoint; zero entries dropped."""
-    acc: dict[int, dict[int, int]] = {}
-    for path in enumerate_leaves(table, word, direction).paths:
-        bucket = acc.setdefault(path.endpoint, {})
-        bucket[path.degree] = bucket.get(path.degree, 0) + 1
-    out = {x: LaurentPoly(bucket) for x, bucket in acc.items()}
-    return {x: p for x, p in sorted(out.items()) if p}
+    return characters(leaf_counts(table, word, direction))
 
 
 def cell_character(table: GroupTable, word: Word, x: int) -> LaurentPoly:
     """Graded dimension of the cell module of ``word`` at ``x``."""
     return character_map(table, word).get(x, ZERO)
-
-
-def split_top_generator(
-    table: GroupTable, word: Word
-) -> dict[int, tuple[list[LeafPath], list[LeafPath]]]:
-    """Partition the leaves at every endpoint x by the final level's branch.
-
-    One walk of the tree serves every endpoint; keys are in element order.
-    The final level consumes the leftmost letter s.  The first part
-    collects the sub-module side of the branching short exact sequence,
-    the second the quotient side:
-
-      * l(sx) < l(x): (movers from sx, stayers at x),
-      * l(sx) > l(x): (stayers at x, movers from sx).
-    """
-    if not word:
-        raise ValueError("the empty word has no top generator")
-    by_branch: dict[int, tuple[list[LeafPath], list[LeafPath]]] = {}
-    for p in enumerate_leaves(table, word).paths:
-        movers, stayers = by_branch.setdefault(p.endpoint, ([], []))
-        (movers if p.bits[-1] == 1 else stayers).append(p)
-    length = table.length
-    out = {}
-    for x in sorted(by_branch):
-        movers, stayers = by_branch[x]
-        sx = mult_gen(table, x, word[0], "left")
-        out[x] = (movers, stayers) if length[sx] < length[x] else (stayers, movers)
-    return out
-
-
-def leafset_to_json_obj(table: GroupTable, leafset: LeafSet) -> dict:
-    return {
-        "word": list(leafset.word),
-        "bit_convention": "processing order right-to-left; 1=move, 0=stay",
-        "paths": [
-            {"bits": list(p.bits), "endpoint": list(table.words[p.endpoint]), "degree": p.degree}
-            for p in leafset.paths
-        ],
-    }
-
-
-def character_report(table: GroupTable, word: Word) -> dict:
-    """Characters of every endpoint of ``word``, JSON-ready."""
-    chars = character_map(table, word)
-    return {
-        "word": word_name(word),
-        "characters": [[table.names[x], poly.to_json_obj()] for x, poly in chars.items()],
-    }

@@ -5,11 +5,22 @@ checked statement is per-expression) and emits one record per identity
 instance: ``{identity, word, x?, u?, lhs, rhs, pass}``.  Suites run
 serially, element by element and word by word, in a fixed order.
 
+The word suites share one pass over the reduced words in length order.
+Each word gets one context, its :class:`~klcat.cells.CellDatum`, built
+from its tail's (the word minus its first letter) in the previous length
+layer: the chain product and the right-to-left leaf counts are one
+generator step from the tail's, and reducedness is read off one length.
+The restricted cell class of every (word, x) is computed once and read by
+both the branch and the recursion suite.  A passing record renders its
+equal sides once.
+
 Suites:
   * ``kl``        - KL basis invariants and the two single-step recursions
                     against the defining algorithm, each recursion
                     evaluated once per (w, s) for every x;
-  * ``leaves``    - leaf characters against Hecke coefficients, direction
+  * ``leaves``    - leaf characters against Hecke coefficients (the
+                    left-to-right walk: the right-to-left count is the
+                    chain product's own recurrence), direction
                     independence, support, cell decomposition identities;
   * ``branch``    - branching characters, leaf partitions, restriction
                     multiplicities two ways, restriction as a linear map;
@@ -20,8 +31,11 @@ Suites:
 
 from __future__ import annotations
 
+import functools
+
 from . import branch as branch_mod
 from . import cells as cells_mod
+from .cells import CellDatum
 from .coxeter import (
     GroupTable,
     IncompleteTableError,
@@ -30,11 +44,10 @@ from .coxeter import (
     bruhat_interval,
     bruhat_leq,
     descents,
-    evaluate_word,
     mult_gen,
     word_name,
 )
-from .hecke import bar_involution, bott_samelson_class
+from .hecke import bar_involution
 from .kl import (
     KLTable,
     classical_recursion_column,
@@ -42,8 +55,8 @@ from .kl import (
     recursion_column,
     to_classical,
 )
-from .laurent import LaurentPoly, ZERO
-from .leaves import character_map, enumerate_leaves
+from .laurent import LaurentPoly, ONE, ZERO
+from .leaves import character_map
 
 SUITES = ("kl", "leaves", "branch", "recursion", "all")
 
@@ -206,99 +219,66 @@ def _descent_choice_check(table: GroupTable, kl: KLTable) -> list[dict]:
     return [_record("descent_choice_independence", "*", same)]
 
 
-# -- leaves suite -----------------------------------------------------------
+# -- word suites --------------------------------------------------------------
 
 
-def _leaves_word_checks(kl: KLTable, word: Word) -> list[dict]:
+def _leaves_word_checks(kl: KLTable, datum: CellDatum) -> list[dict]:
+    """Leaf characters against the Hecke side, support, direction, decomposition.
+
+    The Hecke side is the chain product, which is the same recurrence as
+    the right-to-left leaf count, so it is compared with the left-to-right
+    walk; the two walks are compared with each other.
+    """
     table = kl.table
+    names = table.names
+    word = datum.word
     name = word_name(word)
     records = []
-    chars = character_map(table, word)
-    hecke_side = bott_samelson_class(table, word)
-    w = evaluate_word(table, word)
-    for x in bruhat_interval(table, w):
-        lhs = chars.get(x, ZERO)
-        rhs = hecke_side.coeff(x)
-        records.append(
-            _record(
-                "char_leaves_vs_hecke",
-                name,
-                lhs == rhs,
-                lhs=lhs.render(),
-                rhs=rhs.render(),
-                x=table.names[x],
-            )
-        )
-    support_ok = set(chars) == set(bruhat_interval(table, w)) and all(
-        hecke_side.coeff(x) == chars.get(x, ZERO) for x in table.elements
-    )
+    mirrored = character_map(table, word, "lr")
+    chain = datum.chain
+    for x in datum.interval:
+        lhs = mirrored.get(x, ZERO)
+        rhs = chain.coeff(x)
+        records.append(_record_sides("char_leaves_vs_hecke", name, lhs, rhs, x=names[x]))
+    support_ok = set(mirrored) == set(datum.interval) and dict(chain.items()) == mirrored
     records.append(_record("char_support", name, support_ok))
-    records.append(
-        _record(
-            "direction_independence",
-            name,
-            character_map(table, word, direction="lr") == chars,
-        )
-    )
-    records.append(
-        _record(
-            "leaf_count", name, len(enumerate_leaves(table, word).paths) == 2 ** len(word)
-        )
-    )
-    datum = cells_mod.build_cell_datum(kl, word)
-    report = cells_mod.verify_decomposition_identity(datum)
-    for check in report["checks"]:
-        records.append(
-            _record(
-                "decomposition_identity",
-                name,
-                check["pass"],
-                lhs=LaurentPoly.from_json_obj(check["lhs"]).render(),
-                rhs=LaurentPoly.from_json_obj(check["rhs"]).render(),
-                x=check["x"],
-            )
-        )
+    records.append(_record("direction_independence", name, mirrored == datum.cell_chars))
+    records.append(_record("leaf_count", name, sum(datum.leaves.values()) == 2 ** len(word)))
+    for x, lhs, rhs in cells_mod.decomposition_sides(datum):
+        records.append(_record_sides("decomposition_identity", name, lhs, rhs, x=names[x]))
     gdim_ok = (
         all(c.bar() == c and c.is_nonnegative() for c in datum.simple_gdims.values())
-        and datum.simple_gdims.get(w) == LaurentPoly({0: 1})
+        and datum.simple_gdims.get(datum.top) == ONE
     )
     records.append(_record("gdim_bar_symmetric_nonneg", name, gdim_ok))
-    triangular = all(
-        datum.decomposition(y, y) == LaurentPoly({0: 1})
-        and all(
-            not datum.decomposition(x, y) or bruhat_leq(table, x, y)
-            for x in datum.interval
-        )
-        for y in datum.simple_support
+    interval = set(datum.interval)
+    triangular = all(y in interval for y in datum.simple_support) and all(
+        bruhat_leq(table, x, y) for x in datum.interval for y in datum.decomp.get(x, {})
     )
     records.append(_record("decomposition_triangularity", name, triangular))
     return records
 
 
-# -- branch suite -----------------------------------------------------------
+def _record_sides(identity: str, word: str, lhs, rhs, render=LaurentPoly.render, **extra) -> dict:
+    """A record comparing two values; a passing record renders its equal sides once."""
+    ok = lhs == rhs
+    rendered = render(rhs)
+    return _record(identity, word, ok, lhs=rendered if ok else render(lhs), rhs=rendered, **extra)
 
 
-def _branch_word_checks(kl: KLTable, word: Word) -> list[dict]:
-    records = list(branch_mod.verify_branching(kl, word))
-    records.extend(branch_mod.verify_restriction_counts(kl, word))
-    table = kl.table
-    name = word_name(word)
-    res = branch_mod.build_res(kl, word)
-    w = evaluate_word(table, word)
-    for x in bruhat_interval(table, w):
-        vector = {y: kl.kl_poly(x, y) for y in res.domain if kl.kl_poly(x, y)}
-        via_matrix = res.apply(vector)
-        direct = branch_mod.res_cell_class(kl, word, x)
-        records.append(
-            _record(
-                "res_linear_map",
-                name,
-                via_matrix == direct,
-                lhs=_vec_render(table, via_matrix),
-                rhs=_vec_render(table, direct),
-                x=table.names[x],
-            )
-        )
+def _branch_word_checks(
+    kl: KLTable, datum: CellDatum, tail: CellDatum, images: dict[int, branch_mod.GrothendieckVector]
+) -> list[dict]:
+    records = branch_mod.verify_branching(datum, tail)
+    res = branch_mod.build_res(kl, datum, tail)
+    counts = branch_mod.restriction_counts(res, datum)
+    records.extend(branch_mod.verify_restriction_counts(datum, tail, counts, images))
+    name = word_name(datum.word)
+    names = kl.table.names
+    render = functools.partial(_vec_render, kl.table)
+    for x in datum.interval:
+        # Res applied to the decomposition vector of x, against the direct image
+        records.append(_record_sides("res_linear_map", name, counts[x], images[x], render, x=names[x]))
     return records
 
 
@@ -306,48 +286,69 @@ def _vec_render(table: GroupTable, vec) -> str:
     return "; ".join(f"{table.names[u]}:{c.render()}" for u, c in vec.coords.items())
 
 
-# -- recursion suite ---------------------------------------------------------
-
-
-def _recursion_word_checks(kl: KLTable, word: Word) -> list[dict]:
+def _recursion_word_checks(
+    kl: KLTable, datum: CellDatum, images: dict[int, branch_mod.GrothendieckVector]
+) -> list[dict]:
     table = kl.table
-    name = word_name(word)
-    w = evaluate_word(table, word)
-    s = word[0]
-    wp = mult_gen(table, w, s, "left")
+    name = word_name(datum.word)
+    s = datum.word[0]
+    wp = mult_gen(table, datum.top, s, "left")
     sc = kl.structure_constants(s, wp)
+    # the correction sum may equivalently run over {z : sz < z < product of tail}
+    corrections = [
+        (z, sc[z])
+        for z in bruhat_interval(table, wp)
+        if z != wp and z in sc and s in descents(table, z, "left")
+    ]
+    derived = branch_mod.derive_kl_recursion(kl, datum, images)
     records = []
-    for x in bruhat_interval(table, w):
-        lhs, rhs, ok = branch_mod.derive_kl_recursion(kl, word, x)
-        records.append(
-            _record(
-                "derived_recursion",
-                name,
-                ok,
-                lhs=lhs.render(),
-                rhs=rhs.render(),
-                x=table.names[x],
-            )
-        )
-        # the correction sum may equivalently run over {z : sz < z < product of tail}
-        base = branch_mod.res_cell_class(kl, word, x).coord(wp)
-        alt = base
-        for z in bruhat_interval(table, wp):
-            if z != wp and s in descents(table, z, "left"):
-                h = sc.get(z, ZERO)
-                if h:
-                    alt = alt - h * kl.kl_poly(x, z)
-        records.append(
-            _record(
-                "correction_index_consistency",
-                name,
-                alt == rhs,
-                lhs=alt.render(),
-                rhs=rhs.render(),
-                x=table.names[x],
-            )
-        )
+    for x in datum.interval:
+        lhs, rhs = derived[x]
+        records.append(_record_sides("derived_recursion", name, lhs, rhs, x=table.names[x]))
+        acc: dict[int, int] = {}
+        images[x].coord(wp).add_to(acc)
+        for z, h in corrections:
+            d = kl.kl_poly(x, z)
+            if d:
+                for e, k in h.items():
+                    d.add_to(acc, e, -k)
+        alt = LaurentPoly(acc)
+        records.append(_record_sides("correction_index_consistency", name, alt, rhs, x=table.names[x]))
     return records
+
+
+WORD_SUITES = ("leaves", "branch", "recursion")
+
+
+def _word_suite_records(kl: KLTable, words: list[Word], suites: list[str]) -> list[dict]:
+    """The records of the named word suites, suite by suite, each in word order.
+
+    One pass over the words builds each word's cell datum from its tail's
+    (the word minus its first letter).  Words come in length order, so
+    the tails sit in the previous length layer, the only one kept.  The
+    restricted cell classes are computed once per (word, x) and read by
+    both the branch and the recursion suite.
+    """
+    out: dict[str, list[dict]] = {name: [] for name in suites}
+    restricting = "branch" in out or "recursion" in out
+    previous: dict[Word, CellDatum] = {}
+    current: dict[Word, CellDatum] = {}
+    n = -1
+    for word in words:
+        if len(word) != n:
+            previous, current, n = current, {}, len(word)
+        tail = previous.get(word[1:]) if word else None
+        datum = current[word] = cells_mod.build_cell_datum(kl, word, tail)
+        if "leaves" in out:
+            out["leaves"].extend(_leaves_word_checks(kl, datum))
+        if not word or not restricting:
+            continue
+        images = {x: branch_mod.res_cell_class(datum, tail, x) for x in datum.interval}
+        if "branch" in out:
+            out["branch"].extend(_branch_word_checks(kl, datum, tail, images))
+        if "recursion" in out:
+            out["recursion"].extend(_recursion_word_checks(kl, datum, images))
+    return [rec for name in suites for rec in out[name]]
 
 
 # -- runner -------------------------------------------------------------------
@@ -358,7 +359,6 @@ def run_suite(kl: KLTable, suite: str) -> dict:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     table = kl.table
-    words = [w for w in reduced_words_in_order(table) if len(w) <= kl.complete_up_to]
     records: list[dict] = []
     if suite in ("kl", "all"):
         for w in kl.stored_elements()[1:]:
@@ -366,17 +366,10 @@ def run_suite(kl: KLTable, suite: str) -> dict:
         for u in kl.stored_elements():
             records.extend(_mu_structure_checks(kl, u))
         records.extend(_descent_choice_check(table, kl))
-    if suite in ("leaves", "all"):
-        for word in words:
-            records.extend(_leaves_word_checks(kl, word))
-    if suite in ("branch", "all"):
-        for word in words:
-            if word:
-                records.extend(_branch_word_checks(kl, word))
-    if suite in ("recursion", "all"):
-        for word in words:
-            if word:
-                records.extend(_recursion_word_checks(kl, word))
+    word_suites = [name for name in WORD_SUITES if suite in (name, "all")]
+    if word_suites:
+        words = [w for w in reduced_words_in_order(table) if len(w) <= kl.complete_up_to]
+        records.extend(_word_suite_records(kl, words, word_suites))
     summary: dict[str, dict[str, int]] = {}
     for rec in records:
         bucket = summary.setdefault(rec["identity"], {"pass": 0, "fail": 0})

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -506,4 +507,316 @@ def kl_suite_records(kl):
     for u in kl.stored_elements():
         records.extend(verify._mu_structure_checks(shim, u))
     records.extend(verify._descent_choice_check(table, kl))
+    return records
+
+
+# -- explicit light-leaf paths and the per-word suites before the count DP -----
+# Independent oracles for klcat.leaves.leaf_counts and the leaves, branch and
+# recursion suites: every one of the 2^n leaf paths is listed, and every
+# per-word quantity (chain product, characters, simple support, restricted
+# cell classes) is recomputed from the word alone at each use, as the suites
+# did before they shared one cell datum per word.  Structure constants and
+# the KL-basis expansion come from the KL table, as they did then.
+
+
+@dataclass(frozen=True)
+class LeafPath:
+    bits: tuple[int, ...]  # processing order (first bit = first letter consumed); 1 = move, 0 = stay
+    endpoint: int
+    degree: int
+
+
+@dataclass(frozen=True)
+class LeafSet:
+    word: tuple[int, ...]
+    paths: tuple[LeafPath, ...]
+
+
+def enumerate_leaves(table, word, direction="rl"):
+    """All 2^n leaves of ``word`` with endpoints and degrees, in bit-lexicographic order."""
+    from klcat.coxeter import mult_gen
+
+    if direction not in ("rl", "lr"):
+        raise ValueError("direction must be 'rl' or 'lr'")
+    word = tuple(word)
+    letters = word[::-1] if direction == "rl" else word
+    side = "left" if direction == "rl" else "right"
+    length = table.length
+    states = [((), table.identity, 0)]
+    for u in letters:
+        nxt = []
+        for bits, x, deg in states:
+            ux = mult_gen(table, x, u, side)
+            up = length[ux] > length[x]
+            nxt.append((bits + (1,), ux, deg))
+            nxt.append((bits + (0,), x, deg + (1 if up else -1)))
+        states = nxt
+    states.sort(key=lambda entry: entry[0])
+    return LeafSet(word, tuple(LeafPath(*entry) for entry in states))
+
+
+def leaf_counts(table, word, direction="rl"):
+    """{(endpoint, degree, last bit): count} tallied over the explicit paths (the empty path has bit 0)."""
+    counts = {}
+    for p in enumerate_leaves(table, word, direction).paths:
+        key = (p.endpoint, p.degree, p.bits[-1] if p.bits else 0)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def character_map(table, word, direction="rl"):
+    """Sum of v^degree over the explicit leaves, grouped by endpoint."""
+    acc = {}
+    for path in enumerate_leaves(table, word, direction).paths:
+        bucket = acc.setdefault(path.endpoint, {})
+        bucket[path.degree] = bucket.get(path.degree, 0) + 1
+    return {x: LaurentPoly(bucket) for x, bucket in sorted(acc.items())}
+
+
+def split_top_generator(table, word):
+    """The leaves at every endpoint x, split by the final level's branch into (sub, quot) sides.
+
+    The final level consumes the leftmost letter s: the sides are (movers
+    from sx, stayers at x) when l(sx) < l(x) and (stayers, movers) otherwise.
+    """
+    from klcat.coxeter import mult_gen
+
+    if not word:
+        raise ValueError("the empty word has no top generator")
+    by_branch = {}
+    for p in enumerate_leaves(table, word).paths:
+        movers, stayers = by_branch.setdefault(p.endpoint, ([], []))
+        (movers if p.bits[-1] == 1 else stayers).append(p)
+    out = {}
+    for x in sorted(by_branch):
+        movers, stayers = by_branch[x]
+        sx = mult_gen(table, x, word[0], "left")
+        out[x] = (movers, stayers) if table.length[sx] < table.length[x] else (stayers, movers)
+    return out
+
+
+def leafset_to_json_obj(table, leafset):
+    return {
+        "word": list(leafset.word),
+        "bit_convention": "processing order right-to-left; 1=move, 0=stay",
+        "paths": [
+            {"bits": list(p.bits), "endpoint": list(table.words[p.endpoint]), "degree": p.degree}
+            for p in leafset.paths
+        ],
+    }
+
+
+_EXPANSIONS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()  # KL table -> {word: expansion}
+
+
+def _expansion(kl, word):
+    """KL-basis coefficients of the word's chain product, built from the unit; memoized per table."""
+    from klcat.hecke import bott_samelson_class
+
+    memo = _EXPANSIONS.setdefault(kl, {})
+    word = tuple(word)
+    if word not in memo:
+        memo[word] = kl.expand_in_kl_basis(bott_samelson_class(kl.table, word))
+    return memo[word]
+
+
+def _checked_word(kl, word):
+    from klcat.coxeter import is_reduced, word_name
+
+    word = tuple(word)
+    if not word:
+        raise ValueError("branching needs a word of length >= 1")
+    if not is_reduced(kl.table, word):
+        raise ValueError(f"word {word_name(word)} is not reduced")
+    return word
+
+
+def res_cell_class(kl, word, x):
+    """Coordinates of Res[cell(x)] over the tail's simple support: u -> v^{-+1} h_{x,u} + h_{sx,u}."""
+    from klcat.coxeter import mult_gen
+
+    word = _checked_word(kl, word)
+    s, tail = word[0], word[1:]
+    sx = mult_gen(kl.table, x, s, "left")
+    shift = -1 if kl.table.length[sx] < kl.table.length[x] else 1
+    coords = {}
+    for u in sorted(_expansion(kl, tail)):
+        c = kl.kl_poly(x, u).shift(shift) + kl.kl_poly(sx, u)
+        if c:
+            coords[u] = c
+    return coords
+
+
+def derive_kl_recursion(kl, word, x):
+    """(stored h_{x,w}, h_{x,w} derived through the branching pipeline) for one x."""
+    from klcat.coxeter import evaluate_word, mult_gen
+    from klcat.laurent import ZERO
+
+    word = _checked_word(kl, word)
+    w = evaluate_word(kl.table, word)
+    s = word[0]
+    wp = mult_gen(kl.table, w, s, "left")
+    sc = kl.structure_constants(s, wp)
+    rhs = res_cell_class(kl, word, x).get(wp, ZERO)
+    for z in sorted(_expansion(kl, word)):
+        if z != w and sc.get(z):
+            rhs = rhs - sc[z] * kl.kl_poly(x, z)
+    return kl.kl_poly(x, w), rhs
+
+
+def _vec_render(table, coords):
+    return "; ".join(f"{table.names[u]}:{c.render()}" for u, c in sorted(coords.items()))
+
+
+def _leaves_word_records(kl, word):
+    from klcat import verify
+    from klcat.coxeter import bruhat_interval, bruhat_leq, evaluate_word, word_name
+    from klcat.hecke import bott_samelson_class
+    from klcat.laurent import ONE, ZERO
+
+    record = verify._record
+    table = kl.table
+    names = table.names
+    name = word_name(word)
+    records = []
+    chars = character_map(table, word)
+    mirrored = character_map(table, word, "lr")
+    hecke_side = bott_samelson_class(table, word)
+    w = evaluate_word(table, word)
+    interval = bruhat_interval(table, w)
+    for x in interval:
+        lhs, rhs = mirrored.get(x, ZERO), hecke_side.coeff(x)
+        records.append(record("char_leaves_vs_hecke", name, lhs == rhs, lhs=lhs.render(), rhs=rhs.render(), x=names[x]))
+    support_ok = set(mirrored) == set(interval) and all(
+        hecke_side.coeff(x) == mirrored.get(x, ZERO) for x in table.elements
+    )
+    records.append(record("char_support", name, support_ok))
+    records.append(record("direction_independence", name, mirrored == chars))
+    records.append(record("leaf_count", name, len(enumerate_leaves(table, word).paths) == 2 ** len(word)))
+    gdims = _expansion(kl, word)
+    support = sorted(gdims)
+    decomp = {(x, y): kl.kl_poly(x, y) for y in support for x in interval if kl.kl_poly(x, y)}
+    for x in interval:
+        lhs = chars.get(x, ZERO)
+        rhs = ZERO
+        for y in support:
+            rhs = rhs + decomp.get((x, y), ZERO) * gdims[y]
+        records.append(record("decomposition_identity", name, lhs == rhs, lhs=lhs.render(), rhs=rhs.render(), x=names[x]))
+    gdim_ok = all(c.bar() == c and c.is_nonnegative() for c in gdims.values()) and gdims.get(w) == ONE
+    records.append(record("gdim_bar_symmetric_nonneg", name, gdim_ok))
+    triangular = all(
+        decomp.get((y, y)) == ONE and all(not decomp.get((x, y)) or bruhat_leq(table, x, y) for x in interval)
+        for y in support
+    )
+    records.append(record("decomposition_triangularity", name, triangular))
+    return records
+
+
+def _branch_word_records(kl, word):
+    from klcat import verify
+    from klcat.coxeter import bruhat_interval, evaluate_word, mult_gen, word_name
+    from klcat.laurent import ZERO
+
+    record = verify._record
+    table = kl.table
+    length, names = table.length, table.names
+    s, tail = word[0], word[1:]
+    name = word_name(word)
+    interval = bruhat_interval(table, evaluate_word(table, word))
+    records = []
+    word_chars = character_map(table, word)
+    tail_chars = character_map(table, tail)
+    parts = split_top_generator(table, word)
+    for x in interval:
+        sx = mult_gen(table, x, s, "left")
+        tail_x, tail_sx = tail_chars.get(x, ZERO), tail_chars.get(sx, ZERO)
+        if length[sx] < length[x]:
+            want_sub, want_quot = tail_sx, tail_x.shift(-1)
+        else:
+            want_sub, want_quot = tail_x.shift(1), tail_sx
+        lhs = word_chars.get(x, ZERO)
+        rhs = want_sub + want_quot
+        records.append(
+            {"identity": "branching_characters", "word": name, "x": names[x],
+             "lhs": lhs.render(), "rhs": rhs.render(), "pass": lhs == rhs}
+        )
+        part_sub, part_quot = parts.get(x, ([], []))
+        got_sub = LaurentPoly.from_terms((p.degree, 1) for p in part_sub)
+        got_quot = LaurentPoly.from_terms((p.degree, 1) for p in part_quot)
+        records.append(
+            {"identity": "leaf_partition", "word": name, "x": names[x],
+             "lhs": f"sub={got_sub.items()} quot={got_quot.items()}",
+             "rhs": f"sub={want_sub.items()} quot={want_quot.items()}",
+             "pass": got_sub == want_sub and got_quot == want_quot}
+        )
+    domain = sorted(_expansion(kl, word))
+    codomain = sorted(_expansion(kl, tail))
+    sc = {u: kl.structure_constants(s, u) for u in codomain}
+    for z in interval:
+        image = res_cell_class(kl, word, z)
+        for u in codomain:
+            lhs = ZERO
+            for x in domain:
+                h = sc[u].get(x, ZERO)
+                if h:
+                    lhs = lhs + h * kl.kl_poly(z, x)
+            rhs = image.get(u, ZERO)
+            records.append(
+                {"identity": "restriction_counts", "word": name, "x": names[z], "u": names[u],
+                 "lhs": lhs.render(), "rhs": rhs.render(), "pass": lhs == rhs}
+            )
+    for x in interval:
+        via_matrix = {}
+        for y in domain:
+            c = kl.kl_poly(x, y)
+            if c:
+                for u in codomain:
+                    h = sc[u].get(y)
+                    if h:
+                        via_matrix[u] = via_matrix.get(u, ZERO) + h * c
+        via_matrix = {u: c for u, c in via_matrix.items() if c}
+        direct = res_cell_class(kl, word, x)
+        records.append(
+            record("res_linear_map", name, via_matrix == direct,
+                   lhs=_vec_render(table, via_matrix), rhs=_vec_render(table, direct), x=names[x])
+        )
+    return records
+
+
+def _recursion_word_records(kl, word):
+    from klcat import verify
+    from klcat.coxeter import bruhat_interval, descents, evaluate_word, mult_gen, word_name
+    from klcat.laurent import ZERO
+
+    record = verify._record
+    table = kl.table
+    name = word_name(word)
+    w = evaluate_word(table, word)
+    s = word[0]
+    wp = mult_gen(table, w, s, "left")
+    sc = kl.structure_constants(s, wp)
+    records = []
+    for x in bruhat_interval(table, w):
+        lhs, rhs = derive_kl_recursion(kl, word, x)
+        records.append(record("derived_recursion", name, lhs == rhs, lhs=lhs.render(), rhs=rhs.render(), x=table.names[x]))
+        alt = res_cell_class(kl, word, x).get(wp, ZERO)
+        for z in bruhat_interval(table, wp):
+            if z != wp and s in descents(table, z, "left") and sc.get(z):
+                alt = alt - sc[z] * kl.kl_poly(x, z)
+        records.append(
+            record("correction_index_consistency", name, alt == rhs, lhs=alt.render(), rhs=rhs.render(), x=table.names[x])
+        )
+    return records
+
+
+def word_suite_records(kl, suite):
+    """The records of one word suite (``leaves``, ``branch`` or ``recursion``), word by word from scratch."""
+    from klcat.verify import reduced_words_in_order
+
+    words = [w for w in reduced_words_in_order(kl.table) if len(w) <= kl.complete_up_to]
+    per_word = {"leaves": _leaves_word_records, "branch": _branch_word_records, "recursion": _recursion_word_records}
+    records = []
+    for word in words:
+        if word or suite == "leaves":
+            records.extend(per_word[suite](kl, word))
     return records

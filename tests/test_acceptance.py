@@ -8,7 +8,14 @@ Each test prints one PASS/FAIL line so the suite doubles as a report.
 import io
 import time
 
-from klcat.branch import derive_kl_recursion, verify_branching, verify_restriction_counts
+from klcat.branch import (
+    build_res,
+    derive_kl_recursion,
+    res_cell_class,
+    restriction_counts,
+    verify_branching,
+    verify_restriction_counts,
+)
 from klcat.cells import build_cell_datum
 from klcat.cli import main
 from klcat.coxeter import (
@@ -26,6 +33,13 @@ from klcat.laurent import LaurentPoly, ONE, ZERO, v_power
 from klcat.leaves import character_map
 
 from oracles import dihedral_kl_candidate, satisfies_kl_conditions
+
+
+def branching(kl, word):
+    """The cell data of ``word`` and of its tail, with the restricted cell classes."""
+    tail = build_cell_datum(kl, word[1:])
+    datum = build_cell_datum(kl, word, tail)
+    return datum, tail, {x: res_cell_class(datum, tail, x) for x in datum.interval}
 
 
 def report(name, ok):
@@ -84,10 +98,11 @@ def test_criterion_3_leaves_hecke_characters():
     ok = True
     for name, table, kl in groups(["A2", "A3"] + [f"I2({m})" for m in range(3, 7)]):
         for word in reduced_words(table):
-            chars = character_map(table, word)
             bs = bott_samelson_class(table, word)
-            for x in table.elements:
-                ok = ok and chars.get(x, ZERO) == bs.coeff(x)
+            for direction in ("rl", "lr"):
+                chars = character_map(table, word, direction)
+                for x in table.elements:
+                    ok = ok and chars.get(x, ZERO) == bs.coeff(x)
     elapsed = time.perf_counter() - t0
     report("3 leaf characters = Hecke coefficients (exact, <10s)", ok and elapsed < 10.0)
 
@@ -97,7 +112,8 @@ def test_criterion_4_branching():
     for name, table, kl in groups(["A2", "A3"] + [f"I2({m})" for m in range(3, 7)]):
         for word in reduced_words(table):
             if word:
-                records = verify_branching(kl, word)
+                datum, tail, _ = branching(kl, word)
+                records = verify_branching(datum, tail)
                 ok = ok and records and all(r["pass"] for r in records)
     report("4 branching characters and leaf partitions (exact)", ok)
 
@@ -108,7 +124,9 @@ def test_criterion_5_restriction_lemmas():
         # restriction multiplicities counted two ways, per word
         for word in reduced_words(table):
             if word:
-                ok = ok and all(r["pass"] for r in verify_restriction_counts(kl, word))
+                datum, tail, images = branching(kl, word)
+                counts = restriction_counts(build_res(kl, datum, tail), datum)
+                ok = ok and all(r["pass"] for r in verify_restriction_counts(datum, tail, counts, images))
         # generator-times-KL-element structure constants against mu
         for u in table.elements:
             for s in range(table.rank):
@@ -130,10 +148,9 @@ def test_criterion_6_derived_recursion():
     for name, table, kl in groups(["A2", "A3"] + [f"I2({m})" for m in range(3, 9)]):
         for word in reduced_words(table):
             if word:
-                w = evaluate_word(table, word)
-                for x in bruhat_interval(table, w):
-                    lhs, rhs, match = derive_kl_recursion(kl, word, x)
-                    ok = ok and match
+                datum, _, images = branching(kl, word)
+                for x, (lhs, rhs) in derive_kl_recursion(kl, datum, images).items():
+                    ok = ok and lhs == rhs
     report("6 categorified recursion re-derives every KL polynomial (exact)", ok)
 
 

@@ -1,10 +1,12 @@
 import pytest
 
-from klcat.cells import build_cell_datum, char_cell_via_hecke, verify_decomposition_identity
+from klcat.cells import build_cell_datum, decomposition_sides, verify_decomposition_identity
 from klcat.coxeter import all_reduced_words, build_group, evaluate_word, preset_matrix
+from klcat.hecke import bott_samelson_class
 from klcat.kl import compute_kl
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
-from klcat.leaves import cell_character
+from klcat.leaves import cell_character, leaf_counts
+from klcat.verify import reduced_words_in_order
 
 
 def test_single_letter_datum(a2, kl_a2):
@@ -52,9 +54,10 @@ def test_rejects_non_reduced_word(kl_a2):
 
 def test_char_cell_via_hecke_examples(a2, kl_a2):
     st = evaluate_word(a2, (0, 1))
-    assert char_cell_via_hecke(kl_a2, (0,), a2.identity) == V
-    assert char_cell_via_hecke(kl_a2, (0, 1), st) == ONE
-    assert char_cell_via_hecke(kl_a2, (0, 1), a2.identity) == v_power(2)
+    assert bott_samelson_class(a2, (0,)).coeff(a2.identity) == V
+    assert bott_samelson_class(a2, (0, 1)).coeff(st) == ONE
+    assert bott_samelson_class(a2, (0, 1)).coeff(a2.identity) == v_power(2)
+    assert build_cell_datum(kl_a2, (0, 1)).chain == bott_samelson_class(a2, (0, 1))
 
 
 def test_decomposition_identity_single_letter(kl_a2, a2):
@@ -74,7 +77,7 @@ def test_decomposition_identity_exhaustive(name):
             assert verify_decomposition_identity(datum)["pass"], word
             # leaf characters agree with the Hecke-side characters
             for x in datum.interval:
-                assert datum.cell_chars[x] == char_cell_via_hecke(kl, word, x)
+                assert datum.cell_chars[x] == bott_samelson_class(table, word).coeff(x)
             # the top element always carries a one-dimensional simple
             assert datum.simple_gdims[w] == ONE
             for y, g in datum.simple_gdims.items():
@@ -96,3 +99,39 @@ def test_cell_chars_match_leaf_module(a2, kl_a2):
     datum = build_cell_datum(kl_a2, (0, 1, 0))
     for x in datum.interval:
         assert datum.cell_chars[x] == cell_character(a2, (0, 1, 0), x)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "I2(7)", "triangle4-0-3"])
+def test_datum_from_tail_equals_datum_from_scratch(ladder, name):
+    # the one-step chain product and the O(1) reducedness test agree with
+    # the from-scratch build on every reduced word, tails from the previous layer
+    table, kl = ladder(name)
+    built = {}
+    for word in reduced_words_in_order(table):
+        if len(word) > kl.complete_up_to:
+            continue
+        datum = built[word] = build_cell_datum(kl, word, built.get(word[1:]) if word else None)
+        scratch = build_cell_datum(kl, word)
+        assert datum == scratch, word
+        assert datum.leaves == leaf_counts(table, word)
+        assert datum.chain == bott_samelson_class(table, word)
+
+
+def test_datum_from_tail_rejects_bad_extensions(a2, kl_a2):
+    tail = build_cell_datum(kl_a2, (0,))
+    with pytest.raises(ValueError, match="not reduced"):
+        build_cell_datum(kl_a2, (0, 0), tail)
+    with pytest.raises(ValueError, match="not the tail"):
+        build_cell_datum(kl_a2, (0, 1), tail)
+    with pytest.raises(ValueError, match="not the tail"):
+        build_cell_datum(kl_a2, (), tail)
+
+
+def test_decomposition_sides_match_the_report(a3, kl_a3):
+    datum = build_cell_datum(kl_a3, (0, 1, 0, 2))
+    report = verify_decomposition_identity(datum)
+    sides = decomposition_sides(datum)
+    assert [check["x"] for check in report["checks"]] == [a3.names[x] for x, _, _ in sides]
+    for check, (_, lhs, rhs) in zip(report["checks"], sides):
+        assert check["lhs"] == lhs.to_json_obj() and check["rhs"] == rhs.to_json_obj()
+        assert check["pass"] and lhs == rhs

@@ -332,10 +332,30 @@ def test_verify_a3_json_bytes_are_pinned():
             ],
             "505a5e5cf7a0c2261250175f85dcf58faf8c9e92cda958fa699d4e305bd3f8a1",
         ),
+        (
+            ["verify", "--type", "B3", "--suite", "leaves", "--format", "json"],
+            "941342e7081ca773b3fd12eae3ead9d96fffbc84921511d2f802ad703e7a1382",
+        ),
+        (
+            ["verify", "--type", "B3", "--suite", "branch", "--format", "json"],
+            "2ccbd7da9dacb341d7e05dba7b549515f0dadcc6de99fc87f7dd973f63b12b72",
+        ),
+        (
+            ["verify", "--type", "B3", "--suite", "recursion", "--format", "json"],
+            "89e58ac5bad07dfd755445a36a5f7e3fc44b473d3cbbfc449aa1dc0bb92aadce",
+        ),
+        (
+            [
+                "verify", "--matrix", '{"rank":3,"m":[[1,4,0],[4,1,3],[0,3,1]]}', "--cap", "300",
+                "--max-length", "5", "--suite", "all", "--format", "json",
+            ],
+            "aa0e7a334648e541221840e97de258614437ba223b66a7a795d0cc0c1f5c4f49",
+        ),
     ],
     ids=[
         "kl-A3-json", "kl-B3-csv", "kl-B4-csv", "kl-triangle-csv", "cells-A3", "group-B3",
-        "verify-kl-B3-json", "verify-kl-triangle-json",
+        "verify-kl-B3-json", "verify-kl-triangle-json", "verify-leaves-B3-json",
+        "verify-branch-B3-json", "verify-recursion-B3-json", "verify-all-triangle-json",
     ],
 )
 def test_output_bytes_are_pinned(argv, digest):

@@ -11,7 +11,7 @@ from klcat.coxeter import (
     evaluate_word,
     preset_matrix,
 )
-from klcat.hecke import HeckeElt, bar_involution, unit
+from klcat.hecke import HeckeElt, bar_involution, left_mul_kl, unit
 from klcat.kl import (
     canonical_json,
     classical_recursion_column,
@@ -170,6 +170,15 @@ def _damaged(table, bound, w, x, change):
         coeffs[x] = new
     kl._kl[w] = HeckeElt(table, coeffs)
     return kl
+
+
+@pytest.mark.parametrize("diagonal", [2, 0], ids=["two", "zero"])
+def test_expansion_rejects_a_non_unit_diagonal(a2, diagonal):
+    # the back-substitution cannot clear s1 when the stored h_{s1,s1} is not 1
+    s1 = a2.elements[1]
+    kl = _damaged(a2, a2.complete_length, s1, s1, lambda c: LaurentPoly({0: diagonal}) if diagonal else None)
+    with pytest.raises(ValueError, match=r"h_\{s1,s1\} is (2\*v\^0|0), not 1"):
+        kl.expand_in_kl_basis(left_mul_kl(0, unit(a2)))
 
 
 def _q_oracle(kl, x, w, s):

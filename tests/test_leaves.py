@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klcat.coxeter import (
     all_reduced_words,
@@ -8,30 +10,57 @@ from klcat.coxeter import (
     bruhat_leq,
     build_group,
     evaluate_word,
+    mult_gen,
     preset_matrix,
 )
 from klcat.hecke import bott_samelson_class
 from klcat.laurent import LaurentPoly, ONE, V, ZERO
-from klcat.leaves import (
-    cell_character,
-    character_map,
-    enumerate_leaves,
-    leafset_to_json_obj,
-    split_top_generator,
-)
+from klcat.leaves import cell_character, character_map, characters, leaf_counts, split_by_last_bit
+from klcat.verify import reduced_words_in_order
+
+import oracles
+from oracles import enumerate_leaves, leafset_to_json_obj, split_top_generator
 
 
 def leaf_multiset(table, word):
-    return Counter((table.names[p.endpoint], p.degree) for p in enumerate_leaves(table, word).paths)
+    """(endpoint name, degree) -> number of leaves, from the count DP."""
+    out = Counter()
+    for (x, d, _), n in leaf_counts(table, word).items():
+        out[(table.names[x], d)] += n
+    return out
+
+
+def all_sides(table, word):
+    """x -> the (sub, quot) degree polynomials of the DP's final-level split at x."""
+    out = {}
+    for x, (movers, stayers) in split_by_last_bit(leaf_counts(table, word)).items():
+        sx = mult_gen(table, x, word[0], "left")
+        out[x] = (movers, stayers) if table.length[sx] < table.length[x] else (stayers, movers)
+    return out
+
+
+def sides(table, word, x):
+    return all_sides(table, word).get(x, (ZERO, ZERO))
+
+
+def oracle_sides(table, word):
+    """The same split, tallied over the explicit paths."""
+    return {
+        x: tuple(LaurentPoly.from_terms((p.degree, 1) for p in part) for part in parts)
+        for x, parts in split_top_generator(table, word).items()
+    }
 
 
 def test_single_letter_word(a2):
-    ls = enumerate_leaves(a2, (0,))
+    s, e = a2.elements[1], a2.identity
     assert leaf_multiset(a2, (0,)) == Counter({("s1", 0): 1, ("e", 1): 1})
-    assert [p.bits for p in ls.paths] == [(0,), (1,)]
+    assert leaf_counts(a2, (0,)) == {(s, 0, 1): 1, (e, 1, 0): 1}
+    assert [p.bits for p in enumerate_leaves(a2, (0,)).paths] == [(0,), (1,)]
 
 
 def test_empty_word(a2):
+    assert leaf_counts(a2, ()) == {(a2.identity, 0, 0): 1}
+    assert leaf_counts(a2, (), "lr") == {(a2.identity, 0, 0): 1}
     ls = enumerate_leaves(a2, ())
     assert len(ls.paths) == 1
     assert ls.paths[0].endpoint == a2.identity and ls.paths[0].degree == 0
@@ -50,6 +79,8 @@ def test_repeated_letter_word(a2):
 
 def test_leaf_count_is_power_of_two(a3):
     for word in [(), (0,), (0, 1), (1, 0, 2, 1), (0, 0, 1), (2, 2, 2)]:
+        for direction in ("rl", "lr"):
+            assert sum(leaf_counts(a3, word, direction).values()) == 2 ** len(word)
         assert len(enumerate_leaves(a3, word).paths) == 2 ** len(word)
 
 
@@ -70,18 +101,20 @@ def test_characters_match_hecke_coefficients(name):
     table = build_group(preset_matrix(name), 1000)
     for w in table.elements:
         for word in sorted(all_reduced_words(table, w)):
-            chars = character_map(table, word)
-            bs = bott_samelson_class(table, word)
-            for x in table.elements:
-                assert chars.get(x, ZERO) == bs.coeff(x), (word, x)
+            for direction in ("rl", "lr"):
+                chars = character_map(table, word, direction)
+                bs = bott_samelson_class(table, word)
+                for x in table.elements:
+                    assert chars.get(x, ZERO) == bs.coeff(x), (word, x, direction)
 
 
 def test_characters_match_hecke_on_non_reduced_words(a2):
     for word in [(0, 0), (0, 1, 1), (1, 1, 1), (0, 1, 0, 1)]:
-        chars = character_map(a2, word)
         bs = bott_samelson_class(a2, word)
-        for x in a2.elements:
-            assert chars.get(x, ZERO) == bs.coeff(x)
+        for direction in ("rl", "lr"):
+            chars = character_map(a2, word, direction)
+            for x in a2.elements:
+                assert chars.get(x, ZERO) == bs.coeff(x)
 
 
 def test_support_is_the_bruhat_interval(a3):
@@ -103,41 +136,34 @@ def test_direction_independence(a3):
 
 def test_enumerate_rejects_bad_direction(a2):
     with pytest.raises(ValueError):
+        leaf_counts(a2, (0,), direction="up")
+    with pytest.raises(ValueError):
         enumerate_leaves(a2, (0,), direction="up")
 
 
 def test_split_single_letter(a2):
     s = a2.elements[1]
-    sub, quot = split_top_generator(a2, (0,)).get(s, ([], []))
-    assert [(a2.names[p.endpoint], p.degree) for p in sub] == [("s1", 0)]
-    assert quot == []
-    sub, quot = split_top_generator(a2, (0,)).get(a2.identity, ([], []))
+    assert sides(a2, (0,), s) == (ONE, ZERO)
     # up case: the stayer carries the shifted tail character; the quotient side
     # would need a tail leaf at s1, and the empty word has none
-    assert [(a2.names[p.endpoint], p.degree) for p in sub] == [("e", 1)]
-    assert quot == []
+    assert sides(a2, (0,), a2.identity) == (V, ZERO)
 
 
 def test_split_two_letter_word(a2):
     # leaves of (s1, s2): one lands on each interval element
     t = a2.elements[2]
-    sub, quot = split_top_generator(a2, (0, 1)).get(t, ([], []))
-    assert [(a2.names[p.endpoint], p.degree) for p in sub] == [("s2", 1)]
-    assert quot == []
+    assert sides(a2, (0, 1), t) == (V, ZERO)
 
 
 def test_split_partitions_everything(a3):
     for word in [(1, 0, 2, 1), (0, 1, 0), (0, 1, 2)]:
-        total = 0
-        seen = set()
-        for x in a3.elements:
-            sub, quot = split_top_generator(a3, word).get(x, ([], []))
-            for p in sub + quot:
-                assert p.endpoint == x
-                assert p not in seen
-                seen.add(p)
-            total += len(sub) + len(quot)
-        assert total == 2 ** len(word)
+        counts = leaf_counts(a3, word)
+        parts = split_by_last_bit(counts)
+        chars = characters(counts)
+        assert set(parts) == set(chars)
+        for x, (movers, stayers) in parts.items():
+            assert movers + stayers == chars[x]
+        assert sum(counts.values()) == 2 ** len(word)
 
 
 def test_split_rejects_empty_word(a2):
@@ -156,7 +182,7 @@ def test_split_degree_bookkeeping_against_tail(a3):
             for p in enumerate_leaves(a3, word[1:]).paths:
                 tail_sets.setdefault(p.endpoint, Counter())[p.degree] += 1
             for x in bruhat_interval(a3, w):
-                sub, quot = split_top_generator(a3, word).get(x, ([], []))
+                sub, quot = sides(a3, word, x)
                 sx = evaluate_word(a3, (s,) + a3.words[x])
                 if a3.length[sx] < a3.length[x]:
                     want_sub = tail_sets.get(sx, Counter())
@@ -164,8 +190,8 @@ def test_split_degree_bookkeeping_against_tail(a3):
                 else:
                     want_sub = Counter({d + 1: n for d, n in tail_sets.get(x, Counter()).items()})
                     want_quot = tail_sets.get(sx, Counter())
-                assert Counter(p.degree for p in sub) == want_sub
-                assert Counter(p.degree for p in quot) == want_quot
+                assert sub == LaurentPoly(want_sub)
+                assert quot == LaurentPoly(want_quot)
 
 
 def test_leafset_json_export(a2):
@@ -175,3 +201,30 @@ def test_leafset_json_export(a2):
     assert obj["paths"][0]["bits"] == [0, 0]
     assert [p["endpoint"] for p in obj["paths"]] == [[], [0], [1], [0, 1]]
     assert {"bits", "endpoint", "degree"} <= set(obj["paths"][0])
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "affineA2", "triangle4-0-3"])
+def test_leaf_counts_match_explicit_paths(ladder, name):
+    # every reduced word of length <= 10, both walks, and the final-level split
+    table, _ = ladder(name)
+    for word in reduced_words_in_order(table):
+        if len(word) > 10:
+            continue
+        for direction in ("rl", "lr"):
+            counts = leaf_counts(table, word, direction)
+            assert counts == oracles.leaf_counts(table, word, direction), (word, direction)
+            assert characters(counts) == oracles.character_map(table, word, direction)
+        if word:
+            assert all_sides(table, word) == oracle_sides(table, word), word
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["A3", "B3", "I2(7)"]),
+    word=st.lists(st.integers(min_value=0, max_value=2), max_size=9),
+    direction=st.sampled_from(["rl", "lr"]),
+)
+def test_leaf_counts_match_explicit_paths_on_any_word(ladder, name, word, direction):
+    table, _ = ladder(name)
+    word = tuple(s for s in word if s < table.rank)
+    assert leaf_counts(table, word, direction) == oracles.leaf_counts(table, word, direction)
