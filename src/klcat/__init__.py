@@ -43,15 +43,7 @@ from .kl import (
 )
 from .leaves import cell_character, character_map, characters, leaf_counts, leaf_step, split_by_last_bit
 from .cells import CellDatum, build_cell_datum, decomposition_sides, verify_decomposition_identity
-from .branch import (
-    GrothendieckVector,
-    ResData,
-    build_res,
-    derive_kl_recursion,
-    res_cell_class,
-    verify_branching,
-    verify_restriction_counts,
-)
+from .branch import branching_sides, derive_kl_recursion, res_cell_class, restriction_counts
 from .verify import run_suite
 
 __version__ = "0.1.0"

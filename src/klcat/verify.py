@@ -3,7 +3,10 @@
 Each suite walks every stored element (and every reduced word, where the
 checked statement is per-expression) and emits one record per identity
 instance: ``{identity, word, x?, u?, lhs, rhs, pass}``.  Suites run
-serially, element by element and word by word, in a fixed order.
+serially, element by element and word by word, in a fixed order.  The
+records are built only here: :mod:`klcat.cells` and :mod:`klcat.branch`
+return the two sides of each identity, and this module compares and
+renders them.
 
 The word suites share one pass over the reduced words in length order.
 Each word gets one context, its :class:`~klcat.cells.CellDatum`, built
@@ -259,22 +262,42 @@ def _leaves_word_checks(kl: KLTable, datum: CellDatum) -> list[dict]:
     return records
 
 
-def _record_sides(identity: str, word: str, lhs, rhs, render=LaurentPoly.render, **extra) -> dict:
-    """A record comparing two values; a passing record renders its equal sides once."""
+def _sides(lhs, rhs, render) -> tuple[bool, str, str]:
+    """(pass, rendered lhs, rendered rhs); a passing comparison renders its equal sides once."""
     ok = lhs == rhs
     rendered = render(rhs)
-    return _record(identity, word, ok, lhs=rendered if ok else render(lhs), rhs=rendered, **extra)
+    return ok, rendered if ok else render(lhs), rendered
+
+
+def _record_sides(identity: str, word: str, lhs, rhs, render=LaurentPoly.render, **extra) -> dict:
+    """A record comparing two values, in :func:`_record`'s key order."""
+    ok, lhs_text, rhs_text = _sides(lhs, rhs, render)
+    return _record(identity, word, ok, lhs=lhs_text, rhs=rhs_text, **extra)
+
+
+def _spot_record_sides(identity: str, word: str, lhs, rhs, render=LaurentPoly.render, **spot) -> dict:
+    """A record comparing two values, its spot keys (x, u) before its sides and ``pass`` last."""
+    ok, lhs_text, rhs_text = _sides(lhs, rhs, render)
+    return {"identity": identity, "word": word, **spot, "lhs": lhs_text, "rhs": rhs_text, "pass": ok}
 
 
 def _branch_word_checks(
-    kl: KLTable, datum: CellDatum, tail: CellDatum, images: dict[int, branch_mod.GrothendieckVector]
+    kl: KLTable, datum: CellDatum, tail: CellDatum, images: dict[int, dict[int, LaurentPoly]]
 ) -> list[dict]:
-    records = branch_mod.verify_branching(datum, tail)
-    res = branch_mod.build_res(kl, datum, tail)
-    counts = branch_mod.restriction_counts(res, datum)
-    records.extend(branch_mod.verify_restriction_counts(datum, tail, counts, images))
     name = word_name(datum.word)
     names = kl.table.names
+    records = []
+    for x, lhs, rhs, got, want in branch_mod.branching_sides(datum, tail):
+        records.append(_spot_record_sides("branching_characters", name, lhs, rhs, x=names[x]))
+        records.append(_spot_record_sides("leaf_partition", name, got, want, _partition_render, x=names[x]))
+    # restriction multiplicities two ways: through structure constants, and
+    # read off the restricted cell class
+    counts = branch_mod.restriction_counts(kl, datum, tail)
+    for z in datum.interval:
+        counted, image = counts[z], images[z]
+        for u in tail.simple_support:
+            lhs, rhs = counted.get(u, ZERO), image.get(u, ZERO)
+            records.append(_spot_record_sides("restriction_counts", name, lhs, rhs, x=names[z], u=names[u]))
     render = functools.partial(_vec_render, kl.table)
     for x in datum.interval:
         # Res applied to the decomposition vector of x, against the direct image
@@ -282,12 +305,17 @@ def _branch_word_checks(
     return records
 
 
-def _vec_render(table: GroupTable, vec) -> str:
-    return "; ".join(f"{table.names[u]}:{c.render()}" for u, c in vec.coords.items())
+def _partition_render(parts: tuple[LaurentPoly, LaurentPoly]) -> str:
+    sub, quot = parts
+    return f"sub={sub.items()} quot={quot.items()}"
+
+
+def _vec_render(table: GroupTable, vec: dict[int, LaurentPoly]) -> str:
+    return "; ".join(f"{table.names[u]}:{c.render()}" for u, c in vec.items())
 
 
 def _recursion_word_checks(
-    kl: KLTable, datum: CellDatum, images: dict[int, branch_mod.GrothendieckVector]
+    kl: KLTable, datum: CellDatum, images: dict[int, dict[int, LaurentPoly]]
 ) -> list[dict]:
     table = kl.table
     name = word_name(datum.word)
@@ -306,7 +334,7 @@ def _recursion_word_checks(
         lhs, rhs = derived[x]
         records.append(_record_sides("derived_recursion", name, lhs, rhs, x=table.names[x]))
         acc: dict[int, int] = {}
-        images[x].coord(wp).add_to(acc)
+        images[x].get(wp, ZERO).add_to(acc)
         for z, h in corrections:
             d = kl.kl_poly(x, z)
             if d:

@@ -1,18 +1,11 @@
 import pytest
 
-from klcat.branch import (
-    GrothendieckVector,
-    build_res,
-    derive_kl_recursion,
-    res_cell_class,
-    restriction_counts,
-    verify_branching,
-    verify_restriction_counts,
-)
+from klcat.branch import branching_sides, derive_kl_recursion, res_cell_class, restriction_counts
 from klcat.cells import build_cell_datum
 from klcat.coxeter import all_reduced_words, build_group, evaluate_word, preset_matrix
 from klcat.kl import compute_kl
-from klcat.laurent import LaurentPoly, ONE, V, v_power
+from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
+from klcat.verify import _branch_word_checks
 
 import oracles
 
@@ -36,33 +29,48 @@ def images(kl, datum, tail):
     return {x: res_cell_class(datum, tail, x) for x in datum.interval}
 
 
-def restriction_records(kl, datum, tail, image):
-    counts = restriction_counts(build_res(kl, datum, tail), datum)
-    return verify_restriction_counts(datum, tail, counts, image)
+def restriction_mismatches(kl, datum, tail, image):
+    """(z, u, count through structure constants, coordinate of the image) wherever the two differ."""
+    counts = restriction_counts(kl, datum, tail)
+    return [
+        (z, u, counts[z].get(u, ZERO), image[z].get(u, ZERO))
+        for z in datum.interval
+        for u in tail.simple_support
+        if counts[z].get(u, ZERO) != image[z].get(u, ZERO)
+    ]
 
 
-def test_build_res_single_letter(a2, kl_a2):
-    res = build_res(kl_a2, *branching(kl_a2, (0,)))
+def assert_vector(vec):
+    # ids ascending, no zero coordinate: the form the rendered vectors rely on
+    assert list(vec) == sorted(vec) and all(vec.values()), vec
+
+
+def test_restriction_single_letter(a2, kl_a2):
+    # the matrix of Res on simple classes, read through the image of the
+    # word's top simple class, whose decomposition row is its own basis vector
+    datum, tail = branching(kl_a2, (0,))
     s, e = a2.elements[1], a2.identity
-    assert res.domain == [s] and res.codomain == [e]
-    assert res.columns[s].coord(e) == ONE
+    assert datum.simple_support == [s] and tail.simple_support == [e]
+    assert datum.decomp[s] == {s: ONE}
+    assert restriction_counts(kl_a2, datum, tail)[s] == {e: ONE}
 
 
-def test_build_res_two_letters(a2, kl_a2):
-    res = build_res(kl_a2, *branching(kl_a2, (0, 1)))
+def test_restriction_two_letters(a2, kl_a2):
+    datum, tail = branching(kl_a2, (0, 1))
     st, t = evaluate_word(a2, (0, 1)), a2.elements[2]
-    assert res.domain == [st] and res.codomain == [t]
-    assert res.columns[st].coord(t) == ONE
+    assert datum.simple_support == [st] and tail.simple_support == [t]
+    assert datum.decomp[st] == {st: ONE}
+    assert restriction_counts(kl_a2, datum, tail)[st] == {t: ONE}
 
 
 def test_res_cell_class_examples(a2, kl_a2):
     st, t, e = evaluate_word(a2, (0, 1)), a2.elements[2], a2.identity
     image = res_cell_class(*branching(kl_a2, (0, 1)), st)
-    assert image.coords == {t: ONE}
+    assert image == {t: ONE}
     image = res_cell_class(*branching(kl_a2, (0, 1)), t)
-    assert image.coords == {t: V}
+    assert image == {t: V}
     image = res_cell_class(*branching(kl_a2, (0,)), e)
-    assert image.coords == {e: V}
+    assert image == {e: V}
 
 
 def test_rejects_non_reduced_or_empty(kl_a2, a2):
@@ -70,26 +78,25 @@ def test_rejects_non_reduced_or_empty(kl_a2, a2):
         branching(kl_a2, (0, 0))
     empty = build_cell_datum(kl_a2, ())
     with pytest.raises(ValueError):
-        build_res(kl_a2, empty, empty)
+        restriction_counts(kl_a2, empty, empty)
     with pytest.raises(ValueError):
         res_cell_class(empty, empty, a2.identity)
     # a datum paired with something other than its tail
     datum, _ = branching(kl_a2, (0, 1))
     with pytest.raises(ValueError):
-        verify_branching(datum, empty)
+        branching_sides(datum, empty)
 
 
-def test_vector_rejects_coordinates_outside_basis(a2):
-    s, e = a2.elements[1], a2.identity
-    with pytest.raises(ValueError):
-        GrothendieckVector.make((e,), {s: ONE})
+def assert_sides_agree(sides):
+    for x, lhs, rhs, got, want in sides:
+        assert lhs == rhs and got == want, x
 
 
 def test_branching_single_letter(a2, kl_a2):
-    records = verify_branching(*branching(kl_a2, (0,)))
-    assert all(r["pass"] for r in records)
-    chars = {(r["x"]): r for r in records if r["identity"] == "branching_characters"}
-    assert chars["e"]["lhs"] == "1*v^1"
+    sides = branching_sides(*branching(kl_a2, (0,)))
+    assert_sides_agree(sides)
+    chars = {a2.names[x]: lhs for x, lhs, _, _, _ in sides}
+    assert chars["e"].render() == "1*v^1"
 
 
 @pytest.mark.parametrize("name", ["A2", "A3"] + [f"I2({m})" for m in range(3, 7)])
@@ -97,21 +104,20 @@ def test_branching_exhaustive(name):
     table = build_group(preset_matrix(name), 1000)
     kl = compute_kl(table, table.complete_length)
     for word in all_words(table):
-        records = verify_branching(*branching(kl, word))
-        assert records and all(r["pass"] for r in records), word
+        sides = branching_sides(*branching(kl, word))
+        assert sides, word
+        assert_sides_agree(sides)
 
 
 def test_restriction_counts_examples(a2, kl_a2):
     datum, tail = branching(kl_a2, (0, 1))
-    records = restriction_records(kl_a2, datum, tail, images(kl_a2, datum, tail))
-    by_key = {(r["x"], r["u"]): r for r in records}
-    assert by_key[("s1.s2", "s2")]["lhs"] == "1*v^0"
-    assert by_key[("s1.s2", "s2")]["pass"]
+    st, t = evaluate_word(a2, (0, 1)), a2.elements[2]
+    assert restriction_counts(kl_a2, datum, tail)[st][t].render() == "1*v^0"
+    assert not restriction_mismatches(kl_a2, datum, tail, images(kl_a2, datum, tail))
     datum, tail = branching(kl_a2, (0,))
-    records = restriction_records(kl_a2, datum, tail, images(kl_a2, datum, tail))
-    by_key = {(r["x"], r["u"]): r for r in records}
-    assert by_key[("e", "e")]["lhs"] == "1*v^1"
-    assert all(r["pass"] for r in records)
+    e = a2.identity
+    assert restriction_counts(kl_a2, datum, tail)[e][e].render() == "1*v^1"
+    assert not restriction_mismatches(kl_a2, datum, tail, images(kl_a2, datum, tail))
 
 
 @pytest.mark.parametrize("name", ["A2", "A3"] + [f"I2({m})" for m in range(3, 7)])
@@ -120,8 +126,7 @@ def test_restriction_counts_exhaustive(name):
     kl = compute_kl(table, table.complete_length)
     for word in all_words(table):
         datum, tail = branching(kl, word)
-        records = restriction_records(kl, datum, tail, images(kl, datum, tail))
-        assert all(r["pass"] for r in records), word
+        assert not restriction_mismatches(kl, datum, tail, images(kl, datum, tail)), word
 
 
 def test_res_is_linear_on_cell_vectors(a3, kl_a3):
@@ -131,11 +136,12 @@ def test_res_is_linear_on_cell_vectors(a3, kl_a3):
 
     for word in [(1, 0, 2, 1), (0, 1, 0), (0, 1, 2), (2, 1, 0)]:
         datum, tail = branching(kl_a3, word)
-        res = build_res(kl_a3, datum, tail)
+        counts = restriction_counts(kl_a3, datum, tail)
         w = evaluate_word(a3, word)
         for x in bruhat_interval(a3, w):
-            vector = {y: kl_a3.kl_poly(x, y) for y in res.domain if kl_a3.kl_poly(x, y)}
-            assert res.apply(vector) == res_cell_class(datum, tail, x)
+            vector = {y: kl_a3.kl_poly(x, y) for y in datum.simple_support if kl_a3.kl_poly(x, y)}
+            assert datum.decomp.get(x, {}) == vector
+            assert counts[x] == res_cell_class(datum, tail, x)
 
 
 def test_derive_recursion_examples(a2, a3, kl_a2, kl_a3):
@@ -173,9 +179,12 @@ def test_branch_pieces_match_per_word_oracles(ladder, name):
     for word in all_words(table):
         datum, tail = branching(kl, word)
         image = images(kl, datum, tail)
+        counts = restriction_counts(kl, datum, tail)
         derived = derive_kl_recursion(kl, datum, image)
         for x in datum.interval:
-            assert image[x].coords == oracles.res_cell_class(kl, word, x), (word, x)
+            assert_vector(image[x])
+            assert_vector(counts[x])
+            assert image[x] == oracles.res_cell_class(kl, word, x), (word, x)
             assert derived[x] == oracles.derive_kl_recursion(kl, word, x), (word, x)
 
 
@@ -187,12 +196,17 @@ def test_failing_records_render_both_sides(a3, kl_a3):
     datum, tail = branching(kl_a3, (1, 0, 2, 1))
     x = a3.elements[2]
     bad = dataclasses.replace(datum, cell_chars={**datum.cell_chars, x: datum.cell_chars[x] + V})
-    failed = [r for r in verify_branching(bad, tail) if not r["pass"]]
+    failed = [r for r in _branch_word_checks(kl_a3, bad, tail, images(kl_a3, datum, tail)) if not r["pass"]]
     assert [(r["identity"], r["x"]) for r in failed] == [("branching_characters", "s2")]
     assert failed[0]["lhs"] == "2*v^1+1*v^3" and failed[0]["rhs"] == "1*v^1+1*v^3"
+    assert list(failed[0]) == ["identity", "word", "x", "lhs", "rhs", "pass"]
     image = images(kl_a3, datum, tail)
-    u = tail.simple_support[-1]
-    image[x] = GrothendieckVector.make(tail.simple_support, {**image[x].coords, u: image[x].coord(u) + V})
-    failed = [r for r in restriction_records(kl_a3, datum, tail, image) if not r["pass"]]
-    assert [(r["x"], r["u"]) for r in failed] == [("s2", a3.names[u])]
-    assert failed[0]["rhs"] == (image[x].coord(u)).render() != failed[0]["lhs"]
+    u = tail.simple_support[-1]  # the largest id, so the ids stay ascending
+    image[x] = {**image[x], u: image[x].get(u, ZERO) + V}
+    failed = [r for r in _branch_word_checks(kl_a3, datum, tail, image) if not r["pass"]]
+    assert [(r["identity"], r["x"], r.get("u")) for r in failed] == [
+        ("restriction_counts", "s2", a3.names[u]),
+        ("res_linear_map", "s2", None),
+    ]
+    assert list(failed[0]) == ["identity", "word", "x", "u", "lhs", "rhs", "pass"]
+    assert failed[0]["rhs"] == image[x][u].render() != failed[0]["lhs"]

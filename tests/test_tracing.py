@@ -39,6 +39,8 @@ def test_tracer_binds_to_the_library():
     assert all_run["code"] == kl_run["code"] == 0
     for name in ("coxeter.mult_gen.calls", "coxeter.descents.calls", "leaves.paths"):
         assert all_run["counts"].get(name, 0) > 0, name
+    for name in ("branch.res_cell_class", "branch.restriction_counts", "branch.branching_sides"):
+        assert all_run["counts"].get(name + ".calls", 0) > 0, name
     # the kl suite's column spans, named by function now that the per-x recursions are gone
     for name in ("kl.recursion_column", "kl.classical_recursion_column", "hecke.bar_involution"):
         assert kl_run["counts"].get(name + ".calls", 0) > 0, name

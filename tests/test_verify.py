@@ -70,13 +70,25 @@ def _damaged(table, wword, xword, change):
         ("A3", (0, 1, 0, 2, 1, 0), (2,), lambda c: c + v_power(3)),
         ("A3", (0, 1, 0, 2, 1, 0), (0, 1), lambda c: c * 2),
         ("B3", (0, 1, 0, 2, 1, 0, 2, 1, 2), (1,), lambda c: c + v_power(3)),
+        # below the longest element: a damaged lower C_w makes some structure
+        # constant escape a word's simple support
+        ("A3", (0, 1, 0), (0,), lambda c: c + v_power(3)),
+        ("A3", (0, 1, 0), (0,), lambda c: c * 2),
+        ("A3", (1, 0, 2, 1), (1,), lambda c: c + v_power(3)),
+        ("A3", (1, 0, 2, 1, 0), (1,), lambda c: c * 2),
     ],
-    ids=["A3-extra-term", "A3-doubled", "B3-extra-term"],
+    ids=[
+        "A3-extra-term",
+        "A3-doubled",
+        "B3-extra-term",
+        "A3-s1s2s1-extra-term",
+        "A3-s1s2s1-doubled",
+        "A3-s2s1s3s2-extra-term",
+        "A3-s2s1s3s2s1-doubled",
+    ],
 )
 def test_word_suites_match_oracles_on_a_damaged_table(ladder, group, wword, xword, change):
-    # failing records must carry the same lhs/rhs strings as the oracle's.
-    # The damage sits on the longest element: a damaged lower C_w makes some
-    # structure constant escape a simple support, and build_res raises.
+    # failing records must carry the same lhs/rhs strings as the oracle's
     table, _ = ladder(group)
     kl = _damaged(table, wword, xword, change)
     failed = 0
