@@ -13,14 +13,14 @@ and the degree-shifted generators C_s = H_s + v act on the standard basis by
 
 Only left multiplication by generators is needed by the algorithms here; a
 generic product is provided for tests and structure constants.  The bar
-involution sums its products into one ``{x: {exponent: coefficient}}``
-dict and builds each coefficient once.
+involution and left multiplication by C_s sum their products into one
+``{x: {exponent: coefficient}}`` dict and build each coefficient once.
 """
 
 from __future__ import annotations
 
 from .coxeter import GroupTable, Word, mult_gen
-from .laurent import LaurentPoly, ONE, V, V_INV, ZERO
+from .laurent import LaurentPoly, ONE, ZERO
 
 class HeckeElt:
     """A Hecke algebra element in standard-basis coordinates, keyed by element id."""
@@ -105,16 +105,20 @@ def left_mul_std(s: int, h: HeckeElt) -> HeckeElt:
 
 
 def left_mul_kl(s: int, h: HeckeElt) -> HeckeElt:
-    """Left multiplication by the shifted generator C_s = H_s + v."""
+    """Left multiplication by the shifted generator C_s = H_s + v.
+
+    C_s H_x = H_sx + v^{+-1} H_x, so each coefficient c of h is added into
+    one ``{x: {exponent: coefficient}}`` dict at sx and, shifted by +-1, at
+    x; each output ``LaurentPoly`` is built once.
+    """
     table = h.table
     length = table.length
-    acc: dict[int, LaurentPoly] = {}
+    acc: dict[int, dict[int, int]] = {}
     for x, c in h._coeffs.items():
         sx = mult_gen(table, x, s, "left")
-        acc[sx] = acc.get(sx, ZERO) + c
-        stay = V if length[sx] > length[x] else V_INV
-        acc[x] = acc.get(x, ZERO) + c * stay
-    return HeckeElt(table, acc)
+        c.add_to(acc.setdefault(sx, {}))
+        c.add_to(acc.setdefault(x, {}), 1 if length[sx] > length[x] else -1)
+    return HeckeElt(table, {x: LaurentPoly(d) for x, d in acc.items()})
 
 
 def product(a: HeckeElt, b: HeckeElt) -> HeckeElt:

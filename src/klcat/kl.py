@@ -7,7 +7,8 @@ verification suites:
     ``su`` is ``C_s * C_u`` minus, for every z in the support of that
     product, the constant term of the H_z-coefficient times the KL basis
     element of z.  The result is the unique bar-invariant element whose
-    lower coefficients lie in vZ[v].
+    lower coefficients lie in vZ[v].  (``compute_kl_by_subtraction`` in the
+    test oracles runs the same algorithm one ``HeckeElt`` at a time.)
 
   * :func:`recursion_column` evaluates the normalized one-step recursion
 
@@ -20,7 +21,8 @@ verification suites:
 
 Classical polynomials in q are related by h_{x,w}(v) = v^(l(w)-l(x)) P_{x,w}(v^-2),
 and mu(z,w) is the linear coefficient of h_{z,w}.  Sums of many products
-(the recursions, :meth:`KLTable.expand_in_kl_basis`) accumulate into one
+(each step of :func:`compute_kl`, the recursions,
+:meth:`KLTable.expand_in_kl_basis`) accumulate into one
 ``{x: {exponent: coefficient}}`` dict and build each polynomial once.
 """
 
@@ -37,7 +39,7 @@ from .coxeter import (
     descents,
     mult_gen,
 )
-from .hecke import HeckeElt, left_mul_kl
+from .hecke import HeckeElt, Terms, left_mul_kl
 from .laurent import LaurentPoly, ONE
 
 TOOL_VERSION = "0.1.0"
@@ -51,7 +53,8 @@ class KLTable:
     exactly the Bruhat interval [e, w].  A table holds few distinct
     polynomials, so every stored coefficient is the table's single
     instance of its value (as in du Cloux's Coxeter3): equal coefficients
-    are the same object, and the exporters format each one once.
+    are the same object, and the exporters format each one once; the
+    intern map is keyed by a value's sorted (exponent, coefficient) terms.
     Structure constants are memoized on the table.
     """
 
@@ -59,13 +62,26 @@ class KLTable:
         self.table = table
         self.complete_up_to = complete_up_to
         self._kl: dict[int, HeckeElt] = {}
-        self._polys: dict[LaurentPoly, LaurentPoly] = {}  # value -> the interned instance
+        self._polys: dict[Terms, LaurentPoly] = {}  # sorted terms -> the interned instance
         self._sc_memo: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
 
-    def _store(self, w: int, coeffs: list[tuple[int, LaurentPoly]]) -> None:
-        """Keep the (x, h_{x,w}) pairs as the KL element of w, each coefficient interned."""
-        intern = self._polys.setdefault
-        self._kl[w] = HeckeElt(self.table, {x: intern(c, c) for x, c in coeffs})
+    def _store(self, w: int, acc: dict[int, dict[int, int]]) -> None:
+        """Keep an ``{x: {exponent: coefficient}}`` dict as the KL element of w, ids ascending.
+
+        Each h_{x,w} is interned by its sorted nonzero terms, so a
+        ``LaurentPoly`` is built only for a value the table has not seen;
+        an x whose terms all cancel is left out.
+        """
+        polys = self._polys
+        coeffs = {}
+        for x in sorted(acc):
+            terms = tuple(sorted([(e, c) for e, c in acc[x].items() if c]))
+            if terms:
+                h = polys.get(terms)
+                if h is None:
+                    h = polys[terms] = LaurentPoly._from_pruned(dict(terms))
+                coeffs[x] = h
+        self._kl[w] = HeckeElt(self.table, coeffs)
 
     def stored_elements(self) -> list[int]:
         length, bound = self.table.length, self.complete_up_to
@@ -141,8 +157,14 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
     (smallest generator index by default; the result is independent of the
     choice, which ``descent_choice='max'`` lets tests confirm), forms
     C_s * (KL element of sw), and subtracts the constant term of each lower
-    coefficient times the corresponding lower KL element.  Each coefficient
-    is stored as the table's interned instance of its value.
+    coefficient times the corresponding lower KL element.  The constant
+    terms are all read from the product before anything is subtracted.
+
+    Each w is accumulated in one ``{x: {exponent: coefficient}}`` dict:
+    C_s * C_sw adds each h_{x,sw} at sx and, shifted by v^{+-1}, at x
+    (``LaurentPoly.add_to``), and every g0 * C_z is subtracted in place.
+    :meth:`KLTable._store` then interns each coefficient, in ascending id
+    order, so a ``LaurentPoly`` is built only for a value not seen before.
     """
     if up_to_length < 0:
         raise ValueError("up_to_length must be nonnegative")
@@ -154,19 +176,21 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
         raise ValueError("descent_choice must be 'min' or 'max'")
     bound = min(up_to_length, table.complete_length)
     kl = KLTable(table, bound)
-    kl._store(table.identity, [(table.identity, ONE)])
+    kl._store(table.identity, {table.identity: {0: 1}})
+    length, left, stored = table.length, table._left, kl._kl
+    pick = 0 if descent_choice == "min" else -1
     for w in kl.stored_elements()[1:]:
-        ds = descents(table, w, "left")
-        s = ds[0] if descent_choice == "min" else ds[-1]
-        u = mult_gen(table, w, s, "left")
-        prod = left_mul_kl(s, kl._kl[u])
-        for z, g in prod.items():
-            if z == w:
-                continue
-            g0 = g.coefficient(0)
-            if g0:
-                prod = prod - kl._kl[z].scale(g0)
-        kl._store(w, prod.items())
+        s = descents(table, w, "left")[pick]
+        acc: dict[int, dict[int, int]] = {}
+        for x, c in stored[mult_gen(table, w, s, "left")]._coeffs.items():
+            sx = left[x][s]  # x is shorter than w, so sx lies within the table
+            c.add_to(acc.setdefault(sx, {}))
+            c.add_to(acc.setdefault(x, {}), 1 if length[sx] > length[x] else -1)
+        lower = [(z, g0) for z, d in acc.items() if z != w and (g0 := d.get(0))]
+        for z, g0 in lower:
+            for x, c in stored[z]._coeffs.items():
+                c.add_to(acc.setdefault(x, {}), 0, -g0)
+        kl._store(w, acc)
     return kl
 
 
@@ -391,7 +415,7 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
                 c = decoded.get(key)
                 if c is None:
                     c = LaurentPoly.from_json_obj(poly)
-                    c = decoded[key] = kl._polys.setdefault(c, c)
+                    c = decoded[key] = kl._polys.setdefault(tuple(c.items()), c)
                 elt[table.element_from_word(tuple(xw))] = c
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheMismatchError(f"malformed cache entry {entry!r:.80}") from exc

@@ -35,6 +35,18 @@ class LaurentPoly:
     # -- construction helpers ------------------------------------------
 
     @classmethod
+    def _from_pruned(cls, coeffs: dict[int, int]) -> "LaurentPoly":
+        """Wrap ``coeffs`` as is: the caller guarantees int keys and no zero value.
+
+        Only for dicts that are pruned by construction (a shift, bar or
+        negation of a pruned dict, or a pruned term tuple); sums and
+        products can cancel and go through the pruning constructor.
+        """
+        p = object.__new__(cls)
+        p._coeffs = coeffs
+        return p
+
+    @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, int]]) -> "LaurentPoly":
         """Sum of ``coefficient * v^exponent`` terms, repeats allowed."""
         acc: dict[int, int] = {}
@@ -87,7 +99,7 @@ class LaurentPoly:
         return LaurentPoly(acc)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._from_pruned({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -111,7 +123,7 @@ class LaurentPoly:
         >>> LaurentPoly({0: 1, 2: 1}).shift(-1) == LaurentPoly({-1: 1, 1: 1})
         True
         """
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+        return LaurentPoly._from_pruned({e + k: c for e, c in self._coeffs.items()})
 
     def add_to(self, acc: dict[int, int], shift: int = 0, factor: int = 1) -> None:
         """Add ``factor * v^shift * self`` into an ``{exponent: coefficient}`` dict, in place.
@@ -138,7 +150,7 @@ class LaurentPoly:
         >>> p.bar().bar() == p
         True
         """
-        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
+        return LaurentPoly._from_pruned({-e: c for e, c in self._coeffs.items()})
 
     # -- value semantics --------------------------------------------------
 

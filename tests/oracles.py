@@ -6,8 +6,9 @@ the symmetric-group model uses one-line permutation arithmetic, Bruhat
 comparison uses the subword characterization over brute-force word
 enumeration, the dihedral KL oracle checks the defining
 bar-invariance conditions directly, the KL CSV oracle walks Bruhat
-intervals by pairwise comparison instead of the stored supports, and the
-KL recursions, bar involution and KL-basis expansion are evaluated one
+intervals by pairwise comparison instead of the stored supports, the KL
+table is built by subtracting whole Hecke elements, and the KL
+recursions, bar involution and KL-basis expansion are evaluated one
 entry at a time instead of accumulated a column at a time.
 """
 
@@ -299,6 +300,39 @@ def generator_products(kl):
                 continue
             if table.length[su] <= kl.complete_up_to:
                 yield left_mul_kl(s, kl.kl_element(u))
+
+
+# -- KL basis by whole-element subtraction -----------------------------------
+# Independent oracle for kl.compute_kl: the defining algorithm one HeckeElt
+# at a time, as compute_kl ran it before it accumulated each w in place.
+# C_s * C_sw is formed as H_s * C_sw + v * C_sw, each g0 * C_z is subtracted
+# as a new HeckeElt, and coefficients are interned by value.
+
+
+def compute_kl_by_subtraction(table, up_to_length, descent_choice="min"):
+    """The table :func:`klcat.kl.compute_kl` returns, without its argument checks."""
+    from klcat.coxeter import descents, mult_gen
+    from klcat.hecke import HeckeElt, left_mul_std
+    from klcat.kl import KLTable
+    from klcat.laurent import ONE, V
+
+    kl = KLTable(table, min(up_to_length, table.complete_length))
+    interned = {ONE: ONE}
+    kl._kl[table.identity] = HeckeElt(table, {table.identity: ONE})
+    for w in kl.stored_elements()[1:]:
+        ds = descents(table, w, "left")
+        s = ds[0] if descent_choice == "min" else ds[-1]
+        lower = kl._kl[mult_gen(table, w, s, "left")]
+        prod = left_mul_std(s, lower) + lower.scale(V)
+        for z, g in prod.items():
+            if z == w:
+                continue
+            g0 = g.coefficient(0)
+            if g0:
+                prod = prod - kl._kl[z].scale(g0)
+        kl._kl[w] = HeckeElt(table, {x: interned.setdefault(c, c) for x, c in prod.items()})
+    kl._polys = {tuple(c.items()): c for c in interned}
+    return kl
 
 
 # -- per-x KL recursions, bar involution, KL-basis expansion ------------------

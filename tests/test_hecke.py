@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from klcat.coxeter import build_group, evaluate_word, preset_matrix
+from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, preset_matrix
 from klcat.hecke import (
     HeckeElt,
     bar_involution,
@@ -54,12 +54,22 @@ def test_left_mul_kl_examples(a2):
     assert left_mul_kl(0, std_basis(a2, t)) == HeckeElt(a2, {st: ONE, t: V})
 
 
-def test_left_mul_kl_is_std_plus_v(a2):
+def test_left_mul_kl_is_std_plus_v(a2, ladder):
     rng = random.Random(1)
-    for _ in range(25):
-        h = random_hecke_elt(a2, rng)
-        for s in range(a2.rank):
-            assert left_mul_kl(s, h) == left_mul_std(s, h) + h.scale(V)
+    cases = [(a2, [random_hecke_elt(a2, rng) for _ in range(25)])]
+    for name in ("A3", "B3", "H3", "triangle4-0-3"):
+        table, kl = ladder(name)
+        cases.append((table, [kl.kl_element(w) for w in kl.stored_elements()]))
+    for table, samples in cases:
+        for h in samples:
+            for s in range(table.rank):
+                try:
+                    want = left_mul_std(s, h) + h.scale(V)
+                except IncompleteTableError:  # s times the top of h lies beyond a truncated table
+                    with pytest.raises(IncompleteTableError):
+                        left_mul_kl(s, h)
+                    continue
+                assert left_mul_kl(s, h) == want
 
 
 def test_product_examples(a2):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,7 @@ from klcat.verify import run_suite
 from oracles import (
     LADDER,
     classical_recursion,
+    compute_kl_by_subtraction,
     dihedral_kl_candidate,
     expand_in_kl_basis,
     generator_products,
@@ -320,6 +322,45 @@ def test_mu_structure_identity(name):
                     if m:
                         expected[z] = LaurentPoly({0: m})
             assert kl.structure_constants(s, u) == dict(sorted(expected.items()))
+
+
+@pytest.mark.parametrize("choice", ["min", "max"])
+@pytest.mark.parametrize("name", [*LADDER, "A5"])
+def test_compute_kl_matches_subtraction_oracle(ladder, name, choice):
+    table = build_group(preset_matrix(name), 1000) if name == "A5" else ladder(name)[0]
+    kl = compute_kl(table, table.complete_length, descent_choice=choice)
+    want = compute_kl_by_subtraction(table, table.complete_length, descent_choice=choice)
+    assert kl._kl.keys() == want._kl.keys()
+    for w, elt in want._kl.items():
+        assert kl._kl[w] == elt
+        assert list(kl._kl[w]._coeffs.items()) == list(elt._coeffs.items())  # ids ascending
+    assert len(kl._polys) == len(want._polys)
+    for elt in kl._kl.values():
+        for c in elt._coeffs.values():
+            assert kl._polys[tuple(c.items())] is c
+
+
+def test_compute_kl_subtracts_in_place(ladder, monkeypatch):
+    # no whole HeckeElt per subtracted z, and one LaurentPoly per distinct stored value
+    table = ladder("B3")[0]
+    calls = Counter()
+
+    def count(cls, name):
+        fn = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(HeckeElt, "__sub__")
+    count(HeckeElt, "scale")
+    count(LaurentPoly, "__init__")
+    count(LaurentPoly, "_from_pruned")  # bound to the class, so the wrapper needs no classmethod
+    kl = compute_kl(table, table.complete_length)
+    assert calls["__sub__"] == calls["scale"] == 0
+    assert calls["__init__"] + calls["_from_pruned"] <= len(kl._polys) + 2
 
 
 def test_compute_kl_rejects_bad_arguments(a2):

@@ -107,3 +107,17 @@ def test_shift_matches_monomial_multiplication(p, k):
 @given(sparse_polys, st.integers(min_value=-8, max_value=8))
 def test_coefficient_reads_terms(p, k):
     assert p.coefficient(k) == dict(p.items()).get(k, 0)
+
+
+@given(sparse_polys, st.integers(min_value=-5, max_value=5))
+def test_trusted_constructions_match_the_pruning_constructor(p, k):
+    terms = p.items()
+    cases = [
+        (p.shift(k), {e + k: c for e, c in terms}),
+        (p.bar(), {-e: c for e, c in terms}),
+        (-p, {e: -c for e, c in terms}),
+        (LaurentPoly._from_pruned(dict(terms)), dict(terms)),  # the KL table's intern-miss path
+    ]
+    for got, coeffs in cases:
+        assert got == LaurentPoly(coeffs)
+        assert 0 not in got._coeffs.values()
