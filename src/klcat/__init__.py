@@ -24,16 +24,7 @@ from .coxeter import (
     preset_matrix,
     word_name,
 )
-from .hecke import (
-    HeckeElt,
-    bar_involution,
-    bott_samelson_class,
-    left_mul_kl,
-    left_mul_std,
-    product,
-    std_basis,
-    unit,
-)
+from .hecke import bar_involution, bott_samelson_class, left_mul_kl
 from .kl import (
     KLTable,
     classical_recursion_column,

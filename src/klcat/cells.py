@@ -12,8 +12,9 @@ here: the KL-side expansion is the adopted definition, consistent with
 reading everything at the level of graded characters.
 
 A :class:`CellDatum` is the per-word record every word suite reads: the
-chain product, the right-to-left leaf counts, the characters, the simple
-support with its graded dimensions, and the decomposition numbers.  Built
+chain product (a standard-basis ``{id: LaurentPoly}`` dict), the
+right-to-left leaf counts, the characters, the simple support with its
+graded dimensions, and the decomposition numbers.  Built
 from the datum of its tail (the word minus its first letter), the chain
 product and the leaf counts cost one generator step each.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coxeter import GroupTable, Word, bruhat_interval, evaluate_word, is_reduced, mult_gen, word_name
-from .hecke import HeckeElt, bott_samelson_class, left_mul_kl
+from .hecke import bott_samelson_class, left_mul_kl
 from .kl import KLTable
 from .laurent import LaurentPoly, ONE, ZERO
 from .leaves import LeafCounts, characters, leaf_counts, leaf_step
@@ -41,7 +42,7 @@ class CellDatum:
     cell_chars: dict[int, LaurentPoly]
     simple_gdims: dict[int, LaurentPoly]
     decomp: dict[int, dict[int, LaurentPoly]] = field(repr=False)  # x -> {y: d_{x,y}}
-    chain: HeckeElt = field(repr=False)  # C_{s_1} ... C_{s_n} in the standard basis
+    chain: dict[int, LaurentPoly] = field(repr=False)  # C_{s_1} ... C_{s_n} in the standard basis
     leaves: LeafCounts = field(repr=False)  # right-to-left leaf counts
 
     def decomposition(self, x: int, y: int) -> LaurentPoly:
@@ -71,13 +72,13 @@ def build_cell_datum(kl: KLTable, word: Word, tail: CellDatum | None = None) -> 
         w = mult_gen(table, tail.top, word[0], "left")
         if table.length[w] != len(word):
             raise ValueError(f"word {word_name(word)} is not reduced")
-        chain = left_mul_kl(word[0], tail.chain)
+        chain = left_mul_kl(table, word[0], tail.chain)
         counts = leaf_step(table, tail.leaves, word[0])
     if len(word) > kl.complete_up_to:
         raise ValueError(f"KL table bound {kl.complete_up_to} does not cover {table.names[w]}")
     gdims = kl.expand_in_kl_basis(chain)
     support = sorted(gdims)
-    # d_{x,y} = h_{x,y} as stored, the diagonal read as 1 (as kl_poly reads it)
+    # d_{x,y} = h_{x,y} as stored (ids ascending), the diagonal read as 1 (as kl_poly reads it)
     decomp: dict[int, dict[int, LaurentPoly]] = {}
     for y in support:
         for x, d in kl.kl_element(y).items():

@@ -1,8 +1,9 @@
 """The Hecke algebra of a Coxeter system in its standard basis.
 
-Elements are finite maps from group element ids to Laurent polynomials in
-v (standard-basis coordinates), pruned after every operation so equality is
-structural.  The generator relations are
+An element is a plain ``{id: LaurentPoly}`` dict of standard-basis
+coordinates with no zero value, so equality is dict equality; the KL basis
+elements a :class:`~klcat.kl.KLTable` stores also keep their ids
+ascending.  The generator relations are
 
     H_s^2 = (v^-1 - v) H_s + 1,      H_s H_t H_s ... = H_t H_s H_t ...  (m_st factors)
 
@@ -11,127 +12,37 @@ and the degree-shifted generators C_s = H_s + v act on the standard basis by
     C_s H_x = H_sx + v H_x     if l(sx) > l(x),
     C_s H_x = H_sx + v^-1 H_x  if l(sx) < l(x).
 
-Only left multiplication by generators is needed by the algorithms here; a
-generic product is provided for tests and structure constants.  The bar
-involution and left multiplication by C_s sum their products into one
-``{x: {exponent: coefficient}}`` dict and build each coefficient once.
+Only left multiplication by shifted generators and the bar involution are
+needed by the algorithms here (the generic product is a test oracle).
+Both sum their products into one ``{x: {exponent: coefficient}}`` dict and
+build each coefficient once, dropping the coordinates that cancel.
 """
 
 from __future__ import annotations
 
 from .coxeter import GroupTable, Word, mult_gen
-from .laurent import LaurentPoly, ONE, ZERO
-
-class HeckeElt:
-    """A Hecke algebra element in standard-basis coordinates, keyed by element id."""
-
-    __slots__ = ("table", "_coeffs")
-
-    def __init__(self, table: GroupTable, coeffs: dict[int, LaurentPoly] | None = None):
-        self.table = table
-        self._coeffs: dict[int, LaurentPoly] = (
-            {w: c for w, c in coeffs.items() if c} if coeffs else {}
-        )
-
-    def coeff(self, w: int) -> LaurentPoly:
-        return self._coeffs.get(w, ZERO)
-
-    def items(self) -> list[tuple[int, LaurentPoly]]:
-        """Coordinates sorted by (length, ShortLex) of the basis element."""
-        return sorted(self._coeffs.items())
-
-    def support(self) -> list[int]:
-        return sorted(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        acc = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            acc[w] = acc.get(w, ZERO) + c
-        return HeckeElt(self.table, acc)
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        acc = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            acc[w] = acc.get(w, ZERO) - c
-        return HeckeElt(self.table, acc)
-
-    def scale(self, factor: LaurentPoly | int) -> "HeckeElt":
-        return HeckeElt(self.table, {w: c * factor for w, c in self._coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElt):
-            return NotImplemented
-        return self.table is other.table and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((id(self.table), frozenset(self._coeffs.items())))
-
-    def __repr__(self) -> str:
-        names = self.table.names
-        terms = " + ".join(f"({c})H[{names[w]}]" for w, c in self.items()) or "0"
-        return f"HeckeElt({terms})"
+from .laurent import LaurentPoly, ONE
 
 
-def unit(table: GroupTable) -> HeckeElt:
-    return HeckeElt(table, {table.identity: ONE})
+def _to_vector(acc: dict[int, dict[int, int]]) -> dict[int, LaurentPoly]:
+    """The element summed in an ``{x: {exponent: coefficient}}`` dict, cancelled coordinates dropped."""
+    return {x: c for x, d in acc.items() if (c := LaurentPoly(d))}
 
 
-def std_basis(table: GroupTable, w: int) -> HeckeElt:
-    """The standard basis element H_w."""
-    return HeckeElt(table, {w: ONE})
-
-
-def left_mul_std(s: int, h: HeckeElt) -> HeckeElt:
-    """Left multiplication by the generator H_s, extended linearly.
-
-    H_s H_x = H_sx when l(sx) > l(x), and H_sx + (v^-1 - v) H_x otherwise.
-    """
-    table = h.table
-    length = table.length
-    acc: dict[int, LaurentPoly] = {}
-    quad = LaurentPoly({-1: 1, 1: -1})  # v^-1 - v
-    for x, c in h._coeffs.items():
-        sx = mult_gen(table, x, s, "left")
-        acc[sx] = acc.get(sx, ZERO) + c
-        if length[sx] < length[x]:
-            acc[x] = acc.get(x, ZERO) + c * quad
-    return HeckeElt(table, acc)
-
-
-def left_mul_kl(s: int, h: HeckeElt) -> HeckeElt:
+def left_mul_kl(table: GroupTable, s: int, h: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
     """Left multiplication by the shifted generator C_s = H_s + v.
 
     C_s H_x = H_sx + v^{+-1} H_x, so each coefficient c of h is added into
     one ``{x: {exponent: coefficient}}`` dict at sx and, shifted by +-1, at
     x; each output ``LaurentPoly`` is built once.
     """
-    table = h.table
     length = table.length
     acc: dict[int, dict[int, int]] = {}
-    for x, c in h._coeffs.items():
+    for x, c in h.items():
         sx = mult_gen(table, x, s, "left")
         c.add_to(acc.setdefault(sx, {}))
         c.add_to(acc.setdefault(x, {}), 1 if length[sx] > length[x] else -1)
-    return HeckeElt(table, {x: LaurentPoly(d) for x, d in acc.items()})
-
-
-def product(a: HeckeElt, b: HeckeElt) -> HeckeElt:
-    """The bilinear product, expanding left factors along reduced words."""
-    if a.table is not b.table:
-        raise ValueError("factors live over different group tables")
-    total = HeckeElt(a.table)
-    for w, c in a.items():
-        acc = b
-        for s in reversed(a.table.words[w]):
-            acc = left_mul_std(s, acc)
-        total = total + acc.scale(c)
-    return total
+    return _to_vector(acc)
 
 
 Terms = tuple[tuple[int, int], ...]  # a polynomial's nonzero (exponent, coefficient) pairs
@@ -177,15 +88,15 @@ def _add_terms(acc: dict[int, int], terms: Terms, shift: int, factor: int) -> No
         acc[e] = get(e, 0) + factor * c
 
 
-def bar_involution(h: HeckeElt) -> HeckeElt:
+def bar_involution(table: GroupTable, h: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
     """The ring involution with v -> v^-1 and H_w -> (H_{w^-1})^-1.
 
     Every product of a barred coefficient with an inverse's coefficient is
     accumulated into one dict of dicts; each ``LaurentPoly`` is built once.
     """
     acc: dict[int, dict[int, int]] = {}
-    for w, c in h._coeffs.items():
-        inverse = _inverse_of_inverse_word(h.table, w)
+    for w, c in h.items():
+        inverse = _inverse_of_inverse_word(table, w)
         for e, k in c.items():
             for y, terms in inverse.items():
                 d = acc.get(y)
@@ -195,16 +106,16 @@ def bar_involution(h: HeckeElt) -> HeckeElt:
                 for f, j in terms:
                     f -= e
                     d[f] = get(f, 0) + k * j
-    return HeckeElt(h.table, {y: LaurentPoly(d) for y, d in acc.items()})
+    return _to_vector(acc)
 
 
-def bott_samelson_class(table: GroupTable, word: Word) -> HeckeElt:
+def bott_samelson_class(table: GroupTable, word: Word) -> dict[int, LaurentPoly]:
     """The product C_{s_1} ... C_{s_k} for an arbitrary expression.
 
     This is the class of the word's chain of shifted generators in the
     standard basis; its coefficients are the graded cell characters.
     """
-    acc = unit(table)
+    acc = {table.identity: ONE}
     for s in reversed(word):
-        acc = left_mul_kl(s, acc)
+        acc = left_mul_kl(table, s, acc)
     return acc

@@ -8,7 +8,7 @@ verification suites:
     product, the constant term of the H_z-coefficient times the KL basis
     element of z.  The result is the unique bar-invariant element whose
     lower coefficients lie in vZ[v].  (``compute_kl_by_subtraction`` in the
-    test oracles runs the same algorithm one ``HeckeElt`` at a time.)
+    test oracles runs the same algorithm one whole element at a time.)
 
   * :func:`recursion_column` evaluates the normalized one-step recursion
 
@@ -20,8 +20,9 @@ verification suites:
     q-form, reading mu on the classical side.
 
 Classical polynomials in q are related by h_{x,w}(v) = v^(l(w)-l(x)) P_{x,w}(v^-2),
-and mu(z,w) is the linear coefficient of h_{z,w}.  Sums of many products
-(each step of :func:`compute_kl`, the recursions,
+and mu(z,w) is the linear coefficient of h_{z,w}.  Hecke elements are
+plain ``{id: LaurentPoly}`` dicts (see :mod:`klcat.hecke`).  Sums of many
+products (each step of :func:`compute_kl`, the recursions,
 :meth:`KLTable.expand_in_kl_basis`) accumulate into one
 ``{x: {exponent: coefficient}}`` dict and build each polynomial once.
 """
@@ -39,8 +40,8 @@ from .coxeter import (
     descents,
     mult_gen,
 )
-from .hecke import HeckeElt, Terms, left_mul_kl
-from .laurent import LaurentPoly, ONE
+from .hecke import Terms, left_mul_kl
+from .laurent import LaurentPoly, ONE, ZERO
 
 TOOL_VERSION = "0.1.0"
 
@@ -48,20 +49,22 @@ TOOL_VERSION = "0.1.0"
 class KLTable:
     """KL basis elements, stored by element id as full standard-basis expansions.
 
-    ``kl_element(w)`` is the bar-invariant basis element of w; its
-    H_x-coefficient is the KL polynomial h_{x,w}, and its support is
-    exactly the Bruhat interval [e, w].  A table holds few distinct
-    polynomials, so every stored coefficient is the table's single
-    instance of its value (as in du Cloux's Coxeter3): equal coefficients
-    are the same object, and the exporters format each one once; the
-    intern map is keyed by a value's sorted (exponent, coefficient) terms.
+    ``kl_element(w)`` is the bar-invariant basis element of w, the stored
+    ``{x: h_{x,w}}`` dict itself: ids ascending, no zero value, and never
+    mutated after it is stored, so callers iterate it in order and must
+    not change it.  Its support is exactly the Bruhat interval [e, w].
+    A table holds few distinct polynomials, so every stored coefficient
+    is the table's single instance of its value (as in du Cloux's
+    Coxeter3): equal coefficients are the same object, and the exporters
+    format each one once; the intern map is keyed by a value's sorted
+    (exponent, coefficient) terms.
     Structure constants are memoized on the table.
     """
 
     def __init__(self, table: GroupTable, complete_up_to: int):
         self.table = table
         self.complete_up_to = complete_up_to
-        self._kl: dict[int, HeckeElt] = {}
+        self._kl: dict[int, dict[int, LaurentPoly]] = {}
         self._polys: dict[Terms, LaurentPoly] = {}  # sorted terms -> the interned instance
         self._sc_memo: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
 
@@ -81,13 +84,13 @@ class KLTable:
                 if h is None:
                     h = polys[terms] = LaurentPoly._from_pruned(dict(terms))
                 coeffs[x] = h
-        self._kl[w] = HeckeElt(self.table, coeffs)
+        self._kl[w] = coeffs
 
     def stored_elements(self) -> list[int]:
         length, bound = self.table.length, self.complete_up_to
         return [w for w in self.table.elements if length[w] <= bound]
 
-    def kl_element(self, w: int) -> HeckeElt:
+    def kl_element(self, w: int) -> dict[int, LaurentPoly]:
         try:
             return self._kl[w]
         except KeyError:
@@ -97,13 +100,13 @@ class KLTable:
         """h_{x,w}: 1 when x = w, 0 when x is not below w."""
         if x == w:
             return ONE
-        return self.kl_element(w).coeff(x)
+        return self.kl_element(w).get(x, ZERO)
 
     def mu(self, z: int, w: int) -> int:
         """The linear coefficient of h_{z,w}."""
         return self.kl_poly(z, w).coefficient(1)
 
-    def expand_in_kl_basis(self, h: HeckeElt) -> dict[int, LaurentPoly]:
+    def expand_in_kl_basis(self, h: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
         """Coefficients a_y with h = sum a_y C_y, by back-substitution from the top.
 
         The remainder lives in one ``{x: {exponent: coefficient}}`` dict: the
@@ -112,7 +115,7 @@ class KLTable:
         clears y only when the stored h_{y,y} is 1; any other value raises
         ValueError naming y, since the remainder at y would never vanish.
         """
-        acc = {x: dict(c._coeffs) for x, c in h._coeffs.items()}
+        acc = {x: dict(c._coeffs) for x, c in h.items()}
         queued = set(acc)  # every id with a nonzero remainder is queued
         heap = [-x for x in queued]
         heapq.heapify(heap)
@@ -125,13 +128,14 @@ class KLTable:
                 continue
             out[y] = a
             stored = self.kl_element(y)
-            if stored.coeff(y) != ONE:
+            diagonal = stored.get(y, ZERO)
+            if diagonal != ONE:
                 name = self.table.names[y]
                 raise ValueError(
-                    f"stored h_{{{name},{name}}} is {stored.coeff(y).render()}, not 1: "
+                    f"stored h_{{{name},{name}}} is {diagonal.render()}, not 1: "
                     f"the expansion cannot clear {name}"
                 )
-            for x, c in stored._coeffs.items():
+            for x, c in stored.items():
                 d = acc.setdefault(x, {})
                 for e, k in a._coeffs.items():
                     c.add_to(d, e, -k)
@@ -145,7 +149,7 @@ class KLTable:
         key = (s, u)
         cached = self._sc_memo.get(key)
         if cached is None:
-            cached = self.expand_in_kl_basis(left_mul_kl(s, self.kl_element(u)))
+            cached = self.expand_in_kl_basis(left_mul_kl(self.table, s, self.kl_element(u)))
             self._sc_memo[key] = cached
         return cached
 
@@ -182,13 +186,13 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
     for w in kl.stored_elements()[1:]:
         s = descents(table, w, "left")[pick]
         acc: dict[int, dict[int, int]] = {}
-        for x, c in stored[mult_gen(table, w, s, "left")]._coeffs.items():
+        for x, c in stored[mult_gen(table, w, s, "left")].items():
             sx = left[x][s]  # x is shorter than w, so sx lies within the table
             c.add_to(acc.setdefault(sx, {}))
             c.add_to(acc.setdefault(x, {}), 1 if length[sx] > length[x] else -1)
         lower = [(z, g0) for z, d in acc.items() if z != w and (g0 := d.get(0))]
         for z, g0 in lower:
-            for x, c in stored[z]._coeffs.items():
+            for x, c in stored[z].items():
                 c.add_to(acc.setdefault(x, {}), 0, -g0)
         kl._store(w, acc)
     return kl
@@ -244,7 +248,7 @@ def recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly]:
     for z in bruhat_interval(table, sw):
         if z == sw or s not in descents(table, z, "left"):
             continue
-        m = upper.coeff(z).coefficient(1)
+        m = upper.get(z, ZERO).coefficient(1)
         if m:
             for x, h in _with_unit_diagonal(kl, z):
                 h.add_to(acc.setdefault(x, {}), 0, -m)
@@ -329,9 +333,8 @@ def _descent_neighbour(table: GroupTable, w: int, s: int) -> int:
 
 def _with_unit_diagonal(kl: KLTable, z: int):
     """The (x, h_{x,z}) pairs of the stored C_z, with h_{z,z} read as 1 as ``kl_poly`` does."""
-    coeffs = kl.kl_element(z)._coeffs
     yield z, ONE
-    for x, h in coeffs.items():
+    for x, h in kl.kl_element(z).items():
         if x != z:
             yield x, h
 
@@ -378,11 +381,12 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
 
     One pass checks the body's shape, that it covers lengths up to
     ``up_to_length``, and that it holds exactly one entry per element of
-    that length or less, each naming every x at most once; each distinct
-    JSON polynomial is decoded once, strictly
-    (:meth:`LaurentPoly.from_json_obj`), into the table's intern map.
-    Then every support is proven to be its Bruhat interval, which the CSV
-    writer relies on: the coefficient at w must be exactly 1 and, with s
+    that length or less, each naming every x at most once with a nonzero
+    polynomial; each distinct JSON polynomial is decoded once, strictly
+    (:meth:`LaurentPoly.from_json_obj`), into the table's intern map.  Each
+    entry is stored ids ascending, whatever its order in the file, since
+    the exporters walk the stored elements in order.  Then every support
+    is proven to be its Bruhat interval, which the CSV writer relies on: the coefficient at w must be exactly 1 and, with s
     the first left descent of w and S the support of C_sw, the support of
     C_w must be S together with s*S, which by induction is [e, w].  Each
     distinct (polynomial, l(w) - l(x)) pair with x < w is checked once for
@@ -415,13 +419,15 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
                 c = decoded.get(key)
                 if c is None:
                     c = LaurentPoly.from_json_obj(poly)
+                    if not c:
+                        raise ValueError("a stored coefficient is never zero")
                     c = decoded[key] = kl._polys.setdefault(tuple(c.items()), c)
                 elt[table.element_from_word(tuple(xw))] = c
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheMismatchError(f"malformed cache entry {entry!r:.80}") from exc
         if table.length[w] > up_to_length or w in kl._kl or len(elt) != len(coeffs):
             raise CacheMismatchError(f"unexpected or repeated cache entry for {table.names[w]}")
-        kl._kl[w] = HeckeElt(table, elt)
+        kl._kl[w] = dict(sorted(elt.items()))
     stored = kl.stored_elements()
     if len(kl._kl) != len(stored):
         raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {len(stored)}")
@@ -434,14 +440,14 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
             interval = {w}
         else:
             s = descents(table, w, "left")[0]
-            lower = kl._kl[mult_gen(table, w, s, "left")]._coeffs
+            lower = kl._kl[mult_gen(table, w, s, "left")]
             interval = {*lower, *(mult_gen(table, x, s, "left") for x in lower)}
-        if elt.coeff(w) != ONE:
+        if elt.get(w) != ONE:
             raise CacheMismatchError(f"cache coefficient of {table.names[w]} at itself is not 1")
-        if elt._coeffs.keys() != interval:
+        if elt.keys() != interval:
             raise CacheMismatchError(f"cache support of {table.names[w]} is not its Bruhat interval")
         lw = length[w]
-        for x, c in elt._coeffs.items():
+        for x, c in elt.items():
             gap = lw - length[x]  # 0 only on the diagonal, checked above
             if id(c) not in bounded[gap]:
                 if gap and not all(0 < e <= gap and (gap - e) % 2 == 0 for e in c.exponents()):

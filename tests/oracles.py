@@ -9,7 +9,10 @@ bar-invariance conditions directly, the KL CSV oracle walks Bruhat
 intervals by pairwise comparison instead of the stored supports, the KL
 table is built by subtracting whole Hecke elements, and the KL
 recursions, bar involution and KL-basis expansion are evaluated one
-entry at a time instead of accumulated a column at a time.
+entry at a time instead of accumulated a column at a time.  Hecke
+elements are plain ``{id: LaurentPoly}`` dicts with no zero value, as in
+production; the standard-basis generator action and the generic product
+below are the only ones anywhere.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 from typing import Optional
 
 from klcat.coxeter import INFINITE
-from klcat.laurent import LaurentPoly
+from klcat.laurent import LaurentPoly, ONE, ZERO
 
 # -- braid-move saturation (independent oracle for coxeter.build_group) -------
 
@@ -213,6 +216,56 @@ def bruhat_leq_subword_oracle(table, x, w) -> bool:
     return any(is_subsequence(r, table.words[w]) for r in brute_force_reduced_words(table, x))
 
 
+# -- standard-basis Hecke arithmetic (oracle) ---------------------------------
+# Whole-element sums, scalings, H_s-multiplication and products of
+# ``{id: LaurentPoly}`` dicts, one LaurentPoly operation per coordinate; the
+# whole-element oracles below are written in them.  Production code never
+# forms the generic product: it only needs C_s-multiplication and the bar
+# involution, accumulated in place.
+
+
+def add(a, b):
+    """a + b, cancelled coordinates dropped."""
+    acc = dict(a)
+    for w, c in b.items():
+        acc[w] = acc.get(w, ZERO) + c
+    return {w: c for w, c in acc.items() if c}
+
+
+def scale(h, factor):
+    """factor * h for a LaurentPoly or int factor, zero coordinates dropped."""
+    return {w: p for w, c in h.items() if (p := c * factor)}
+
+
+def left_mul_std(table, s, h):
+    """Left multiplication by the generator H_s, extended linearly.
+
+    H_s H_x = H_sx when l(sx) > l(x), and H_sx + (v^-1 - v) H_x otherwise.
+    """
+    from klcat.coxeter import mult_gen
+
+    length = table.length
+    quad = LaurentPoly({-1: 1, 1: -1})  # v^-1 - v
+    acc = {}
+    for x, c in h.items():
+        sx = mult_gen(table, x, s, "left")
+        acc[sx] = acc.get(sx, ZERO) + c
+        if length[sx] < length[x]:
+            acc[x] = acc.get(x, ZERO) + c * quad
+    return {x: c for x, c in acc.items() if c}
+
+
+def product(table, a, b):
+    """The bilinear product, expanding left factors along reduced words."""
+    total = {}
+    for w, c in a.items():
+        acc = b
+        for s in reversed(table.words[w]):
+            acc = left_mul_std(table, s, acc)
+        total = add(total, scale(acc, c))
+    return total
+
+
 # -- dihedral KL oracle --------------------------------------------------------
 
 
@@ -222,24 +275,22 @@ def dihedral_kl_candidate(table, w):
     In a dihedral group every shorter element is Bruhat-below every longer
     one, so no order computation is needed here.
     """
-    from klcat.hecke import HeckeElt
-
     coeffs = {
         x: LaurentPoly({table.length[w] - table.length[x]: 1})
         for x in table.elements
         if table.length[x] < table.length[w]
     }
     coeffs[w] = LaurentPoly({0: 1})
-    return HeckeElt(table, coeffs)
+    return coeffs
 
 
 def satisfies_kl_conditions(table, w, candidate) -> bool:
     """The defining conditions: bar-invariant, top coefficient 1, rest in vZ[v]."""
     from klcat.hecke import bar_involution
 
-    if bar_involution(candidate) != candidate:
+    if bar_involution(table, candidate) != candidate:
         return False
-    if candidate.coeff(w) != LaurentPoly({0: 1}):
+    if candidate.get(w) != LaurentPoly({0: 1}):
         return False
     return all(c.in_positive_part() for x, c in candidate.items() if x != w)
 
@@ -299,38 +350,37 @@ def generator_products(kl):
             except IncompleteTableError:
                 continue
             if table.length[su] <= kl.complete_up_to:
-                yield left_mul_kl(s, kl.kl_element(u))
+                yield left_mul_kl(table, s, kl.kl_element(u))
 
 
 # -- KL basis by whole-element subtraction -----------------------------------
-# Independent oracle for kl.compute_kl: the defining algorithm one HeckeElt
-# at a time, as compute_kl ran it before it accumulated each w in place.
-# C_s * C_sw is formed as H_s * C_sw + v * C_sw, each g0 * C_z is subtracted
-# as a new HeckeElt, and coefficients are interned by value.
+# Independent oracle for kl.compute_kl: the defining algorithm one whole
+# element at a time, as compute_kl ran it before it accumulated each w in
+# place.  C_s * C_sw is formed as H_s * C_sw + v * C_sw, each g0 * C_z is
+# subtracted as a new element, and coefficients are interned by value.
 
 
 def compute_kl_by_subtraction(table, up_to_length, descent_choice="min"):
     """The table :func:`klcat.kl.compute_kl` returns, without its argument checks."""
     from klcat.coxeter import descents, mult_gen
-    from klcat.hecke import HeckeElt, left_mul_std
     from klcat.kl import KLTable
-    from klcat.laurent import ONE, V
+    from klcat.laurent import V
 
     kl = KLTable(table, min(up_to_length, table.complete_length))
     interned = {ONE: ONE}
-    kl._kl[table.identity] = HeckeElt(table, {table.identity: ONE})
+    kl._kl[table.identity] = {table.identity: ONE}
     for w in kl.stored_elements()[1:]:
         ds = descents(table, w, "left")
         s = ds[0] if descent_choice == "min" else ds[-1]
         lower = kl._kl[mult_gen(table, w, s, "left")]
-        prod = left_mul_std(s, lower) + lower.scale(V)
-        for z, g in prod.items():
+        prod = add(left_mul_std(table, s, lower), scale(lower, V))
+        for z, g in sorted(prod.items()):
             if z == w:
                 continue
             g0 = g.coefficient(0)
             if g0:
-                prod = prod - kl._kl[z].scale(g0)
-        kl._kl[w] = HeckeElt(table, {x: interned.setdefault(c, c) for x, c in prod.items()})
+                prod = add(prod, scale(kl._kl[z], -g0))
+        kl._kl[w] = {x: interned.setdefault(c, c) for x, c in sorted(prod.items())}
     kl._polys = {tuple(c.items()): c for c in interned}
     return kl
 
@@ -338,7 +388,8 @@ def compute_kl_by_subtraction(table, up_to_length, descent_choice="min"):
 # -- per-x KL recursions, bar involution, KL-basis expansion ------------------
 # Independent oracles for kl.recursion_column, kl.classical_recursion_column,
 # hecke.bar_involution and KLTable.expand_in_kl_basis: the per-entry code
-# those replaced, which rebuilds a LaurentPoly or HeckeElt at every step.
+# those replaced, which rebuilds a LaurentPoly or a whole element at every
+# step.
 
 
 def recursion_kl_poly(kl, x, w, s):
@@ -348,7 +399,6 @@ def recursion_kl_poly(kl, x, w, s):
     over z in [e, sw] with sz < z < sw.
     """
     from klcat.coxeter import IncompleteTableError, bruhat_interval, descents, mult_gen
-    from klcat.laurent import ZERO
 
     table = kl.table
     if s not in descents(table, w, "left"):
@@ -366,7 +416,7 @@ def recursion_kl_poly(kl, x, w, s):
     for z in bruhat_interval(table, sw):
         if z == sw or s not in descents(table, z, "left"):
             continue
-        m = upper.coeff(z).coefficient(1)  # mu(z, sw)
+        m = upper.get(z, ZERO).coefficient(1)  # mu(z, sw)
         if m:
             total = total - kl.kl_poly(x, z) * m
     return total
@@ -391,7 +441,6 @@ def classical_recursion(kl, x, w, s):
     ingredient is not a classical polynomial.
     """
     from klcat.coxeter import bruhat_interval, bruhat_leq, descents, mult_gen
-    from klcat.laurent import ONE, ZERO
 
     table = kl.table
     length = table.length
@@ -427,9 +476,7 @@ def _inverse_of_inverse_word(table, w):
     The products of the word's suffixes are memoized by their words, so
     each costs one generator step beyond a shorter one.
     """
-    from klcat.hecke import left_mul_std, unit
-
-    memo = _INVERSES.setdefault(table, {(): unit(table)})
+    memo = _INVERSES.setdefault(table, {(): {table.identity: ONE}})
     word = table.words[w]
     k = 0
     while word[k:] not in memo:
@@ -437,17 +484,15 @@ def _inverse_of_inverse_word(table, w):
     for i in reversed(range(k)):
         acc = memo[word[i + 1:]]
         # H_s^-1 = H_s + (v - v^-1), from the quadratic relation
-        memo[word[i:]] = left_mul_std(word[i], acc) + acc.scale(LaurentPoly({1: 1, -1: -1}))
+        memo[word[i:]] = add(left_mul_std(table, word[i], acc), scale(acc, LaurentPoly({1: 1, -1: -1})))
     return memo[word]
 
 
-def bar_involution(h):
-    """v -> v^-1 and H_w -> (H_{w^-1})^-1, summed one HeckeElt at a time."""
-    from klcat.hecke import HeckeElt
-
-    total = HeckeElt(h.table)
-    for w, c in h.items():
-        total = total + _inverse_of_inverse_word(h.table, w).scale(c.bar())
+def bar_involution(table, h):
+    """v -> v^-1 and H_w -> (H_{w^-1})^-1, summed one whole element at a time."""
+    total = {}
+    for w, c in sorted(h.items()):
+        total = add(total, scale(_inverse_of_inverse_word(table, w), c.bar()))
     return total
 
 
@@ -456,10 +501,10 @@ def expand_in_kl_basis(kl, h):
     remaining = h
     out = {}
     while remaining:
-        y = max(remaining.support())
-        a = remaining.coeff(y)
+        y = max(remaining)
+        a = remaining[y]
         out[y] = a
-        remaining = remaining - kl.kl_element(y).scale(a)
+        remaining = add(remaining, scale(kl.kl_element(y), -a))
     return dict(sorted(out.items()))
 
 
@@ -475,7 +520,7 @@ class _OracleStructureConstants:
     def structure_constants(self, s, u):
         from klcat.hecke import left_mul_kl
 
-        return expand_in_kl_basis(self._kl, left_mul_kl(s, self._kl.kl_element(u)))
+        return expand_in_kl_basis(self._kl, left_mul_kl(self._kl.table, s, self._kl.kl_element(u)))
 
 
 def kl_suite_records(kl):
@@ -490,7 +535,6 @@ def kl_suite_records(kl):
     from klcat import verify
     from klcat.coxeter import bruhat_leq, descents
     from klcat.kl import to_classical
-    from klcat.laurent import ZERO
 
     record = verify._record
     table = kl.table
@@ -499,7 +543,7 @@ def kl_suite_records(kl):
     for w in kl.stored_elements()[1:]:
         elt = kl.kl_element(w)
         name = names[w]
-        records.append(record("bar_invariance", name, bar_involution(elt) == elt, lhs="bar(C_w)", rhs="C_w"))
+        records.append(record("bar_invariance", name, bar_involution(table, elt) == elt, lhs="bar(C_w)", rhs="C_w"))
         positive = all(c.in_positive_part() for x, c in elt.items() if x != w)
         records.append(record("positive_degrees", name, positive))
         parity_ok = all(
@@ -507,7 +551,7 @@ def kl_suite_records(kl):
         )
         records.append(record("exponent_parity", name, parity_ok))
         records.append(record("positivity", name, all(c.is_nonnegative() for _, c in elt.items())))
-        support_ok = elt.coeff(w).coefficient(0) == 1 and all(
+        support_ok = elt.get(w, ZERO).coefficient(0) == 1 and all(
             bool(kl.kl_poly(x, w)) == bruhat_leq(table, x, w) for x in table.elements if length[x] <= length[w]
         )
         records.append(record("kl_support", name, support_ok))
@@ -684,7 +728,6 @@ def res_cell_class(kl, word, x):
 def derive_kl_recursion(kl, word, x):
     """(stored h_{x,w}, h_{x,w} derived through the branching pipeline) for one x."""
     from klcat.coxeter import evaluate_word, mult_gen
-    from klcat.laurent import ZERO
 
     word = _checked_word(kl, word)
     w = evaluate_word(kl.table, word)
@@ -706,7 +749,6 @@ def _leaves_word_records(kl, word):
     from klcat import verify
     from klcat.coxeter import bruhat_interval, bruhat_leq, evaluate_word, word_name
     from klcat.hecke import bott_samelson_class
-    from klcat.laurent import ONE, ZERO
 
     record = verify._record
     table = kl.table
@@ -719,10 +761,10 @@ def _leaves_word_records(kl, word):
     w = evaluate_word(table, word)
     interval = bruhat_interval(table, w)
     for x in interval:
-        lhs, rhs = mirrored.get(x, ZERO), hecke_side.coeff(x)
+        lhs, rhs = mirrored.get(x, ZERO), hecke_side.get(x, ZERO)
         records.append(record("char_leaves_vs_hecke", name, lhs == rhs, lhs=lhs.render(), rhs=rhs.render(), x=names[x]))
     support_ok = set(mirrored) == set(interval) and all(
-        hecke_side.coeff(x) == mirrored.get(x, ZERO) for x in table.elements
+        hecke_side.get(x, ZERO) == mirrored.get(x, ZERO) for x in table.elements
     )
     records.append(record("char_support", name, support_ok))
     records.append(record("direction_independence", name, mirrored == chars))
@@ -749,7 +791,6 @@ def _leaves_word_records(kl, word):
 def _branch_word_records(kl, word):
     from klcat import verify
     from klcat.coxeter import bruhat_interval, evaluate_word, mult_gen, word_name
-    from klcat.laurent import ZERO
 
     record = verify._record
     table = kl.table
@@ -820,7 +861,6 @@ def _branch_word_records(kl, word):
 def _recursion_word_records(kl, word):
     from klcat import verify
     from klcat.coxeter import bruhat_interval, descents, evaluate_word, mult_gen, word_name
-    from klcat.laurent import ZERO
 
     record = verify._record
     table = kl.table

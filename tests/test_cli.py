@@ -150,6 +150,7 @@ def _set_poly(body, w, i, poly):
         lambda body: body["kl"][5][1].pop(0),  # h_{e,w} dropped
         lambda body: body["kl"][1][1].insert(1, [[1], {"1": 1}]),  # s2 is not below s1
         lambda body: _set_poly(body, 5, -1, {"0": 2}),  # h_{w,w} = 2
+        lambda body: _set_poly(body, 5, 0, {}),  # h_{e,w} = 0: a stored coefficient is never zero
         # h_{e,w} = v^2 for l(w) = 2, already decoded for the entry before
         lambda body: _set_poly(body, 5, 0, {"2": 1.0}),
         lambda body: _set_poly(body, 5, 0, {"2": True}),
@@ -165,6 +166,7 @@ def _set_poly(body, w, i, poly):
         "dropped-coefficient",
         "x-outside-interval",
         "diagonal-not-1",
+        "zero-coefficient",
         "float-coefficient",
         "bool-coefficient",
         "non-canonical-exponent",
@@ -185,6 +187,21 @@ def test_kl_cache_bad_body_exits_3(tmp_path, capsys, damage):
         assert main(argv, out=io.StringIO()) == 3, fmt
         err = capsys.readouterr().err
         assert err.startswith(f"klcat: cache at {cache}") and "Traceback" not in err
+
+
+def test_kl_cache_in_any_entry_order_gives_the_cold_bytes(tmp_path):
+    # the decoder stores each entry ids ascending, and the exporters walk that order
+    cache = tmp_path / "kl.json"
+    assert main(["kl", "--type", "A3", "--cache", str(cache)], out=io.StringIO()) == 0
+    obj = json.loads(cache.read_text())
+    for _, coeffs in obj["body"]["kl"]:
+        coeffs.reverse()
+    cache.write_text(json.dumps(obj))
+    for fmt in ("csv", "json"):
+        cold = run_cli(["kl", "--type", "A3", "--format", fmt])
+        warm = run_cli(["kl", "--type", "A3", "--format", fmt, "--cache", str(cache)])
+        assert cold[0] == warm[0] == 0
+        assert warm[1] == cold[1], fmt
 
 
 def test_cold_json_run_encodes_once(tmp_path, monkeypatch):

@@ -35,7 +35,6 @@ from collections import Counter
 
 import klcat
 from klcat.coxeter import evaluate_word
-from klcat.hecke import HeckeElt
 from klcat.kl import compute_kl
 from klcat.laurent import v_power
 
@@ -58,9 +57,9 @@ def _damaged(table, wword, xword, change):
     """A KL table of ``table`` whose h_{x,w} is ``change(h_{x,w})``."""
     kl = compute_kl(table, table.complete_length)
     w, x = evaluate_word(table, wword), evaluate_word(table, xword)
-    coeffs = dict(kl.kl_element(w).items())
+    coeffs = dict(kl.kl_element(w))
     coeffs[x] = change(coeffs[x])
-    kl._kl[w] = HeckeElt(table, coeffs)
+    kl._kl[w] = coeffs
     return kl
 
 
