@@ -34,7 +34,7 @@ from .kl import (
     matrix_content_hash,
     validate_cache_header,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, FailRecords, JsonStream, run_suite
 
 DEFAULT_CAP = 10000
 
@@ -183,21 +183,20 @@ def cmd_verify(args, out) -> int:
             raise CliError(EXIT_INPUT_ERROR, "--max-length must be nonnegative")
         bound = min(bound, args.max_length)
     kl = compute_kl(table, bound)
-    report = run_suite(kl, args.suite)
+    # JSON is written as the records come; text keeps only the FAIL records
+    sink = JsonStream(out, args.suite) if args.format == "json" else FailRecords()
+    report = run_suite(kl, args.suite, sink)
     if args.format == "json":
-        out.write(canonical_json(report))
+        sink.finish()
     else:
         out.write(f"group: {name} (order {'>= ' if table.partial else ''}{table.order})\n")
         out.write(f"suite: {args.suite}\n")
         for identity, counts in report["summary"].items():
             total = counts["pass"] + counts["fail"]
             out.write(f"check {identity}: {counts['pass']}/{total} pass\n")
-        for rec in report["records"]:
-            if not rec["pass"]:
-                spot = ",".join(
-                    f"{k}={rec[k]}" for k in ("word", "x", "u", "s") if k in rec
-                )
-                out.write(f"FAIL {rec['identity']} [{spot}] lhs={rec.get('lhs')} rhs={rec.get('rhs')}\n")
+        for rec in sink.records:
+            spot = ",".join(f"{k}={rec[k]}" for k in ("word", "x", "u", "s") if k in rec)
+            out.write(f"FAIL {rec['identity']} [{spot}] lhs={rec.get('lhs')} rhs={rec.get('rhs')}\n")
         out.write(f"RESULT: {'PASS' if report['pass'] else 'FAIL'}\n")
     return EXIT_OK if report["pass"] else EXIT_IDENTITY_FAILURE
 

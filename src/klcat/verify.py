@@ -1,12 +1,17 @@
 """Exhaustive verification suites over one group table.
 
 Each suite walks every stored element (and every reduced word, where the
-checked statement is per-expression) and emits one record per identity
-instance: ``{identity, word, x?, u?, lhs, rhs, pass}``.  Suites run
-serially, element by element and word by word, in a fixed order.  The
-records are built only here: :mod:`klcat.cells` and :mod:`klcat.branch`
-return the two sides of each identity, and this module compares and
-renders them.
+checked statement is per-expression) and hands one check per identity
+instance to a :class:`Sink`: the identity, the word, the ``ok`` flag, the
+unrendered sides and the spot (``x``, ``u``, ``s``).  Suites run serially,
+element by element and word by word, in a fixed order, and return
+nothing.  The records are built only here, by :func:`build_record`, and
+only when a sink keeps them: :class:`RecordList` keeps every record (the
+list report of :func:`run_suite` without a sink), :class:`FailRecords`
+counts every check but keeps only the FAIL records (the text report), and
+:class:`JsonStream` writes each record as canonical JSON as it comes.
+:mod:`klcat.cells` and :mod:`klcat.branch` return the two sides of each
+identity, and this module compares them.
 
 The word suites share one pass over the reduced words in length order.
 Each word gets one context, its :class:`~klcat.cells.CellDatum`, built
@@ -14,8 +19,10 @@ from its tail's (the word minus its first letter) in the previous length
 layer: the chain product and the right-to-left leaf counts are one
 generator step from the tail's, and reducedness is read off one length.
 The restricted cell class of every (word, x) is computed once and read by
-both the branch and the recursion suite.  A passing record renders its
-equal sides once.
+both the branch and the recursion suite.  The first word suite feeds the
+sink directly; under ``all`` the later ones are spooled and appended after
+it, so the records still come suite by suite.  A passing record renders
+its equal sides once.
 
 Suites:
   * ``kl``        - KL basis invariants and the two single-step recursions
@@ -35,6 +42,7 @@ Suites:
 from __future__ import annotations
 
 import functools
+import json
 
 from . import branch as branch_mod
 from . import cells as cells_mod
@@ -63,14 +71,165 @@ from .leaves import character_map
 
 SUITES = ("kl", "leaves", "branch", "recursion", "all")
 
+# Identities whose records put their spot keys before the sides and ``pass`` last.
+_SPOT_FIRST = frozenset({"branching_characters", "leaf_partition", "restriction_counts"})
 
-def _record(identity: str, word: str, ok: bool, lhs: str = "", rhs: str = "", **extra) -> dict:
-    rec = {"identity": identity, "word": word, "pass": ok}
-    if lhs or rhs:
+
+def build_record(identity: str, word: str, ok: bool, sides=None, render=LaurentPoly.render, spot=None) -> dict:
+    """The record of one check: ``identity``, ``word``, ``pass``, ``lhs``, ``rhs``, then the spot keys.
+
+    ``sides`` is the ``(lhs, rhs)`` pair, or None for a check without
+    sides; ``render`` turns a side into text, or is None when the sides
+    are text already.  A passing comparison renders its equal sides once.
+    The identities in ``_SPOT_FIRST`` put the spot keys after ``word`` and
+    ``pass`` last.
+    """
+    rec = {"identity": identity, "word": word}
+    spot_first = identity in _SPOT_FIRST
+    if spot_first:
+        rec.update(spot)
+    else:
+        rec["pass"] = ok
+    if sides is not None:
+        lhs, rhs = sides
+        if render is not None:
+            rhs = render(rhs)
+            lhs = rhs if ok else render(lhs)
         rec["lhs"] = lhs
         rec["rhs"] = rhs
-    rec.update(extra)
+    if spot_first:
+        rec["pass"] = ok
+    elif spot:
+        rec.update(spot)
     return rec
+
+
+class Sink:
+    """Takes every check of a run, counts it per identity, and keeps the records its kind keeps.
+
+    A check is one call ``sink(identity, word, ok, sides, render, **spot)``
+    with :func:`build_record`'s arguments; the record is built, and its
+    sides rendered, only when the sink keeps it.  ``len(sink)`` is the
+    number of checks.
+    """
+
+    keeps_passes = True
+
+    def __init__(self):
+        self.counts: dict[str, list[int]] = {}  # identity -> [fails, passes]
+
+    def __call__(self, identity: str, word: str, ok: bool, sides=None, render=LaurentPoly.render, **spot) -> None:
+        counts = self.counts.get(identity)
+        if counts is None:
+            counts = self.counts[identity] = [0, 0]
+        counts[ok] += 1
+        if ok and not self.keeps_passes:
+            return
+        self.keep(build_record(identity, word, ok, sides, render, spot))
+
+    def keep(self, rec: dict) -> None:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return sum(fails + passes for fails, passes in self.counts.values())
+
+    def summary(self) -> dict[str, dict[str, int]]:
+        return {identity: {"pass": passes, "fail": fails} for identity, (fails, passes) in sorted(self.counts.items())}
+
+    def passed(self) -> bool:
+        return not any(fails for fails, _ in self.counts.values())
+
+    def spool(self) -> Sink:
+        """A sink of the same kind that counts into this one and holds its
+        records until :meth:`extend` appends them here."""
+        spooled = self._spooled()
+        spooled.counts = self.counts
+        return spooled
+
+    def _spooled(self) -> Sink:
+        raise NotImplementedError
+
+    def extend(self, spooled: Sink) -> None:
+        raise NotImplementedError
+
+
+class RecordList(Sink):
+    """Keeps every record, in order, in ``records``."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[dict] = []
+
+    def keep(self, rec: dict) -> None:
+        self.records.append(rec)
+
+    def _spooled(self) -> RecordList:
+        return type(self)()
+
+    def extend(self, spooled: RecordList) -> None:
+        self.records.extend(spooled.records)
+
+
+class FailRecords(RecordList):
+    """Counts every check and keeps only the FAIL records: all the text report prints."""
+
+    keeps_passes = False
+
+
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode  # kl.canonical_json's encoding
+
+
+class JsonStream(Sink):
+    """Writes the report to ``out`` as the records come: the bytes of
+    ``canonical_json(run_suite(kl, suite))``.
+
+    The constructor writes the head up to the records' ``[``, the kept
+    records follow in batches of ``BATCH`` (one encoder call each), and
+    :meth:`finish` writes ``summary`` and ``pass``.  A spool (no
+    ``suite``) writes to an anonymous temporary file, a comma before
+    every batch.
+    """
+
+    BATCH = 1024
+
+    def __init__(self, out, suite: str | None = None):
+        super().__init__()
+        self.out = out
+        self.sep = "," if suite is None else ""
+        self.batch: list[dict] = []
+        if suite is not None:
+            out.write(_encode({"suite": suite})[:-1] + ',"records":[')
+
+    def keep(self, rec: dict) -> None:
+        self.batch.append(rec)
+        if len(self.batch) == self.BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.batch:
+            self.out.write(self.sep + _encode(self.batch)[1:-1])
+            self.sep = ","
+            self.batch = []
+
+    def _spooled(self) -> JsonStream:
+        import tempfile  # only a JSON run of ``all`` spools; the import would slow every start
+
+        return JsonStream(tempfile.TemporaryFile("w+", encoding="ascii"))
+
+    def extend(self, spooled: JsonStream) -> None:
+        self.flush()
+        spooled.flush()
+        spool = spooled.out
+        spool.seek(0)
+        if not self.sep and spool.read(1):  # the spool opens the list: drop its first comma
+            self.sep = ","
+        while chunk := spool.read(1 << 16):
+            self.out.write(chunk)
+        spool.close()
+
+    def finish(self) -> None:
+        self.flush()
+        self.out.write("]," + _encode({"summary": self.summary(), "pass": self.passed()})[1:] + "\n")
 
 
 def reduced_words_in_order(table: GroupTable) -> list[Word]:
@@ -84,72 +243,34 @@ def reduced_words_in_order(table: GroupTable) -> list[Word]:
 # -- kl suite ---------------------------------------------------------------
 
 
-def _kl_element_checks(kl: KLTable, w: int) -> list[dict]:
+def _kl_element_checks(kl: KLTable, w: int, stored: list[int], sink: Sink) -> None:
     table = kl.table
     length, names = table.length, table.names
     elt = kl.kl_element(w)
     name = names[w]
-    records = []
-    records.append(
-        _record(
-            "bar_invariance",
-            name,
-            bar_involution(table, elt) == elt,
-            lhs="bar(C_w)",
-            rhs="C_w",
-        )
-    )
-    positive = all(c.in_positive_part() for x, c in elt.items() if x != w)
-    records.append(_record("positive_degrees", name, positive))
+    sink("bar_invariance", name, bar_involution(table, elt) == elt, ("bar(C_w)", "C_w"), None)
+    sink("positive_degrees", name, all(c.in_positive_part() for x, c in elt.items() if x != w))
     parity_ok = all(
         all((e - (length[w] - length[x])) % 2 == 0 for e in c.exponents())
         for x, c in elt.items()
     )
-    records.append(_record("exponent_parity", name, parity_ok))
-    records.append(
-        _record("positivity", name, all(c.is_nonnegative() for _, c in elt.items()))
-    )
+    sink("exponent_parity", name, parity_ok)
+    sink("positivity", name, all(c.is_nonnegative() for _, c in elt.items()))
     lower = {x for x in elt if length[x] <= length[w]}
     support_ok = elt.get(w, ZERO).coefficient(0) == 1 and lower | {w} == set(bruhat_interval(table, w))
-    records.append(_record("kl_support", name, support_ok))
-    stored = kl.stored_elements()
+    sink("kl_support", name, support_ok)
     for s in descents(table, w, "left"):
         column = recursion_column(kl, w, s)
         columnq = classical_recursion_column(kl, w, s)
         label = f"s{s + 1}"
         for x in stored:
-            # a passing record's two sides are equal, so they are rendered once
             got = column.get(x, ZERO)
             want = kl.kl_poly(x, w)
-            ok = got == want
-            rhs = want.render()
-            records.append(
-                _record(
-                    "recursion_agreement",
-                    name,
-                    ok,
-                    lhs=rhs if ok else got.render(),
-                    rhs=rhs,
-                    x=names[x],
-                    s=label,
-                )
-            )
+            sink("recursion_agreement", name, got == want, (got, want), x=names[x], s=label)
             gotq = columnq.get(x, ZERO)
             wantq = _classical_or_none(want, length[x], length[w]) if x in columnq else ZERO
             ok = gotq is not None and gotq == wantq
-            rhs = _render_q(wantq)
-            records.append(
-                _record(
-                    "classical_recursion_agreement",
-                    name,
-                    ok,
-                    lhs=rhs if ok else _render_q(gotq),
-                    rhs=rhs,
-                    x=names[x],
-                    s=label,
-                )
-            )
-    return records
+            sink("classical_recursion_agreement", name, ok, (gotq, wantq), _render_q, x=names[x], s=label)
 
 
 def _classical_or_none(h: LaurentPoly, lx: int, lw: int) -> LaurentPoly | None:
@@ -164,7 +285,7 @@ def _render_q(p: LaurentPoly | None) -> str:
     return "undefined" if p is None else p.render("q")
 
 
-def _mu_structure_checks(kl: KLTable, u: int) -> list[dict]:
+def _mu_structure_checks(kl: KLTable, u: int, sink: Sink) -> None:
     """C_s * C_u in the KL basis: positivity, and for ascending products the
     coefficient at su is 1 while the rest is mu(z,u) on {z : sz < z} and 0
     elsewhere (without the descent condition the identity is false: for
@@ -172,7 +293,7 @@ def _mu_structure_checks(kl: KLTable, u: int) -> list[dict]:
     table = kl.table
     length = table.length
     name = table.names[u]
-    records = []
+    render = functools.partial(_vec_render, table)
     for s in range(table.rank):
         try:
             su = mult_gen(table, u, s, "left")
@@ -181,14 +302,8 @@ def _mu_structure_checks(kl: KLTable, u: int) -> list[dict]:
         if length[su] > kl.complete_up_to:
             continue
         sc = kl.structure_constants(s, u)
-        records.append(
-            _record(
-                "structure_positivity",
-                name,
-                all(c.is_nonnegative() for c in sc.values()),
-                s=f"s{s + 1}",
-            )
-        )
+        label = f"s{s + 1}"
+        sink("structure_positivity", name, all(c.is_nonnegative() for c in sc.values()), s=label)
         if length[su] > length[u]:
             expected: dict[int, LaurentPoly] = {su: LaurentPoly({0: 1})}
             for z in bruhat_interval(table, su):
@@ -197,31 +312,21 @@ def _mu_structure_checks(kl: KLTable, u: int) -> list[dict]:
                 m = kl.mu(z, u)
                 if m:
                     expected[z] = LaurentPoly({0: m})
-            records.append(
-                _record(
-                    "mu_structure_constants",
-                    name,
-                    sc == expected,
-                    lhs=_vec_render(table, sc),
-                    rhs=_vec_render(table, expected),
-                    s=f"s{s + 1}",
-                )
-            )
-    return records
+            sink("mu_structure_constants", name, sc == expected, (sc, expected), render, s=label)
 
 
-def _descent_choice_check(table: GroupTable, kl: KLTable) -> list[dict]:
+def _descent_choice_check(table: GroupTable, kl: KLTable, sink: Sink) -> None:
     other = compute_kl(table, kl.complete_up_to, descent_choice="max")
     same = all(
         other.kl_element(w) == kl.kl_element(w) for w in kl.stored_elements()
     )
-    return [_record("descent_choice_independence", "*", same)]
+    sink("descent_choice_independence", "*", same)
 
 
 # -- word suites --------------------------------------------------------------
 
 
-def _leaves_word_checks(kl: KLTable, datum: CellDatum) -> list[dict]:
+def _leaves_word_checks(kl: KLTable, datum: CellDatum, sink: Sink) -> None:
     """Leaf characters against the Hecke side, support, direction, decomposition.
 
     The Hecke side is the chain product, which is the same recurrence as
@@ -232,60 +337,38 @@ def _leaves_word_checks(kl: KLTable, datum: CellDatum) -> list[dict]:
     names = table.names
     word = datum.word
     name = word_name(word)
-    records = []
     mirrored = character_map(table, word, "lr")
     chain = datum.chain
     for x in datum.interval:
         lhs = mirrored.get(x, ZERO)
         rhs = chain.get(x, ZERO)
-        records.append(_record_sides("char_leaves_vs_hecke", name, lhs, rhs, x=names[x]))
+        sink("char_leaves_vs_hecke", name, lhs == rhs, (lhs, rhs), x=names[x])
     support_ok = set(mirrored) == set(datum.interval) and chain == mirrored
-    records.append(_record("char_support", name, support_ok))
-    records.append(_record("direction_independence", name, mirrored == datum.cell_chars))
-    records.append(_record("leaf_count", name, sum(datum.leaves.values()) == 2 ** len(word)))
+    sink("char_support", name, support_ok)
+    sink("direction_independence", name, mirrored == datum.cell_chars)
+    sink("leaf_count", name, sum(datum.leaves.values()) == 2 ** len(word))
     for x, lhs, rhs in cells_mod.decomposition_sides(datum):
-        records.append(_record_sides("decomposition_identity", name, lhs, rhs, x=names[x]))
+        sink("decomposition_identity", name, lhs == rhs, (lhs, rhs), x=names[x])
     gdim_ok = (
         all(c.bar() == c and c.is_nonnegative() for c in datum.simple_gdims.values())
         and datum.simple_gdims.get(datum.top) == ONE
     )
-    records.append(_record("gdim_bar_symmetric_nonneg", name, gdim_ok))
+    sink("gdim_bar_symmetric_nonneg", name, gdim_ok)
     interval = set(datum.interval)
     triangular = all(y in interval for y in datum.simple_support) and all(
         bruhat_leq(table, x, y) for x in datum.interval for y in datum.decomp.get(x, {})
     )
-    records.append(_record("decomposition_triangularity", name, triangular))
-    return records
-
-
-def _sides(lhs, rhs, render) -> tuple[bool, str, str]:
-    """(pass, rendered lhs, rendered rhs); a passing comparison renders its equal sides once."""
-    ok = lhs == rhs
-    rendered = render(rhs)
-    return ok, rendered if ok else render(lhs), rendered
-
-
-def _record_sides(identity: str, word: str, lhs, rhs, render=LaurentPoly.render, **extra) -> dict:
-    """A record comparing two values, in :func:`_record`'s key order."""
-    ok, lhs_text, rhs_text = _sides(lhs, rhs, render)
-    return _record(identity, word, ok, lhs=lhs_text, rhs=rhs_text, **extra)
-
-
-def _spot_record_sides(identity: str, word: str, lhs, rhs, render=LaurentPoly.render, **spot) -> dict:
-    """A record comparing two values, its spot keys (x, u) before its sides and ``pass`` last."""
-    ok, lhs_text, rhs_text = _sides(lhs, rhs, render)
-    return {"identity": identity, "word": word, **spot, "lhs": lhs_text, "rhs": rhs_text, "pass": ok}
+    sink("decomposition_triangularity", name, triangular)
 
 
 def _branch_word_checks(
-    kl: KLTable, datum: CellDatum, tail: CellDatum, images: dict[int, dict[int, LaurentPoly]]
-) -> list[dict]:
+    kl: KLTable, datum: CellDatum, tail: CellDatum, images: dict[int, dict[int, LaurentPoly]], sink: Sink
+) -> None:
     name = word_name(datum.word)
     names = kl.table.names
-    records = []
     for x, lhs, rhs, got, want in branch_mod.branching_sides(datum, tail):
-        records.append(_spot_record_sides("branching_characters", name, lhs, rhs, x=names[x]))
-        records.append(_spot_record_sides("leaf_partition", name, got, want, _partition_render, x=names[x]))
+        sink("branching_characters", name, lhs == rhs, (lhs, rhs), x=names[x])
+        sink("leaf_partition", name, got == want, (got, want), _partition_render, x=names[x])
     # restriction multiplicities two ways: through structure constants, and
     # read off the restricted cell class
     counts = branch_mod.restriction_counts(kl, datum, tail)
@@ -293,12 +376,11 @@ def _branch_word_checks(
         counted, image = counts[z], images[z]
         for u in tail.simple_support:
             lhs, rhs = counted.get(u, ZERO), image.get(u, ZERO)
-            records.append(_spot_record_sides("restriction_counts", name, lhs, rhs, x=names[z], u=names[u]))
+            sink("restriction_counts", name, lhs == rhs, (lhs, rhs), x=names[z], u=names[u])
     render = functools.partial(_vec_render, kl.table)
     for x in datum.interval:
         # Res applied to the decomposition vector of x, against the direct image
-        records.append(_record_sides("res_linear_map", name, counts[x], images[x], render, x=names[x]))
-    return records
+        sink("res_linear_map", name, counts[x] == images[x], (counts[x], images[x]), render, x=names[x])
 
 
 def _partition_render(parts: tuple[LaurentPoly, LaurentPoly]) -> str:
@@ -312,8 +394,8 @@ def _vec_render(table: GroupTable, vec: dict[int, LaurentPoly]) -> str:
 
 
 def _recursion_word_checks(
-    kl: KLTable, datum: CellDatum, images: dict[int, dict[int, LaurentPoly]]
-) -> list[dict]:
+    kl: KLTable, datum: CellDatum, images: dict[int, dict[int, LaurentPoly]], sink: Sink
+) -> None:
     table = kl.table
     name = word_name(datum.word)
     s = datum.word[0]
@@ -326,10 +408,9 @@ def _recursion_word_checks(
         if z != wp and z in sc and s in descents(table, z, "left")
     ]
     derived = branch_mod.derive_kl_recursion(kl, datum, images)
-    records = []
     for x in datum.interval:
         lhs, rhs = derived[x]
-        records.append(_record_sides("derived_recursion", name, lhs, rhs, x=table.names[x]))
+        sink("derived_recursion", name, lhs == rhs, (lhs, rhs), x=table.names[x])
         acc: dict[int, int] = {}
         images[x].get(wp, ZERO).add_to(acc)
         for z, h in corrections:
@@ -338,24 +419,25 @@ def _recursion_word_checks(
                 for e, k in h.items():
                     d.add_to(acc, e, -k)
         alt = LaurentPoly(acc)
-        records.append(_record_sides("correction_index_consistency", name, alt, rhs, x=table.names[x]))
-    return records
+        sink("correction_index_consistency", name, alt == rhs, (alt, rhs), x=table.names[x])
 
 
 WORD_SUITES = ("leaves", "branch", "recursion")
 
 
-def _word_suite_records(kl: KLTable, words: list[Word], suites: list[str]) -> list[dict]:
-    """The records of the named word suites, suite by suite, each in word order.
+def _word_suite_checks(kl: KLTable, words: list[Word], suites: list[str], sink: Sink) -> None:
+    """Feed the named word suites' checks to ``sink``, suite by suite, each in word order.
 
     One pass over the words builds each word's cell datum from its tail's
     (the word minus its first letter).  Words come in length order, so
     the tails sit in the previous length layer, the only one kept.  The
     restricted cell classes are computed once per (word, x) and read by
-    both the branch and the recursion suite.
+    both the branch and the recursion suite.  The first suite feeds
+    ``sink`` directly; the later ones feed spools of it, appended at the
+    end.
     """
-    out: dict[str, list[dict]] = {name: [] for name in suites}
-    restricting = "branch" in out or "recursion" in out
+    sinks = {name: sink.spool() if i else sink for i, name in enumerate(suites)}
+    leaves, branch, recursion = (sinks.get(name) for name in WORD_SUITES)
     previous: dict[Word, CellDatum] = {}
     current: dict[Word, CellDatum] = {}
     n = -1
@@ -364,44 +446,47 @@ def _word_suite_records(kl: KLTable, words: list[Word], suites: list[str]) -> li
             previous, current, n = current, {}, len(word)
         tail = previous.get(word[1:]) if word else None
         datum = current[word] = cells_mod.build_cell_datum(kl, word, tail)
-        if "leaves" in out:
-            out["leaves"].extend(_leaves_word_checks(kl, datum))
-        if not word or not restricting:
+        if leaves is not None:
+            _leaves_word_checks(kl, datum, leaves)
+        if not word or (branch is None and recursion is None):
             continue
         images = {x: branch_mod.res_cell_class(datum, tail, x) for x in datum.interval}
-        if "branch" in out:
-            out["branch"].extend(_branch_word_checks(kl, datum, tail, images))
-        if "recursion" in out:
-            out["recursion"].extend(_recursion_word_checks(kl, datum, images))
-    return [rec for name in suites for rec in out[name]]
+        if branch is not None:
+            _branch_word_checks(kl, datum, tail, images, branch)
+        if recursion is not None:
+            _recursion_word_checks(kl, datum, images, recursion)
+    for name in suites[1:]:
+        sink.extend(sinks[name])
 
 
 # -- runner -------------------------------------------------------------------
 
 
-def run_suite(kl: KLTable, suite: str) -> dict:
-    """Run one named suite (or ``all``) and return the full report."""
+def run_suite(kl: KLTable, suite: str, sink: Sink | None = None) -> dict:
+    """Run one named suite (or ``all``), feeding every check to ``sink``.
+
+    The report is ``{suite, records, summary, pass}``.  Without a sink its
+    ``records`` is the list of every record; with one it is the sink
+    itself, whose ``len()`` is the number of records checked.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     table = kl.table
-    records: list[dict] = []
+    records = RecordList() if sink is None else sink
     if suite in ("kl", "all"):
-        for w in kl.stored_elements()[1:]:
-            records.extend(_kl_element_checks(kl, w))
-        for u in kl.stored_elements():
-            records.extend(_mu_structure_checks(kl, u))
-        records.extend(_descent_choice_check(table, kl))
+        stored = kl.stored_elements()
+        for w in stored[1:]:
+            _kl_element_checks(kl, w, stored, records)
+        for u in stored:
+            _mu_structure_checks(kl, u, records)
+        _descent_choice_check(table, kl, records)
     word_suites = [name for name in WORD_SUITES if suite in (name, "all")]
     if word_suites:
         words = [w for w in reduced_words_in_order(table) if len(w) <= kl.complete_up_to]
-        records.extend(_word_suite_records(kl, words, word_suites))
-    summary: dict[str, dict[str, int]] = {}
-    for rec in records:
-        bucket = summary.setdefault(rec["identity"], {"pass": 0, "fail": 0})
-        bucket["pass" if rec["pass"] else "fail"] += 1
+        _word_suite_checks(kl, words, word_suites, records)
     return {
         "suite": suite,
-        "records": records,
-        "summary": dict(sorted(summary.items())),
-        "pass": all(rec["pass"] for rec in records),
+        "records": records.records if sink is None else sink,
+        "summary": records.summary(),
+        "pass": records.passed(),
     }

@@ -523,6 +523,16 @@ class _OracleStructureConstants:
         return expand_in_kl_basis(self._kl, left_mul_kl(self._kl.table, s, self._kl.kl_element(u)))
 
 
+def record(identity, word, ok, lhs="", rhs="", **extra):
+    """A record in ``pass``-after-``word`` key order, sides (when given) as text, then the spot keys."""
+    rec = {"identity": identity, "word": word, "pass": ok}
+    if lhs or rhs:
+        rec["lhs"] = lhs
+        rec["rhs"] = rhs
+    rec.update(extra)
+    return rec
+
+
 def kl_suite_records(kl):
     """The ``kl`` suite's records, element by element and x by x through the oracles above.
 
@@ -536,7 +546,6 @@ def kl_suite_records(kl):
     from klcat.coxeter import bruhat_leq, descents
     from klcat.kl import to_classical
 
-    record = verify._record
     table = kl.table
     length, names = table.length, table.names
     records = []
@@ -582,10 +591,11 @@ def kl_suite_records(kl):
                     )
                 )
     shim = _OracleStructureConstants(kl)
+    shaped = verify.RecordList()
     for u in kl.stored_elements():
-        records.extend(verify._mu_structure_checks(shim, u))
-    records.extend(verify._descent_choice_check(table, kl))
-    return records
+        verify._mu_structure_checks(shim, u, shaped)
+    verify._descent_choice_check(table, kl, shaped)
+    return records + shaped.records
 
 
 # -- explicit light-leaf paths and the per-word suites before the count DP -----
@@ -746,11 +756,9 @@ def _vec_render(table, coords):
 
 
 def _leaves_word_records(kl, word):
-    from klcat import verify
     from klcat.coxeter import bruhat_interval, bruhat_leq, evaluate_word, word_name
     from klcat.hecke import bott_samelson_class
 
-    record = verify._record
     table = kl.table
     names = table.names
     name = word_name(word)
@@ -789,10 +797,8 @@ def _leaves_word_records(kl, word):
 
 
 def _branch_word_records(kl, word):
-    from klcat import verify
     from klcat.coxeter import bruhat_interval, evaluate_word, mult_gen, word_name
 
-    record = verify._record
     table = kl.table
     length, names = table.length, table.names
     s, tail = word[0], word[1:]
@@ -859,10 +865,8 @@ def _branch_word_records(kl, word):
 
 
 def _recursion_word_records(kl, word):
-    from klcat import verify
     from klcat.coxeter import bruhat_interval, descents, evaluate_word, mult_gen, word_name
 
-    record = verify._record
     table = kl.table
     name = word_name(word)
     w = evaluate_word(table, word)

@@ -5,7 +5,7 @@ from klcat.cells import build_cell_datum
 from klcat.coxeter import all_reduced_words, build_group, evaluate_word, preset_matrix
 from klcat.kl import compute_kl
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
-from klcat.verify import _branch_word_checks
+from klcat.verify import RecordList, _branch_word_checks
 
 import oracles
 
@@ -188,6 +188,12 @@ def test_branch_pieces_match_per_word_oracles(ladder, name):
             assert derived[x] == oracles.derive_kl_recursion(kl, word, x), (word, x)
 
 
+def branch_records(kl, datum, tail, image):
+    records = RecordList()
+    _branch_word_checks(kl, datum, tail, image, records)
+    return records.records
+
+
 def test_failing_records_render_both_sides(a3, kl_a3):
     # a perturbed word character and a perturbed image show up as FAIL
     # records whose lhs is the perturbed side, rendered in full
@@ -196,14 +202,14 @@ def test_failing_records_render_both_sides(a3, kl_a3):
     datum, tail = branching(kl_a3, (1, 0, 2, 1))
     x = a3.elements[2]
     bad = dataclasses.replace(datum, cell_chars={**datum.cell_chars, x: datum.cell_chars[x] + V})
-    failed = [r for r in _branch_word_checks(kl_a3, bad, tail, images(kl_a3, datum, tail)) if not r["pass"]]
+    failed = [r for r in branch_records(kl_a3, bad, tail, images(kl_a3, datum, tail)) if not r["pass"]]
     assert [(r["identity"], r["x"]) for r in failed] == [("branching_characters", "s2")]
     assert failed[0]["lhs"] == "2*v^1+1*v^3" and failed[0]["rhs"] == "1*v^1+1*v^3"
     assert list(failed[0]) == ["identity", "word", "x", "lhs", "rhs", "pass"]
     image = images(kl_a3, datum, tail)
     u = tail.simple_support[-1]  # the largest id, so the ids stay ascending
     image[x] = {**image[x], u: image[x].get(u, ZERO) + V}
-    failed = [r for r in _branch_word_checks(kl_a3, datum, tail, image) if not r["pass"]]
+    failed = [r for r in branch_records(kl_a3, datum, tail, image) if not r["pass"]]
     assert [(r["identity"], r["x"], r.get("u")) for r in failed] == [
         ("restriction_counts", "s2", a3.names[u]),
         ("res_linear_map", "s2", None),

@@ -396,18 +396,19 @@ def test_verify_dihedral_recursion_suite():
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
-    # exercise the exit-code contract without corrupting real data
+    # exercise the exit-code contract without corrupting real data: the
+    # fake suite feeds one failing check to the sink it is given
     import klcat.cli as cli_mod
 
-    def failing_suite(kl, suite, jobs=1):
-        records = [{"identity": "synthetic", "word": "e", "pass": False, "lhs": "0", "rhs": "1"}]
-        return {"suite": suite, "records": records, "summary": {"synthetic": {"pass": 0, "fail": 1}}, "pass": False}
+    def failing_suite(kl, suite, sink):
+        sink("synthetic", "e", False, ("0", "1"), None)
+        return {"suite": suite, "records": sink, "summary": sink.summary(), "pass": sink.passed()}
 
     monkeypatch.setattr(cli_mod, "run_suite", failing_suite)
     out = io.StringIO()
     assert main(["verify", "--type", "A2", "--suite", "kl"], out=out) == 1
-    assert "RESULT: FAIL" in out.getvalue()
-    assert "FAIL synthetic" in out.getvalue()
+    lines = out.getvalue().splitlines()
+    assert lines[-2:] == ["FAIL synthetic [word=e] lhs=0 rhs=1", "RESULT: FAIL"]
     capsys.readouterr()
 
 

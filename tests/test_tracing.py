@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from klcat.verify import run_suite
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
@@ -28,7 +30,7 @@ print(json.dumps(runs))
 """
 
 
-def test_tracer_binds_to_the_library():
+def test_tracer_binds_to_the_library(kl_a2):
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
         capture_output=True,
@@ -37,6 +39,9 @@ def test_tracer_binds_to_the_library():
     )
     all_run, kl_run = json.loads(proc.stdout.splitlines()[-1])
     assert all_run["code"] == kl_run["code"] == 0
+    # verify.records is len(report["records"]) of the text run: every record checked, not only the kept ones
+    for run, suite in ((all_run, "all"), (kl_run, "kl")):
+        assert run["counts"]["verify.records"] == len(run_suite(kl_a2, suite)["records"]), suite
     for name in ("coxeter.mult_gen.calls", "coxeter.descents.calls", "leaves.paths"):
         assert all_run["counts"].get(name, 0) > 0, name
     for name in ("branch.res_cell_class", "branch.restriction_counts", "branch.branching_sides"):

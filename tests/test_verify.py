@@ -1,6 +1,18 @@
+import io
+import json
+from collections import Counter
+
 import pytest
 
-from klcat.verify import SUITES, run_suite
+import klcat
+import klcat.cli
+from klcat.cli import main
+from klcat.coxeter import IncompleteTableError, evaluate_word
+from klcat.kl import canonical_json, compute_kl
+from klcat.laurent import v_power
+from klcat.verify import SUITES, FailRecords, JsonStream, RecordList, run_suite
+
+from oracles import word_suite_records
 
 
 def test_unknown_suite_rejected(kl_a2):
@@ -31,15 +43,6 @@ def test_repeated_runs_give_equal_reports(kl_a3):
     assert run_suite(kl_a3, "branch") == run_suite(kl_a3, "branch")
 
 
-from collections import Counter
-
-import klcat
-from klcat.coxeter import evaluate_word
-from klcat.kl import compute_kl
-from klcat.laurent import v_power
-
-from oracles import word_suite_records
-
 WORD_SUITES = ("leaves", "branch", "recursion")
 
 
@@ -63,29 +66,27 @@ def _damaged(table, wword, xword, change):
     return kl
 
 
-@pytest.mark.parametrize(
-    "group, wword, xword, change",
-    [
-        ("A3", (0, 1, 0, 2, 1, 0), (2,), lambda c: c + v_power(3)),
-        ("A3", (0, 1, 0, 2, 1, 0), (0, 1), lambda c: c * 2),
-        ("B3", (0, 1, 0, 2, 1, 0, 2, 1, 2), (1,), lambda c: c + v_power(3)),
-        # below the longest element: a damaged lower C_w makes some structure
-        # constant escape a word's simple support
-        ("A3", (0, 1, 0), (0,), lambda c: c + v_power(3)),
-        ("A3", (0, 1, 0), (0,), lambda c: c * 2),
-        ("A3", (1, 0, 2, 1), (1,), lambda c: c + v_power(3)),
-        ("A3", (1, 0, 2, 1, 0), (1,), lambda c: c * 2),
-    ],
-    ids=[
-        "A3-extra-term",
-        "A3-doubled",
-        "B3-extra-term",
-        "A3-s1s2s1-extra-term",
-        "A3-s1s2s1-doubled",
-        "A3-s2s1s3s2-extra-term",
-        "A3-s2s1s3s2s1-doubled",
-    ],
-)
+DAMAGED = [
+    ("A3", (0, 1, 0, 2, 1, 0), (2,), lambda c: c + v_power(3)),
+    ("A3", (0, 1, 0, 2, 1, 0), (0, 1), lambda c: c * 2),
+    ("B3", (0, 1, 0, 2, 1, 0, 2, 1, 2), (1,), lambda c: c + v_power(3)),
+    ("A3", (0, 1, 0), (0,), lambda c: c + v_power(3)),
+    ("A3", (0, 1, 0), (0,), lambda c: c * 2),
+    ("A3", (1, 0, 2, 1), (1,), lambda c: c + v_power(3)),
+    ("A3", (1, 0, 2, 1, 0), (1,), lambda c: c * 2),
+]
+DAMAGED_IDS = [
+    "A3-extra-term",
+    "A3-doubled",
+    "B3-extra-term",
+    "A3-s1s2s1-extra-term",
+    "A3-s1s2s1-doubled",
+    "A3-s2s1s3s2-extra-term",
+    "A3-s2s1s3s2s1-doubled",
+]
+
+
+@pytest.mark.parametrize("group, wword, xword, change", DAMAGED, ids=DAMAGED_IDS)
 def test_word_suites_match_oracles_on_a_damaged_table(ladder, group, wword, xword, change):
     # failing records must carry the same lhs/rhs strings as the oracle's
     table, _ = ladder(group)
@@ -132,3 +133,118 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
     assert all(n == 1 for (name, _), n in calls.items() if name == "is_reduced")
     assert per_word["is_reduced"] <= len(words)
     assert calls["left_mul_kl", None] <= len(words)
+
+
+# -- sinks: the streamed JSON and the text report against the list report -----
+
+
+def _cli(argv):
+    out = io.StringIO()
+    return main(argv, out=out), out.getvalue()
+
+
+def streamed_json(kl, suite):
+    out = io.StringIO()
+    stream = JsonStream(out, suite)
+    run_suite(kl, suite, stream)
+    stream.finish()
+    return out.getvalue()
+
+
+def text_report(report, head):
+    """The text report rendered from a list report: summary, then FAIL lines in record order."""
+    lines = [head, f"suite: {report['suite']}"]
+    for identity, counts in report["summary"].items():
+        lines.append(f"check {identity}: {counts['pass']}/{counts['pass'] + counts['fail']} pass")
+    for rec in report["records"]:
+        if not rec["pass"]:
+            spot = ",".join(f"{k}={rec[k]}" for k in ("word", "x", "u", "s") if k in rec)
+            lines.append(f"FAIL {rec['identity']} [{spot}] lhs={rec.get('lhs')} rhs={rec.get('rhs')}")
+    lines.append(f"RESULT: {'PASS' if report['pass'] else 'FAIL'}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "I2(7)", "affineA2", "triangle4-0-3"])
+def test_streamed_json_matches_the_list_report(ladder, name):
+    table, kl = ladder(name)
+    if table.partial:
+        kl = compute_kl(table, min(5, table.complete_length))
+    for suite in SUITES:
+        assert streamed_json(kl, suite) == canonical_json(run_suite(kl, suite)), suite
+
+
+def test_spools_append_in_order_when_the_stream_is_still_empty():
+    # a spool that opens the record list drops the comma it wrote before its first batch
+    def feed(sink):
+        spools = [sink.spool(), sink.spool()]
+        spools[1]("second", "e", False, ("0", "1"), None)
+        spools[0]("first", "e", True, x="s1")
+        for spool in spools:
+            sink.extend(spool)
+        return {"suite": "all", "records": sink, "summary": sink.summary(), "pass": sink.passed()}
+
+    records = RecordList()
+    report = {**feed(records), "records": records.records}
+    out = io.StringIO()
+    stream = JsonStream(out, "all")
+    feed(stream)
+    stream.finish()
+    assert out.getvalue() == canonical_json(report)
+    assert [rec["identity"] for rec in report["records"]] == ["first", "second"]
+
+
+@pytest.mark.parametrize("group, wword, xword, change", DAMAGED, ids=DAMAGED_IDS)
+def test_cli_reports_match_the_list_report_on_a_damaged_table(monkeypatch, ladder, group, wword, xword, change):
+    # both output formats of cmd_verify, with the damaged table in place of the computed one
+    table, _ = ladder(group)
+    kl = _damaged(table, wword, xword, change)
+    monkeypatch.setattr(klcat.cli, "compute_kl", lambda table, bound: kl)
+    for suite in SUITES:
+        report = run_suite(kl, suite)
+        code, text = _cli(["verify", "--type", group, "--suite", suite, "--format", "json"])
+        assert (code, text) == (0 if report["pass"] else 1, canonical_json(report)), suite
+        code, text = _cli(["verify", "--type", group, "--suite", suite])
+        head = f"group: {group} (order {table.order})"
+        assert (code, text) == (0 if report["pass"] else 1, text_report(report, head)), suite
+    assert not report["pass"]  # the last suite is all
+
+
+@pytest.mark.parametrize("damaged", [False, True], ids=["intact", "damaged"])
+def test_fail_records_keep_only_the_failures(ladder, damaged):
+    table, kl = ladder("A3")
+    if damaged:
+        kl = _damaged(table, *DAMAGED[0][1:])
+    for suite in SUITES:
+        report = run_suite(kl, suite)
+        sink = FailRecords()
+        streamed = run_suite(kl, suite, sink)
+        # the benchmark's tracer reads len(report["records"]) as the number of records checked
+        assert len(streamed["records"]) == len(sink) == len(report["records"]), suite
+        assert sink.summary() == streamed["summary"] == report["summary"], suite
+        assert streamed["pass"] == report["pass"], suite
+        assert sink.records == [rec for rec in report["records"] if not rec["pass"]], suite
+        assert damaged or not sink.records, suite
+    assert bool(sink.records) == damaged  # the last suite is all
+
+
+@pytest.mark.parametrize("suite, check", [("kl", "_mu_structure_checks"), ("all", "_recursion_word_checks")])
+def test_incomplete_table_mid_stream_exits_4(monkeypatch, capsys, suite, check):
+    # the JSON head and some records are already written when the check raises
+    original = getattr(klcat.verify, check)
+    calls = []
+
+    def raising(*args):
+        calls.append(None)
+        if len(calls) == 5:
+            raise IncompleteTableError("table too short for this check")
+        return original(*args)
+
+    monkeypatch.setattr(klcat.verify, check, raising)
+    capsys.readouterr()
+    code, text = _cli(["verify", "--type", "A3", "--suite", suite, "--format", "json"])
+    assert code == 4
+    assert text.startswith(f'{{"suite":"{suite}","records":[{{"identity":')
+    with pytest.raises(ValueError):
+        json.loads(text)
+    err = capsys.readouterr().err
+    assert err == "klcat: table too short for this check\n"
