@@ -12,9 +12,7 @@ from .coxeter import (
     CoxeterMatrix,
     GroupTable,
     IncompleteTableError,
-    all_reduced_words,
     bruhat_interval,
-    bruhat_leq,
     build_group,
     descents,
     evaluate_word,

@@ -13,7 +13,9 @@ the rank-2 parabolic lemma means it is ``v*w0(s,t)`` with the lengths
 adding (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, 2.4): x walks
 down from ``v*w0(s,t)*s`` to v along right descents, and y is v times the
 other alternating word.  No word is ever rewritten and no element's set of
-reduced words is listed.
+reduced words is listed: the word suites of :mod:`klcat.verify` grow the
+reduced words from their tails instead.  Bruhat order is read only from
+the memoized lower intervals of :func:`bruhat_interval`.
 
 If the group does not close within the requested element cap, the table
 is truncated by length: it contains all elements of length <=
@@ -62,10 +64,6 @@ class CoxeterMatrix:
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "CoxeterMatrix":
         orders = tuple(tuple(int(m) for m in row) for row in rows)
         return cls(len(orders), orders)
-
-    def braid_order(self, s: int, t: int) -> int:
-        """m_st, with 0 standing for infinity."""
-        return self.orders[s][t]
 
     def to_json_obj(self) -> dict:
         return {"rank": self.rank, "m": [list(row) for row in self.orders]}
@@ -147,9 +145,8 @@ class GroupTable:
     ``names[x]`` are x's canonical reduced word, its length and its
     printed name (built on first use, since only output reads them); the
     build also stores each id's left and right descents.  Immutable after
-    construction apart from its memo dicts: Bruhat pairs, lower Bruhat
-    intervals, reduced-word sets and (filled by :mod:`klcat.hecke`)
-    inverse standard-basis elements.
+    construction apart from its two memo dicts: lower Bruhat intervals
+    and (filled by :mod:`klcat.hecke`) inverse standard-basis elements.
     """
 
     identity = 0
@@ -177,9 +174,7 @@ class GroupTable:
         self.partial = partial
         self.cap = cap
         self.complete_length = self.length[-1]
-        self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._interval_memo: dict[int, tuple[int, ...]] = {0: (0,)}  # id -> [e, id]
-        self._redwords_memo: dict[int, frozenset[Word]] = {}
         self._inverse_memo: dict = {}  # id -> terms of the inverse of H_{x^-1}, filled by hecke
 
     @cached_property
@@ -321,44 +316,6 @@ def descents(table: GroupTable, w: int, side: str = "left") -> tuple[int, ...]:
     return (table._left_descents if side == "left" else table._right_descents)[w]
 
 
-def bruhat_leq(table: GroupTable, x: int, w: int) -> bool:
-    """Bruhat order by the lifting recursion, memoized per table.
-
-    With s a left descent of w: x <= w iff min(x, sx) <= sw, where "min"
-    picks the shorter of x and sx.  That is a chain of tail calls, walked
-    here as a loop (deep truncated tables would overflow the stack); every
-    pair on the chain is memoized with the answer.  The early returns keep
-    the memo-hit path, by far the most common, as cheap as a lookup.
-    """
-    length = table.length
-    if length[x] >= length[w]:
-        return x == w
-    memo = table._bruhat_memo
-    key = (x, w)
-    result = memo.get(key)
-    if result is not None:
-        return result
-    chain = [key]
-    left = table._left
-    while True:
-        s = descents(table, w, "left")[0]
-        w = left[w][s]
-        sx = left[x][s]
-        if length[sx] < length[x]:
-            x = sx
-        if length[x] >= length[w]:
-            result = x == w
-            break
-        key = (x, w)
-        result = memo.get(key)
-        if result is not None:
-            break
-        chain.append(key)
-    for key in chain:
-        memo[key] = result
-    return result
-
-
 def bruhat_interval(table: GroupTable, w: int) -> list[int]:
     """All x <= w, in id order, as a fresh list; memoized per table.
 
@@ -379,26 +336,3 @@ def bruhat_interval(table: GroupTable, w: int) -> list[int]:
         lower = memo[left[u][s]]
         memo[u] = tuple(sorted({*lower, *(left[x][s] for x in lower)}))
     return list(memo[w])
-
-
-def all_reduced_words(table: GroupTable, w: int) -> frozenset[Word]:
-    """Every reduced word of w, by peeling left descents.
-
-    The elements that peeling reaches from w and that are not memoized yet
-    are filled in increasing length, so deep elements need no recursion.
-    """
-    memo = table._redwords_memo
-    lower: dict[int, list[tuple[int, int]]] = {}  # id -> [(s, id of s*y)]
-    stack = [w]
-    while stack:
-        i = stack.pop()
-        if i in memo or i in lower:
-            continue
-        lower[i] = [(s, table._left[i][s]) for s in descents(table, i, "left")]
-        stack.extend(j for _, j in lower[i])
-    for i in sorted(lower):
-        if lower[i]:
-            memo[i] = frozenset((s,) + tail for s, j in lower[i] for tail in memo[j])
-        else:
-            memo[i] = frozenset({()})
-    return memo[w]

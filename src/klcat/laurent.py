@@ -73,9 +73,6 @@ class LaurentPoly:
     def exponents(self) -> list[int]:
         return sorted(self._coeffs)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def in_positive_part(self) -> bool:
         """True iff every exponent is >= 1 (vacuously true for 0).
 

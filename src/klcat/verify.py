@@ -14,10 +14,13 @@ counts every check but keeps only the FAIL records (the text report), and
 identity, and this module compares them.
 
 The word suites share one pass over the reduced words in length order.
-Each word gets one context, its :class:`~klcat.cells.CellDatum`, built
-from its tail's (the word minus its first letter) in the previous length
-layer: the chain product and the right-to-left leaf counts are one
-generator step from the tail's, and reducedness is read off one length.
+Each length layer is grown from the previous one: every reduced word is a
+letter s in front of a reduced tail (the word minus its first letter)
+whose product s lengthens, so no word above the KL table's bound is ever
+listed.  Each word gets one context, its
+:class:`~klcat.cells.CellDatum`, built from its tail's: the chain product
+and the right-to-left leaf counts are one generator step from the tail's,
+and reducedness is read off one length.
 The restricted cell class of every (word, x) is computed once and read by
 both the branch and the recursion suite.  The first word suite feeds the
 sink directly; under ``all`` the later ones are spooled and appended after
@@ -51,9 +54,7 @@ from .coxeter import (
     GroupTable,
     IncompleteTableError,
     Word,
-    all_reduced_words,
     bruhat_interval,
-    bruhat_leq,
     descents,
     mult_gen,
     word_name,
@@ -232,14 +233,6 @@ class JsonStream(Sink):
         self.out.write("]," + _encode({"summary": self.summary(), "pass": self.passed()})[1:] + "\n")
 
 
-def reduced_words_in_order(table: GroupTable) -> list[Word]:
-    """Every reduced word of every stored element, deterministic order."""
-    out: list[Word] = []
-    for w in table.elements:
-        out.extend(sorted(all_reduced_words(table, w)))
-    return out
-
-
 # -- kl suite ---------------------------------------------------------------
 
 
@@ -355,8 +348,9 @@ def _leaves_word_checks(kl: KLTable, datum: CellDatum, sink: Sink) -> None:
     )
     sink("gdim_bar_symmetric_nonneg", name, gdim_ok)
     interval = set(datum.interval)
-    triangular = all(y in interval for y in datum.simple_support) and all(
-        bruhat_leq(table, x, y) for x in datum.interval for y in datum.decomp.get(x, {})
+    below = {y: set(bruhat_interval(table, y)) for y in datum.simple_support}
+    triangular = all(y in interval for y in below) and all(
+        x in below[y] for x in datum.interval for y in datum.decomp.get(x, {})
     )
     sink("decomposition_triangularity", name, triangular)
 
@@ -425,36 +419,45 @@ def _recursion_word_checks(
 WORD_SUITES = ("leaves", "branch", "recursion")
 
 
-def _word_suite_checks(kl: KLTable, words: list[Word], suites: list[str], sink: Sink) -> None:
+def _word_suite_checks(kl: KLTable, suites: list[str], sink: Sink) -> None:
     """Feed the named word suites' checks to ``sink``, suite by suite, each in word order.
 
-    One pass over the words builds each word's cell datum from its tail's
-    (the word minus its first letter).  Words come in length order, so
-    the tails sit in the previous length layer, the only one kept.  The
-    restricted cell classes are computed once per (word, x) and read by
-    both the branch and the recursion suite.  The first suite feeds
-    ``sink`` directly; the later ones feed spools of it, appended at the
-    end.
+    Word order is by product id, then by word; ids run in (length,
+    ShortLex) order, so the words come one length layer at a time.  The
+    layer of length n is grown from the kept data t of layer n - 1: the
+    word ``(s, *t.word)`` for every s that is not a left descent of
+    ``t.top``, with t as its tail, for n up to the KL table's bound.  Only
+    the previous layer is kept.  The restricted cell classes are computed
+    once per (word, x) and read by both the branch and the recursion
+    suite.  The first suite feeds ``sink`` directly; the later ones feed
+    spools of it, appended at the end.
     """
+    table = kl.table
     sinks = {name: sink.spool() if i else sink for i, name in enumerate(suites)}
     leaves, branch, recursion = (sinks.get(name) for name in WORD_SUITES)
-    previous: dict[Word, CellDatum] = {}
-    current: dict[Word, CellDatum] = {}
-    n = -1
-    for word in words:
-        if len(word) != n:
-            previous, current, n = current, {}, len(word)
-        tail = previous.get(word[1:]) if word else None
-        datum = current[word] = cells_mod.build_cell_datum(kl, word, tail)
-        if leaves is not None:
-            _leaves_word_checks(kl, datum, leaves)
-        if not word or (branch is None and recursion is None):
-            continue
-        images = {x: branch_mod.res_cell_class(datum, tail, x) for x in datum.interval}
-        if branch is not None:
-            _branch_word_checks(kl, datum, tail, images, branch)
-        if recursion is not None:
-            _recursion_word_checks(kl, datum, images, recursion)
+    grown: list[tuple[int, Word, CellDatum | None]] = [(table.identity, (), None)]
+    while grown:
+        layer = []
+        for _, word, tail in grown:
+            datum = cells_mod.build_cell_datum(kl, word, tail)
+            layer.append(datum)
+            if leaves is not None:
+                _leaves_word_checks(kl, datum, leaves)
+            if not word or (branch is None and recursion is None):
+                continue
+            images = {x: branch_mod.res_cell_class(datum, tail, x) for x in datum.interval}
+            if branch is not None:
+                _branch_word_checks(kl, datum, tail, images, branch)
+            if recursion is not None:
+                _recursion_word_checks(kl, datum, images, recursion)
+        # the (product, word) pairs are distinct, so no two tails are compared
+        grown = sorted(
+            (mult_gen(table, t.top, s, "left"), (s, *t.word), t)
+            for t in layer
+            if len(t.word) < kl.complete_up_to
+            for s in range(table.rank)
+            if s not in descents(table, t.top, "left")
+        )
     for name in suites[1:]:
         sink.extend(sinks[name])
 
@@ -482,8 +485,7 @@ def run_suite(kl: KLTable, suite: str, sink: Sink | None = None) -> dict:
         _descent_choice_check(table, kl, records)
     word_suites = [name for name in WORD_SUITES if suite in (name, "all")]
     if word_suites:
-        words = [w for w in reduced_words_in_order(table) if len(w) <= kl.complete_up_to]
-        _word_suite_checks(kl, words, word_suites, records)
+        _word_suite_checks(kl, word_suites, records)
     return {
         "suite": suite,
         "records": records.records if sink is None else sink,

@@ -4,7 +4,10 @@ Nothing here calls into the code paths being verified: group tables come
 from saturating braid moves on words (Tits' solution to the word problem),
 the symmetric-group model uses one-line permutation arithmetic, Bruhat
 comparison uses the subword characterization over brute-force word
-enumeration, the dihedral KL oracle checks the defining
+enumeration, the pairwise lifting recursion (the reference for
+``coxeter.bruhat_interval``) and the peeled reduced-word sets (the
+reference for the word suites' grown layers) are checked against those
+brute-force ones, the dihedral KL oracle checks the defining
 bar-invariance conditions directly, the KL CSV oracle walks Bruhat
 intervals by pairwise comparison instead of the stored supports, the KL
 table is built by subtracting whole Hecke elements, and the KL
@@ -216,6 +219,85 @@ def bruhat_leq_subword_oracle(table, x, w) -> bool:
     return any(is_subsequence(r, table.words[w]) for r in brute_force_reduced_words(table, x))
 
 
+# -- pairwise Bruhat order and reduced-word sets -------------------------------
+# References for coxeter.bruhat_interval and for the reduced words that the
+# word suites grow from their tails; each is itself checked against the
+# brute-force oracles above.  Their memos live here, keyed weakly by table.
+
+_BRUHAT: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()  # table -> {(x, w): x <= w}
+_REDWORDS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()  # table -> {id: reduced words}
+
+
+def bruhat_leq(table, x: int, w: int) -> bool:
+    """Bruhat order by the lifting recursion, memoized per table.
+
+    With s a left descent of w: x <= w iff min(x, sx) <= sw, where "min"
+    picks the shorter of x and sx.  That is a chain of tail calls, walked
+    here as a loop (deep truncated tables would overflow the stack); every
+    pair on the chain is memoized with the answer.  The early returns keep
+    the memo-hit path, by far the most common, as cheap as a lookup.
+    """
+    from klcat.coxeter import descents
+
+    length = table.length
+    if length[x] >= length[w]:
+        return x == w
+    memo = _BRUHAT.setdefault(table, {})
+    key = (x, w)
+    result = memo.get(key)
+    if result is not None:
+        return result
+    chain = [key]
+    left = table._left
+    while True:
+        s = descents(table, w, "left")[0]
+        w = left[w][s]
+        sx = left[x][s]
+        if length[sx] < length[x]:
+            x = sx
+        if length[x] >= length[w]:
+            result = x == w
+            break
+        key = (x, w)
+        result = memo.get(key)
+        if result is not None:
+            break
+        chain.append(key)
+    for key in chain:
+        memo[key] = result
+    return result
+
+
+def all_reduced_words(table, w: int) -> frozenset[tuple[int, ...]]:
+    """Every reduced word of w, by peeling left descents.
+
+    The elements that peeling reaches from w and that are not memoized yet
+    are filled in increasing length, so deep elements need no recursion.
+    """
+    from klcat.coxeter import descents
+
+    memo = _REDWORDS.setdefault(table, {})
+    lower: dict[int, list[tuple[int, int]]] = {}  # id -> [(s, id of s*y)]
+    stack = [w]
+    while stack:
+        i = stack.pop()
+        if i in memo or i in lower:
+            continue
+        lower[i] = [(s, table._left[i][s]) for s in descents(table, i, "left")]
+        stack.extend(j for _, j in lower[i])
+    for i in sorted(lower):
+        if lower[i]:
+            memo[i] = frozenset((s,) + tail for s, j in lower[i] for tail in memo[j])
+        else:
+            memo[i] = frozenset({()})
+    return memo[w]
+
+
+def reduced_words_in_order(table, bound: int) -> list[tuple[int, ...]]:
+    """Every reduced word of length <= ``bound``, by element id and then by word: the word suites' order."""
+    return [w for e in table.elements if table.length[e] <= bound for w in sorted(all_reduced_words(table, e))]
+
+
 # -- standard-basis Hecke arithmetic (oracle) ---------------------------------
 # Whole-element sums, scalings, H_s-multiplication and products of
 # ``{id: LaurentPoly}`` dicts, one LaurentPoly operation per coordinate; the
@@ -305,7 +387,6 @@ def interval_kl_csv(kl) -> str:
     comparing every id up to w, and reads h_{x,w} and mu one row at a
     time, so it trusts neither the stored supports nor the interning.
     """
-    from klcat.coxeter import bruhat_leq
     from klcat.kl import to_classical
 
     table = kl.table
@@ -392,11 +473,17 @@ def compute_kl_by_subtraction(table, up_to_length, descent_choice="min"):
 # step.
 
 
+# KL table -> {(sw, s): [(z, correction coefficient)]}, one per recursion form
+_MU_CORRECTIONS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_Q_CORRECTIONS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def recursion_kl_poly(kl, x, w, s):
     """h_{x,w} by the one-step recursion, one x at a time, never touching the stored element of w.
 
     h_{x,w} = v^{+-1} h_{x,sw} + h_{sx,sw} - sum mu(z,sw) h_{x,z}, the sum
-    over z in [e, sw] with sz < z < sw.
+    over z in [e, sw] with sz < z < sw.  The (z, mu(z,sw)) pairs with mu
+    nonzero are listed once per (table, sw, s); each x is evaluated afresh.
     """
     from klcat.coxeter import IncompleteTableError, bruhat_interval, descents, mult_gen
 
@@ -412,13 +499,20 @@ def recursion_kl_poly(kl, x, w, s):
         # sx beyond a truncated table is longer than x, hence not below sw
         shift, sx_term = 1, ZERO
     total = kl.kl_poly(x, sw).shift(shift) + sx_term
-    upper = kl.kl_element(sw)
-    for z in bruhat_interval(table, sw):
-        if z == sw or s not in descents(table, z, "left"):
-            continue
-        m = upper.get(z, ZERO).coefficient(1)  # mu(z, sw)
-        if m:
-            total = total - kl.kl_poly(x, z) * m
+    memo = _MU_CORRECTIONS.setdefault(kl, {})
+    corrections = memo.get((sw, s))
+    if corrections is None:
+        upper = kl.kl_element(sw)
+        corrections = []
+        for z in bruhat_interval(table, sw):
+            if z == sw or s not in descents(table, z, "left"):
+                continue
+            m = upper.get(z, ZERO).coefficient(1)  # mu(z, sw)
+            if m:
+                corrections.append((z, m))
+        memo[sw, s] = corrections
+    for z, m in corrections:
+        total = total - kl.kl_poly(x, z) * m
     return total
 
 
@@ -438,9 +532,11 @@ def classical_recursion(kl, x, w, s):
                   - sum_{sz < z < sw} mu(z,sw) q^((l(w)-l(z))/2) P_{x,z},
 
     where mu(z,sw) is read on the classical side.  Raises ValueError when an
-    ingredient is not a classical polynomial.
+    ingredient is not a classical polynomial.  The (z, mu(z,sw)) pairs with
+    mu nonzero are listed once per (table, sw, s); each x is evaluated
+    afresh.
     """
-    from klcat.coxeter import bruhat_interval, bruhat_leq, descents, mult_gen
+    from klcat.coxeter import bruhat_interval, descents, mult_gen
 
     table = kl.table
     length = table.length
@@ -454,16 +550,23 @@ def classical_recursion(kl, x, w, s):
     sx = mult_gen(table, x, s, "left")
     c = 0 if length[sx] > length[x] else 1
     total = _classical(kl, sx, sw).shift(1 - c) + _classical(kl, x, sw).shift(c)
-    for z in bruhat_interval(table, sw):
-        if z == sw or s not in descents(table, z, "left"):
-            continue
-        exp = length[sw] - length[z] - 1
-        if exp % 2 != 0:
-            continue
-        m = _classical(kl, z, sw).coefficient(exp // 2)
-        if m:
-            term = _classical(kl, x, z).shift((length[w] - length[z]) // 2) * m
-            total = total - term
+    memo = _Q_CORRECTIONS.setdefault(kl, {})
+    corrections = memo.get((sw, s))
+    if corrections is None:
+        corrections = []
+        for z in bruhat_interval(table, sw):
+            if z == sw or s not in descents(table, z, "left"):
+                continue
+            exp = length[sw] - length[z] - 1
+            if exp % 2 != 0:
+                continue
+            m = _classical(kl, z, sw).coefficient(exp // 2)
+            if m:
+                corrections.append((z, m))
+        memo[sw, s] = corrections
+    for z, m in corrections:
+        term = _classical(kl, x, z).shift((length[w] - length[z]) // 2) * m
+        total = total - term
     return total
 
 
@@ -543,7 +646,7 @@ def kl_suite_records(kl):
     rendered ``undefined`` and its record fails.
     """
     from klcat import verify
-    from klcat.coxeter import bruhat_leq, descents
+    from klcat.coxeter import descents
     from klcat.kl import to_classical
 
     table = kl.table
@@ -756,7 +859,7 @@ def _vec_render(table, coords):
 
 
 def _leaves_word_records(kl, word):
-    from klcat.coxeter import bruhat_interval, bruhat_leq, evaluate_word, word_name
+    from klcat.coxeter import bruhat_interval, evaluate_word, word_name
     from klcat.hecke import bott_samelson_class
 
     table = kl.table
@@ -889,9 +992,7 @@ def _recursion_word_records(kl, word):
 
 def word_suite_records(kl, suite):
     """The records of one word suite (``leaves``, ``branch`` or ``recursion``), word by word from scratch."""
-    from klcat.verify import reduced_words_in_order
-
-    words = [w for w in reduced_words_in_order(kl.table) if len(w) <= kl.complete_up_to]
+    words = reduced_words_in_order(kl.table, kl.complete_up_to)
     per_word = {"leaves": _leaves_word_records, "branch": _branch_word_records, "recursion": _recursion_word_records}
     records = []
     for word in words:

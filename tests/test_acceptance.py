@@ -12,9 +12,7 @@ from klcat.branch import branching_sides, derive_kl_recursion, res_cell_class, r
 from klcat.cells import build_cell_datum
 from klcat.cli import main
 from klcat.coxeter import (
-    all_reduced_words,
     bruhat_interval,
-    bruhat_leq,
     build_group,
     descents,
     evaluate_word,
@@ -25,7 +23,7 @@ from klcat.kl import compute_kl, recursion_column, to_classical
 from klcat.laurent import LaurentPoly, ONE, ZERO, v_power
 from klcat.leaves import character_map
 
-from oracles import dihedral_kl_candidate, satisfies_kl_conditions
+from oracles import all_reduced_words, bruhat_leq, dihedral_kl_candidate, satisfies_kl_conditions
 
 
 def branching(kl, word):

@@ -2,12 +2,13 @@ import pytest
 
 from klcat.branch import branching_sides, derive_kl_recursion, res_cell_class, restriction_counts
 from klcat.cells import build_cell_datum
-from klcat.coxeter import all_reduced_words, build_group, evaluate_word, preset_matrix
+from klcat.coxeter import build_group, evaluate_word, preset_matrix
 from klcat.kl import compute_kl
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
 from klcat.verify import RecordList, _branch_word_checks
 
 import oracles
+from oracles import all_reduced_words
 
 
 def all_words(table, max_len=None):

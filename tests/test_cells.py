@@ -1,12 +1,13 @@
 import pytest
 
 from klcat.cells import build_cell_datum, decomposition_sides, verify_decomposition_identity
-from klcat.coxeter import all_reduced_words, build_group, evaluate_word, preset_matrix
+from klcat.coxeter import build_group, evaluate_word, preset_matrix
 from klcat.hecke import bott_samelson_class
 from klcat.kl import compute_kl
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
 from klcat.leaves import cell_character, leaf_counts
-from klcat.verify import reduced_words_in_order
+
+from oracles import all_reduced_words, bruhat_leq, reduced_words_in_order
 
 
 def test_single_letter_datum(a2, kl_a2):
@@ -85,8 +86,6 @@ def test_decomposition_identity_exhaustive(name):
 
 
 def test_triangularity(a3, kl_a3):
-    from klcat.coxeter import bruhat_leq
-
     datum = build_cell_datum(kl_a3, (0, 1, 0, 2))
     for y in datum.simple_support:
         assert datum.decomposition(y, y) == ONE
@@ -107,9 +106,7 @@ def test_datum_from_tail_equals_datum_from_scratch(ladder, name):
     # the from-scratch build on every reduced word, tails from the previous layer
     table, kl = ladder(name)
     built = {}
-    for word in reduced_words_in_order(table):
-        if len(word) > kl.complete_up_to:
-            continue
+    for word in reduced_words_in_order(table, kl.complete_up_to):
         datum = built[word] = build_cell_datum(kl, word, built.get(word[1:]) if word else None)
         scratch = build_cell_datum(kl, word)
         assert datum == scratch, word

@@ -5,9 +5,7 @@ import pytest
 from klcat.coxeter import (
     CoxeterMatrix,
     IncompleteTableError,
-    all_reduced_words,
     bruhat_interval,
-    bruhat_leq,
     build_group,
     descents,
     evaluate_word,
@@ -21,8 +19,10 @@ from klcat.coxeter import (
 from oracles import (
     LADDER,
     SymmetricGroupModel,
+    all_reduced_words,
     braid_closure,
     braid_saturation_tables,
+    bruhat_leq,
     bruhat_leq_subword_oracle,
     brute_force_reduced_words,
     normal_form,

@@ -6,7 +6,6 @@ import pytest
 
 from klcat.coxeter import (
     bruhat_interval,
-    bruhat_leq,
     build_group,
     descents,
     evaluate_word,
@@ -29,6 +28,7 @@ from klcat.verify import run_suite
 from oracles import (
     LADDER,
     add,
+    bruhat_leq,
     classical_recursion,
     compute_kl_by_subtraction,
     dihedral_kl_candidate,

@@ -1,18 +1,21 @@
 import io
 import json
+import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 import klcat
+import klcat.cells
 import klcat.cli
 from klcat.cli import main
-from klcat.coxeter import IncompleteTableError, evaluate_word
+from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, preset_matrix
 from klcat.kl import canonical_json, compute_kl
 from klcat.laurent import v_power
 from klcat.verify import SUITES, FailRecords, JsonStream, RecordList, run_suite
 
-from oracles import word_suite_records
+from oracles import LADDER, reduced_words_in_order, word_suite_records
 
 
 def test_unknown_suite_rejected(kl_a2):
@@ -124,7 +127,7 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
     counting(klcat.cells, "left_mul_kl", lambda args: None)  # the one step from the tail's chain
     report = run_suite(kl, suite)
     assert report["pass"]
-    words = [w for w in klcat.verify.reduced_words_in_order(table) if len(w) <= kl.complete_up_to]
+    words = reduced_words_in_order(table, kl.complete_up_to)
     per_word = Counter(name for name, _ in calls)
     assert max(n for (name, _), n in calls.items() if name == "res_cell_class") == 1
     assert per_word["res_cell_class"] == sum(
@@ -133,6 +136,39 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
     assert all(n == 1 for (name, _), n in calls.items() if name == "is_reduced")
     assert per_word["is_reduced"] <= len(words)
     assert calls["left_mul_kl", None] <= len(words)
+
+
+@pytest.mark.parametrize("name, bound", [(name, None) for name in LADDER] + [("A4", 4)])
+def test_word_suites_walk_every_reduced_word_in_order(monkeypatch, ladder, name, bound):
+    # each cell datum is stubbed to its word and product (B4 alone has 103 k
+    # reduced words), so this checks the word order and the tails handed on
+    table, kl = ladder(name)
+    if bound is not None:
+        kl = compute_kl(table, bound)
+    walked = []
+
+    def light_datum(kl, word, tail=None):
+        assert tail is None if not word else tail.word == word[1:]
+        return SimpleNamespace(word=word, top=evaluate_word(table, word))
+
+    monkeypatch.setattr(klcat.cells, "build_cell_datum", light_datum)
+    monkeypatch.setattr(klcat.verify, "_leaves_word_checks", lambda kl, datum, sink: walked.append(datum.word))
+    run_suite(kl, "leaves")
+    assert walked == reduced_words_in_order(table, kl.complete_up_to)
+
+
+def test_a_bounded_run_lists_no_word_above_its_bound():
+    # A5 has 1.1 M reduced words, all but a few hundred longer than 3
+    table = build_group(preset_matrix("A5"), 1000)
+    kl = compute_kl(table, 3)
+    tracemalloc.start()
+    try:
+        report = run_suite(kl, "leaves")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"]
+    assert peak < 16 * 2**20, peak
 
 
 # -- sinks: the streamed JSON and the text report against the list report -----
