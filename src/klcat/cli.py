@@ -30,7 +30,8 @@ from .kl import (
     compute_kl,
     kl_from_json_obj,
     kl_to_csv,
-    kl_to_json_obj,
+    kl_to_json_obj,  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
+    kl_to_json_text,
     matrix_content_hash,
     validate_cache_header,
 )
@@ -141,13 +142,14 @@ def cmd_kl(args, out) -> int:
                 raise CacheMismatchError("cache is not a JSON object")
             validate_cache_header(obj.get("header", {}), table.matrix, bound)
             kl = kl_from_json_obj(table, obj, bound)
-    except (CacheMismatchError, OSError, KeyError, TypeError, ValueError) as exc:
+    # a deeply nested document raises RecursionError in json.loads or in the decoder
+    except (CacheMismatchError, OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CliError(EXIT_CACHE_ERROR, f"cache at {path}: {exc}")
     text = None  # the canonical JSON document, once encoded
     if kl is None:
         kl = compute_kl(table, bound)
         if path is not None:
-            text = canonical_json(kl_to_json_obj(kl))
+            text = kl_to_json_text(kl)
             try:
                 _write_replacing(path, text)
             except OSError as exc:
@@ -155,7 +157,7 @@ def cmd_kl(args, out) -> int:
     if args.format == "csv":
         out.write(kl_to_csv(kl))
     else:
-        out.write(text if text is not None else canonical_json(kl_to_json_obj(kl)))
+        out.write(text if text is not None else kl_to_json_text(kl))
     return EXIT_OK
 
 

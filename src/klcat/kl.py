@@ -25,6 +25,12 @@ plain ``{id: LaurentPoly}`` dicts (see :mod:`klcat.hecke`).  Sums of many
 products (each step of :func:`compute_kl`, the recursions,
 :meth:`KLTable.expand_in_kl_basis`) accumulate into one
 ``{x: {exponent: coefficient}}`` dict and build each polynomial once.
+
+A table is cached and dumped as one canonical JSON document.
+:func:`kl_to_json_text` writes it as text, encoding each element's word
+and each interned polynomial once; :func:`kl_to_json_obj` is the same
+document as an object, which :func:`kl_from_json_obj` decodes and
+validates.  :func:`kl_to_csv` formats each polynomial once per length gap.
 """
 
 from __future__ import annotations
@@ -342,9 +348,12 @@ def _with_unit_diagonal(kl: KLTable, z: int):
 # -- export and cache ------------------------------------------------------
 
 
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
+
+
 def canonical_json(obj) -> str:
     """Compact deterministic JSON (callers fix key order), newline-terminated."""
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True) + "\n"
+    return _encode(obj) + "\n"
 
 
 def matrix_content_hash(matrix, up_to_length: int) -> str:
@@ -352,8 +361,18 @@ def matrix_content_hash(matrix, up_to_length: int) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
+def _cache_header(matrix, up_to_length: int) -> dict:
+    return {
+        "matrix_hash": matrix_content_hash(matrix, up_to_length),
+        "rank": matrix.rank,
+        "up_to_length": up_to_length,
+        "tool_version": TOOL_VERSION,
+    }
+
+
 def kl_to_json_obj(kl: KLTable) -> dict:
-    """The cache document of ``kl``; each interned polynomial is converted once."""
+    """The cache document of ``kl`` as an object: what :func:`kl_from_json_obj`
+    reads, and the reference that :func:`kl_to_json_text` is tested against."""
     words = [list(word) for word in kl.table.words]
     polys: dict[int, dict[str, int]] = {}  # id of an interned coefficient -> its JSON object
     body = []
@@ -366,18 +385,40 @@ def kl_to_json_obj(kl: KLTable) -> dict:
             coeffs.append([words[x], obj])
         body.append([words[w], coeffs])
     return {
-        "header": {
-            "matrix_hash": matrix_content_hash(kl.table.matrix, kl.complete_up_to),
-            "rank": kl.table.rank,
-            "up_to_length": kl.complete_up_to,
-            "tool_version": TOOL_VERSION,
-        },
+        "header": _cache_header(kl.table.matrix, kl.complete_up_to),
         "body": {"complete_up_to": kl.complete_up_to, "kl": body},
     }
 
 
+def kl_to_json_text(kl: KLTable) -> str:
+    """``canonical_json(kl_to_json_obj(kl))``, the cache document, written as text.
+
+    Each element's word opens a pair as ``[word,`` and each interned
+    polynomial's JSON text closes one with ``]``; both are made once, so an
+    (x, w) pair costs one concatenation.  The header goes through
+    :func:`canonical_json`'s encoder.
+    """
+    opening = ["[[" + ",".join(map(str, word)) + "]," for word in kl.table.words]
+    polys: dict[int, str] = {}  # id of an interned coefficient -> its JSON text + "]"
+    entries = []
+    for w in kl.stored_elements():
+        pairs = []
+        for x, c in kl.kl_element(w).items():
+            tail = polys.get(id(c))
+            if tail is None:
+                tail = polys[id(c)] = _encode(c.to_json_obj()) + "]"
+            pairs.append(opening[x] + tail)
+        entries.append(opening[w] + "[" + ",".join(pairs) + "]]")
+    header = _encode(_cache_header(kl.table.matrix, kl.complete_up_to))
+    return (
+        f'{{"header":{header},"body":{{"complete_up_to":{kl.complete_up_to},'
+        f'"kl":[{",".join(entries)}]}}}}\n'
+    )
+
+
 def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable:
-    """Decode the body of a cache document written by :func:`kl_to_json_obj`.
+    """Decode the body of a cache document: :func:`kl_to_json_obj`'s object, as
+    ``json.loads`` reads back the text of :func:`kl_to_json_text`.
 
     One pass checks the body's shape, that it covers lengths up to
     ``up_to_length``, and that it holds exactly one entry per element of
@@ -466,13 +507,7 @@ class CacheMismatchError(Exception):
 def validate_cache_header(header: dict, matrix, up_to_length: int) -> None:
     if not isinstance(header, dict):
         raise CacheMismatchError("cache header is not a JSON object")
-    expected = {
-        "matrix_hash": matrix_content_hash(matrix, up_to_length),
-        "rank": matrix.rank,
-        "up_to_length": up_to_length,
-        "tool_version": TOOL_VERSION,
-    }
-    for key, want in expected.items():
+    for key, want in _cache_header(matrix, up_to_length).items():
         got = header.get(key)
         if got != want:
             raise CacheMismatchError(f"cache {key} is {got!r}, expected {want!r}")
@@ -510,6 +545,7 @@ __all__ = [
     "canonical_json",
     "matrix_content_hash",
     "kl_to_json_obj",
+    "kl_to_json_text",
     "kl_from_json_obj",
     "kl_to_csv",
     "validate_cache_header",

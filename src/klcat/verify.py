@@ -45,7 +45,6 @@ Suites:
 from __future__ import annotations
 
 import functools
-import json
 
 from . import branch as branch_mod
 from . import cells as cells_mod
@@ -62,6 +61,7 @@ from .coxeter import (
 from .hecke import bar_involution
 from .kl import (
     KLTable,
+    _encode,  # canonical_json's encoder, without the newline
     classical_recursion_column,
     compute_kl,
     recursion_column,
@@ -175,9 +175,6 @@ class FailRecords(RecordList):
     """Counts every check and keeps only the FAIL records: all the text report prints."""
 
     keeps_passes = False
-
-
-_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode  # kl.canonical_json's encoding
 
 
 class JsonStream(Sink):

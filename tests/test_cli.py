@@ -208,12 +208,31 @@ def test_cold_json_run_encodes_once(tmp_path, monkeypatch):
     import klcat.cli as cli_mod
 
     calls = []
-    encode = cli_mod.kl_to_json_obj
-    monkeypatch.setattr(cli_mod, "kl_to_json_obj", lambda kl: calls.append(kl) or encode(kl))
+    encode = cli_mod.kl_to_json_text
+    monkeypatch.setattr(cli_mod, "kl_to_json_text", lambda kl: calls.append(kl) or encode(kl))
     cache = tmp_path / "a3.json"
     code, text = run_cli(["kl", "--type", "A3", "--format", "json", "--cache", str(cache)])
     assert code == 0 and len(calls) == 1
     assert text == cache.read_text() == run_cli(["kl", "--type", "A3", "--format", "json"])[1]
+
+
+@pytest.mark.parametrize("where", ["whole-document", "inside-an-entry"])
+def test_kl_cache_nested_too_deep_exits_3(tmp_path, capsys, where):
+    # json.loads raises RecursionError on deep nesting; that cache is unusable, not an identity failure
+    cache = tmp_path / "deep.json"
+    if where == "whole-document":
+        cache.write_text("[" * 200_000 + "]" * 200_000)
+    else:  # the word of the first x of s1's entry, nested 995 deep in a valid A2 cache
+        assert main(["kl", "--type", "A2", "--cache", str(cache)], out=io.StringIO()) == 0
+        obj = json.loads(cache.read_text())
+        obj["body"]["kl"][1][1][0][0] = "DEEP"
+        cache.write_text(json.dumps(obj).replace('"DEEP"', "[" * 995 + "0" + "]" * 995))
+    capsys.readouterr()
+    for fmt in ("csv", "json"):
+        argv = ["kl", "--type", "A2", "--format", fmt, "--cache", str(cache)]
+        assert main(argv, out=io.StringIO()) == 3, fmt
+        err = capsys.readouterr().err
+        assert err.startswith(f"klcat: cache at {cache}") and "Traceback" not in err
 
 
 def test_kl_cache_write_failure_leaves_no_file(tmp_path, monkeypatch, capsys):

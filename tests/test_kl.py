@@ -19,6 +19,7 @@ from klcat.kl import (
     kl_from_json_obj,
     kl_to_csv,
     kl_to_json_obj,
+    kl_to_json_text,
     recursion_column,
     to_classical,
 )
@@ -395,8 +396,28 @@ def test_json_round_trip_is_identity(a3, kl_a3):
 
 
 def _reloaded(kl):
-    text = canonical_json(kl_to_json_obj(kl))
+    """``kl`` decoded from the cache document the CLI writes."""
+    text = kl_to_json_text(kl)
     return kl_from_json_obj(kl.table, json.loads(text), kl.complete_up_to)
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_json_text_matches_object_reference(ladder, name):
+    _, kl = ladder(name)
+    reloaded = _reloaded(kl)
+    for t in (kl, reloaded):
+        assert kl_to_json_text(t) == canonical_json(kl_to_json_obj(t))
+    for w in kl.stored_elements():
+        assert reloaded.kl_element(w) == kl.kl_element(w)
+
+
+def test_json_text_matches_object_reference_on_a_damaged_table(a3):
+    # a negative exponent and a coefficient beyond 64 bits pin how keys and ints are written
+    w, x = evaluate_word(a3, (1, 0, 2, 1)), evaluate_word(a3, (1,))
+    kl = _damaged(a3, a3.complete_length, w, x, lambda c: LaurentPoly({-3: 2**70 + 1, 2: -(2**65)}))
+    text = kl_to_json_text(kl)
+    assert text == canonical_json(kl_to_json_obj(kl))
+    assert '[[1],{"-3":1180591620717411303425,"2":-36893488147419103232}]' in text
 
 
 @pytest.mark.parametrize("name", LADDER)
