@@ -15,7 +15,7 @@ down from ``v*w0(s,t)*s`` to v along right descents, and y is v times the
 other alternating word.  No word is ever rewritten and no element's set of
 reduced words is listed: the word suites of :mod:`klcat.verify` grow the
 reduced words from their tails instead.  Bruhat order is read only from
-the memoized lower intervals of :func:`bruhat_interval`.
+the lower intervals of :func:`bruhat_interval`, the table's only memo.
 
 If the group does not close within the requested element cap, the table
 is truncated by length: it contains all elements of length <=
@@ -84,6 +84,15 @@ class CoxeterMatrix:
         return matrix
 
 
+def _decimal(text: str) -> Optional[int]:
+    """``int(text)`` if ``text`` is a canonical ASCII decimal (not ``"03"``, ``"+3"``, ``" 3"``), else None."""
+    try:
+        n = int(text)
+    except ValueError:
+        return None
+    return n if str(n) == text else None
+
+
 def preset_matrix(name: str) -> CoxeterMatrix:
     """A named standard matrix: ``An`` (chain of 3s), ``Bn`` (one 4), ``I2(m)``.
 
@@ -94,12 +103,11 @@ def preset_matrix(name: str) -> CoxeterMatrix:
     """
     name = name.strip()
     if name.startswith("I2(") and name.endswith(")"):
-        m = int(name[3:-1])
-        if m < 2:
-            raise ValueError("I2(m) needs m >= 2")
+        m = _decimal(name[3:-1])
+        if m is None or m < 2:
+            raise ValueError("I2(m) needs a decimal m >= 2")
         return CoxeterMatrix.from_rows([[1, m], [m, 1]])
-    if len(name) >= 2 and name[0] in "AB" and name[1:].isdigit():
-        n = int(name[1:])
+    if name[:1] in ("A", "B") and (n := _decimal(name[1:])) is not None:
         if n < 1 or (name[0] == "B" and n < 2):
             raise ValueError(f"unsupported preset {name!r}")
         rows = [[1 if i == j else (3 if abs(i - j) == 1 else 2) for j in range(n)] for i in range(n)]
@@ -125,12 +133,12 @@ def parse_word(text: str, rank: int) -> Word:
     letters = []
     for token in text.split(","):
         token = token.strip()
-        if not (token.startswith("s") and token[1:].isdigit()):
+        n = _decimal(token[1:])
+        if not token.startswith("s") or n is None:
             raise ValueError(f"bad generator token {token!r}; expected s1,s2,...")
-        i = int(token[1:]) - 1
-        if not 0 <= i < rank:
+        if not 1 <= n <= rank:
             raise ValueError(f"generator {token!r} out of range for rank {rank}")
-        letters.append(i)
+        letters.append(n - 1)
     return tuple(letters)
 
 
@@ -145,8 +153,8 @@ class GroupTable:
     ``names[x]`` are x's canonical reduced word, its length and its
     printed name (built on first use, since only output reads them); the
     build also stores each id's left and right descents.  Immutable after
-    construction apart from its two memo dicts: lower Bruhat intervals
-    and (filled by :mod:`klcat.hecke`) inverse standard-basis elements.
+    construction apart from its one memo dict, the lower Bruhat intervals
+    of :func:`bruhat_interval`.
     """
 
     identity = 0
@@ -175,7 +183,6 @@ class GroupTable:
         self.cap = cap
         self.complete_length = self.length[-1]
         self._interval_memo: dict[int, tuple[int, ...]] = {0: (0,)}  # id -> [e, id]
-        self._inverse_memo: dict = {}  # id -> terms of the inverse of H_{x^-1}, filled by hecke
 
     @cached_property
     def names(self) -> list[str]:

@@ -14,8 +14,11 @@ and the degree-shifted generators C_s = H_s + v act on the standard basis by
 
 Only left multiplication by shifted generators and the bar involution are
 needed by the algorithms here (the generic product is a test oracle).
-Both sum their products into one ``{x: {exponent: coefficient}}`` dict and
-build each coefficient once, dropping the coordinates that cancel.
+Both sum their products into ``{x: {exponent: coefficient}}`` dicts and
+build each coefficient once, dropping the coordinates that cancel.  The
+bar keeps no state: it is Horner's rule over the prefix tree of the
+canonical words, since every prefix of a ShortLex-minimal word is
+ShortLex-minimal.
 """
 
 from __future__ import annotations
@@ -45,68 +48,38 @@ def left_mul_kl(table: GroupTable, s: int, h: dict[int, LaurentPoly]) -> dict[in
     return _to_vector(acc)
 
 
-Terms = tuple[tuple[int, int], ...]  # a polynomial's nonzero (exponent, coefficient) pairs
-
-
-def _inverse_of_inverse_word(table: GroupTable, w: int) -> dict[int, Terms]:
-    """Standard-basis terms of the inverse of H_{w^-1}, memoized on the table.
-
-    With s the first letter of the canonical word of w, that inverse is
-    H_s^-1 times the inverse for sw, whose canonical word is the tail
-    (the tail of a ShortLex word is ShortLex).  H_s^-1 = H_s + (v - v^-1)
-    sends H_y to H_sy, plus (v - v^-1) H_y when l(sy) > l(y).  The chain
-    w, sw, ... is walked down to the first memoized element and filled
-    back up, each step accumulated in one dict of dicts.
-    """
-    memo, length = table._inverse_memo, table.length
-    if not memo:
-        memo[table.identity] = {table.identity: ((0, 1),)}
-    chain = []
-    u = w
-    while u not in memo:
-        s = table.words[u][0]
-        chain.append((u, s))
-        u = mult_gen(table, u, s, "left")
-    for u, s in reversed(chain):
-        acc: dict[int, dict[int, int]] = {}
-        for y, terms in memo[mult_gen(table, u, s, "left")].items():
-            sy = mult_gen(table, y, s, "left")
-            _add_terms(acc.setdefault(sy, {}), terms, 0, 1)
-            if length[sy] > length[y]:
-                d = acc.setdefault(y, {})
-                _add_terms(d, terms, 1, 1)
-                _add_terms(d, terms, -1, -1)
-        memo[u] = {y: t for y, d in acc.items() if (t := tuple((e, c) for e, c in d.items() if c))}
-    return memo[w]
-
-
-def _add_terms(acc: dict[int, int], terms: Terms, shift: int, factor: int) -> None:
-    """acc += factor * v^shift * (the polynomial of ``terms``), in place."""
-    get = acc.get
-    for e, c in terms:
-        e += shift
-        acc[e] = get(e, 0) + factor * c
-
-
 def bar_involution(table: GroupTable, h: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-    """The ring involution with v -> v^-1 and H_w -> (H_{w^-1})^-1.
+    """The ring involution with v -> v^-1 and H_x -> (H_{x^-1})^-1, by Horner's rule.
 
-    Every product of a barred coefficient with an inverse's coefficient is
-    accumulated into one dict of dicts; each ``LaurentPoly`` is built once.
+    Over the canonical word s_1 ... s_k of x, H_x maps to H_{s_1}^-1 ...
+    H_{s_k}^-1.  Every prefix of a ShortLex-minimal word is ShortLex-minimal
+    (Bjorner-Brenti, ch. 3), so the parent of x in the prefix tree is
+    ``x*t``, t the last letter of x's word, and bar(h) = G(e) with
+
+        G(p) = bar(c_p) + sum over children x = p*t of H_t^-1 G(x),
+
+    filled from the largest id down, each G one ``{y: {exponent:
+    coefficient}}`` dict.  H_t^-1 = H_t + (v - v^-1) sends H_y to H_ty,
+    plus (v - v^-1) H_y when l(ty) > l(y).
     """
-    acc: dict[int, dict[int, int]] = {}
-    for w, c in h.items():
-        inverse = _inverse_of_inverse_word(table, w)
-        for e, k in c.items():
-            for y, terms in inverse.items():
-                d = acc.get(y)
-                if d is None:
-                    d = acc[y] = {}
-                get = d.get
-                for f, j in terms:
-                    f -= e
-                    d[f] = get(f, 0) + k * j
-    return _to_vector(acc)
+    length, words = table.length, table.words
+    pending = {x: {table.identity: {-e: k for e, k in c.items()}} for x, c in h.items()}
+    for x in range(max(pending, default=0), 0, -1):
+        if (g := pending.pop(x, None)) is None:
+            continue
+        t = words[x][-1]
+        acc = pending.setdefault(mult_gen(table, x, t, "right"), {})
+        for y, d in g.items():
+            ty = mult_gen(table, y, t, "left")
+            target = acc.setdefault(ty, {})
+            for e, k in d.items():
+                target[e] = target.get(e, 0) + k
+            if length[ty] > length[y]:
+                target = acc.setdefault(y, {})
+                for e, k in d.items():
+                    target[e + 1] = target.get(e + 1, 0) + k
+                    target[e - 1] = target.get(e - 1, 0) - k
+    return _to_vector(pending.get(table.identity, {}))
 
 
 def bott_samelson_class(table: GroupTable, word: Word) -> dict[int, LaurentPoly]:

@@ -46,7 +46,7 @@ from .coxeter import (
     descents,
     mult_gen,
 )
-from .hecke import Terms, left_mul_kl
+from .hecke import _to_vector, left_mul_kl
 from .laurent import LaurentPoly, ONE, ZERO
 
 TOOL_VERSION = "0.1.0"
@@ -71,7 +71,7 @@ class KLTable:
         self.table = table
         self.complete_up_to = complete_up_to
         self._kl: dict[int, dict[int, LaurentPoly]] = {}
-        self._polys: dict[Terms, LaurentPoly] = {}  # sorted terms -> the interned instance
+        self._polys: dict[tuple[tuple[int, int], ...], LaurentPoly] = {}  # sorted terms -> the interned instance
         self._sc_memo: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
 
     def _store(self, w: int, acc: dict[int, dict[int, int]]) -> None:
@@ -258,7 +258,7 @@ def recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly]:
         if m:
             for x, h in _with_unit_diagonal(kl, z):
                 h.add_to(acc.setdefault(x, {}), 0, -m)
-    return {x: c for x, d in acc.items() if (c := LaurentPoly(d))}
+    return _to_vector(acc)
 
 
 def classical_recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly | None]:

@@ -56,6 +56,8 @@ def test_bad_spec_exits_2(capsys):
     assert main(["group", "--matrix", '{"rank":2,"m":[[1,1],[1,1]]}'], out=io.StringIO()) == 2
     assert main(["kl"], out=io.StringIO()) == 2
     assert main(["group", "--type", "A2", "--cap", "0"], out=io.StringIO()) == 2
+    for name in ("A\u0663", "A03", "I2(\u0663)", "I2( 3)", "I2(+3)"):
+        assert main(["group", "--type", name], out=io.StringIO()) == 2
     capsys.readouterr()
 
 
@@ -302,6 +304,8 @@ def test_cells_a3_chain_word():
 def test_cells_non_reduced_exits_4(capsys):
     assert main(["cells", "--type", "A2", "--word", "s1,s1"], out=io.StringIO()) == 4
     assert main(["cells", "--type", "A2", "--word", "s9"], out=io.StringIO()) == 4
+    for word in ("s\u0663", "s01"):  # only canonical ASCII decimals name a generator
+        assert main(["cells", "--type", "A3", "--word", word], out=io.StringIO()) == 4
     capsys.readouterr()
 
 

@@ -55,7 +55,7 @@ def test_matrix_json_round_trip():
 
 
 def test_preset_errors():
-    for bad in ("Z9", "I2(1)", "B1", "A0", ""):
+    for bad in ("Z9", "I2(1)", "B1", "A0", "", "A\u0663", "A03", "I2(\u0663)", "I2( 3)", "I2(+3)"):
         with pytest.raises(ValueError):
             preset_matrix(bad)
 
@@ -300,3 +300,6 @@ def test_word_helpers():
         parse_word("s4", 3)
     with pytest.raises(ValueError):
         parse_word("x1", 3)
+    for bad in ("s01", "s\u0663"):  # only canonical ASCII decimals name a generator
+        with pytest.raises(ValueError):
+            parse_word(bad, 3)

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -110,6 +111,16 @@ def test_bar_is_involution_and_ring_morphism(name):
         assert bar(product(table, h, k)) == product(table, bar(h), bar(k))
 
 
+@pytest.mark.parametrize("name", LADDER)
+def test_bar_is_an_involution_on_the_ladder(ladder, name):
+    # random elements mix lengths up to the top of the table, truncated ones included
+    table, _ = ladder(name)
+    rng = random.Random(f"involution {name}")
+    for _ in range(10):
+        h = random_hecke_elt(table, rng, max_terms=6)
+        assert bar_involution(table, bar_involution(table, h)) == h
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
 def test_braid_relation_as_operators(m):
     table = build_group(preset_matrix(f"I2({m})"), 1000)
@@ -141,8 +152,10 @@ def test_bar_matches_oracle(ladder, name):
     # every H_w, whose image is the inverse of H_{w^-1}, and elements that are not bar-invariant
     samples = [{w: ONE} for w in kl.stored_elements()]
     samples += [random_hecke_elt(table, rng) for _ in range(20)]
+    before = copy.deepcopy(vars(table))
     for h in samples:
         assert bar_involution(table, h) == oracles.bar_involution(table, h)
+    assert vars(table) == before  # the bar keeps no state on the table
     # C_w is bar-invariant, so the oracle's image of it is itself (evaluating the
     # oracle on every C_w takes 22 s on B4)
     for u in kl.stored_elements():
