@@ -28,12 +28,12 @@ from .kl import (
     TOOL_VERSION,
     canonical_json,
     compute_kl,
-    kl_from_json_obj,
+    kl_from_json_obj,  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
+    kl_from_json_text,
     kl_to_csv,
     kl_to_json_obj,  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
     kl_to_json_text,
     matrix_content_hash,
-    validate_cache_header,
 )
 from .verify import SUITES, FailRecords, JsonStream, run_suite
 
@@ -137,13 +137,9 @@ def cmd_kl(args, out) -> int:
     kl = None
     try:
         if path is not None and path.exists():
-            obj = json.loads(path.read_text())
-            if not isinstance(obj, dict):
-                raise CacheMismatchError("cache is not a JSON object")
-            validate_cache_header(obj.get("header", {}), table.matrix, bound)
-            kl = kl_from_json_obj(table, obj, bound)
-    # a deeply nested document raises RecursionError in json.loads or in the decoder
-    except (CacheMismatchError, OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            kl = kl_from_json_text(table, path.read_text(), bound)
+    # text that is not JSON raises ValueError, or RecursionError when nested too deep
+    except (CacheMismatchError, OSError, ValueError, RecursionError) as exc:
         raise CliError(EXIT_CACHE_ERROR, f"cache at {path}: {exc}")
     text = None  # the canonical JSON document, once encoded
     if kl is None:

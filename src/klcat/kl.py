@@ -29,8 +29,12 @@ products (each step of :func:`compute_kl`, the recursions,
 A table is cached and dumped as one canonical JSON document.
 :func:`kl_to_json_text` writes it as text, encoding each element's word
 and each interned polynomial once; :func:`kl_to_json_obj` is the same
-document as an object, which :func:`kl_from_json_obj` decodes and
-validates.  :func:`kl_to_csv` formats each polynomial once per length gap.
+document as an object, the reference the text is tested against.
+:func:`kl_from_json_text` decodes and validates that text as written: it
+looks up each word and each polynomial text once and builds no object per
+(x, w) pair.  Any other JSON layout of the document is re-encoded once
+into the canonical one (:func:`kl_from_json_obj`) and read the same way.
+:func:`kl_to_csv` formats each polynomial once per length gap.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import re
 
 from .coxeter import (
     GroupTable,
@@ -356,6 +361,11 @@ def canonical_json(obj) -> str:
     return _encode(obj) + "\n"
 
 
+def _word_text(word) -> str:
+    """A word as the cache writes it between its brackets: ``1,0,2``."""
+    return ",".join(map(str, word))
+
+
 def matrix_content_hash(matrix, up_to_length: int) -> str:
     payload = {"m": [list(r) for r in matrix.orders], "rank": matrix.rank, "up_to": up_to_length}
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
@@ -398,7 +408,7 @@ def kl_to_json_text(kl: KLTable) -> str:
     (x, w) pair costs one concatenation.  The header goes through
     :func:`canonical_json`'s encoder.
     """
-    opening = ["[[" + ",".join(map(str, word)) + "]," for word in kl.table.words]
+    opening = ["[[" + _word_text(word) + "]," for word in kl.table.words]
     polys: dict[int, str] = {}  # id of an interned coefficient -> its JSON text + "]"
     entries = []
     for w in kl.stored_elements():
@@ -416,26 +426,41 @@ def kl_to_json_text(kl: KLTable) -> str:
     )
 
 
-def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable:
-    """Decode the body of a cache document: :func:`kl_to_json_obj`'s object, as
-    ``json.loads`` reads back the text of :func:`kl_to_json_text`.
+def kl_from_json_text(table: GroupTable, text: str, up_to_length: int) -> KLTable:
+    """Decode and validate a cache document, the text :func:`kl_to_json_text` writes.
 
-    One pass checks the body's shape, that it covers lengths up to
-    ``up_to_length``, and that it holds exactly one entry per element of
-    that length or less, each naming every x at most once with a nonzero
-    polynomial; each distinct JSON polynomial is decoded once, strictly
-    (:meth:`LaurentPoly.from_json_obj`), into the table's intern map.  Each
-    entry is stored ids ascending, whatever its order in the file, since
-    the exporters walk the stored elements in order.  Then every support
-    is proven to be its Bruhat interval, which the CSV writer relies on: the coefficient at w must be exactly 1 and, with s
-    the first left descent of w and S the support of C_sw, the support of
-    C_w must be S together with s*S, which by induction is [e, w].  Each
-    distinct (polynomial, l(w) - l(x)) pair with x < w is checked once for
-    the shape of an h_{x,w}: every exponent e has 0 < e <= l(w) - l(x)
-    and the parity of l(w) - l(x), so :func:`to_classical` accepts it.
-    Any failure raises :class:`CacheMismatchError`.  Beyond that the
-    polynomials' values are taken on trust (checking them would mean
-    recomputing the table).
+    Text in exactly that form, with the header this request writes, is
+    read by :func:`_decode_entries`: no object is built per (x, w) pair.
+    Any other JSON layout (whitespace, key order, extra keys, escapes) is
+    read by ``json.loads``, its header checked, and its body re-encoded
+    once into that form by :func:`kl_from_json_obj`.  A word names an
+    element only as written there, so ``[1.0]`` or ``[true]`` names none.
+    Text that is not JSON raises ValueError (RecursionError when nested
+    too deep); any other fault raises :class:`CacheMismatchError`.
+    """
+    head = (
+        f'{{"header":{_encode(_cache_header(table.matrix, up_to_length))},'
+        f'"body":{{"complete_up_to":{up_to_length},"kl":['
+    )
+    if text.startswith(head) and text.endswith(_TAIL):
+        try:
+            return _decode_entries(table, text, len(head), len(text) - len(_TAIL), up_to_length)
+        except _NotCanonical:
+            pass
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise CacheMismatchError("cache is not a JSON object")
+    validate_cache_header(obj.get("header", {}), table.matrix, up_to_length)
+    return kl_from_json_obj(table, obj, up_to_length)
+
+
+def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable:
+    """Decode and validate the body of a cache document read by ``json.loads``.
+
+    The body must be ``{"complete_up_to": up_to_length, "kl": [...]}``;
+    its entries are re-encoded once into canonical text and decoded by
+    :func:`_decode_entries`, so a document is checked the same way
+    whatever its layout.  The header is not checked here.
     """
     body = obj.get("body")
     if not isinstance(body, dict) or not isinstance(body.get("kl"), list):
@@ -444,35 +469,82 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
         raise CacheMismatchError(
             f"cache body complete_up_to is {body.get('complete_up_to')!r}, expected {up_to_length!r}"
         )
+    entries = _encode(body["kl"])
+    return _decode_entries(table, entries, 1, len(entries) - 1, up_to_length)
+
+
+class CacheMismatchError(Exception):
+    """A cache file exists but does not match the request or is malformed."""
+
+
+class _NotCanonical(CacheMismatchError):
+    """The cache text departs from the form :func:`kl_to_json_text` writes."""
+
+
+_TAIL = "]}}\n"
+# An entry [[word],[[[word],{polynomial}],...]], then a comma before the next
+# entry or the end of the list.  No word or polynomial text holds a bracket.
+# The patterns are compiled on first use (re caches them), not at import.
+_PAIR_TEXT = r"\[\[[^\[\]]*\],\{[^{}\[\]]*\}\]"
+_ENTRY = rf"\[\[([^\[\]]*)\],\[((?:{_PAIR_TEXT},)*{_PAIR_TEXT})\]\](?:,(?=\[)|\Z)"
+_PAIR = r"\[\[([^\[\]]*)\],(\{[^{}\[\]]*\})\]"
+
+
+def _decode_entries(table: GroupTable, text: str, start: int, end: int, up_to_length: int) -> KLTable:
+    """Decode the entries list of a cache document, ``text[start:end]`` within its brackets.
+
+    Words are looked up by their text in a ``{word text: id}`` map built
+    once from ``table.words``.  One pass checks that the list holds exactly
+    one entry per element of length ``up_to_length`` or less, each naming
+    every x at most once with a nonzero polynomial; each distinct
+    polynomial text is decoded once, strictly (``json.loads`` of the
+    fragment, then :meth:`LaurentPoly.from_json_obj`), into the table's
+    intern map.  Each entry is stored ids ascending, whatever its order in
+    the file, since the exporters walk the stored elements in order.  Then
+    every support is proven to be its Bruhat interval, which the CSV
+    writer relies on: the coefficient at w must be exactly 1 and, with s
+    the first left descent of w and S the support of C_sw, the support of
+    C_w must be S together with s*S (read from the table's left products,
+    as :func:`compute_kl` does), which by induction is [e, w].  Each
+    distinct (polynomial, l(w) - l(x)) pair with x < w is checked once for
+    the shape of an h_{x,w}: every exponent e has 0 < e <= l(w) - l(x) and
+    the parity of l(w) - l(x), so :func:`to_classical` accepts it.  Any failure raises
+    :class:`CacheMismatchError`, and text that is not in the canonical
+    form (or not JSON) raises its subclass :class:`_NotCanonical`.  Beyond
+    that the polynomials' values are taken on trust (checking them would
+    mean recomputing the table).
+    """
     kl = KLTable(table, up_to_length)
-    # a JSON polynomial's terms and their types (so 1.0 and true never reuse the
-    # decoding of 1) -> the interned value
-    decoded: dict[tuple, LaurentPoly] = {}
-    for entry in body["kl"]:
-        try:
-            word, coeffs = entry
-            w = table.element_from_word(tuple(word))
-            elt = {}
-            for xw, poly in coeffs:
-                if type(poly) is not dict:
-                    raise TypeError(f"polynomial must be an object, got {type(poly).__name__}")
-                key = (*poly.items(), *map(type, poly.values()))
-                c = decoded.get(key)
-                if c is None:
-                    c = LaurentPoly.from_json_obj(poly)
-                    if not c:
-                        raise ValueError("a stored coefficient is never zero")
-                    c = decoded[key] = kl._polys.setdefault(tuple(c.items()), c)
-                elt[table.element_from_word(tuple(xw))] = c
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheMismatchError(f"malformed cache entry {entry!r:.80}") from exc
-        if table.length[w] > up_to_length or w in kl._kl or len(elt) != len(coeffs):
+    stored = kl.stored_elements()
+    ids = {_word_text(table.words[x]): x for x in stored}
+    decoded: dict[str, LaurentPoly] = {}  # polynomial text -> the interned value
+    length, left = table.length, table._left
+    entry, pair = re.compile(_ENTRY), re.compile(_PAIR)
+    pos = start
+    while pos < end:
+        m = entry.match(text, pos, end)
+        if m is None:
+            raise _NotCanonical(
+                f"cache entry is not [[word],[[[word],{{polynomial}}],...]]: {text[pos:pos + 80]!r}"
+            )
+        pos = m.end()
+        pairs = pair.findall(m[2])
+        elt = {}
+        for word, poly in pairs:
+            c = decoded.get(poly)
+            if c is None:
+                c = decoded[poly] = _decode_poly(kl, poly)
+            elt[ids.get(word)] = c  # an unknown word is the key None
+        w = ids.get(m[1])
+        if w is None or None in elt:
+            raise _NotCanonical(
+                f"cache entry {m[0].rstrip(',')!r:.80} names no element of length {up_to_length} or less"
+            )
+        if w in kl._kl or len(elt) != len(pairs):
             raise CacheMismatchError(f"unexpected or repeated cache entry for {table.names[w]}")
         kl._kl[w] = dict(sorted(elt.items()))
-    stored = kl.stored_elements()
     if len(kl._kl) != len(stored):
         raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {len(stored)}")
-    length = table.length
     # ids of the (interned, so never reused) polynomials checked at each length difference
     bounded: list[set[int]] = [set() for _ in range(table.complete_length + 1)]
     for w in stored:
@@ -481,8 +553,8 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
             interval = {w}
         else:
             s = descents(table, w, "left")[0]
-            lower = kl._kl[mult_gen(table, w, s, "left")]
-            interval = {*lower, *(mult_gen(table, x, s, "left") for x in lower)}
+            lower = kl._kl[left[w][s]]
+            interval = {*lower, *(left[x][s] for x in lower)}  # x < w, so s*x lies within the table
         if elt.get(w) != ONE:
             raise CacheMismatchError(f"cache coefficient of {table.names[w]} at itself is not 1")
         if elt.keys() != interval:
@@ -500,8 +572,20 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
     return kl
 
 
-class CacheMismatchError(Exception):
-    """A cache file exists but does not match the request or is malformed."""
+def _decode_poly(kl: KLTable, text: str) -> LaurentPoly:
+    """The interned value of one polynomial text: nonzero, and strict as
+    :meth:`LaurentPoly.from_json_obj` is."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise _NotCanonical(f"cache polynomial {text!r:.80} is not JSON") from exc
+    try:
+        c = LaurentPoly.from_json_obj(obj)
+    except ValueError as exc:
+        raise CacheMismatchError(f"malformed cache polynomial {text!r:.80}: {exc}") from exc
+    if not c:
+        raise CacheMismatchError(f"cache polynomial {text!r:.80} is zero: a stored coefficient never is")
+    return kl._polys.setdefault(tuple(c.items()), c)
 
 
 def validate_cache_header(header: dict, matrix, up_to_length: int) -> None:

@@ -12,7 +12,9 @@ bar-invariance conditions directly, the KL CSV oracle walks Bruhat
 intervals by pairwise comparison instead of the stored supports, the KL
 table is built by subtracting whole Hecke elements, and the KL
 recursions, bar involution and KL-basis expansion are evaluated one
-entry at a time instead of accumulated a column at a time.  Hecke
+entry at a time instead of accumulated a column at a time, and the KL
+cache is decoded from the object tree ``json.loads`` builds instead of
+from its text.  Hecke
 elements are plain ``{id: LaurentPoly}`` dicts with no zero value, as in
 production; the standard-basis generator action and the generic product
 below are the only ones anywhere.
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from klcat.coxeter import INFINITE
+from klcat.coxeter import INFINITE, descents, mult_gen
+from klcat.kl import CacheMismatchError, KLTable
 from klcat.laurent import LaurentPoly, ONE, ZERO
 
 # -- braid-move saturation (independent oracle for coxeter.build_group) -------
@@ -400,6 +403,97 @@ def interval_kl_csv(kl) -> str:
             p = to_classical(h, length[x], length[w])
             lines.append(f"{names[x]},{names[w]},{h.render('v')},{p.render('q')},{kl.mu(x, w)}")
     return "\n".join(lines) + "\n"
+
+
+# -- object-walking cache decoder (reference for kl.kl_from_json_text) ---------
+# The decoder the CLI ran before it read the cache from its text: it walks
+# the document as ``json.loads`` builds it, one list per (x, w) pair and one
+# dict per polynomial occurrence.  It checks the body only; the caller
+# checks the header with ``kl.validate_cache_header``.
+
+
+def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable:
+    """Decode the body of a cache document: :func:`kl_to_json_obj`'s object, as
+    ``json.loads`` reads back the text of :func:`kl_to_json_text`.
+
+    One pass checks the body's shape, that it covers lengths up to
+    ``up_to_length``, and that it holds exactly one entry per element of
+    that length or less, each naming every x at most once with a nonzero
+    polynomial; each distinct JSON polynomial is decoded once, strictly
+    (:meth:`LaurentPoly.from_json_obj`), into the table's intern map.  Each
+    entry is stored ids ascending, whatever its order in the file, since
+    the exporters walk the stored elements in order.  Then every support
+    is proven to be its Bruhat interval, which the CSV writer relies on: the coefficient at w must be exactly 1 and, with s
+    the first left descent of w and S the support of C_sw, the support of
+    C_w must be S together with s*S, which by induction is [e, w].  Each
+    distinct (polynomial, l(w) - l(x)) pair with x < w is checked once for
+    the shape of an h_{x,w}: every exponent e has 0 < e <= l(w) - l(x)
+    and the parity of l(w) - l(x), so :func:`to_classical` accepts it.
+    Any failure raises :class:`CacheMismatchError`.  Beyond that the
+    polynomials' values are taken on trust (checking them would mean
+    recomputing the table).
+    """
+    body = obj.get("body")
+    if not isinstance(body, dict) or not isinstance(body.get("kl"), list):
+        raise CacheMismatchError('cache body is not {"complete_up_to": n, "kl": [...]}')
+    if body.get("complete_up_to") != up_to_length:
+        raise CacheMismatchError(
+            f"cache body complete_up_to is {body.get('complete_up_to')!r}, expected {up_to_length!r}"
+        )
+    kl = KLTable(table, up_to_length)
+    # a JSON polynomial's terms and their types (so 1.0 and true never reuse the
+    # decoding of 1) -> the interned value
+    decoded: dict[tuple, LaurentPoly] = {}
+    for entry in body["kl"]:
+        try:
+            word, coeffs = entry
+            w = table.element_from_word(tuple(word))
+            elt = {}
+            for xw, poly in coeffs:
+                if type(poly) is not dict:
+                    raise TypeError(f"polynomial must be an object, got {type(poly).__name__}")
+                key = (*poly.items(), *map(type, poly.values()))
+                c = decoded.get(key)
+                if c is None:
+                    c = LaurentPoly.from_json_obj(poly)
+                    if not c:
+                        raise ValueError("a stored coefficient is never zero")
+                    c = decoded[key] = kl._polys.setdefault(tuple(c.items()), c)
+                elt[table.element_from_word(tuple(xw))] = c
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheMismatchError(f"malformed cache entry {entry!r:.80}") from exc
+        if table.length[w] > up_to_length or w in kl._kl or len(elt) != len(coeffs):
+            raise CacheMismatchError(f"unexpected or repeated cache entry for {table.names[w]}")
+        kl._kl[w] = dict(sorted(elt.items()))
+    stored = kl.stored_elements()
+    if len(kl._kl) != len(stored):
+        raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {len(stored)}")
+    length = table.length
+    # ids of the (interned, so never reused) polynomials checked at each length difference
+    bounded: list[set[int]] = [set() for _ in range(table.complete_length + 1)]
+    for w in stored:
+        elt = kl._kl[w]
+        if w == table.identity:
+            interval = {w}
+        else:
+            s = descents(table, w, "left")[0]
+            lower = kl._kl[mult_gen(table, w, s, "left")]
+            interval = {*lower, *(mult_gen(table, x, s, "left") for x in lower)}
+        if elt.get(w) != ONE:
+            raise CacheMismatchError(f"cache coefficient of {table.names[w]} at itself is not 1")
+        if elt.keys() != interval:
+            raise CacheMismatchError(f"cache support of {table.names[w]} is not its Bruhat interval")
+        lw = length[w]
+        for x, c in elt.items():
+            gap = lw - length[x]  # 0 only on the diagonal, checked above
+            if id(c) not in bounded[gap]:
+                if gap and not all(0 < e <= gap and (gap - e) % 2 == 0 for e in c.exponents()):
+                    raise CacheMismatchError(
+                        f"cache entry of {table.names[w]} holds {c.render()} at length difference "
+                        f"{gap}; its exponents must lie in 1..{gap} and have the parity of {gap}"
+                    )
+                bounded[gap].add(id(c))
+    return kl
 
 
 # -- the group ladder the fast paths are checked on ----------------------------

@@ -2,10 +2,23 @@ import hashlib
 import io
 import json
 import os
+import re
+import tracemalloc
 
 import pytest
 
 from klcat.cli import main
+from klcat.coxeter import build_group, preset_matrix
+from klcat.kl import (
+    CacheMismatchError,
+    KLTable,
+    canonical_json,
+    kl_from_json_text,
+    kl_to_json_text,
+    validate_cache_header,
+)
+
+from oracles import LADDER, kl_from_json_obj as walk_cache_object
 
 
 def run_cli(argv, env=None, monkeypatch=None):
@@ -144,39 +157,37 @@ def _set_poly(body, w, i, poly):
     body["kl"][w][1][i][1] = poly
 
 
-@pytest.mark.parametrize(
-    "damage",
-    [
-        lambda body: body.update(kl=[[0, 1]]),  # wrong shape
-        lambda body: body.update(kl=body["kl"][:2]),  # valid header, truncated body
-        lambda body: body["kl"][5][1].pop(0),  # h_{e,w} dropped
-        lambda body: body["kl"][1][1].insert(1, [[1], {"1": 1}]),  # s2 is not below s1
-        lambda body: _set_poly(body, 5, -1, {"0": 2}),  # h_{w,w} = 2
-        lambda body: _set_poly(body, 5, 0, {}),  # h_{e,w} = 0: a stored coefficient is never zero
-        # h_{e,w} = v^2 for l(w) = 2, already decoded for the entry before
-        lambda body: _set_poly(body, 5, 0, {"2": 1.0}),
-        lambda body: _set_poly(body, 5, 0, {"2": True}),
-        lambda body: _set_poly(body, 1, 0, {" +1 ": 1}),
-        # h_{e,s1} must be v^1: v^2 breaks the parity, v^3 the degree bound, v^-1 the lower one
-        lambda body: _set_poly(body, 1, 0, {"2": 1}),
-        lambda body: _set_poly(body, 1, 0, {"3": 1}),
-        lambda body: _set_poly(body, 1, 0, {"-1": 1}),
-    ],
-    ids=[
-        "wrong-shape",
-        "truncated",
-        "dropped-coefficient",
-        "x-outside-interval",
-        "diagonal-not-1",
-        "zero-coefficient",
-        "float-coefficient",
-        "bool-coefficient",
-        "non-canonical-exponent",
-        "wrong-parity",
-        "over-degree",
-        "non-positive-degree",
-    ],
-)
+def _set_word(body, w, word):
+    """Replace the word that opens entry w (id 2 is s2, whose word is [1])."""
+    body["kl"][w][0] = word
+
+
+# damage to an A3 cache body -> the id of the case
+BAD_BODIES = {
+    "wrong-shape": lambda body: body.update(kl=[[0, 1]]),
+    "truncated": lambda body: body.update(kl=body["kl"][:2]),  # valid header, truncated body
+    "dropped-coefficient": lambda body: body["kl"][5][1].pop(0),  # h_{e,w} dropped
+    "x-outside-interval": lambda body: body["kl"][1][1].insert(1, [[1], {"1": 1}]),  # s2 is not below s1
+    "repeated-entry": lambda body: body["kl"].append(body["kl"][5]),
+    "repeated-x": lambda body: body["kl"][5][1].append(body["kl"][5][1][0]),
+    "diagonal-not-1": lambda body: _set_poly(body, 5, -1, {"0": 2}),  # h_{w,w} = 2
+    # h_{e,w} = 0: a stored coefficient is never zero
+    "zero-coefficient": lambda body: _set_poly(body, 5, 0, {}),
+    # h_{e,w} = v^2 for l(w) = 2, already decoded for the entry before
+    "float-coefficient": lambda body: _set_poly(body, 5, 0, {"2": 1.0}),
+    "bool-coefficient": lambda body: _set_poly(body, 5, 0, {"2": True}),
+    "non-canonical-exponent": lambda body: _set_poly(body, 1, 0, {" +1 ": 1}),
+    # h_{e,s1} must be v^1: v^2 breaks the parity, v^3 the degree bound, v^-1 the lower one
+    "wrong-parity": lambda body: _set_poly(body, 1, 0, {"2": 1}),
+    "over-degree": lambda body: _set_poly(body, 1, 0, {"3": 1}),
+    "non-positive-degree": lambda body: _set_poly(body, 1, 0, {"-1": 1}),
+    # a word names an element only as the cache writes it
+    "float-word": lambda body: _set_word(body, 2, [1.0]),
+    "bool-word": lambda body: _set_word(body, 2, [True]),
+}
+
+
+@pytest.mark.parametrize("damage", BAD_BODIES.values(), ids=list(BAD_BODIES))
 def test_kl_cache_bad_body_exits_3(tmp_path, capsys, damage):
     cache = tmp_path / "kl.json"
     assert main(["kl", "--type", "A3", "--cache", str(cache)], out=io.StringIO()) == 0
@@ -189,6 +200,128 @@ def test_kl_cache_bad_body_exits_3(tmp_path, capsys, damage):
         assert main(argv, out=io.StringIO()) == 3, fmt
         err = capsys.readouterr().err
         assert err.startswith(f"klcat: cache at {cache}") and "Traceback" not in err
+
+
+def _reference_decode(table, text, bound):
+    """The warm path before the text decoder: ``json.loads``, the header, then the object walker."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise CacheMismatchError("cache is not a JSON object")
+    validate_cache_header(obj.get("header", {}), table.matrix, bound)
+    return walk_cache_object(table, obj, bound)
+
+
+REFUSALS = (CacheMismatchError, ValueError, RecursionError)
+
+
+def _verdict(decode, table, text, bound):
+    """The decoded table, or the class in REFUSALS of the error ``decode`` raises."""
+    try:
+        return decode(table, text, bound)
+    except REFUSALS as exc:
+        return next(cls for cls in REFUSALS if isinstance(exc, cls))
+
+
+def _assert_same_verdict(table, text, bound):
+    got = _verdict(kl_from_json_text, table, text, bound)
+    want = _verdict(_reference_decode, table, text, bound)
+    if want in REFUSALS:
+        assert got is want
+        return
+    assert got not in REFUSALS
+    for w in want.stored_elements():
+        assert list(got.kl_element(w).items()) == list(want.kl_element(w).items())
+    coeffs = [c for w in got.stored_elements() for c in got.kl_element(w).values()]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))  # each value is one interned instance
+
+
+def _a3_cache_obj(kl_a3):
+    return json.loads(kl_to_json_text(kl_a3))
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_text_decoder_matches_the_object_walker_on_the_ladder(ladder, name):
+    table, kl = ladder(name)
+    _assert_same_verdict(table, kl_to_json_text(kl), kl.complete_up_to)
+
+
+@pytest.mark.parametrize("case", BAD_BODIES)
+def test_text_decoder_matches_the_object_walker_on_bad_bodies(a3, kl_a3, case):
+    obj = _a3_cache_obj(kl_a3)
+    BAD_BODIES[case](obj["body"])
+    # canonical_json keeps the damage on the text decoder's byte-canonical path
+    for text in (json.dumps(obj), canonical_json(obj)):
+        if case in ("float-word", "bool-word"):
+            # the one deliberate difference: the reference reads [1.0] and [true] as [1]
+            assert isinstance(_reference_decode(a3, text, 6), KLTable)
+            with pytest.raises(CacheMismatchError, match="names no element"):
+                kl_from_json_text(a3, text, 6)
+        else:
+            _assert_same_verdict(a3, text, 6)
+
+
+def _reversed_entries_and_pairs(obj):
+    obj["body"]["kl"].reverse()
+    for _, coeffs in obj["body"]["kl"]:
+        coeffs.reverse()
+    return canonical_json(obj)
+
+
+def _non_canonical_a3_caches(kl_a3):
+    """(id, text): JSON documents of the A3 table that are not byte-canonical."""
+    canonical = kl_to_json_text(kl_a3)
+    obj = _a3_cache_obj(kl_a3)
+    body = obj["body"]
+    yield "spaces", json.dumps(obj)
+    yield "indent", json.dumps(obj, indent=1)
+    yield "reversed", _reversed_entries_and_pairs(_a3_cache_obj(kl_a3))
+    yield "body-keys-reversed", json.dumps({"header": obj["header"], "body": dict(reversed(body.items()))})
+    yield "extra-key", canonical_json({**obj, "note": {"made": [1, 2]}})
+    yield "extra-header-key", canonical_json({"header": {**obj["header"], "note": "x"}, "body": body})
+    yield "escaped-exponent", canonical.replace('{"1":', '{"\\u0031":')
+    yield "duplicate-key", canonical.replace('{"1":1}', '{"1":2,"1":1}', 1)
+
+
+def test_text_decoder_matches_the_object_walker_on_non_canonical_json(a3, kl_a3):
+    canonical = kl_to_json_text(kl_a3)
+    for case, text in _non_canonical_a3_caches(kl_a3):
+        assert text != canonical, case
+        _assert_same_verdict(a3, text, 6)
+        assert kl_to_json_text(kl_from_json_text(a3, text, 6)) == canonical, case
+
+
+def test_text_decoder_refuses_text_that_is_not_json(a3, kl_a3):
+    canonical = kl_to_json_text(kl_a3)
+    cut = canonical[: len(canonical) // 2]
+    after_last_entry = canonical[:-4] + ",]}}\n"
+    after_last_pair = canonical.replace("}]]]", "}],]]", 1)
+    for text in (cut, after_last_entry, after_last_pair):
+        with pytest.raises(ValueError):
+            kl_from_json_text(a3, text, 6)
+        _assert_same_verdict(a3, text, 6)
+
+
+def test_warm_b4_decode_reads_the_text_in_one_pass(tmp_path, monkeypatch):
+    cache = tmp_path / "b4.json"
+    code, cold = run_cli(["kl", "--type", "B4", "--format", "json", "--cache", str(cache)])
+    assert code == 0
+    polys = set(re.findall(r"\{[^{}]*\}", cold.split('"kl":', 1)[1]))
+    sizes = []  # the length of each text json.loads reads, in klcat.kl and klcat.cli alike
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kwargs: sizes.append(len(s)) or loads(s, **kwargs))
+    code, warm = run_cli(["kl", "--type", "B4", "--format", "json", "--cache", str(cache)])
+    assert code == 0 and warm == cold
+    # at most the header and each distinct polynomial text; never the whole document
+    assert len(sizes) <= 1 + len(polys) and all(n < 1000 for n in sizes)
+    monkeypatch.undo()
+    table = build_group(preset_matrix("B4"), 1000)
+    tracemalloc.start()
+    try:
+        kl_from_json_text(table, cold, table.complete_length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # the whole-document object tree peaked at 17.1 MiB
 
 
 def test_kl_cache_in_any_entry_order_gives_the_cold_bytes(tmp_path):

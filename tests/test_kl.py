@@ -1,4 +1,3 @@
-import json
 import random
 from collections import Counter
 
@@ -17,6 +16,7 @@ from klcat.kl import (
     classical_recursion_column,
     compute_kl,
     kl_from_json_obj,
+    kl_from_json_text,
     kl_to_csv,
     kl_to_json_obj,
     kl_to_json_text,
@@ -396,9 +396,8 @@ def test_json_round_trip_is_identity(a3, kl_a3):
 
 
 def _reloaded(kl):
-    """``kl`` decoded from the cache document the CLI writes."""
-    text = kl_to_json_text(kl)
-    return kl_from_json_obj(kl.table, json.loads(text), kl.complete_up_to)
+    """``kl`` decoded from the cache document the CLI writes, as the CLI reads it."""
+    return kl_from_json_text(kl.table, kl_to_json_text(kl), kl.complete_up_to)
 
 
 @pytest.mark.parametrize("name", LADDER)
