@@ -17,11 +17,14 @@ constants by KL-basis expansion, never by reading mu).
 
 A vector of a graded Grothendieck group is a plain ``{id: LaurentPoly}``
 dict over a simple-class basis, ids ascending and no zero coordinate, the
-form :mod:`klcat.cells` stores its graded dimensions and decomposition
-rows in.  Every function reads the cell data of the word and of its tail
-(the word minus its first letter), so nothing here recomputes a per-word
-quantity.  The functions return values and sides, never records: the
-suites in :mod:`klcat.verify` build those.
+form :mod:`klcat.cells` stores its graded dimensions in.  Every function
+reads the cell data of the word and of its tail (the word minus its first
+letter), so nothing here recomputes a per-word quantity.  A decomposition
+number d_{x,y} = h_{x,y} is read from the KL table, for y over a simple
+support, which is small; the word's final-level leaf counts are one
+:func:`~klcat.leaves.leaf_step` from its tail's characters.  The
+functions return values and sides, never records: the suites in
+:mod:`klcat.verify` build those.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .cells import CellDatum
 from .coxeter import mult_gen, word_name
 from .kl import KLTable
 from .laurent import LaurentPoly, ZERO
-from .leaves import split_by_last_bit
+from .leaves import leaf_step, split_by_last_bit
 
 
 def _check_tail(datum: CellDatum, tail: CellDatum) -> None:
@@ -52,13 +55,16 @@ def res_cell_class(datum: CellDatum, tail: CellDatum, x: int) -> dict[int, Laure
     decomposition numbers: coordinate at u is v^{-+1} h_{x,u} + h_{sx,u}.
     """
     _check_tail(datum, tail)
-    table = tail.table
+    kl = tail.kl
+    table = kl.table
     sx = mult_gen(table, x, datum.word[0], "left")
     shift = -1 if table.length[sx] < table.length[x] else 1
     acc: dict[int, dict[int, int]] = {}
-    for y, k in ((x, shift), (sx, 0)):
-        for u, d in tail.decomp.get(y, {}).items():  # u over the tail's simple support
-            d.add_to(acc.setdefault(u, {}), k)
+    for u in tail.simple_support:  # the stored h_{u,u} is 1: the expansion checked it
+        row = kl.kl_element(u)
+        for y, k in ((x, shift), (sx, 0)):
+            if (d := row.get(y)) is not None:
+                d.add_to(acc.setdefault(u, {}), k)
     return _vector(acc)
 
 
@@ -70,14 +76,15 @@ def branching_sides(
     (a) the cell character of the word at x must equal the branching sum,
         v^{-+1} times the tail character at x plus the tail character at sx;
     (b) the two parts of the final-level leaf partition (the word's leaf
-        counts split by their last bit) must realize exactly the degree
-        multisets of the two summands (shifted on the sub side).
+        counts, one step from the tail's characters, split by their last
+        bit) must realize exactly the degree multisets of the two summands
+        (shifted on the sub side).
     """
     _check_tail(datum, tail)
-    table = datum.table
+    table = datum.kl.table
     length = table.length
     s = datum.word[0]
-    parts = split_by_last_bit(datum.leaves)
+    parts = split_by_last_bit(leaf_step(table, tail.cell_chars, s))
     out = []
     for x in datum.interval:
         sx = mult_gen(table, x, s, "left")
@@ -95,27 +102,28 @@ def restriction_counts(kl: KLTable, datum: CellDatum, tail: CellDatum) -> dict[i
     """Composition multiplicities of every restricted cell module, through structure constants.
 
     For z below the word's product, the coordinate at u is the sum over x
-    in the decomposition row of z (the word's simple support) of
-    h_{s,u}^x h_{z,x}: the matrix of Res, transposed once per word to
-    ``{x: {u: h}}``, applied to the decomposition vector of z.  A structure
-    constant outside the word's simple support is never read.
+    in the word's simple support of h_{s,u}^x h_{z,x}: the matrix of Res,
+    transposed once per word to ``{x: {u: h}}``, applied to the
+    decomposition vector of z.  A structure constant outside the word's
+    simple support is never read.
     """
     _check_tail(datum, tail)
     s = datum.word[0]
     transpose: dict[int, dict[int, LaurentPoly]] = {}
     for u in tail.simple_support:
         for x, h in kl.structure_constants(s, u).items():
-            transpose.setdefault(x, {})[u] = h
-    out = {}
-    for z in datum.interval:
-        acc: dict[int, dict[int, int]] = {}
-        for x, d in datum.decomp.get(z, {}).items():
-            for u, h in transpose.get(x, {}).items():
-                row = acc.setdefault(u, {})
-                for e, k in d.items():
-                    h.add_to(row, e, k)
-        out[z] = _vector(acc)
-    return out
+            if x in datum.simple_gdims:
+                transpose.setdefault(x, {})[u] = h
+    acc: dict[int, dict[int, dict[int, int]]] = {z: {} for z in datum.interval}
+    for x, column in transpose.items():
+        for z, d in kl.kl_element(x).items():  # the stored h_{x,x} is 1, as in res_cell_class
+            if z in acc:
+                terms = d.items()
+                for u, h in column.items():
+                    row = acc[z].setdefault(u, {})
+                    for e, k in terms:
+                        h.add_to(row, e, k)
+    return {z: _vector(vec) for z, vec in acc.items()}
 
 
 def derive_kl_recursion(
@@ -136,14 +144,15 @@ def derive_kl_recursion(
     s = datum.word[0]
     wp = mult_gen(kl.table, w, s, "left")  # product of the tail
     sc = kl.structure_constants(s, wp)
+    # (stored C_z, its structure constant) over the simple support, z != w
+    corrections = [(kl.kl_element(z), h.items()) for z in datum.simple_support if z != w and (h := sc.get(z))]
     out = {}
     for x in datum.interval:
         acc: dict[int, int] = {}
         images[x].get(wp, ZERO).add_to(acc)
-        for z, d in datum.decomp.get(x, {}).items():  # z over the simple support
-            h = sc.get(z)
-            if h and z != w:
-                for e, k in h.items():
+        for row, terms in corrections:
+            if (d := row.get(x)) is not None:
+                for e, k in terms:
                     d.add_to(acc, e, -k)
         out[x] = (kl.kl_poly(x, w), LaurentPoly(acc))
     return out

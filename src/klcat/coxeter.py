@@ -174,7 +174,6 @@ class GroupTable:
         self.words = words
         self.length = [len(w) for w in words]
         self.elements = range(len(words))
-        self._index = {w: i for i, w in enumerate(words)}
         self._right = right
         self._left = left
         self._right_descents = right_descents
@@ -195,10 +194,6 @@ class GroupTable:
     @property
     def order(self) -> int:
         return len(self.words)
-
-    def element_from_word(self, word: Word) -> int:
-        """The id of the element whose canonical word is ``word`` (must be canonical)."""
-        return self._index[tuple(word)]
 
     def counts_by_length(self) -> list[int]:
         counts = [0] * (self.complete_length + 1)

@@ -465,7 +465,7 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
     body = obj.get("body")
     if not isinstance(body, dict) or not isinstance(body.get("kl"), list):
         raise CacheMismatchError('cache body is not {"complete_up_to": n, "kl": [...]}')
-    if body.get("complete_up_to") != up_to_length:
+    if type(body.get("complete_up_to")) is not int or body["complete_up_to"] != up_to_length:
         raise CacheMismatchError(
             f"cache body complete_up_to is {body.get('complete_up_to')!r}, expected {up_to_length!r}"
         )
@@ -593,7 +593,7 @@ def validate_cache_header(header: dict, matrix, up_to_length: int) -> None:
         raise CacheMismatchError("cache header is not a JSON object")
     for key, want in _cache_header(matrix, up_to_length).items():
         got = header.get(key)
-        if got != want:
+        if type(got) is not type(want) or got != want:  # so 3.0 and true are not 3 and 1
             raise CacheMismatchError(f"cache {key} is {got!r}, expected {want!r}")
 
 

@@ -12,20 +12,24 @@ either moves to ux or stays at x.  The degree contributions per level are:
 Only the (endpoint, degree) data of each path is read downstream: the
 morphisms behind the steps enter solely through these degrees, which is
 all the graded character theory ever reads.  A path's future depends only
-on its current (state, degree), so the leaves are counted, not listed:
-:func:`leaf_step` takes the ``{(endpoint, degree, last_bit): count}`` of
-one level to the next (1 = move, 0 = stay), and :func:`leaf_counts` runs
-it over the word, n steps over at most 2 * |[e, w]| * (2n + 1) keys
-instead of 2^n paths.  A word's right-to-left counts are one step from
-its tail's.  The counts sum to 2^n, and their last-bit split is the
-partition behind the branching rule of the source paper.  The explicit
-path enumeration is kept as the oracle in ``tests/oracles.py``.
+on its current (state, degree), so the leaves are counted, not listed,
+and a level enters the next one only through its characters, the
+``{x: LaurentPoly}`` sums of v^degree by endpoint.  :func:`leaf_step`
+takes the characters of one level to the ``{(endpoint, degree,
+last_bit): count}`` of the next (1 = move, 0 = stay), and
+:func:`leaf_counts` folds it over the word, n steps over at most
+2 * |[e, w]| * (2n + 1) keys instead of 2^n paths.  The counts sum to
+2^n, and their last-bit split is the partition behind the branching rule
+of the source paper.  The explicit path enumeration is kept as the
+oracle in ``tests/oracles.py``.
 
-The mirrored left-to-right walk (``direction='lr'``: letters from the
-front, states grown by right multiplication) gives the same characters;
-the suites check that, and compare the lr walk with the Hecke side,
-because the rl walk is the same recurrence as the chain product
-``C_{s_1} ... C_{s_n}``.
+The right-to-left walk is the recurrence C_s H_x = H_sx + v^{+-1} H_x of
+the chain product ``C_{s_1} ... C_{s_n}``, so a word's right-to-left
+characters are its chain product: :mod:`klcat.cells` keeps only those,
+and the branch suite steps a word's final level from its tail's.  The
+mirrored left-to-right walk (``direction='lr'``: letters from the front,
+states grown by right multiplication) gives the same characters; the
+suites compare it with the Hecke side, an independent path.
 
 Words need not be reduced here; reducedness is asserted by the modules
 (cells, branch) whose statements require it.
@@ -53,30 +57,25 @@ def leaf_counts(table: GroupTable, word: Word, direction: str = "rl") -> LeafCou
     side = "left" if direction == "rl" else "right"
     counts = {(table.identity, 0, 0): 1}
     for u in letters:
-        counts = leaf_step(table, counts, u, side)
+        counts = leaf_step(table, characters(counts), u, side)
     return counts
 
 
-def leaf_step(table: GroupTable, counts: LeafCounts, u: int, side: str = "left") -> LeafCounts:
-    """The counts one level deeper: every leaf moves to ux or stays at x.
+def leaf_step(table: GroupTable, chars: dict[int, LaurentPoly], u: int, side: str = "left") -> LeafCounts:
+    """The counts one level below characters ``chars``: every leaf moves to ux or stays at x.
 
-    With ``side='left'`` this turns the right-to-left counts of a word into
-    those of the word with ``u`` prepended; with ``'right'``, the
-    left-to-right counts into those of the word with ``u`` appended.
+    With ``side='left'`` this turns the right-to-left characters of a word
+    into the counts of the word with ``u`` prepended; with ``'right'``,
+    the left-to-right characters into those of the word with ``u``
+    appended.
     """
     length = table.length
-    states: dict[int, dict[int, int]] = {}
-    for (x, d, _), n in counts.items():
-        degrees = states.get(x)
-        if degrees is None:
-            degrees = states[x] = {}
-        degrees[d] = degrees.get(d, 0) + n
     # x -> ux and x -> x are both one-to-one, so no two new keys collide
     out: LeafCounts = {}
-    for x, degrees in states.items():
+    for x, c in chars.items():
         ux = mult_gen(table, x, u, side)
         step = 1 if length[ux] > length[x] else -1
-        for d, n in degrees.items():
+        for d, n in c.items():
             out[(ux, d, 1)] = n
             out[(x, d + step, 0)] = n
     return out
@@ -88,7 +87,7 @@ def characters(counts: LeafCounts) -> dict[int, LaurentPoly]:
     for (x, d, _), n in counts.items():
         degrees = acc.setdefault(x, {})
         degrees[d] = degrees.get(d, 0) + n
-    return {x: LaurentPoly(acc[x]) for x in sorted(acc)}
+    return {x: LaurentPoly._from_pruned(acc[x]) for x in sorted(acc)}  # counts are positive
 
 
 def split_by_last_bit(counts: LeafCounts) -> dict[int, tuple[LaurentPoly, LaurentPoly]]:

@@ -18,9 +18,11 @@ Each length layer is grown from the previous one: every reduced word is a
 letter s in front of a reduced tail (the word minus its first letter)
 whose product s lengthens, so no word above the KL table's bound is ever
 listed.  Each word gets one context, its
-:class:`~klcat.cells.CellDatum`, built from its tail's: the chain product
-and the right-to-left leaf counts are one generator step from the tail's,
-and reducedness is read off one length.
+:class:`~klcat.cells.CellDatum`, built from its tail's: the characters
+(the chain product) are one generator step from the tail's, and
+reducedness is read off one length.  The branch suite steps the word's
+final-level leaf counts from the tail's characters and drops them after
+the word's checks; decomposition numbers are read from the KL table.
 The restricted cell class of every (word, x) is computed once and read by
 both the branch and the recursion suite.  The first word suite feeds the
 sink directly; under ``all`` the later ones are spooled and appended after
@@ -32,8 +34,8 @@ Suites:
                     against the defining algorithm, each recursion
                     evaluated once per (w, s) for every x;
   * ``leaves``    - leaf characters against Hecke coefficients (the
-                    left-to-right walk: the right-to-left count is the
-                    chain product's own recurrence), direction
+                    left-to-right walk against the kept characters, the
+                    chain product), leaf count, direction
                     independence, support, cell decomposition identities;
   * ``branch``    - branching characters, leaf partitions, restriction
                     multiplicities two ways, restriction as a linear map;
@@ -319,24 +321,25 @@ def _descent_choice_check(table: GroupTable, kl: KLTable, sink: Sink) -> None:
 def _leaves_word_checks(kl: KLTable, datum: CellDatum, sink: Sink) -> None:
     """Leaf characters against the Hecke side, support, direction, decomposition.
 
-    The Hecke side is the chain product, which is the same recurrence as
-    the right-to-left leaf count, so it is compared with the left-to-right
-    walk; the two walks are compared with each other.
+    The word's characters are its chain product, which is the recurrence
+    of the right-to-left leaf count, so the Hecke side is compared with
+    the left-to-right walk, an independent path.
     """
     table = kl.table
     names = table.names
     word = datum.word
     name = word_name(word)
     mirrored = character_map(table, word, "lr")
-    chain = datum.chain
+    chars = datum.cell_chars
     for x in datum.interval:
         lhs = mirrored.get(x, ZERO)
-        rhs = chain.get(x, ZERO)
+        rhs = chars.get(x, ZERO)
         sink("char_leaves_vs_hecke", name, lhs == rhs, (lhs, rhs), x=names[x])
-    support_ok = set(mirrored) == set(datum.interval) and chain == mirrored
+    support_ok = set(mirrored) == set(datum.interval) and chars == mirrored
     sink("char_support", name, support_ok)
-    sink("direction_independence", name, mirrored == datum.cell_chars)
-    sink("leaf_count", name, sum(datum.leaves.values()) == 2 ** len(word))
+    sink("direction_independence", name, mirrored == chars)
+    # every coefficient counts leaves, so none cancels
+    sink("leaf_count", name, sum(k for c in chars.values() for _, k in c.items()) == 2 ** len(word))
     for x, lhs, rhs in cells_mod.decomposition_sides(datum):
         sink("decomposition_identity", name, lhs == rhs, (lhs, rhs), x=names[x])
     gdim_ok = (
@@ -347,7 +350,7 @@ def _leaves_word_checks(kl: KLTable, datum: CellDatum, sink: Sink) -> None:
     interval = set(datum.interval)
     below = {y: set(bruhat_interval(table, y)) for y in datum.simple_support}
     triangular = all(y in interval for y in below) and all(
-        x in below[y] for x in datum.interval for y in datum.decomp.get(x, {})
+        x in below[y] for y in below for x in kl.kl_element(y) if x in interval
     )
     sink("decomposition_triangularity", name, triangular)
 

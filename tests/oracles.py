@@ -436,18 +436,19 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
     body = obj.get("body")
     if not isinstance(body, dict) or not isinstance(body.get("kl"), list):
         raise CacheMismatchError('cache body is not {"complete_up_to": n, "kl": [...]}')
-    if body.get("complete_up_to") != up_to_length:
+    if type(body.get("complete_up_to")) is not int or body["complete_up_to"] != up_to_length:
         raise CacheMismatchError(
             f"cache body complete_up_to is {body.get('complete_up_to')!r}, expected {up_to_length!r}"
         )
     kl = KLTable(table, up_to_length)
+    index = {word: x for x, word in enumerate(table.words)}  # canonical word -> id
     # a JSON polynomial's terms and their types (so 1.0 and true never reuse the
     # decoding of 1) -> the interned value
     decoded: dict[tuple, LaurentPoly] = {}
     for entry in body["kl"]:
         try:
             word, coeffs = entry
-            w = table.element_from_word(tuple(word))
+            w = index[tuple(word)]
             elt = {}
             for xw, poly in coeffs:
                 if type(poly) is not dict:
@@ -459,7 +460,7 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
                     if not c:
                         raise ValueError("a stored coefficient is never zero")
                     c = decoded[key] = kl._polys.setdefault(tuple(c.items()), c)
-                elt[table.element_from_word(tuple(xw))] = c
+                elt[index[tuple(xw)]] = c
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheMismatchError(f"malformed cache entry {entry!r:.80}") from exc
         if table.length[w] > up_to_length or w in kl._kl or len(elt) != len(coeffs):

@@ -52,7 +52,7 @@ def test_restriction_single_letter(a2, kl_a2):
     datum, tail = branching(kl_a2, (0,))
     s, e = a2.elements[1], a2.identity
     assert datum.simple_support == [s] and tail.simple_support == [e]
-    assert datum.decomp[s] == {s: ONE}
+    assert {y: datum.decomposition(s, y) for y in datum.simple_support} == {s: ONE}
     assert restriction_counts(kl_a2, datum, tail)[s] == {e: ONE}
 
 
@@ -60,7 +60,7 @@ def test_restriction_two_letters(a2, kl_a2):
     datum, tail = branching(kl_a2, (0, 1))
     st, t = evaluate_word(a2, (0, 1)), a2.elements[2]
     assert datum.simple_support == [st] and tail.simple_support == [t]
-    assert datum.decomp[st] == {st: ONE}
+    assert {y: datum.decomposition(st, y) for y in datum.simple_support} == {st: ONE}
     assert restriction_counts(kl_a2, datum, tail)[st] == {t: ONE}
 
 
@@ -141,7 +141,7 @@ def test_res_is_linear_on_cell_vectors(a3, kl_a3):
         w = evaluate_word(a3, word)
         for x in bruhat_interval(a3, w):
             vector = {y: kl_a3.kl_poly(x, y) for y in datum.simple_support if kl_a3.kl_poly(x, y)}
-            assert datum.decomp.get(x, {}) == vector
+            assert {y: d for y in datum.interval if (d := datum.decomposition(x, y))} == vector
             assert counts[x] == res_cell_class(datum, tail, x)
 
 

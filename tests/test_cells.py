@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from klcat.cells import build_cell_datum, decomposition_sides, verify_decomposition_identity
@@ -5,7 +7,7 @@ from klcat.coxeter import build_group, evaluate_word, preset_matrix
 from klcat.hecke import bott_samelson_class
 from klcat.kl import compute_kl
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
-from klcat.leaves import cell_character, leaf_counts
+from klcat.leaves import cell_character, characters, leaf_counts
 
 from oracles import all_reduced_words, bruhat_leq, reduced_words_in_order
 
@@ -58,7 +60,7 @@ def test_char_cell_via_hecke_examples(a2, kl_a2):
     assert bott_samelson_class(a2, (0,))[a2.identity] == V
     assert bott_samelson_class(a2, (0, 1))[st] == ONE
     assert bott_samelson_class(a2, (0, 1))[a2.identity] == v_power(2)
-    assert build_cell_datum(kl_a2, (0, 1)).chain == bott_samelson_class(a2, (0, 1))
+    assert build_cell_datum(kl_a2, (0, 1)).cell_chars == bott_samelson_class(a2, (0, 1))
 
 
 def test_decomposition_identity_single_letter(kl_a2, a2):
@@ -102,7 +104,7 @@ def test_cell_chars_match_leaf_module(a2, kl_a2):
 
 @pytest.mark.parametrize("name", ["A3", "B3", "I2(7)", "triangle4-0-3"])
 def test_datum_from_tail_equals_datum_from_scratch(ladder, name):
-    # the one-step chain product and the O(1) reducedness test agree with
+    # the one-step characters and the O(1) reducedness test agree with
     # the from-scratch build on every reduced word, tails from the previous layer
     table, kl = ladder(name)
     built = {}
@@ -110,8 +112,24 @@ def test_datum_from_tail_equals_datum_from_scratch(ladder, name):
         datum = built[word] = build_cell_datum(kl, word, built.get(word[1:]) if word else None)
         scratch = build_cell_datum(kl, word)
         assert datum == scratch, word
-        assert datum.leaves == leaf_counts(table, word)
-        assert datum.chain == bott_samelson_class(table, word)
+        # the chain product, and the right-to-left leaf walk's characters
+        assert datum.cell_chars == bott_samelson_class(table, word)
+        assert datum.cell_chars == characters(leaf_counts(table, word))
+
+
+def test_datum_keeps_no_leaf_count_chain_or_decomposition_dict(kl_a3):
+    # the characters are the only per-word dict of coordinates: d_{x,y} is a
+    # view of the KL table, and leaf counts live only while a word is checked
+    datum = build_cell_datum(kl_a3, (0, 1, 0, 2))
+    assert [f.name for f in fields(datum)] == [
+        "kl", "word", "top", "interval", "simple_support", "cell_chars", "simple_gdims"
+    ]
+    for f in fields(datum):
+        value = getattr(datum, f.name)
+        if isinstance(value, dict):
+            assert all(isinstance(k, int) and isinstance(c, LaurentPoly) for k, c in value.items()), f.name
+    y = datum.top
+    assert datum.decomposition(datum.interval[0], y) is kl_a3.kl_poly(datum.interval[0], y)
 
 
 def test_datum_from_tail_rejects_bad_extensions(a2, kl_a2):

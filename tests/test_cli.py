@@ -152,6 +152,22 @@ def test_kl_cache_mismatch_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, value", [("rank", 3.0), ("up_to_length", 6.0)])
+def test_kl_cache_float_header_field_exits_3(tmp_path, capsys, key, value):
+    # a float equal to the integer is not the integer the header records
+    cache = tmp_path / "kl.json"
+    assert main(["kl", "--type", "A3", "--cache", str(cache)], out=io.StringIO()) == 0
+    obj = json.loads(cache.read_text())
+    obj["header"][key] = value
+    cache.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for fmt in ("csv", "json"):
+        argv = ["kl", "--type", "A3", "--format", fmt, "--cache", str(cache)]
+        assert main(argv, out=io.StringIO()) == 3, fmt
+        err = capsys.readouterr().err
+        assert err.startswith(f"klcat: cache at {cache}") and "Traceback" not in err
+
+
 def _set_poly(body, w, i, poly):
     """Replace the polynomial of the i-th coefficient of entry w (ids: 1 is s1, 5 has length 2)."""
     body["kl"][w][1][i][1] = poly
@@ -166,6 +182,7 @@ def _set_word(body, w, word):
 BAD_BODIES = {
     "wrong-shape": lambda body: body.update(kl=[[0, 1]]),
     "truncated": lambda body: body.update(kl=body["kl"][:2]),  # valid header, truncated body
+    "float-complete-up-to": lambda body: body.update(complete_up_to=6.0),
     "dropped-coefficient": lambda body: body["kl"][5][1].pop(0),  # h_{e,w} dropped
     "x-outside-interval": lambda body: body["kl"][1][1].insert(1, [[1], {"1": 1}]),  # s2 is not below s1
     "repeated-entry": lambda body: body["kl"].append(body["kl"][5]),

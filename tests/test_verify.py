@@ -12,7 +12,7 @@ import klcat.cli
 from klcat.cli import main
 from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, preset_matrix
 from klcat.kl import canonical_json, compute_kl
-from klcat.laurent import v_power
+from klcat.laurent import ZERO, v_power
 from klcat.verify import SUITES, FailRecords, JsonStream, RecordList, run_suite
 
 from oracles import LADDER, reduced_words_in_order, word_suite_records
@@ -60,12 +60,15 @@ def test_word_suites_match_per_word_oracles(ladder, name):
 
 
 def _damaged(table, wword, xword, change):
-    """A KL table of ``table`` whose h_{x,w} is ``change(h_{x,w})``."""
+    """A KL table of ``table`` whose h_{x,w} is ``change(h_{x,w})``, 0 when not stored.
+
+    An x outside [e, w] gets a new coordinate, ids kept ascending.
+    """
     kl = compute_kl(table, table.complete_length)
     w, x = evaluate_word(table, wword), evaluate_word(table, xword)
     coeffs = dict(kl.kl_element(w))
-    coeffs[x] = change(coeffs[x])
-    kl._kl[w] = coeffs
+    coeffs[x] = change(coeffs.get(x, ZERO))
+    kl._kl[w] = dict(sorted(coeffs.items()))
     return kl
 
 
@@ -77,6 +80,10 @@ DAMAGED = [
     ("A3", (0, 1, 0), (0,), lambda c: c * 2),
     ("A3", (1, 0, 2, 1), (1,), lambda c: c + v_power(3)),
     ("A3", (1, 0, 2, 1, 0), (1,), lambda c: c * 2),
+    # new coordinates outside [e, w]
+    ("A3", (0, 1), (1, 0), lambda c: c + v_power(3)),
+    ("A3", (0, 1, 0), (2,), lambda c: c + v_power(3)),
+    ("B3", (0, 1, 0, 2, 1), (2, 1, 2), lambda c: c + v_power(3)),
 ]
 DAMAGED_IDS = [
     "A3-extra-term",
@@ -86,6 +93,9 @@ DAMAGED_IDS = [
     "A3-s1s2s1-doubled",
     "A3-s2s1s3s2-extra-term",
     "A3-s2s1s3s2s1-doubled",
+    "A3-s1s2-outside-s2s1",
+    "A3-s1s2s1-outside-s3",
+    "B3-s1s2s1s3s2-outside-s3s2s3",
 ]
 
 
@@ -105,7 +115,8 @@ def test_word_suites_match_oracles_on_a_damaged_table(ladder, group, wword, xwor
 @pytest.mark.parametrize("suite", ["branch", "recursion"])
 def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
     # work-count guard: one restricted cell class per (word, x), one
-    # reducedness test and one chain-product step per word
+    # reducedness test and one character step per word, and in the branch
+    # suite one final-level leaf step per nonempty word
     table, kl = ladder("B3")
     calls = Counter()
 
@@ -124,7 +135,8 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
         if getattr(module, "is_reduced", None) is original_is_reduced:
             counting(module, "is_reduced", lambda args: tuple(args[1]))
     counting(klcat.hecke, "left_mul_kl", lambda args: None)  # the steps of bott_samelson_class
-    counting(klcat.cells, "left_mul_kl", lambda args: None)  # the one step from the tail's chain
+    counting(klcat.cells, "left_mul_kl", lambda args: None)  # the one step from the tail's characters
+    counting(klcat.branch, "leaf_step", lambda args: None)  # the word's leaf counts, from the tail's characters
     report = run_suite(kl, suite)
     assert report["pass"]
     words = reduced_words_in_order(table, kl.complete_up_to)
@@ -136,6 +148,7 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
     assert all(n == 1 for (name, _), n in calls.items() if name == "is_reduced")
     assert per_word["is_reduced"] <= len(words)
     assert calls["left_mul_kl", None] <= len(words)
+    assert calls["leaf_step", None] == (len(words) - 1 if suite == "branch" else 0)
 
 
 @pytest.mark.parametrize("name, bound", [(name, None) for name in LADDER] + [("A4", 4)])
