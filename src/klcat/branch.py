@@ -21,16 +21,17 @@ form :mod:`klcat.cells` stores its graded dimensions in.  Every function
 reads the cell data of the word and of its tail (the word minus its first
 letter), so nothing here recomputes a per-word quantity.  A decomposition
 number d_{x,y} = h_{x,y} is read from the KL table, for y over a simple
-support, which is small; the word's final-level leaf counts are one
-:func:`~klcat.leaves.leaf_step` from its tail's characters.  The
-functions return values and sides, never records: the suites in
-:mod:`klcat.verify` build those.
+support, which is small, and summed by :meth:`~klcat.kl.KLTable.combine`;
+the word's final-level leaf counts are one :func:`~klcat.leaves.leaf_step`
+from its tail's characters.  The functions return values and sides,
+never records: the suites in :mod:`klcat.verify` build those.
 """
 
 from __future__ import annotations
 
 from .cells import CellDatum
 from .coxeter import mult_gen, word_name
+from .hecke import _to_vector
 from .kl import KLTable
 from .laurent import LaurentPoly, ZERO
 from .leaves import leaf_step, split_by_last_bit
@@ -41,11 +42,6 @@ def _check_tail(datum: CellDatum, tail: CellDatum) -> None:
         raise ValueError("branching needs a word of length >= 1")
     if tail.word != datum.word[1:]:
         raise ValueError(f"{word_name(tail.word)} is not the tail of {word_name(datum.word)}")
-
-
-def _vector(acc: dict[int, dict[int, int]]) -> dict[int, LaurentPoly]:
-    """The vector of an ``{id: {exponent: coefficient}}`` sum: ids ascending, zero coordinates dropped."""
-    return {u: p for u, c in sorted(acc.items()) if (p := LaurentPoly(c))}
 
 
 def res_cell_class(datum: CellDatum, tail: CellDatum, x: int) -> dict[int, LaurentPoly]:
@@ -65,7 +61,7 @@ def res_cell_class(datum: CellDatum, tail: CellDatum, x: int) -> dict[int, Laure
         for y, k in ((x, shift), (sx, 0)):
             if (d := row.get(y)) is not None:
                 d.add_to(acc.setdefault(u, {}), k)
-    return _vector(acc)
+    return _to_vector(acc)
 
 
 def branching_sides(
@@ -102,28 +98,20 @@ def restriction_counts(kl: KLTable, datum: CellDatum, tail: CellDatum) -> dict[i
     """Composition multiplicities of every restricted cell module, through structure constants.
 
     For z below the word's product, the coordinate at u is the sum over x
-    in the word's simple support of h_{s,u}^x h_{z,x}: the matrix of Res,
-    transposed once per word to ``{x: {u: h}}``, applied to the
-    decomposition vector of z.  A structure constant outside the word's
-    simple support is never read.
+    in the word's simple support of h_{s,u}^x h_{z,x}: the H_z-coefficient
+    of sum h_{s,u}^x C_x, one :meth:`~klcat.kl.KLTable.combine` per simple
+    u of the tail.  A structure constant outside the word's simple support
+    is never read, and the stored h_{x,x} is 1, as in :func:`res_cell_class`.
     """
     _check_tail(datum, tail)
     s = datum.word[0]
-    transpose: dict[int, dict[int, LaurentPoly]] = {}
+    counts: dict[int, dict[int, LaurentPoly]] = {z: {} for z in datum.interval}
     for u in tail.simple_support:
-        for x, h in kl.structure_constants(s, u).items():
-            if x in datum.simple_gdims:
-                transpose.setdefault(x, {})[u] = h
-    acc: dict[int, dict[int, dict[int, int]]] = {z: {} for z in datum.interval}
-    for x, column in transpose.items():
-        for z, d in kl.kl_element(x).items():  # the stored h_{x,x} is 1, as in res_cell_class
-            if z in acc:
-                terms = d.items()
-                for u, h in column.items():
-                    row = acc[z].setdefault(u, {})
-                    for e, k in terms:
-                        h.add_to(row, e, k)
-    return {z: _vector(vec) for z, vec in acc.items()}
+        sc = kl.structure_constants(s, u).items()
+        for z, row in kl.combine((x, h) for x, h in sc if x in datum.simple_gdims).items():
+            if z in counts and (p := LaurentPoly(row)):
+                counts[z][u] = p
+    return counts
 
 
 def derive_kl_recursion(
@@ -137,22 +125,17 @@ def derive_kl_recursion(
 
     with the structure constants taken from the KL-basis expansion (never
     from mu) and the first term read off ``images[x]``, the image of
-    :func:`res_cell_class`.  lhs is the stored h_{x,w}; the map sends x to
-    (lhs, rhs), and the two must agree.
+    :func:`res_cell_class`; the sum is one :meth:`~klcat.kl.KLTable.combine`.
+    lhs is the stored h_{x,w}; the map sends x to (lhs, rhs), and they must agree.
     """
     w = datum.top
     s = datum.word[0]
     wp = mult_gen(kl.table, w, s, "left")  # product of the tail
     sc = kl.structure_constants(s, wp)
-    # (stored C_z, its structure constant) over the simple support, z != w
-    corrections = [(kl.kl_element(z), h.items()) for z in datum.simple_support if z != w and (h := sc.get(z))]
+    acc = kl.combine((z, -sc[z]) for z in datum.simple_support if z != w and z in sc)
     out = {}
     for x in datum.interval:
-        acc: dict[int, int] = {}
-        images[x].get(wp, ZERO).add_to(acc)
-        for row, terms in corrections:
-            if (d := row.get(x)) is not None:
-                for e, k in terms:
-                    d.add_to(acc, e, -k)
-        out[x] = (kl.kl_poly(x, w), LaurentPoly(acc))
+        row = acc.get(x, {})
+        images[x].get(wp, ZERO).add_to(row)
+        out[x] = (kl.kl_poly(x, w), LaurentPoly(row))
     return out

@@ -16,7 +16,8 @@ interval, the characters (the chain product, a standard-basis ``{id:
 LaurentPoly}`` dict), and the simple support with its graded dimensions.
 Built from the datum of its tail (the word minus its first letter), the
 characters cost one generator step.  The decomposition numbers are read
-from the KL table, not copied, and the leaf counts are not kept: the
+from the KL table, not copied, and summed against the graded dimensions
+by :meth:`~klcat.kl.KLTable.combine`.  The leaf counts are not kept: the
 branch suite steps a word's from its tail's characters.
 """
 
@@ -87,16 +88,10 @@ def build_cell_datum(kl: KLTable, word: Word, tail: CellDatum | None = None) -> 
 def decomposition_sides(datum: CellDatum) -> list[tuple[int, LaurentPoly, LaurentPoly]]:
     """(x, char(x), sum over the simple support of d_{x,y} * gdim(y)) for every x.
 
-    Each stored C_y of the simple support is read once; its h_{y,y} is 1,
-    since the KL-basis expansion checked it.
+    The sum is sum gdim(y) C_y (:meth:`~klcat.kl.KLTable.combine`); each
+    stored h_{y,y} is 1, since the KL-basis expansion checked it.
     """
-    acc: dict[int, dict[int, int]] = {}
-    for y in datum.simple_support:
-        terms = datum.simple_gdims[y].items()
-        for x, d in datum.kl.kl_element(y).items():
-            row = acc.setdefault(x, {})
-            for e, k in terms:
-                d.add_to(row, e, k)
+    acc = datum.kl.combine(datum.simple_gdims.items())
     return [(x, datum.cell_chars.get(x, ZERO), LaurentPoly(acc.get(x))) for x in datum.interval]
 
 

@@ -15,7 +15,8 @@ down from ``v*w0(s,t)*s`` to v along right descents, and y is v times the
 other alternating word.  No word is ever rewritten and no element's set of
 reduced words is listed: the word suites of :mod:`klcat.verify` grow the
 reduced words from their tails instead.  Bruhat order is read only from
-the lower intervals of :func:`bruhat_interval`, the table's only memo.
+the lower intervals of :func:`bruhat_interval`, the table's only memo;
+:func:`below_with_descent` is the one filter of one by a left descent.
 
 If the group does not close within the requested element cap, the table
 is truncated by length: it contains all elements of length <=
@@ -338,3 +339,8 @@ def bruhat_interval(table: GroupTable, w: int) -> list[int]:
         lower = memo[left[u][s]]
         memo[u] = tuple(sorted({*lower, *(left[x][s] for x in lower)}))
     return list(memo[w])
+
+
+def below_with_descent(table: GroupTable, s: int, u: int) -> list[int]:
+    """The z < u with s a left descent, in id order: the KL recursions' index set {z : sz < z < u}."""
+    return [z for z in bruhat_interval(table, u) if z != u and s in descents(table, z, "left")]

@@ -17,13 +17,15 @@ verification suites:
     (exponent +1 when l(sx) > l(x), -1 otherwise; the sum over z with
     sz < z < sw) for every x at once, using only table entries strictly
     below w; :func:`classical_recursion_column` does the same for the
-    q-form, reading mu on the classical side.
+    q-form, reading mu on the classical side.  Both sum over
+    :func:`~klcat.coxeter.below_with_descent`.
 
 Classical polynomials in q are related by h_{x,w}(v) = v^(l(w)-l(x)) P_{x,w}(v^-2),
 and mu(z,w) is the linear coefficient of h_{z,w}.  Hecke elements are
 plain ``{id: LaurentPoly}`` dicts (see :mod:`klcat.hecke`).  Sums of many
 products (each step of :func:`compute_kl`, the recursions,
-:meth:`KLTable.expand_in_kl_basis`) accumulate into one
+:meth:`KLTable.expand_in_kl_basis` and its inverse :meth:`KLTable.combine`,
+the word suites' one sum of KL basis elements) accumulate into one
 ``{x: {exponent: coefficient}}`` dict and build each polynomial once.
 
 A table is cached and dumped as one canonical JSON document.
@@ -47,6 +49,7 @@ import re
 from .coxeter import (
     GroupTable,
     IncompleteTableError,
+    below_with_descent,
     bruhat_interval,
     descents,
     mult_gen,
@@ -117,14 +120,31 @@ class KLTable:
         """The linear coefficient of h_{z,w}."""
         return self.kl_poly(z, w).coefficient(1)
 
+    def combine(self, coeffs) -> dict[int, dict[int, int]]:
+        """sum a_y C_y over the ``(y, a_y)`` pairs, each stored C_y read as it is.
+
+        The inverse of :meth:`expand_in_kl_basis`.  The sum is an ``{x:
+        {exponent: coefficient}}`` dict the caller may add to before it
+        builds its polynomials.
+        """
+        acc: dict[int, dict[int, int]] = {}
+        for y, a in coeffs:
+            terms = a.items()
+            for x, h in self.kl_element(y).items():
+                row = acc.setdefault(x, {})
+                for e, k in terms:
+                    h.add_to(row, e, k)
+        return acc
+
     def expand_in_kl_basis(self, h: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
         """Coefficients a_y with h = sum a_y C_y, by back-substitution from the top.
 
         The remainder lives in one ``{x: {exponent: coefficient}}`` dict: the
         largest id y left with a nonzero coefficient a is taken, and a times
         the stored C_y is subtracted in place, until nothing is left.  That
-        clears y only when the stored h_{y,y} is 1; any other value raises
-        ValueError naming y, since the remainder at y would never vanish.
+        clears y only when the stored h_{y,y} is 1 and no stored coordinate
+        above y feeds y back; otherwise ValueError names y, since the
+        remainder at y would never vanish.
         """
         acc = {x: dict(c._coeffs) for x, c in h.items()}
         queued = set(acc)  # every id with a nonzero remainder is queued
@@ -137,6 +157,8 @@ class KLTable:
             a = LaurentPoly(acc[y])
             if not a:
                 continue
+            if y in out:
+                raise ValueError(f"cannot clear {self.table.names[y]}: a stored coordinate above it feeds it back")
             out[y] = a
             stored = self.kl_element(y)
             diagonal = stored.get(y, ZERO)
@@ -256,9 +278,7 @@ def recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly]:
         h.add_to(acc.setdefault(sy, {}))
         h.add_to(acc.setdefault(y, {}), 1 if length[sy] > length[y] else -1)
     upper = kl.kl_element(sw)
-    for z in bruhat_interval(table, sw):
-        if z == sw or s not in descents(table, z, "left"):
-            continue
+    for z in below_with_descent(table, s, sw):
         m = upper.get(z, ZERO).coefficient(1)
         if m:
             for x, h in _with_unit_diagonal(kl, z):
@@ -302,9 +322,7 @@ def classical_recursion_column(kl: KLTable, w: int, s: int) -> dict[int, Laurent
         return classical[key]
 
     terms: list[tuple[int, int, int]] | None = []
-    for z in bruhat_interval(table, sw):
-        if z == sw or s not in descents(table, z, "left"):
-            continue
+    for z in below_with_descent(table, s, sw):
         exp = length[sw] - length[z] - 1
         if exp % 2 != 0:
             continue

@@ -24,10 +24,13 @@ reducedness is read off one length.  The branch suite steps the word's
 final-level leaf counts from the tail's characters and drops them after
 the word's checks; decomposition numbers are read from the KL table.
 The restricted cell class of every (word, x) is computed once and read by
-both the branch and the recursion suite.  The first word suite feeds the
-sink directly; under ``all`` the later ones are spooled and appended after
-it, so the records still come suite by suite.  A passing record renders
-its equal sides once.
+both the branch and the recursion suite.  Every sum of KL basis elements
+is one :meth:`~klcat.kl.KLTable.combine` and every index set {z : sz < z < u}
+one :func:`~klcat.coxeter.below_with_descent`, so the derived recursion and
+its consistency check differ only in their index set.  The first word
+suite feeds the sink directly; under ``all`` the later ones are spooled
+and appended after it, so the records still come suite by suite.  A
+passing record renders its equal sides once.
 
 Suites:
   * ``kl``        - KL basis invariants and the two single-step recursions
@@ -55,6 +58,7 @@ from .coxeter import (
     GroupTable,
     IncompleteTableError,
     Word,
+    below_with_descent,
     bruhat_interval,
     descents,
     mult_gen,
@@ -298,9 +302,7 @@ def _mu_structure_checks(kl: KLTable, u: int, sink: Sink) -> None:
         sink("structure_positivity", name, all(c.is_nonnegative() for c in sc.values()), s=label)
         if length[su] > length[u]:
             expected: dict[int, LaurentPoly] = {su: LaurentPoly({0: 1})}
-            for z in bruhat_interval(table, su):
-                if z == su or s not in descents(table, z, "left"):
-                    continue
+            for z in below_with_descent(table, s, su):
                 m = kl.mu(z, u)
                 if m:
                     expected[z] = LaurentPoly({0: m})
@@ -335,9 +337,9 @@ def _leaves_word_checks(kl: KLTable, datum: CellDatum, sink: Sink) -> None:
         lhs = mirrored.get(x, ZERO)
         rhs = chars.get(x, ZERO)
         sink("char_leaves_vs_hecke", name, lhs == rhs, (lhs, rhs), x=names[x])
-    support_ok = set(mirrored) == set(datum.interval) and chars == mirrored
-    sink("char_support", name, support_ok)
-    sink("direction_independence", name, mirrored == chars)
+    same = mirrored == chars
+    sink("char_support", name, set(mirrored) == set(datum.interval) and same)
+    sink("direction_independence", name, same)
     # every coefficient counts leaves, so none cancels
     sink("leaf_count", name, sum(k for c in chars.values() for _, k in c.items()) == 2 ** len(word))
     for x, lhs, rhs in cells_mod.decomposition_sides(datum):
@@ -396,23 +398,14 @@ def _recursion_word_checks(
     wp = mult_gen(table, datum.top, s, "left")
     sc = kl.structure_constants(s, wp)
     # the correction sum may equivalently run over {z : sz < z < product of tail}
-    corrections = [
-        (z, sc[z])
-        for z in bruhat_interval(table, wp)
-        if z != wp and z in sc and s in descents(table, z, "left")
-    ]
+    acc = kl.combine((z, -sc[z]) for z in below_with_descent(table, s, wp) if z in sc)
     derived = branch_mod.derive_kl_recursion(kl, datum, images)
     for x in datum.interval:
         lhs, rhs = derived[x]
         sink("derived_recursion", name, lhs == rhs, (lhs, rhs), x=table.names[x])
-        acc: dict[int, int] = {}
-        images[x].get(wp, ZERO).add_to(acc)
-        for z, h in corrections:
-            d = kl.kl_poly(x, z)
-            if d:
-                for e, k in h.items():
-                    d.add_to(acc, e, -k)
-        alt = LaurentPoly(acc)
+        row = acc.get(x, {})
+        images[x].get(wp, ZERO).add_to(row)
+        alt = LaurentPoly(row)
         sink("correction_index_consistency", name, alt == rhs, (alt, rhs), x=table.names[x])
 
 

@@ -529,6 +529,25 @@ def generator_products(kl):
                 yield left_mul_kl(table, s, kl.kl_element(u))
 
 
+def damaged_table(table, w, x, change):
+    """A fresh KL table of ``table`` whose h_{x,w} is ``change(h_{x,w})``, or dropped when that is None.
+
+    h_{x,w} is read as 0 when not stored, so an x outside [e, w] gets a
+    new coordinate; the stored element keeps its ids ascending.
+    """
+    from klcat.kl import compute_kl
+
+    kl = compute_kl(table, table.complete_length)
+    coeffs = dict(kl.kl_element(w))
+    new = change(coeffs.get(x, ZERO))
+    if new is None:
+        del coeffs[x]
+    else:
+        coeffs[x] = new
+    kl._kl[w] = dict(sorted(coeffs.items()))
+    return kl
+
+
 # -- KL basis by whole-element subtraction -----------------------------------
 # Independent oracle for kl.compute_kl: the defining algorithm one whole
 # element at a time, as compute_kl ran it before it accumulated each w in

@@ -5,6 +5,7 @@ import pytest
 from klcat.coxeter import (
     CoxeterMatrix,
     IncompleteTableError,
+    below_with_descent,
     bruhat_interval,
     build_group,
     descents,
@@ -174,6 +175,18 @@ def test_bruhat_interval_is_the_lower_set(name):
         assert interval == [x for x in t.elements if bruhat_leq(t, x, w)]
         interval.append(-1)  # the caller's list is its own
         assert bruhat_interval(t, w)[-1] == w
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(7)", "triangle4-0-3"])
+def test_below_with_descent_is_its_definition(name):
+    # {z : z < u, l(sz) < l(z)} in id order, for every (s, u)
+    rows, cap = LADDER[name]
+    t = build_group(CoxeterMatrix.from_rows(rows), cap)
+    for u in t.elements:
+        below = [z for z in t.elements if z != u and bruhat_leq(t, z, u)]
+        for s in range(t.rank):
+            want = [z for z in below if t.length[mult_gen(t, z, s, "left")] < t.length[z]]
+            assert below_with_descent(t, s, u) == want
 
 
 def test_all_reduced_words_examples(a2, a3):

@@ -4,13 +4,15 @@ from collections import Counter
 import pytest
 
 from klcat.coxeter import (
+    IncompleteTableError,
     bruhat_interval,
     build_group,
     descents,
     evaluate_word,
+    mult_gen,
     preset_matrix,
 )
-from klcat.hecke import bar_involution, left_mul_kl
+from klcat.hecke import _to_vector, bar_involution, left_mul_kl
 from klcat.kl import (
     canonical_json,
     classical_recursion_column,
@@ -32,6 +34,7 @@ from oracles import (
     bruhat_leq,
     classical_recursion,
     compute_kl_by_subtraction,
+    damaged_table,
     dihedral_kl_candidate,
     expand_in_kl_basis,
     generator_products,
@@ -164,26 +167,50 @@ def test_expansion_matches_oracle(ladder, name):
         assert kl.expand_in_kl_basis(h) == expand_in_kl_basis(kl, h)
 
 
-def _damaged(table, bound, w, x, change):
-    """A fresh KL table whose h_{x,w} is ``change(h_{x,w})``, or dropped when that is None."""
-    kl = compute_kl(table, bound)
-    coeffs = dict(kl.kl_element(w))
-    new = change(coeffs.get(x, ZERO))
-    if new is None:
-        del coeffs[x]
-    else:
-        coeffs[x] = new
-    kl._kl[w] = dict(sorted(coeffs.items()))  # a stored element keeps its ids ascending
-    return kl
-
-
 @pytest.mark.parametrize("diagonal", [2, 0], ids=["two", "zero"])
 def test_expansion_rejects_a_non_unit_diagonal(a2, diagonal):
     # the back-substitution cannot clear s1 when the stored h_{s1,s1} is not 1
     s1 = a2.elements[1]
-    kl = _damaged(a2, a2.complete_length, s1, s1, lambda c: LaurentPoly({0: diagonal}) if diagonal else None)
+    kl = damaged_table(a2, s1, s1, lambda c: LaurentPoly({0: diagonal}) if diagonal else None)
     with pytest.raises(ValueError, match=r"h_\{s1,s1\} is (2\*v\^0|0), not 1"):
         kl.expand_in_kl_basis(left_mul_kl(a2, 0, {a2.identity: ONE}))
+
+
+def test_expansion_rejects_a_coordinate_that_feeds_back(a3):
+    # C_{s1.s2} stored with v at s1.s2.s3: clearing s1.s2 feeds s1.s2.s3, and
+    # clearing s1.s2.s3 feeds s1.s2 again, so the back-substitution never ends
+    s2, s1s2, s1s2s3 = (evaluate_word(a3, word) for word in ((1,), (0, 1), (0, 1, 2)))
+    kl = damaged_table(a3, s1s2, s1s2s3, lambda c: V)
+    message = r"cannot clear s1\.s2: a stored coordinate above it feeds it back"
+    with pytest.raises(ValueError, match=message):
+        kl.expand_in_kl_basis(left_mul_kl(a3, 0, kl.kl_element(s2)))
+    with pytest.raises(ValueError, match=message):
+        run_suite(kl, "kl")
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_combine_inverts_the_expansion(ladder, name):
+    # sum a_y C_y over the structure constants of C_s * C_u is C_s * C_u, and
+    # over (w, 1) is C_w; the same sums one whole element at a time agree
+    table, kl = ladder(name)
+    stored = kl.stored_elements()
+    for w in stored:
+        assert _to_vector(kl.combine([(w, ONE)])) == kl.kl_element(w)
+    for u in stored:
+        for s in range(table.rank):
+            try:
+                su = mult_gen(table, u, s, "left")
+            except IncompleteTableError:
+                continue
+            if table.length[su] > kl.complete_up_to:
+                continue
+            coeffs = kl.structure_constants(s, u).items()
+            product = left_mul_kl(table, s, kl.kl_element(u))
+            assert _to_vector(kl.combine(coeffs)) == product
+            whole = {}
+            for y, a in coeffs:
+                whole = add(whole, scale(kl.kl_element(y), a))
+            assert whole == product
 
 
 def _q_oracle(kl, x, w, s):
@@ -203,9 +230,9 @@ def test_columns_match_per_x_oracles_on_damaged_entries(ladder, name, damage):
     top = table.complete_length
     w = max(x for x in table.elements if table.length[x] == top - 1)
     if damage == "diagonal":
-        kl = _damaged(table, top, w, w, lambda c: LaurentPoly({0: 2}))
+        kl = damaged_table(table, w, w, lambda c: LaurentPoly({0: 2}))
     else:
-        kl = _damaged(table, top, w, max(table.elements), lambda c: V)
+        kl = damaged_table(table, w, max(table.elements), lambda c: V)
     stored = kl.stored_elements()
     for u in stored:
         for s in descents(table, u, "left"):
@@ -234,7 +261,7 @@ def test_damaged_table_records_match_oracle(a3, a4, damage):
     table = {"A3": a3, "A4": a4}[group]
     w, x = evaluate_word(table, wword), evaluate_word(table, xword)
     assert table.words[w] == wword and bruhat_leq(table, x, w) and x != w
-    kl = _damaged(table, table.complete_length, w, x, change)
+    kl = damaged_table(table, w, x, change)
     report = run_suite(kl, "kl")
     failed = {r["identity"] for r in report["records"] if not r["pass"]}
     assert {"recursion_agreement", "classical_recursion_agreement"} <= failed
@@ -246,7 +273,7 @@ def test_damaged_table_records_match_oracle(a3, a4, damage):
 @pytest.mark.parametrize("wword, xword", [((0,), ()), ((0, 1), (1,))], ids=["e-s1", "s2-s1s2"])
 def test_kl_suite_fails_on_a_non_classical_coefficient(a3, wword, xword):
     w, x = evaluate_word(a3, wword), evaluate_word(a3, xword)
-    kl = _damaged(a3, a3.complete_length, w, x, lambda c: v_power(2))
+    kl = damaged_table(a3, w, x, lambda c: v_power(2))
     report = run_suite(kl, "kl")
     assert report["pass"] is False
     undefined = [
@@ -413,7 +440,7 @@ def test_json_text_matches_object_reference(ladder, name):
 def test_json_text_matches_object_reference_on_a_damaged_table(a3):
     # a negative exponent and a coefficient beyond 64 bits pin how keys and ints are written
     w, x = evaluate_word(a3, (1, 0, 2, 1)), evaluate_word(a3, (1,))
-    kl = _damaged(a3, a3.complete_length, w, x, lambda c: LaurentPoly({-3: 2**70 + 1, 2: -(2**65)}))
+    kl = damaged_table(a3, w, x, lambda c: LaurentPoly({-3: 2**70 + 1, 2: -(2**65)}))
     text = kl_to_json_text(kl)
     assert text == canonical_json(kl_to_json_obj(kl))
     assert '[[1],{"-3":1180591620717411303425,"2":-36893488147419103232}]' in text

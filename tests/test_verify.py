@@ -12,10 +12,10 @@ import klcat.cli
 from klcat.cli import main
 from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, preset_matrix
 from klcat.kl import canonical_json, compute_kl
-from klcat.laurent import ZERO, v_power
+from klcat.laurent import v_power
 from klcat.verify import SUITES, FailRecords, JsonStream, RecordList, run_suite
 
-from oracles import LADDER, reduced_words_in_order, word_suite_records
+from oracles import LADDER, damaged_table, reduced_words_in_order, word_suite_records
 
 
 def test_unknown_suite_rejected(kl_a2):
@@ -59,19 +59,6 @@ def test_word_suites_match_per_word_oracles(ladder, name):
         assert run_suite(kl, suite)["records"] == word_suite_records(kl, suite), suite
 
 
-def _damaged(table, wword, xword, change):
-    """A KL table of ``table`` whose h_{x,w} is ``change(h_{x,w})``, 0 when not stored.
-
-    An x outside [e, w] gets a new coordinate, ids kept ascending.
-    """
-    kl = compute_kl(table, table.complete_length)
-    w, x = evaluate_word(table, wword), evaluate_word(table, xword)
-    coeffs = dict(kl.kl_element(w))
-    coeffs[x] = change(coeffs.get(x, ZERO))
-    kl._kl[w] = dict(sorted(coeffs.items()))
-    return kl
-
-
 DAMAGED = [
     ("A3", (0, 1, 0, 2, 1, 0), (2,), lambda c: c + v_power(3)),
     ("A3", (0, 1, 0, 2, 1, 0), (0, 1), lambda c: c * 2),
@@ -103,7 +90,7 @@ DAMAGED_IDS = [
 def test_word_suites_match_oracles_on_a_damaged_table(ladder, group, wword, xword, change):
     # failing records must carry the same lhs/rhs strings as the oracle's
     table, _ = ladder(group)
-    kl = _damaged(table, wword, xword, change)
+    kl = damaged_table(table, evaluate_word(table, wword), evaluate_word(table, xword), change)
     failed = 0
     for suite in WORD_SUITES:
         records = run_suite(kl, suite)["records"]
@@ -246,7 +233,7 @@ def test_spools_append_in_order_when_the_stream_is_still_empty():
 def test_cli_reports_match_the_list_report_on_a_damaged_table(monkeypatch, ladder, group, wword, xword, change):
     # both output formats of cmd_verify, with the damaged table in place of the computed one
     table, _ = ladder(group)
-    kl = _damaged(table, wword, xword, change)
+    kl = damaged_table(table, evaluate_word(table, wword), evaluate_word(table, xword), change)
     monkeypatch.setattr(klcat.cli, "compute_kl", lambda table, bound: kl)
     for suite in SUITES:
         report = run_suite(kl, suite)
@@ -262,7 +249,8 @@ def test_cli_reports_match_the_list_report_on_a_damaged_table(monkeypatch, ladde
 def test_fail_records_keep_only_the_failures(ladder, damaged):
     table, kl = ladder("A3")
     if damaged:
-        kl = _damaged(table, *DAMAGED[0][1:])
+        _, wword, xword, change = DAMAGED[0]
+        kl = damaged_table(table, evaluate_word(table, wword), evaluate_word(table, xword), change)
     for suite in SUITES:
         report = run_suite(kl, suite)
         sink = FailRecords()
