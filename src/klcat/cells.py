@@ -12,7 +12,8 @@ here: the KL-side expansion is the adopted definition, consistent with
 reading everything at the level of graded characters.
 
 A :class:`CellDatum` is the per-word record every word suite reads: the
-interval, the characters (the chain product, a standard-basis ``{id:
+interval (the tuple :func:`~klcat.coxeter.bruhat_interval` memoizes),
+the characters (the chain product, a standard-basis ``{id:
 LaurentPoly}`` dict), and the simple support with its graded dimensions.
 Built from the datum of its tail (the word minus its first letter), the
 characters cost one generator step.  The decomposition numbers are read
@@ -33,12 +34,13 @@ from .laurent import LaurentPoly, ZERO
 
 @dataclass
 class CellDatum:
-    """The graded cell data of one reduced word, each piece computed once."""
+    """The graded cell data of one reduced word, each piece computed once;
+    ``interval`` is the table's shared tuple [e, top], not a copy."""
 
     kl: KLTable = field(repr=False)
     word: Word
     top: int
-    interval: list[int]
+    interval: tuple[int, ...]
     simple_support: list[int]
     cell_chars: dict[int, LaurentPoly]  # C_{s_1} ... C_{s_n} in the standard basis
     simple_gdims: dict[int, LaurentPoly]

@@ -15,7 +15,9 @@ down from ``v*w0(s,t)*s`` to v along right descents, and y is v times the
 other alternating word.  No word is ever rewritten and no element's set of
 reduced words is listed: the word suites of :mod:`klcat.verify` grow the
 reduced words from their tails instead.  Bruhat order is read only from
-the lower intervals of :func:`bruhat_interval`, the table's only memo;
+the lower intervals of :func:`bruhat_interval`, the table's only memo and
+the one definition of [e, w]: each is one shared tuple per element, which
+the cell data, the cache decoder and the ``kl`` suite compare against;
 :func:`below_with_descent` is the one filter of one by a left descent.
 
 If the group does not close within the requested element cap, the table
@@ -169,7 +171,6 @@ class GroupTable:
         right_descents: list[tuple[int, ...]],
         left_descents: list[tuple[int, ...]],
         partial: bool,
-        cap: int,
     ):
         self.matrix = matrix
         self.words = words
@@ -180,7 +181,6 @@ class GroupTable:
         self._right_descents = right_descents
         self._left_descents = left_descents
         self.partial = partial
-        self.cap = cap
         self.complete_length = self.length[-1]
         self._interval_memo: dict[int, tuple[int, ...]] = {0: (0,)}  # id -> [e, id]
 
@@ -288,7 +288,7 @@ def build_group(matrix: CoxeterMatrix, cap: int) -> GroupTable:
         inverse.append(x)
     left = [[None if j is None else inverse[j] for j in right[inverse[w]]] for w in range(len(words))]
     left_descents = [right_descents[inverse[w]] for w in range(len(words))]
-    return GroupTable(matrix, words, right, left, right_descents, left_descents, partial, cap)
+    return GroupTable(matrix, words, right, left, right_descents, left_descents, partial)
 
 
 def mult_gen(table: GroupTable, w: int, s: int, side: str = "left") -> int:
@@ -319,14 +319,18 @@ def descents(table: GroupTable, w: int, side: str = "left") -> tuple[int, ...]:
     return (table._left_descents if side == "left" else table._right_descents)[w]
 
 
-def bruhat_interval(table: GroupTable, w: int) -> list[int]:
-    """All x <= w, in id order, as a fresh list; memoized per table.
+def bruhat_interval(table: GroupTable, w: int) -> tuple[int, ...]:
+    """All x <= w, in id order: the table's memoized tuple, shared by every caller.
 
     With s the first left descent of w, [e, w] is the union of [e, sw]
     and s*[e, sw] (Bjorner-Brenti, *Combinatorics of Coxeter Groups*,
     2.2).  The chain w, sw, ... is walked down to the first memoized
     interval and the intervals are filled back up it, so deep elements
     need no recursion.
+
+    >>> t = build_group(preset_matrix("A2"), 100)
+    >>> bruhat_interval(t, 3)
+    (0, 1, 2, 3)
     """
     memo, left = table._interval_memo, table._left
     chain = []
@@ -338,7 +342,7 @@ def bruhat_interval(table: GroupTable, w: int) -> list[int]:
     for u, s in reversed(chain):
         lower = memo[left[u][s]]
         memo[u] = tuple(sorted({*lower, *(left[x][s] for x in lower)}))
-    return list(memo[w])
+    return memo[w]
 
 
 def below_with_descent(table: GroupTable, s: int, u: int) -> list[int]:

@@ -512,21 +512,21 @@ def _decode_entries(table: GroupTable, text: str, start: int, end: int, up_to_le
     """Decode the entries list of a cache document, ``text[start:end]`` within its brackets.
 
     Words are looked up by their text in a ``{word text: id}`` map built
-    once from ``table.words``.  One pass checks that the list holds exactly
-    one entry per element of length ``up_to_length`` or less, each naming
-    every x at most once with a nonzero polynomial; each distinct
+    once from ``table.words``.  One pass reads and checks each entry: it
+    names an element of length ``up_to_length`` or less not named before,
+    and every x at most once with a nonzero polynomial; each distinct
     polynomial text is decoded once, strictly (``json.loads`` of the
     fragment, then :meth:`LaurentPoly.from_json_obj`), into the table's
     intern map.  Each entry is stored ids ascending, whatever its order in
-    the file, since the exporters walk the stored elements in order.  Then
-    every support is proven to be its Bruhat interval, which the CSV
-    writer relies on: the coefficient at w must be exactly 1 and, with s
-    the first left descent of w and S the support of C_sw, the support of
-    C_w must be S together with s*S (read from the table's left products,
-    as :func:`compute_kl` does), which by induction is [e, w].  Each
+    the file, since the exporters walk the stored elements in order.  Its
+    support must then be its Bruhat interval, which the CSV writer relies
+    on: the coefficient at w must be exactly 1, and the stored ids must be
+    the tuple :func:`~klcat.coxeter.bruhat_interval` memoizes for w.  Each
     distinct (polynomial, l(w) - l(x)) pair with x < w is checked once for
     the shape of an h_{x,w}: every exponent e has 0 < e <= l(w) - l(x) and
-    the parity of l(w) - l(x), so :func:`to_classical` accepts it.  Any failure raises
+    the parity of l(w) - l(x), so :func:`to_classical` accepts it.  After
+    the pass the list must hold exactly one entry per element of length
+    ``up_to_length`` or less.  Any failure raises
     :class:`CacheMismatchError`, and text that is not in the canonical
     form (or not JSON) raises its subclass :class:`_NotCanonical`.  Beyond
     that the polynomials' values are taken on trust (checking them would
@@ -536,7 +536,9 @@ def _decode_entries(table: GroupTable, text: str, start: int, end: int, up_to_le
     stored = kl.stored_elements()
     ids = {_word_text(table.words[x]): x for x in stored}
     decoded: dict[str, LaurentPoly] = {}  # polynomial text -> the interned value
-    length, left = table.length, table._left
+    length = table.length
+    # ids of the (interned, so never reused) polynomials checked at each length difference
+    bounded: list[set[int]] = [set() for _ in range(table.complete_length + 1)]
     entry, pair = re.compile(_ENTRY), re.compile(_PAIR)
     pos = start
     while pos < end:
@@ -560,22 +562,10 @@ def _decode_entries(table: GroupTable, text: str, start: int, end: int, up_to_le
             )
         if w in kl._kl or len(elt) != len(pairs):
             raise CacheMismatchError(f"unexpected or repeated cache entry for {table.names[w]}")
-        kl._kl[w] = dict(sorted(elt.items()))
-    if len(kl._kl) != len(stored):
-        raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {len(stored)}")
-    # ids of the (interned, so never reused) polynomials checked at each length difference
-    bounded: list[set[int]] = [set() for _ in range(table.complete_length + 1)]
-    for w in stored:
-        elt = kl._kl[w]
-        if w == table.identity:
-            interval = {w}
-        else:
-            s = descents(table, w, "left")[0]
-            lower = kl._kl[left[w][s]]
-            interval = {*lower, *(left[x][s] for x in lower)}  # x < w, so s*x lies within the table
+        elt = kl._kl[w] = dict(sorted(elt.items()))
         if elt.get(w) != ONE:
             raise CacheMismatchError(f"cache coefficient of {table.names[w]} at itself is not 1")
-        if elt.keys() != interval:
+        if tuple(elt) != bruhat_interval(table, w):
             raise CacheMismatchError(f"cache support of {table.names[w]} is not its Bruhat interval")
         lw = length[w]
         for x, c in elt.items():
@@ -587,6 +577,8 @@ def _decode_entries(table: GroupTable, text: str, start: int, end: int, up_to_le
                         f"{gap}; its exponents must lie in 1..{gap} and have the parity of {gap}"
                     )
                 bounded[gap].add(id(c))
+    if len(kl._kl) != len(stored):
+        raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {len(stored)}")
     return kl
 
 

@@ -714,11 +714,18 @@ def bar_involution(table, h):
 
 
 def expand_in_kl_basis(kl, h):
-    """Coefficients a_y with h = sum a_y C_y, subtracting one whole a_y C_y at a time from the top."""
+    """Coefficients a_y with h = sum a_y C_y, subtracting one whole a_y C_y at a time from the top.
+
+    A y that comes up for clearing twice was not cleared (its stored
+    h_{y,y} is not 1, or a stored coordinate above it feeds it back), so
+    the subtraction would never end: ValueError names y.
+    """
     remaining = h
     out = {}
     while remaining:
         y = max(remaining)
+        if y in out:
+            raise ValueError(f"{kl.table.names[y]} comes up for clearing twice")
         a = remaining[y]
         out[y] = a
         remaining = add(remaining, scale(kl.kl_element(y), -a))
@@ -777,9 +784,7 @@ def kl_suite_records(kl):
         )
         records.append(record("exponent_parity", name, parity_ok))
         records.append(record("positivity", name, all(c.is_nonnegative() for _, c in elt.items())))
-        support_ok = elt.get(w, ZERO).coefficient(0) == 1 and all(
-            bool(kl.kl_poly(x, w)) == bruhat_leq(table, x, w) for x in table.elements if length[x] <= length[w]
-        )
+        support_ok = elt.get(w) == ONE and set(elt) == {x for x in table.elements if bruhat_leq(table, x, w)}
         records.append(record("kl_support", name, support_ok))
         for s in descents(table, w, "left"):
             for x in kl.stored_elements():

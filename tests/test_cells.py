@@ -3,7 +3,7 @@ from dataclasses import fields
 import pytest
 
 from klcat.cells import build_cell_datum, decomposition_sides, verify_decomposition_identity
-from klcat.coxeter import build_group, evaluate_word, preset_matrix
+from klcat.coxeter import bruhat_interval, build_group, evaluate_word, preset_matrix
 from klcat.hecke import bott_samelson_class
 from klcat.kl import compute_kl
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
@@ -112,6 +112,8 @@ def test_datum_from_tail_equals_datum_from_scratch(ladder, name):
         datum = built[word] = build_cell_datum(kl, word, built.get(word[1:]) if word else None)
         scratch = build_cell_datum(kl, word)
         assert datum == scratch, word
+        # the table's memoized interval itself, not a copy per datum
+        assert datum.interval is scratch.interval is bruhat_interval(table, datum.top), word
         # the chain product, and the right-to-left leaf walk's characters
         assert datum.cell_chars == bott_samelson_class(table, word)
         assert datum.cell_chars == characters(leaf_counts(table, word))

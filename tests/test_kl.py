@@ -174,6 +174,8 @@ def test_expansion_rejects_a_non_unit_diagonal(a2, diagonal):
     kl = damaged_table(a2, s1, s1, lambda c: LaurentPoly({0: diagonal}) if diagonal else None)
     with pytest.raises(ValueError, match=r"h_\{s1,s1\} is (2\*v\^0|0), not 1"):
         kl.expand_in_kl_basis(left_mul_kl(a2, 0, {a2.identity: ONE}))
+    with pytest.raises(ValueError, match=r"s1 comes up for clearing twice"):
+        expand_in_kl_basis(kl, left_mul_kl(a2, 0, {a2.identity: ONE}))
 
 
 def test_expansion_rejects_a_coordinate_that_feeds_back(a3):
@@ -184,8 +186,20 @@ def test_expansion_rejects_a_coordinate_that_feeds_back(a3):
     message = r"cannot clear s1\.s2: a stored coordinate above it feeds it back"
     with pytest.raises(ValueError, match=message):
         kl.expand_in_kl_basis(left_mul_kl(a3, 0, kl.kl_element(s2)))
+    with pytest.raises(ValueError, match=r"s1\.s2 comes up for clearing twice"):
+        expand_in_kl_basis(kl, left_mul_kl(a3, 0, kl.kl_element(s2)))
     with pytest.raises(ValueError, match=message):
         run_suite(kl, "kl")
+
+
+def test_kl_support_fails_on_a_coordinate_not_below_w(a3):
+    # v at s2.s3 in C_s1: longer than s1 and not below it, so the whole
+    # stored support, not only its part up to l(w), must be [e, w]
+    s1, s2s3 = (evaluate_word(a3, word) for word in ((0,), (1, 2)))
+    kl = damaged_table(a3, s1, s2s3, lambda c: V)
+    records = run_suite(kl, "kl")["records"]
+    assert [r["word"] for r in records if r["identity"] == "kl_support" and not r["pass"]] == ["s1"]
+    assert records == kl_suite_records(kl)
 
 
 @pytest.mark.parametrize("name", LADDER)
