@@ -35,4 +35,4 @@ from .cells import CellDatum, build_cell_datum, decomposition_sides, verify_deco
 from .branch import branching_sides, derive_kl_recursion, res_cell_class, restriction_counts
 from .verify import run_suite
 
-__version__ = "0.1.0"
+from .kl import TOOL_VERSION as __version__

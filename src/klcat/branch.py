@@ -11,29 +11,29 @@ it acts by
 and on a simple class [L(x)] its coordinates over the tail's simples are
 the KL-basis structure constants of C_s * C_u read at x.  Equating the two
 routes through the simple basis and isolating the coefficient of the
-tail's top simple class re-derives the one-step KL recursion; that
-derivation is executable here as :func:`derive_kl_recursion` and is kept
-honest by computing each ingredient on its own pipeline (structure
-constants by KL-basis expansion, never by reading mu).
+tail's top simple class re-derives the one-step KL recursion, with its
+correction sum over the simple support or over {z : sz < z < tail top}.
+:func:`derive_kl_recursion` forms both sums, each ingredient on its own
+pipeline (structure constants by KL-basis expansion, never by mu).
 
 A vector of a graded Grothendieck group is a plain ``{id: LaurentPoly}``
 dict over a simple-class basis, ids ascending and no zero coordinate, the
 form :mod:`klcat.cells` stores its graded dimensions in.  Every function
 reads the cell data of the word and of its tail (the word minus its first
-letter), so nothing here recomputes a per-word quantity.  A decomposition
-number d_{x,y} = h_{x,y} is read from the KL table, for y over a simple
-support, which is small, and summed by :meth:`~klcat.kl.KLTable.combine`;
-the word's final-level leaf counts are one :func:`~klcat.leaves.leaf_step`
-from its tail's characters.  The functions return values and sides,
-never records: the suites in :mod:`klcat.verify` build those.
+letter) and the KL table they hold, so none takes a table or recomputes a
+per-word quantity.  A decomposition number d_{x,y} = h_{x,y} is read from
+the KL table, for y over a simple support, which is small, and summed by
+:meth:`~klcat.kl.KLTable.combine`; the word's final-level leaf counts are
+one :func:`~klcat.leaves.leaf_step` from its tail's characters.  The
+functions return values and sides, never records: the suites in
+:mod:`klcat.verify` build those.
 """
 
 from __future__ import annotations
 
 from .cells import CellDatum
-from .coxeter import mult_gen, word_name
+from .coxeter import below_with_descent, mult_gen, word_name
 from .hecke import _to_vector
-from .kl import KLTable
 from .laurent import LaurentPoly, ZERO
 from .leaves import leaf_step, split_by_last_bit
 
@@ -76,6 +76,8 @@ def branching_sides(
         counts, one step from the tail's characters, split by their last
         bit) must realize exactly the degree multisets of the two summands
         (shifted on the sub side).
+
+    Neither reads the KL table, so no damaged table can fail them.
     """
     _check_tail(datum, tail)
     table = datum.kl.table
@@ -95,7 +97,7 @@ def branching_sides(
     return out
 
 
-def restriction_counts(kl: KLTable, datum: CellDatum, tail: CellDatum) -> dict[int, dict[int, LaurentPoly]]:
+def restriction_counts(datum: CellDatum, tail: CellDatum) -> dict[int, dict[int, LaurentPoly]]:
     """Composition multiplicities of every restricted cell module, through structure constants.
 
     For z below the word's product, the coordinate at u is the sum over x
@@ -106,7 +108,7 @@ def restriction_counts(kl: KLTable, datum: CellDatum, tail: CellDatum) -> dict[i
     record; as there, the stored h_{x,x} is 1.
     """
     _check_tail(datum, tail)
-    s = datum.word[0]
+    kl, s = datum.kl, datum.word[0]
     counts: dict[int, dict[int, LaurentPoly]] = {z: {} for z in datum.interval}
     for u in tail.simple_gdims:
         sc = kl.structure_constants(s, u).items()
@@ -117,27 +119,29 @@ def restriction_counts(kl: KLTable, datum: CellDatum, tail: CellDatum) -> dict[i
 
 
 def derive_kl_recursion(
-    kl: KLTable, datum: CellDatum, images: dict[int, dict[int, LaurentPoly]]
-) -> dict[int, tuple[LaurentPoly, LaurentPoly]]:
-    """Reproduce h_{x,w} from the branching pipeline alone, for every x below w.
+    datum: CellDatum, images: dict[int, dict[int, LaurentPoly]]
+) -> dict[int, tuple[LaurentPoly, LaurentPoly, LaurentPoly]]:
+    """(stored h_{x,w}, rhs, alt) for every x below w, from the branching pipeline alone.
 
     rhs = (coefficient of the tail-top simple class in Res[cell(x)])
           - sum over z in the word's simple support, z != w, of
             h_{s,tail-top}^z * h_{x,z},
 
-    with the structure constants taken from the KL-basis expansion (never
-    from mu) and the first term read off ``images[x]``, the image of
-    :func:`res_cell_class`; the sum is one :meth:`~klcat.kl.KLTable.combine`.
-    lhs is the stored h_{x,w}; the map sends x to (lhs, rhs), and they must agree.
+    and alt is rhs with z over {z : sz < z < tail-top} instead, summed on its
+    own.  The structure constants come from the KL-basis expansion (never
+    from mu), the first term from ``images[x]`` (:func:`res_cell_class`),
+    and each sum is one :meth:`~klcat.kl.KLTable.combine`; all three must agree.
     """
-    w = datum.top
-    s = datum.word[0]
+    kl, w, s = datum.kl, datum.top, datum.word[0]
     wp = mult_gen(kl.table, w, s, "left")  # product of the tail
     sc = kl.structure_constants(s, wp)
     acc = kl.combine((z, -sc[z]) for z in datum.simple_gdims if z != w and z in sc)
+    alt_acc = kl.combine((z, -sc[z]) for z in below_with_descent(kl.table, s, wp) if z in sc)
     out = {}
     for x in datum.interval:
-        row = acc.get(x, {})
-        images[x].get(wp, ZERO).add_to(row)
-        out[x] = (kl.kl_poly(x, w), LaurentPoly(row))
+        first = images[x].get(wp, ZERO)
+        row, alt = acc.get(x, {}), alt_acc.get(x, {})
+        first.add_to(row)
+        first.add_to(alt)
+        out[x] = (kl.kl_poly(x, w), LaurentPoly(row), LaurentPoly(alt))
     return out

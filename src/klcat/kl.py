@@ -249,6 +249,14 @@ def to_classical(h: LaurentPoly, lx: int, lw: int) -> LaurentPoly:
     return LaurentPoly(out)
 
 
+def classical_or_none(h: LaurentPoly, lx: int, lw: int) -> LaurentPoly | None:
+    """:func:`to_classical` of h, or None when h is not a classical polynomial."""
+    try:
+        return to_classical(h, lx, lw)
+    except ValueError:
+        return None
+
+
 def recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly]:
     """h_{x,w} for every x by the one-step recursion, never touching the stored element of w.
 
@@ -315,10 +323,7 @@ def classical_recursion_column(kl: KLTable, w: int, s: int) -> dict[int, Laurent
         h = kl.kl_poly(x, y)  # every h is held by the table, so ids stay unique
         key = (id(h), length[y] - length[x])
         if key not in classical:
-            try:
-                classical[key] = to_classical(h, length[x], length[y])
-            except ValueError:
-                classical[key] = None
+            classical[key] = classical_or_none(h, length[x], length[y])
         return classical[key]
 
     terms: list[tuple[int, int, int]] | None = []

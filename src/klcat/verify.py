@@ -26,11 +26,16 @@ the word's checks; decomposition numbers are read from the KL table.
 Restriction is one linear map per word, the images of every x at once,
 read by both the branch and the recursion suite.  Every sum of KL basis
 elements is one :meth:`~klcat.kl.KLTable.combine` and every index set
-{z : sz < z < u} one :func:`~klcat.coxeter.below_with_descent`, so the
-derived recursion and its consistency check differ only in their index
-set.  The first word suite feeds the sink directly; under ``all`` the
-later ones are spooled and appended after it, so the records still come
-suite by suite.  A passing record renders its equal sides once.
+{z : sz < z < u} one :func:`~klcat.coxeter.below_with_descent`;
+:func:`~klcat.branch.derive_kl_recursion` sums the derived recursion over
+both index sets.  Both sides of ``branching_characters``,
+``leaf_partition``, ``decomposition_identity`` (the characters and the
+``combine`` of their expansion) and the leaves suite's character records
+come from the characters by two routes, a deliberate second path: they
+read no KL data, so no damaged table fails them.  The first word suite
+feeds the sink directly; under ``all`` the later ones are spooled and
+appended after it, so the records still come suite by suite.  A passing
+record renders its equal sides once.
 
 Suites:
   * ``kl``        - KL basis invariants and the two single-step recursions
@@ -43,7 +48,8 @@ Suites:
   * ``branch``    - branching characters, leaf partitions, restriction
                     multiplicities two ways, restriction as a linear map;
   * ``recursion`` - the derived one-step recursion from the branching
-                    pipeline, plus the correction-index consistency check;
+                    pipeline over both correction index sets, against the
+                    stored h_{x,w} and against each other;
   * ``all``       - all of the above.
 """
 
@@ -68,10 +74,10 @@ from .hecke import bar_involution
 from .kl import (
     KLTable,
     _encode,  # canonical_json's encoder, without the newline
+    classical_or_none,
     classical_recursion_column,
     compute_kl,
     recursion_column,
-    to_classical,
 )
 from .laurent import LaurentPoly, ONE, ZERO
 from .leaves import character_map
@@ -262,17 +268,9 @@ def _kl_element_checks(kl: KLTable, w: int, stored: list[int], sink: Sink) -> No
             want = kl.kl_poly(x, w)
             sink("recursion_agreement", name, got == want, (got, want), x=names[x], s=label)
             gotq = columnq.get(x, ZERO)
-            wantq = _classical_or_none(want, length[x], length[w]) if x in columnq else ZERO
+            wantq = classical_or_none(want, length[x], length[w]) if x in columnq else ZERO
             ok = gotq is not None and gotq == wantq
             sink("classical_recursion_agreement", name, ok, (gotq, wantq), _render_q, x=names[x], s=label)
-
-
-def _classical_or_none(h: LaurentPoly, lx: int, lw: int) -> LaurentPoly | None:
-    """P_{x,w} of a stored h_{x,w}, or None when h is not a classical polynomial."""
-    try:
-        return to_classical(h, lx, lw)
-    except ValueError:
-        return None
 
 
 def _render_q(p: LaurentPoly | None) -> str:
@@ -318,14 +316,14 @@ def _descent_choice_check(table: GroupTable, kl: KLTable, sink: Sink) -> None:
 # -- word suites --------------------------------------------------------------
 
 
-def _leaves_word_checks(kl: KLTable, datum: CellDatum, sink: Sink) -> None:
+def _leaves_word_checks(datum: CellDatum, sink: Sink) -> None:
     """Leaf characters against the Hecke side, support, direction, decomposition.
 
     The word's characters are its chain product, which is the recurrence
     of the right-to-left leaf count, so the Hecke side is compared with
     the left-to-right walk, an independent path.
     """
-    table = kl.table
+    table = datum.kl.table
     names = table.names
     word = datum.word
     name = word_name(word)
@@ -349,28 +347,29 @@ def _leaves_word_checks(kl: KLTable, datum: CellDatum, sink: Sink) -> None:
     sink("gdim_bar_symmetric_nonneg", name, gdim_ok)
     interval, support = set(datum.interval), datum.simple_gdims
     triangular = interval.issuperset(support) and not any(
-        interval.intersection(kl.kl_element(y)).difference(bruhat_interval(table, y)) for y in support
+        interval.intersection(datum.kl.kl_element(y)).difference(bruhat_interval(table, y)) for y in support
     )
     sink("decomposition_triangularity", name, triangular)
 
 
 def _branch_word_checks(
-    kl: KLTable, datum: CellDatum, tail: CellDatum, images: dict[int, dict[int, LaurentPoly]], sink: Sink
+    datum: CellDatum, tail: CellDatum, images: dict[int, dict[int, LaurentPoly]], sink: Sink
 ) -> None:
+    table = datum.kl.table
     name = word_name(datum.word)
-    names = kl.table.names
+    names = table.names
     for x, lhs, rhs, got, want in branch_mod.branching_sides(datum, tail):
         sink("branching_characters", name, lhs == rhs, (lhs, rhs), x=names[x])
         sink("leaf_partition", name, got == want, (got, want), _partition_render, x=names[x])
     # restriction multiplicities two ways: through structure constants, and
     # read off the restricted cell class
-    counts = branch_mod.restriction_counts(kl, datum, tail)
+    counts = branch_mod.restriction_counts(datum, tail)
     for z in datum.interval:
         counted, image = counts[z], images[z]
         for u in tail.simple_gdims:
             lhs, rhs = counted.get(u, ZERO), image.get(u, ZERO)
             sink("restriction_counts", name, lhs == rhs, (lhs, rhs), x=names[z], u=names[u])
-    render = functools.partial(_vec_render, kl.table)
+    render = functools.partial(_vec_render, table)
     for x in datum.interval:
         # Res applied to the decomposition vector of x, against the direct image
         sink("res_linear_map", name, counts[x] == images[x], (counts[x], images[x]), render, x=names[x])
@@ -386,24 +385,13 @@ def _vec_render(table: GroupTable, vec: dict[int, LaurentPoly]) -> str:
     return "; ".join(f"{table.names[u]}:{c.render()}" for u, c in sorted(vec.items()))
 
 
-def _recursion_word_checks(
-    kl: KLTable, datum: CellDatum, images: dict[int, dict[int, LaurentPoly]], sink: Sink
-) -> None:
-    table = kl.table
+def _recursion_word_checks(datum: CellDatum, images: dict[int, dict[int, LaurentPoly]], sink: Sink) -> None:
+    names = datum.kl.table.names
     name = word_name(datum.word)
-    s = datum.word[0]
-    wp = mult_gen(table, datum.top, s, "left")
-    sc = kl.structure_constants(s, wp)
-    # the correction sum may equivalently run over {z : sz < z < product of tail}
-    acc = kl.combine((z, -sc[z]) for z in below_with_descent(table, s, wp) if z in sc)
-    derived = branch_mod.derive_kl_recursion(kl, datum, images)
-    for x in datum.interval:
-        lhs, rhs = derived[x]
-        sink("derived_recursion", name, lhs == rhs, (lhs, rhs), x=table.names[x])
-        row = acc.get(x, {})
-        images[x].get(wp, ZERO).add_to(row)
-        alt = LaurentPoly(row)
-        sink("correction_index_consistency", name, alt == rhs, (alt, rhs), x=table.names[x])
+    for x, (lhs, rhs, alt) in branch_mod.derive_kl_recursion(datum, images).items():
+        sink("derived_recursion", name, lhs == rhs, (lhs, rhs), x=names[x])
+        # the correction sum may equivalently run over {z : sz < z < product of tail}
+        sink("correction_index_consistency", name, alt == rhs, (alt, rhs), x=names[x])
 
 
 WORD_SUITES = ("leaves", "branch", "recursion")
@@ -432,14 +420,14 @@ def _word_suite_checks(kl: KLTable, suites: list[str], sink: Sink) -> None:
             datum = cells_mod.build_cell_datum(kl, word, tail)
             layer.append(datum)
             if leaves is not None:
-                _leaves_word_checks(kl, datum, leaves)
+                _leaves_word_checks(datum, leaves)
             if not word or (branch is None and recursion is None):
                 continue
             images = branch_mod.res_cell_class(datum, tail)
             if branch is not None:
-                _branch_word_checks(kl, datum, tail, images, branch)
+                _branch_word_checks(datum, tail, images, branch)
             if recursion is not None:
-                _recursion_word_checks(kl, datum, images, recursion)
+                _recursion_word_checks(datum, images, recursion)
         # the (product, word) pairs are distinct, so no two tails are compared
         grown = sorted(
             (mult_gen(table, t.top, s, "left"), (s, *t.word), t)

@@ -973,6 +973,22 @@ def derive_kl_recursion(kl, word, x):
     return kl.kl_poly(x, w), rhs
 
 
+def correction_index_alt(kl, word, x):
+    """h_{x,w} through the branching pipeline with the correction sum over {z : sz < z < tail top}, for one x."""
+    from klcat.coxeter import bruhat_interval, descents, evaluate_word, mult_gen
+
+    word = _checked_word(kl, word)
+    table = kl.table
+    s = word[0]
+    wp = mult_gen(table, evaluate_word(table, word), s, "left")
+    sc = kl.structure_constants(s, wp)
+    alt = res_cell_class(kl, word, x).get(wp, ZERO)
+    for z in bruhat_interval(table, wp):
+        if z != wp and s in descents(table, z, "left") and sc.get(z):
+            alt = alt - sc[z] * kl.kl_poly(x, z)
+    return alt
+
+
 def _vec_render(table, coords):
     return "; ".join(f"{table.names[u]}:{c.render()}" for u, c in sorted(coords.items()))
 
@@ -1087,22 +1103,15 @@ def _branch_word_records(kl, word):
 
 
 def _recursion_word_records(kl, word):
-    from klcat.coxeter import bruhat_interval, descents, evaluate_word, mult_gen, word_name
+    from klcat.coxeter import bruhat_interval, evaluate_word, word_name
 
     table = kl.table
     name = word_name(word)
-    w = evaluate_word(table, word)
-    s = word[0]
-    wp = mult_gen(table, w, s, "left")
-    sc = kl.structure_constants(s, wp)
     records = []
-    for x in bruhat_interval(table, w):
+    for x in bruhat_interval(table, evaluate_word(table, word)):
         lhs, rhs = derive_kl_recursion(kl, word, x)
         records.append(record("derived_recursion", name, lhs == rhs, lhs=lhs.render(), rhs=rhs.render(), x=table.names[x]))
-        alt = res_cell_class(kl, word, x).get(wp, ZERO)
-        for z in bruhat_interval(table, wp):
-            if z != wp and s in descents(table, z, "left") and sc.get(z):
-                alt = alt - sc[z] * kl.kl_poly(x, z)
+        alt = correction_index_alt(kl, word, x)
         records.append(
             record("correction_index_consistency", name, alt == rhs, lhs=alt.render(), rhs=rhs.render(), x=table.names[x])
         )

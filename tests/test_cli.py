@@ -7,11 +7,13 @@ import tracemalloc
 
 import pytest
 
+import klcat
 from klcat.cli import main
 from klcat.coxeter import build_group, preset_matrix
 from klcat.kl import (
     CacheMismatchError,
     KLTable,
+    TOOL_VERSION,
     canonical_json,
     kl_from_json_text,
     kl_to_json_text,
@@ -28,6 +30,15 @@ def run_cli(argv, env=None, monkeypatch=None):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def test_version_is_the_tool_version(capsys):
+    # the one version literal, also written into every cache header
+    assert klcat.__version__ == TOOL_VERSION
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"klcat {TOOL_VERSION}\n"
 
 
 def test_group_preset_a3():

@@ -99,6 +99,25 @@ def test_word_suites_match_oracles_on_a_damaged_table(ladder, group, wword, xwor
     assert failed
 
 
+# Both sides of these records come from the characters by two routes (for
+# decomposition_identity, the characters and the combine of their KL-basis
+# expansion), so they read no KL data and no damaged table fails them.
+KL_BLIND = (
+    "branching_characters", "leaf_partition", "decomposition_identity",
+    "char_leaves_vs_hecke", "char_support", "direction_independence", "leaf_count",
+)
+
+
+@pytest.mark.parametrize("group, wword, xword, change", DAMAGED, ids=DAMAGED_IDS)
+def test_character_side_records_pass_on_a_damaged_table(ladder, group, wword, xword, change):
+    table, _ = ladder(group)
+    kl = damaged_table(table, evaluate_word(table, wword), evaluate_word(table, xword), change)
+    summary = run_suite(kl, "all")["summary"]
+    for identity in KL_BLIND:
+        assert summary[identity]["pass"] and not summary[identity]["fail"], identity
+    assert any(counts["fail"] for counts in summary.values())
+
+
 @pytest.mark.parametrize("suite", ["branch", "recursion"])
 def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
     # work-count guard: one restriction map per nonempty word, one
@@ -150,7 +169,7 @@ def test_word_suites_walk_every_reduced_word_in_order(monkeypatch, ladder, name,
         return SimpleNamespace(word=word, top=evaluate_word(table, word))
 
     monkeypatch.setattr(klcat.cells, "build_cell_datum", light_datum)
-    monkeypatch.setattr(klcat.verify, "_leaves_word_checks", lambda kl, datum, sink: walked.append(datum.word))
+    monkeypatch.setattr(klcat.verify, "_leaves_word_checks", lambda datum, sink: walked.append(datum.word))
     run_suite(kl, "leaves")
     assert walked == reduced_words_in_order(table, kl.complete_up_to)
 
