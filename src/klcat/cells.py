@@ -45,10 +45,6 @@ class CellDatum:
     cell_chars: dict[int, LaurentPoly]  # C_{s_1} ... C_{s_n} in the standard basis
     simple_gdims: dict[int, LaurentPoly]  # keyed by the simple support, ids ascending
 
-    def decomposition(self, x: int, y: int) -> LaurentPoly:
-        """d_{x,y} = h_{x,y} for y in the simple support (the diagonal read as 1), else 0."""
-        return self.kl.kl_poly(x, y) if y in self.simple_gdims else ZERO
-
 
 def build_cell_datum(kl: KLTable, word: Word, tail: CellDatum | None = None) -> CellDatum:
     """Assemble interval, characters and graded dimensions over the simple support.

@@ -14,11 +14,15 @@ and the degree-shifted generators C_s = H_s + v act on the standard basis by
 
 Only left multiplication by shifted generators and the bar involution are
 needed by the algorithms here (the generic product is a test oracle).
-Both sum their products into ``{x: {exponent: coefficient}}`` dicts and
-build each coefficient once, dropping the coordinates that cancel.  The
-bar keeps no state: it is Horner's rule over the prefix tree of the
-canonical words, since every prefix of a ShortLex-minimal word is
-ShortLex-minimal.
+Left multiplication sums its products into one ``{x: {exponent:
+coefficient}}`` dict and builds each coefficient once, dropping the
+coordinates that cancel.  The bar keeps no state: it is Horner's rule over
+the prefix tree of the canonical words, since every prefix of a
+ShortLex-minimal word is ShortLex-minimal, with each coordinate held as one
+integer, its polynomial evaluated at v = 2^K.  Left multiplication by
+H_t^-1 at most triples the l1 norm of an element, which bounds every
+coefficient of the image, and K is chosen above that bound, so the
+integers decode exactly into their polynomials as balanced base-2^K digits.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def left_mul_kl(table: GroupTable, s: int, h: dict[int, LaurentPoly]) -> dict[in
 
 
 def bar_involution(table: GroupTable, h: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-    """The ring involution with v -> v^-1 and H_x -> (H_{x^-1})^-1, by Horner's rule.
+    """The ring involution with v -> v^-1 and H_x -> (H_{x^-1})^-1, by Horner's rule at v = 2^K.
 
     Over the canonical word s_1 ... s_k of x, H_x maps to H_{s_1}^-1 ...
     H_{s_k}^-1.  Every prefix of a ShortLex-minimal word is ShortLex-minimal
@@ -58,28 +62,62 @@ def bar_involution(table: GroupTable, h: dict[int, LaurentPoly]) -> dict[int, La
 
         G(p) = bar(c_p) + sum over children x = p*t of H_t^-1 G(x),
 
-    filled from the largest id down, each G one ``{y: {exponent:
-    coefficient}}`` dict.  H_t^-1 = H_t + (v - v^-1) sends H_y to H_ty,
-    plus (v - v^-1) H_y when l(ty) > l(y).
+    filled from the largest id down.  H_t^-1 = H_t + (v - v^-1) sends H_y
+    to H_ty, plus (v - v^-1) H_y when l(ty) > l(y).
+
+    Each coordinate of G(x) is kept as one integer, the polynomial
+    evaluated at v = B = 2^K and scaled by v^(m - l(x)), where m is the
+    largest l(x) + e over the terms v^e of the c_x (at least 0).  No
+    exponent is then negative: a term of c_z reaches G(x) with exponents
+    at least m - l(z) - e.  One step adds ``g << K`` at ty and
+    g (B^2 - 1) at y.  Left multiplication by H_t^-1 at most triples the
+    l1 norm, so every coefficient of bar(h) is at most N = sum of
+    l1(c_x) 3^l(x) in absolute value; with K = bitlength(N) + 2 each
+    result is decoded exactly as its balanced base-B digits, the digit of
+    B^j being the coefficient of v^(j - m).  A product that leaves a
+    truncated table raises ``IncompleteTableError``.
     """
-    length, words = table.length, table.words
-    pending = {x: {table.identity: {-e: k for e, k in c.items()}} for x, c in h.items()}
-    for x in range(max(pending, default=0), 0, -1):
+    if not h:
+        return {}
+    length, words, left = table.length, table.words, table._left
+    m = max(0, max(length[x] + max(c._coeffs, default=0) for x, c in h.items()))
+    bound = sum(sum(map(abs, c._coeffs.values())) * 3 ** length[x] for x, c in h.items())
+    shift = bound.bit_length() + 2
+    twice = 2 * shift
+    pending = {
+        x: {table.identity: sum(k << shift * (m - length[x] - e) for e, k in c._coeffs.items())}
+        for x, c in h.items()
+    }
+    for x in range(max(pending), 0, -1):
         if (g := pending.pop(x, None)) is None:
             continue
         t = words[x][-1]
         acc = pending.setdefault(mult_gen(table, x, t, "right"), {})
-        for y, d in g.items():
-            ty = mult_gen(table, y, t, "left")
-            target = acc.setdefault(ty, {})
-            for e, k in d.items():
-                target[e] = target.get(e, 0) + k
+        for y, n in g.items():
+            ty = left[y][t]
+            if ty is None:
+                mult_gen(table, y, t, "left")  # raises: ty lies beyond the table
+            acc[ty] = acc.get(ty, 0) + (n << shift)
             if length[ty] > length[y]:
-                target = acc.setdefault(y, {})
-                for e, k in d.items():
-                    target[e + 1] = target.get(e + 1, 0) + k
-                    target[e - 1] = target.get(e - 1, 0) - k
-    return _to_vector(pending.get(table.identity, {}))
+                acc[y] = acc.get(y, 0) + (n << twice) - n
+    return {y: _digits(n, shift, m) for y, n in pending.get(table.identity, {}).items() if n}
+
+
+def _digits(n: int, shift: int, m: int) -> LaurentPoly:
+    """The polynomial whose value at v = 2^shift, times v^m, is n: balanced base-2^shift digits."""
+    base = 1 << shift
+    mask, half = base - 1, base >> 1
+    coeffs: dict[int, int] = {}
+    e = -m
+    while n:
+        d = n & mask
+        if d >= half:
+            d -= base
+        if d:
+            coeffs[e] = d
+        n = (n - d) >> shift
+        e += 1
+    return LaurentPoly._from_pruned(coeffs)
 
 
 def bott_samelson_class(table: GroupTable, word: Word) -> dict[int, LaurentPoly]:

@@ -154,9 +154,10 @@ class KLTable:
         while heap:
             y = -heapq.heappop(heap)
             queued.discard(y)
-            a = LaurentPoly(acc[y])
-            if not a:
+            d = acc[y]
+            if not any(d.values()):
                 continue
+            a = LaurentPoly(d)
             if y in out:
                 raise ValueError(f"cannot clear {self.table.names[y]}: a stored coordinate above it feeds it back")
             out[y] = a

@@ -12,7 +12,7 @@ the same type carries classical polynomials in ``q`` (see
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class LaurentPoly:
@@ -45,14 +45,6 @@ class LaurentPoly:
         p = object.__new__(cls)
         p._coeffs = coeffs
         return p
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[int, int]]) -> "LaurentPoly":
-        """Sum of ``coefficient * v^exponent`` terms, repeats allowed."""
-        acc: dict[int, int] = {}
-        for e, c in terms:
-            acc[e] = acc.get(e, 0) + c
-        return cls(acc)
 
     # -- queries --------------------------------------------------------
 

@@ -38,7 +38,7 @@ Words need not be reduced here; reducedness is asserted by the modules
 from __future__ import annotations
 
 from .coxeter import GroupTable, Word, mult_gen
-from .laurent import LaurentPoly, ZERO
+from .laurent import LaurentPoly
 
 LeafCounts = dict[tuple[int, int, int], int]  # (endpoint, degree, last bit) -> number of leaves
 
@@ -101,8 +101,3 @@ def split_by_last_bit(counts: LeafCounts) -> dict[int, tuple[LaurentPoly, Lauren
 def character_map(table: GroupTable, word: Word, direction: str = "rl") -> dict[int, LaurentPoly]:
     """Sum of v^degree over leaves, grouped by endpoint; zero entries dropped."""
     return characters(leaf_counts(table, word, direction))
-
-
-def cell_character(table: GroupTable, word: Word, x: int) -> LaurentPoly:
-    """Graded dimension of the cell module of ``word`` at ``x``."""
-    return character_map(table, word).get(x, ZERO)

@@ -760,13 +760,28 @@ def record(identity, word, ok, lhs="", rhs="", **extra):
 def kl_suite_records(kl):
     """The ``kl`` suite's records, element by element and x by x through the oracles above.
 
-    The per-element checks are the per-x code the column form replaced;
-    the mu-structure records are shaped by ``verify`` (unchanged) from
-    oracle structure constants.  A q-form side whose ingredients include a
-    stored polynomial that is not classical (wrong parity or degree) is
-    rendered ``undefined`` and its record fails.
+    The per-element checks are :func:`kl_element_records`; the
+    mu-structure records are shaped by ``verify`` (unchanged) from oracle
+    structure constants.
     """
     from klcat import verify
+
+    shim = _OracleStructureConstants(kl)
+    shaped = verify.RecordList()
+    for u in kl.stored_elements():
+        verify._mu_structure_checks(shim, u, shaped)
+    verify._descent_choice_check(kl.table, kl, shaped)
+    return kl_element_records(kl) + shaped.records
+
+
+def kl_element_records(kl):
+    """The ``kl`` suite's per-element records, every stored x at every (w, s), by the per-x code
+    the column form replaced.
+
+    A q-form side whose ingredients include a stored polynomial that is
+    not classical (wrong parity or degree) is rendered ``undefined`` and
+    its record fails.
+    """
     from klcat.coxeter import descents
     from klcat.kl import to_classical
 
@@ -812,12 +827,7 @@ def kl_suite_records(kl):
                         **spot,
                     )
                 )
-    shim = _OracleStructureConstants(kl)
-    shaped = verify.RecordList()
-    for u in kl.stored_elements():
-        verify._mu_structure_checks(shim, u, shaped)
-    verify._descent_choice_check(table, kl, shaped)
-    return records + shaped.records
+    return records
 
 
 # -- explicit light-leaf paths and the per-word suites before the count DP -----
@@ -881,6 +891,24 @@ def character_map(table, word, direction="rl"):
         bucket = acc.setdefault(path.endpoint, {})
         bucket[path.degree] = bucket.get(path.degree, 0) + 1
     return {x: LaurentPoly(bucket) for x, bucket in sorted(acc.items())}
+
+
+def cell_character(table, word, x):
+    """Graded dimension of the cell module of ``word`` at ``x``, from the explicit leaves."""
+    return character_map(table, word).get(x, ZERO)
+
+
+def degree_tally(paths):
+    """Sum of v^degree over ``paths``."""
+    acc = {}
+    for p in paths:
+        acc[p.degree] = acc.get(p.degree, 0) + 1
+    return LaurentPoly(acc)
+
+
+def decomposition(datum, x, y):
+    """d_{x,y} = h_{x,y} for y in the word's simple support (the diagonal read as 1), else 0."""
+    return datum.kl.kl_poly(x, y) if y in datum.simple_gdims else ZERO
 
 
 def split_top_generator(table, word):
@@ -1060,8 +1088,7 @@ def _branch_word_records(kl, word):
              "lhs": lhs.render(), "rhs": rhs.render(), "pass": lhs == rhs}
         )
         part_sub, part_quot = parts.get(x, ([], []))
-        got_sub = LaurentPoly.from_terms((p.degree, 1) for p in part_sub)
-        got_quot = LaurentPoly.from_terms((p.degree, 1) for p in part_quot)
+        got_sub, got_quot = degree_tally(part_sub), degree_tally(part_quot)
         records.append(
             {"identity": "leaf_partition", "word": name, "x": names[x],
              "lhs": f"sub={got_sub.items()} quot={got_quot.items()}",

@@ -23,7 +23,7 @@ from klcat.kl import compute_kl, recursion_column, to_classical
 from klcat.laurent import LaurentPoly, ONE, ZERO, v_power
 from klcat.leaves import character_map
 
-from oracles import all_reduced_words, bruhat_leq, dihedral_kl_candidate, satisfies_kl_conditions
+from oracles import all_reduced_words, bruhat_leq, decomposition, dihedral_kl_candidate, satisfies_kl_conditions
 
 
 def branching(kl, word):
@@ -169,9 +169,9 @@ def test_criterion_7_structural_invariants():
         for w in table.elements:
             datum = build_cell_datum(kl, table.words[w])
             for y in datum.simple_gdims:
-                ok = ok and datum.decomposition(y, y) == ONE
+                ok = ok and decomposition(datum, y, y) == ONE
                 for x in datum.interval:
-                    if datum.decomposition(x, y):
+                    if decomposition(datum, x, y):
                         ok = ok and bruhat_leq(table, x, y)
     report("7 bar-invariance, degrees, parity, positivity, triangularity (exact)", ok)
 

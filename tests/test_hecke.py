@@ -2,10 +2,12 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, preset_matrix
 from klcat.hecke import bar_involution, bott_samelson_class, left_mul_kl
-from klcat.laurent import LaurentPoly, ONE, V, V_INV
+from klcat.laurent import LaurentPoly, ONE, V, V_INV, v_power
 
 import oracles
 from oracles import LADDER, add, left_mul_std, product, scale
@@ -160,3 +162,43 @@ def test_bar_matches_oracle(ladder, name):
     # oracle on every C_w takes 22 s on B4)
     for u in kl.stored_elements():
         assert bar_involution(table, kl.kl_element(u)) == kl.kl_element(u)
+
+
+# coefficients up to 10^40 in absolute value, exponents in [-40, 40]
+BIG = 10**40
+big_polys = st.dictionaries(
+    st.integers(-40, 40), st.integers(-BIG, BIG), min_size=1, max_size=4
+).map(LaurentPoly).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["A3", "B3", "triangle4-0-3"]), data=st.data())
+def test_bar_kernel_on_big_coefficients(ladder, name, data):
+    # coefficients far beyond a machine word, exponents far beyond any length
+    table, _ = ladder(name)
+    h = data.draw(st.dictionaries(st.sampled_from(table.elements), big_polys, max_size=5))
+    before = copy.deepcopy(vars(table))
+    image = bar_involution(table, h)
+    assert image == oracles.bar_involution(table, h)
+    assert bar_involution(table, image) == h
+    assert vars(table) == before
+
+
+def _l1_bound(table, h):
+    """N = sum of l1(c_x) 3^l(x): the bound on every coefficient of bar(h) that sets the base."""
+    return sum(sum(abs(k) for _, k in c.items()) * 3 ** table.length[x] for x, c in h.items())
+
+
+@pytest.mark.parametrize("n", [2**64 - 1, 2**64, BIG])
+def test_bar_decodes_coefficients_at_the_bound(a3, n):
+    # at the identity the l1 norm is a single coefficient, so bar(h) has one equal to N;
+    # its neighbours carry the opposite sign, a borrow in every balanced digit
+    e, w0 = a3.identity, max(a3.elements)
+    edge = {e: v_power(-40, n)}
+    assert _l1_bound(a3, edge) == n
+    assert bar_involution(a3, edge) == {e: v_power(40, n)}
+    mixed = {e: LaurentPoly({-1: -n, 0: n, 1: -n}), w0: LaurentPoly({40: n})}
+    image = bar_involution(a3, mixed)
+    assert max(abs(k) for c in image.values() for _, k in c.items()) <= _l1_bound(a3, mixed)
+    assert image == oracles.bar_involution(a3, mixed)
+    assert bar_involution(a3, image) == mixed

@@ -1,8 +1,10 @@
+import io
 import random
 from collections import Counter
 
 import pytest
 
+import klcat.cli
 from klcat.coxeter import (
     IncompleteTableError,
     bruhat_interval,
@@ -26,7 +28,7 @@ from klcat.kl import (
     to_classical,
 )
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
-from klcat.verify import run_suite
+from klcat.verify import FailRecords, RecordList, Sink, run_suite
 
 from oracles import (
     LADDER,
@@ -39,11 +41,13 @@ from oracles import (
     expand_in_kl_basis,
     generator_products,
     interval_kl_csv,
+    kl_element_records,
     kl_suite_records,
     recursion_kl_poly,
     satisfies_kl_conditions,
     scale,
 )
+from test_verify import text_report
 
 
 def test_first_kl_elements(a2, kl_a2):
@@ -297,6 +301,115 @@ def test_kl_suite_fails_on_a_non_classical_coefficient(a3, wword, xword):
     ]
     assert undefined and not any(r["pass"] for r in undefined)
     assert report["records"] == kl_suite_records(kl)
+
+
+class _FullWalk(RecordList):
+    """A sink that keeps passes, so the kl suite walks every stored x, but holds only the FAIL records."""
+
+    def keep(self, rec):
+        if not rec["pass"]:
+            super().keep(rec)
+
+
+def _cli_kl(monkeypatch, kl, *fmt):
+    """(exit code, stdout, text sink or None) of ``klcat verify --suite kl`` run on ``kl``."""
+    sinks = []
+
+    class Kept(FailRecords):
+        def __init__(self):
+            super().__init__()
+            sinks.append(self)
+
+    monkeypatch.setattr(klcat.cli, "_group_from_args", lambda args: ("G", kl.table))
+    monkeypatch.setattr(klcat.cli, "compute_kl", lambda table, bound: kl)
+    monkeypatch.setattr(klcat.cli, "FailRecords", Kept)
+    out = io.StringIO()
+    code = klcat.cli.main(["verify", "--suite", "kl", *fmt], out=out)
+    return code, out.getvalue(), sinks[0] if sinks else None
+
+
+def _head(table):
+    return f"group: G (order {'>= ' if table.partial else ''}{table.order})"
+
+
+@pytest.mark.parametrize("case", [*LADDER, *DAMAGES])
+def test_bulk_counted_text_report_matches_the_full_walk(monkeypatch, ladder, a3, a4, case):
+    # the text report walks only the live x; a pass-keeping sink walks them all
+    if case in DAMAGES:
+        group, wword, xword, change = DAMAGES[case]
+        table = {"A3": a3, "A4": a4}[group]
+        kl = damaged_table(table, evaluate_word(table, wword), evaluate_word(table, xword), change)
+    else:
+        table, kl = ladder(case)
+    full = _FullWalk()
+    run_suite(kl, "kl", full)
+    code, text, sink = _cli_kl(monkeypatch, kl)
+    assert sink.summary() == full.summary()
+    assert len(sink) == len(full)
+    assert sink.records == full.records
+    report = {"suite": "kl", "summary": full.summary(), "records": full.records, "pass": full.passed()}
+    assert (code, text) == (0 if full.passed() else 1, text_report(report, _head(table)))
+    assert bool(full.records) == (case in DAMAGES)
+
+
+def test_a_dropped_diagonal_keeps_w_live(a3):
+    # kl_poly(w, w) reads 1 without a stored h_{w,w}, so both sinks walk x = w; C_s C_w then
+    # has no KL-basis expansion, so the run stops partway through the mu-structure records
+    w = evaluate_word(a3, (1, 0, 2, 1))
+    kl = damaged_table(a3, w, w, lambda c: None)
+    full, text = RecordList(), FailRecords()
+    for sink in (full, text):
+        with pytest.raises(ValueError, match=r"stored h_\{s2\.s1\.s3\.s2,s2\.s1\.s3\.s2\} is 0, not 1"):
+            run_suite(kl, "kl", sink)
+    element = kl_element_records(kl)
+    assert full.records[: len(element)] == element
+    rest = {rec["identity"] for rec in full.records[len(element) :]}
+    assert rest == {"structure_positivity", "mu_structure_constants"}
+    assert not full.passed() and text.summary() == full.summary() and len(text) == len(full)
+    assert text.records == [rec for rec in full.records if not rec["pass"]]
+    with pytest.raises(ValueError):
+        kl_suite_records(kl)
+
+
+@pytest.mark.parametrize("xword", [(2,), (1, 2, 1)], ids=["s3", "s2s3s2"])
+def test_a_coordinate_outside_the_interval_matches_oracle_in_both_formats(monkeypatch, a3, xword):
+    # h_{x,s1s2} = v for an x neither below nor above s1s2 (one above would feed the expansion
+    # back): the recursions above s1s2 read s3 as mu(s3, s1s2) = 1, and the text report walks
+    # both as stored coordinates
+    w, x = evaluate_word(a3, (0, 1)), evaluate_word(a3, xword)
+    assert not bruhat_leq(a3, x, w) and not bruhat_leq(a3, w, x)
+    kl = damaged_table(a3, w, x, lambda c: V)
+    report = run_suite(kl, "kl")
+    assert not report["pass"]
+    assert report["records"] == kl_suite_records(kl)
+    assert _cli_kl(monkeypatch, kl, "--format", "json")[:2] == (1, canonical_json(report))
+    assert _cli_kl(monkeypatch, kl)[:2] == (1, text_report(report, _head(a3)))
+
+
+def test_text_sink_is_called_once_per_live_check(monkeypatch, ladder):
+    # on an intact table the live x of (w, s) are [e, w]: both columns and C_w are supported there
+    table, kl = ladder("A4")
+    stored = kl.stored_elements()
+    live = sum(len(bruhat_interval(table, w)) * len(descents(table, w, "left")) for w in stored[1:])
+    calls = Counter()
+    original = Sink.__call__
+
+    def counted(self, identity, *args, **kwargs):
+        calls[identity] += 1
+        return original(self, identity, *args, **kwargs)
+
+    monkeypatch.setattr(Sink, "__call__", counted)
+    recursion = ("recursion_agreement", "classical_recursion_agreement")
+    for sink in (FailRecords(), RecordList()):
+        calls.clear()
+        run_suite(kl, "kl", sink)
+        for identity, counts in sink.summary().items():
+            walked = live if identity in recursion and not sink.keeps_passes else counts["pass"] + counts["fail"]
+            assert calls[identity] == walked, identity
+    # 57,600 recursion records, 17,840 of them walked in text mode
+    assert 2 * live == 17_840
+    assert sum(calls[identity] for identity in recursion) == 57_600
+    assert sum(calls.values()) == len(sink)  # the pass-keeping sink, run last
 
 
 def test_descent_choice_independence(a3, kl_a3):

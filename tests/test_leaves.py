@@ -13,12 +13,13 @@ from klcat.coxeter import (
 )
 from klcat.hecke import bott_samelson_class
 from klcat.laurent import LaurentPoly, ONE, V, ZERO
-from klcat.leaves import cell_character, character_map, characters, leaf_counts, split_by_last_bit
+from klcat.leaves import character_map, characters, leaf_counts, split_by_last_bit
 
 import oracles
 from oracles import (
     all_reduced_words,
     bruhat_leq,
+    cell_character,
     enumerate_leaves,
     leafset_to_json_obj,
     reduced_words_in_order,
@@ -50,7 +51,7 @@ def sides(table, word, x):
 def oracle_sides(table, word):
     """The same split, tallied over the explicit paths."""
     return {
-        x: tuple(LaurentPoly.from_terms((p.degree, 1) for p in part) for part in parts)
+        x: tuple(oracles.degree_tally(part) for part in parts)
         for x, parts in split_top_generator(table, word).items()
     }
 
