@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .cells import CellDatum
 from .coxeter import below_with_descent, mult_gen, word_name
-from .hecke import _to_vector
+from .hecke import _to_vector, left_mul_terms
 from .laurent import LaurentPoly, ZERO
 from .leaves import leaf_step, split_by_last_bit
 
@@ -50,18 +50,17 @@ def res_cell_class(datum: CellDatum, tail: CellDatum) -> dict[int, dict[int, Lau
 
     Expands v^{-+1} [cell'(x)] + [cell'(sx)] through the tail's
     decomposition numbers: coordinate at u is v^{-+1} h_{x,u} + h_{sx,u}.
-    Each stored h_{y,u} of a simple u of the tail, y below w, goes to y, shifted, and to sy.
+    For each simple u of the tail, that is one :func:`~klcat.hecke.left_mul_terms`
+    of the stored h_{y,u} with y below w.
     """
     _check_tail(datum, tail)
     kl, s = tail.kl, datum.word[0]
-    length, left = kl.table.length, kl.table._left
     acc: dict[int, dict[int, dict[int, int]]] = {x: {} for x in datum.interval}
     for u in tail.simple_gdims:  # the stored h_{u,u} is 1: the expansion checked it
-        for y, h in kl.kl_element(u).items():
-            if y in acc:  # then so is sy: s is a left descent of w, so [e, w] is s-stable
-                sy = left[y][s]
-                h.add_to(acc[y].setdefault(u, {}), 1 if length[sy] > length[y] else -1)
-                h.add_to(acc[sy].setdefault(u, {}))
+        # s is a left descent of w, so [e, w] is s-stable and holds every sy
+        stored = ((y, h) for y, h in kl.kl_element(u).items() if y in acc)
+        for x, row in left_mul_terms(kl.table, s, stored).items():
+            acc[x][u] = row
     return {x: _to_vector(row) for x, row in acc.items()}
 
 

@@ -16,21 +16,23 @@ interval (the tuple :func:`~klcat.coxeter.bruhat_interval` memoizes),
 the characters (the chain product, a standard-basis ``{id:
 LaurentPoly}`` dict), and the graded dimensions, keyed by the simple
 support in ascending order.
-Built from the datum of its tail (the word minus its first letter), the
-characters cost one generator step.  The decomposition numbers are read
-from the KL table, not copied, and summed against the graded dimensions
-by :meth:`~klcat.kl.KLTable.combine`.  The leaf counts are not kept: the
-branch suite steps a word's from its tail's characters.
+A datum is built one way: stepped from the datum of its tail (the word
+minus its first letter), its characters cost one generator step and its
+reducedness one length comparison; a word given without its tail's datum
+is stepped from the empty word's through its suffixes.  The decomposition
+numbers are read from the KL table, not copied, and summed against the
+graded dimensions by :meth:`~klcat.kl.KLTable.combine`.  The leaf counts
+are not kept: the branch suite steps a word's from its tail's characters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coxeter import Word, bruhat_interval, evaluate_word, is_reduced, mult_gen, word_name
-from .hecke import bott_samelson_class, left_mul_kl
+from .coxeter import Word, bruhat_interval, mult_gen, word_name
+from .hecke import left_mul_kl
 from .kl import KLTable
-from .laurent import LaurentPoly, ZERO
+from .laurent import LaurentPoly, ONE, ZERO
 
 
 @dataclass
@@ -49,37 +51,32 @@ class CellDatum:
 def build_cell_datum(kl: KLTable, word: Word, tail: CellDatum | None = None) -> CellDatum:
     """Assemble interval, characters and graded dimensions over the simple support.
 
-    Rejects non-reduced words: the statements packaged here are only
-    asserted for reduced expressions.  Given ``tail``, the datum of the
-    word minus its first letter s, the characters are C_s times the
-    tail's, and the word is reduced exactly when s lengthens the tail's
-    product.
+    The datum is stepped from ``tail``, that of the word minus its first
+    letter s: its characters are C_s times the tail's, and the word is
+    reduced exactly when s lengthens the tail's product.  Without a tail
+    the steps run from the empty word's datum through the word's suffixes.
+    A non-reduced word is rejected by name, as its statements need not hold.
     """
     table = kl.table
     word = tuple(word)
     if tail is None:
-        if not is_reduced(table, word):
-            raise ValueError(f"word {word_name(word)} is not reduced")
-        w = evaluate_word(table, word)
-        chars = bott_samelson_class(table, word)
+        e = table.identity
+        datum = CellDatum(kl, (), e, bruhat_interval(table, e), {e: ONE}, kl.expand_in_kl_basis({e: ONE}))
+        suffixes = range(len(word) - 1, -1, -1)
+    elif not word or tail.word != word[1:]:
+        raise ValueError(f"{word_name(tail.word)} is not the tail of {word_name(word)}")
     else:
-        if not word or tail.word != word[1:]:
-            raise ValueError(f"{word_name(tail.word)} is not the tail of {word_name(word)}")
-        w = mult_gen(table, tail.top, word[0], "left")
-        if table.length[w] != len(word):
+        datum, suffixes = tail, (0,)
+    for k in suffixes:
+        s, n = word[k], len(word) - k
+        w = mult_gen(table, datum.top, s, "left")
+        if table.length[w] != n:
             raise ValueError(f"word {word_name(word)} is not reduced")
-        chars = left_mul_kl(table, word[0], tail.cell_chars)
-    if len(word) > kl.complete_up_to:
-        raise ValueError(f"KL table bound {kl.complete_up_to} does not cover {table.names[w]}")
-    gdims = kl.expand_in_kl_basis(chars)
-    return CellDatum(
-        kl=kl,
-        word=word,
-        top=w,
-        interval=bruhat_interval(table, w),
-        cell_chars=chars,
-        simple_gdims=gdims,
-    )
+        if n > kl.complete_up_to:
+            raise ValueError(f"KL table bound {kl.complete_up_to} does not cover {table.names[w]}")
+        chars = left_mul_kl(table, s, datum.cell_chars)
+        datum = CellDatum(kl, word[k:], w, bruhat_interval(table, w), chars, kl.expand_in_kl_basis(chars))
+    return datum
 
 
 def decomposition_sides(datum: CellDatum) -> list[tuple[int, LaurentPoly, LaurentPoly]]:

@@ -14,12 +14,13 @@ and the degree-shifted generators C_s = H_s + v act on the standard basis by
 
 Only left multiplication by shifted generators and the bar involution are
 needed by the algorithms here (the generic product is a test oracle).
-Left multiplication sums its products into one ``{x: {exponent:
-coefficient}}`` dict and builds each coefficient once, dropping the
-coordinates that cancel.  The bar keeps no state: it is Horner's rule over
-the prefix tree of the canonical words, since every prefix of a
-ShortLex-minimal word is ShortLex-minimal, with each coordinate held as one
-integer, its polynomial evaluated at v = 2^K.  Left multiplication by
+:func:`left_mul_terms` is the one C_s step, shared by :func:`left_mul_kl`,
+:func:`~klcat.kl.compute_kl` and :func:`~klcat.branch.res_cell_class`;
+outside :mod:`klcat.coxeter` only this module reads the product arrays.
+The bar keeps no state: it is Horner's rule over the prefix tree of the
+canonical words, since every prefix of a ShortLex-minimal word is
+ShortLex-minimal, with each coordinate held as one integer, its polynomial
+evaluated at v = 2^K.  Left multiplication by
 H_t^-1 at most triples the l1 norm of an element, which bounds every
 coefficient of the image, and K is chosen above that bound, so the
 integers decode exactly into their polynomials as balanced base-2^K digits.
@@ -36,20 +37,26 @@ def _to_vector(acc: dict[int, dict[int, int]]) -> dict[int, LaurentPoly]:
     return {x: c for x, d in acc.items() if (c := LaurentPoly(d))}
 
 
-def left_mul_kl(table: GroupTable, s: int, h: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-    """Left multiplication by the shifted generator C_s = H_s + v.
+def left_mul_terms(table: GroupTable, s: int, pairs) -> dict[int, dict[int, int]]:
+    """C_s times the sum of c H_x over the ``(x, c)`` pairs, as an ``{x: {exponent: coefficient}}`` dict.
 
-    C_s H_x = H_sx + v^{+-1} H_x, so each coefficient c of h is added into
-    one ``{x: {exponent: coefficient}}`` dict at sx and, shifted by +-1, at
-    x; each output ``LaurentPoly`` is built once.
+    C_s H_x = H_sx + v^{+-1} H_x, so each c is added at sx and, shifted by
+    +-1, at x.  An sx beyond a truncated table raises ``IncompleteTableError``.
     """
-    length = table.length
+    length, left = table.length, table._left
     acc: dict[int, dict[int, int]] = {}
-    for x, c in h.items():
-        sx = mult_gen(table, x, s, "left")
+    for x, c in pairs:
+        sx = left[x][s]
+        if sx is None:
+            mult_gen(table, x, s, "left")  # raises: sx lies beyond the table
         c.add_to(acc.setdefault(sx, {}))
         c.add_to(acc.setdefault(x, {}), 1 if length[sx] > length[x] else -1)
-    return _to_vector(acc)
+    return acc
+
+
+def left_mul_kl(table: GroupTable, s: int, h: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
+    """C_s * h, the :func:`left_mul_terms` of its coordinates: each polynomial built once, none zero."""
+    return _to_vector(left_mul_terms(table, s, h.items()))
 
 
 def bar_involution(table: GroupTable, h: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:

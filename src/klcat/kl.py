@@ -4,9 +4,9 @@ Two independent computation paths are provided and cross-checked by the
 verification suites:
 
   * :func:`compute_kl` runs the defining algorithm: the KL basis element of
-    ``su`` is ``C_s * C_u`` minus, for every z in the support of that
-    product, the constant term of the H_z-coefficient times the KL basis
-    element of z.  The result is the unique bar-invariant element whose
+    ``su`` is ``C_s * C_u`` (:func:`~klcat.hecke.left_mul_terms`) minus,
+    for every z in the support of that product, the constant term of the
+    H_z-coefficient times the KL basis element of z.  The result is the unique bar-invariant element whose
     lower coefficients lie in vZ[v].  (``compute_kl_by_subtraction`` in the
     test oracles runs the same algorithm one whole element at a time.)
 
@@ -21,8 +21,9 @@ verification suites:
     :func:`~klcat.coxeter.below_with_descent`.
 
 Classical polynomials in q are related by h_{x,w}(v) = v^(l(w)-l(x)) P_{x,w}(v^-2),
-and mu(z,w) is the linear coefficient of h_{z,w}.  Hecke elements are
-plain ``{id: LaurentPoly}`` dicts (see :mod:`klcat.hecke`).  Sums of many
+and mu(z,w) is the linear coefficient of h_{z,w}; :meth:`KLTable.classical`
+converts each (polynomial, l(w) - l(x)) pair once per table.  Hecke
+elements are plain ``{id: LaurentPoly}`` dicts (see :mod:`klcat.hecke`).  Sums of many
 products (each step of :func:`compute_kl`, the recursions,
 :meth:`KLTable.expand_in_kl_basis` and its inverse :meth:`KLTable.combine`,
 the word suites' one sum of KL basis elements) accumulate into one
@@ -54,7 +55,7 @@ from .coxeter import (
     descents,
     mult_gen,
 )
-from .hecke import _to_vector, left_mul_kl
+from .hecke import _to_vector, left_mul_kl, left_mul_terms
 from .laurent import LaurentPoly, ONE, ZERO
 
 TOOL_VERSION = "0.1.0"
@@ -71,8 +72,8 @@ class KLTable:
     is the table's single instance of its value (as in du Cloux's
     Coxeter3): equal coefficients are the same object, and the exporters
     format each one once; the intern map is keyed by a value's sorted
-    (exponent, coefficient) terms.
-    Structure constants are memoized on the table.
+    (exponent, coefficient) terms.  The q-forms (:meth:`classical`) and
+    the structure constants are memoized on the table.
     """
 
     def __init__(self, table: GroupTable, complete_up_to: int):
@@ -81,6 +82,7 @@ class KLTable:
         self._kl: dict[int, dict[int, LaurentPoly]] = {}
         self._polys: dict[tuple[tuple[int, int], ...], LaurentPoly] = {}  # sorted terms -> the interned instance
         self._sc_memo: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
+        self._q_memo: dict[tuple[int, int], tuple[LaurentPoly, LaurentPoly | None]] = {}
 
     def _store(self, w: int, acc: dict[int, dict[int, int]]) -> None:
         """Keep an ``{x: {exponent: coefficient}}`` dict as the KL element of w, ids ascending.
@@ -119,6 +121,23 @@ class KLTable:
     def mu(self, z: int, w: int) -> int:
         """The linear coefficient of h_{z,w}."""
         return self.kl_poly(z, w).coefficient(1)
+
+    def classical(self, x: int, w: int) -> LaurentPoly | None:
+        """:func:`to_classical` of ``kl_poly(x, w)``, or None when it is not classical.
+
+        Memoized by (id(h), l(w) - l(x)); each entry holds h, so no id is reused.
+        """
+        h = self.kl_poly(x, w)
+        length = self.table.length
+        key = (id(h), length[w] - length[x])
+        entry = self._q_memo.get(key)
+        if entry is None:
+            try:
+                p = to_classical(h, length[x], length[w])
+            except ValueError:
+                p = None
+            entry = self._q_memo[key] = (h, p)
+        return entry[1]
 
     def combine(self, coeffs) -> dict[int, dict[int, int]]:
         """sum a_y C_y over the ``(y, a_y)`` pairs, each stored C_y read as it is.
@@ -199,8 +218,8 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
     terms are all read from the product before anything is subtracted.
 
     Each w is accumulated in one ``{x: {exponent: coefficient}}`` dict:
-    C_s * C_sw adds each h_{x,sw} at sx and, shifted by v^{+-1}, at x
-    (``LaurentPoly.add_to``), and every g0 * C_z is subtracted in place.
+    C_s * C_sw is :func:`~klcat.hecke.left_mul_terms` of the stored C_sw,
+    and every g0 * C_z is subtracted from it in place.
     :meth:`KLTable._store` then interns each coefficient, in ascending id
     order, so a ``LaurentPoly`` is built only for a value not seen before.
     """
@@ -215,15 +234,11 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
     bound = min(up_to_length, table.complete_length)
     kl = KLTable(table, bound)
     kl._store(table.identity, {table.identity: {0: 1}})
-    length, left, stored = table.length, table._left, kl._kl
+    stored = kl._kl
     pick = 0 if descent_choice == "min" else -1
     for w in kl.stored_elements()[1:]:
         s = descents(table, w, "left")[pick]
-        acc: dict[int, dict[int, int]] = {}
-        for x, c in stored[mult_gen(table, w, s, "left")].items():
-            sx = left[x][s]  # x is shorter than w, so sx lies within the table
-            c.add_to(acc.setdefault(sx, {}))
-            c.add_to(acc.setdefault(x, {}), 1 if length[sx] > length[x] else -1)
+        acc = left_mul_terms(table, s, stored[mult_gen(table, w, s, "left")].items())
         lower = [(z, g0) for z, d in acc.items() if z != w and (g0 := d.get(0))]
         for z, g0 in lower:
             for x, c in stored[z].items():
@@ -250,14 +265,6 @@ def to_classical(h: LaurentPoly, lx: int, lw: int) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def classical_or_none(h: LaurentPoly, lx: int, lw: int) -> LaurentPoly | None:
-    """:func:`to_classical` of h, or None when h is not a classical polynomial."""
-    try:
-        return to_classical(h, lx, lw)
-    except ValueError:
-        return None
-
-
 def recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly]:
     """h_{x,w} for every x by the one-step recursion, never touching the stored element of w.
 
@@ -277,6 +284,7 @@ def recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly]:
     length = table.length
     sw = _descent_neighbour(table, w, s)
     acc: dict[int, dict[int, int]] = {}
+    # not left_mul_terms: h_{y,y} reads as 1, and an sy beyond a truncated table counts as longer
     for y, h in _with_unit_diagonal(kl, sw):
         try:
             sy = mult_gen(table, y, s, "left")
@@ -310,23 +318,15 @@ def classical_recursion_column(kl: KLTable, w: int, s: int) -> dict[int, Laurent
     These exponents are forced by substituting q = v^-2 into the v-form
     recursion; getting either sign backwards breaks the identity with
     :func:`to_classical`.  The (z, mu, shift) list depends only on (w, s)
-    and is built once.  An x whose ingredients include a stored h_{y,z}
-    that is not a classical polynomial (wrong parity, or an exponent above
-    l(z) - l(y)) maps to None, as does every x below w when a mu
-    ingredient is one.
+    and is built once; each P is :meth:`KLTable.classical`.  An x whose
+    ingredients include a stored h_{y,z} that is not classical (wrong
+    parity, or an exponent above l(z) - l(y)) maps to None, as does every
+    x below w when a mu ingredient is one.
     """
     table = kl.table
     length = table.length
     sw = _descent_neighbour(table, w, s)
-    classical: dict[tuple[int, int], LaurentPoly | None] = {}  # (id of h, gap) -> P
-
-    def p(x: int, y: int) -> LaurentPoly | None:
-        h = kl.kl_poly(x, y)  # every h is held by the table, so ids stay unique
-        key = (id(h), length[y] - length[x])
-        if key not in classical:
-            classical[key] = classical_or_none(h, length[x], length[y])
-        return classical[key]
-
+    p = kl.classical
     terms: list[tuple[int, int, int]] | None = []
     for z in below_with_descent(table, s, sw):
         exp = length[sw] - length[z] - 1

@@ -2,14 +2,21 @@ from dataclasses import fields
 
 import pytest
 
-from klcat.cells import build_cell_datum, decomposition_sides, verify_decomposition_identity
+from klcat.cells import CellDatum, build_cell_datum, decomposition_sides, verify_decomposition_identity
 from klcat.coxeter import bruhat_interval, build_group, evaluate_word, preset_matrix
 from klcat.hecke import bott_samelson_class
 from klcat.kl import compute_kl
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
 from klcat.leaves import characters, leaf_counts
 
-from oracles import all_reduced_words, bruhat_leq, cell_character, decomposition, reduced_words_in_order
+from oracles import (
+    all_reduced_words,
+    bruhat_leq,
+    cell_character,
+    decomposition,
+    expand_in_kl_basis,
+    reduced_words_in_order,
+)
 
 
 def test_single_letter_datum(a2, kl_a2):
@@ -50,9 +57,12 @@ def test_a3_chain_word_is_indecomposable(a3, kl_a3):
     assert datum.cell_chars[x] == LaurentPoly({1: 1, 3: 1})
 
 
-def test_rejects_non_reduced_word(kl_a2):
-    with pytest.raises(ValueError):
+def test_rejects_non_reduced_word(kl_a2, kl_a3):
+    with pytest.raises(ValueError, match=r"word s1\.s1 is not reduced"):
         build_cell_datum(kl_a2, (0, 0))
+    # the failing pair inside the word: the message still names the whole word
+    with pytest.raises(ValueError, match=r"word s1\.s2\.s2 is not reduced"):
+        build_cell_datum(kl_a3, (0, 1, 1))
 
 
 def test_char_cell_via_hecke_examples(a2, kl_a2):
@@ -104,18 +114,22 @@ def test_cell_chars_match_leaf_module(a2, kl_a2):
 
 @pytest.mark.parametrize("name", ["A3", "B3", "I2(7)", "triangle4-0-3"])
 def test_datum_from_tail_equals_datum_from_scratch(ladder, name):
-    # the one-step characters and the O(1) reducedness test agree with
-    # the from-scratch build on every reduced word, tails from the previous layer
+    # the one-step characters and the O(1) reducedness test agree with a
+    # datum assembled from scratch by other code, on every reduced word, tails
+    # from the previous layer, and with the build from no tail
     table, kl = ladder(name)
     built = {}
     for word in reduced_words_in_order(table, kl.complete_up_to):
         datum = built[word] = build_cell_datum(kl, word, built.get(word[1:]) if word else None)
-        scratch = build_cell_datum(kl, word)
+        w = evaluate_word(table, word)
+        assert table.length[w] == len(word), word
+        chars = bott_samelson_class(table, word)
+        scratch = CellDatum(kl, word, w, bruhat_interval(table, w), chars, expand_in_kl_basis(kl, chars))
         assert datum == scratch, word
+        assert build_cell_datum(kl, word) == scratch, word
         # the table's memoized interval itself, not a copy per datum
-        assert datum.interval is scratch.interval is bruhat_interval(table, datum.top), word
-        # the chain product, and the right-to-left leaf walk's characters
-        assert datum.cell_chars == bott_samelson_class(table, word)
+        assert datum.interval is bruhat_interval(table, datum.top), word
+        # the right-to-left leaf walk's characters
         assert datum.cell_chars == characters(leaf_counts(table, word))
 
 

@@ -468,6 +468,11 @@ def test_cells_non_reduced_exits_4(capsys):
     for word in ("s\u0663", "s01"):  # only canonical ASCII decimals name a generator
         assert main(["cells", "--type", "A3", "--word", word], out=io.StringIO()) == 4
     capsys.readouterr()
+    # s2.s2 fails inside the word, and the message names the whole word
+    out = io.StringIO()
+    assert main(["cells", "--type", "A3", "--word", "s1,s2,s2"], out=out) == 4
+    assert capsys.readouterr().err == "klcat: word s1.s2.s2 is not reduced\n"
+    assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize("suite", ["kl", "leaves", "branch", "recursion", "all"])

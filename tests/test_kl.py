@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import klcat.cli
+import klcat.kl
 from klcat.coxeter import (
     IncompleteTableError,
     bruhat_interval,
@@ -113,6 +114,46 @@ def test_to_classical_examples():
         to_classical(v_power(5), 0, 3)  # exponent above l(w) - l(x)
 
 
+@pytest.mark.parametrize("name", LADDER)
+def test_table_classical_matches_to_classical(ladder, name):
+    table, kl = ladder(name)
+    length = table.length
+    for w in kl.stored_elements():
+        for x, h in kl.kl_element(w).items():
+            p = kl.classical(x, w)
+            assert p == to_classical(h, length[x], length[w])
+            assert kl.classical(x, w) is p  # memoized
+
+
+def test_table_classical_is_none_off_parity(a3):
+    # v^2 breaks the parity of h_{s2,s1s2}; a stored value changed after a
+    # conversion is converted afresh, since the memo holds the old value
+    w, x = evaluate_word(a3, (0, 1)), evaluate_word(a3, (1,))
+    kl = compute_kl(a3, a3.complete_length)
+    assert kl.classical(x, w) == ONE
+    kl._kl[w] = {**kl.kl_element(w), x: v_power(2)}
+    assert kl.classical(x, w) is None
+    assert kl.classical(a3.identity, w) == ONE
+    assert damaged_table(a3, w, x, lambda c: v_power(2)).classical(x, w) is None
+
+
+@pytest.mark.parametrize("name", ["A4", "B3"])
+def test_kl_suite_converts_each_q_form_once(ladder, monkeypatch, name):
+    # work-count guard: over a whole run, to_classical sees each (polynomial, length gap) pair once
+    table, _ = ladder(name)
+    kl = compute_kl(table, table.complete_length)  # a fresh table, its memo empty
+    calls = Counter()
+    original = klcat.kl.to_classical
+
+    def counted(h, lx, lw):
+        calls[tuple(h.items()), lw - lx] += 1
+        return original(h, lx, lw)
+
+    monkeypatch.setattr(klcat.kl, "to_classical", counted)
+    assert run_suite(kl, "kl")["pass"]
+    assert calls and max(calls.values()) == 1
+
+
 @pytest.mark.parametrize("name", ["A2"] + [f"I2({m})" for m in range(3, 9)])
 def test_recursion_matches_table_everywhere(name):
     table = build_group(preset_matrix(name), 1000)
@@ -192,8 +233,12 @@ def test_expansion_rejects_a_coordinate_that_feeds_back(a3):
         kl.expand_in_kl_basis(left_mul_kl(a3, 0, kl.kl_element(s2)))
     with pytest.raises(ValueError, match=r"s1\.s2 comes up for clearing twice"):
         expand_in_kl_basis(kl, left_mul_kl(a3, 0, kl.kl_element(s2)))
-    with pytest.raises(ValueError, match=message):
-        run_suite(kl, "kl")
+    # the kl suite fails the structure records of that product and goes on
+    records = run_suite(kl, "kl")["records"]
+    undefined = [r for r in records if r.get("lhs") == "undefined" and r["identity"] == "mu_structure_constants"]
+    assert ("s2", "s1") in {(r["word"], r["s"]) for r in undefined}
+    assert not any(r["pass"] for r in undefined)
+    assert records == kl_suite_records(kl)
 
 
 def test_kl_support_fails_on_a_coordinate_not_below_w(a3):
@@ -353,22 +398,36 @@ def test_bulk_counted_text_report_matches_the_full_walk(monkeypatch, ladder, a3,
 
 
 def test_a_dropped_diagonal_keeps_w_live(a3):
-    # kl_poly(w, w) reads 1 without a stored h_{w,w}, so both sinks walk x = w; C_s C_w then
-    # has no KL-basis expansion, so the run stops partway through the mu-structure records
+    # kl_poly(w, w) reads 1 without a stored h_{w,w}, so both sinks walk x = w; a C_s C_u with
+    # no KL-basis expansion fails its structure records, lhs undefined, and the run goes on
     w = evaluate_word(a3, (1, 0, 2, 1))
     kl = damaged_table(a3, w, w, lambda c: None)
     full, text = RecordList(), FailRecords()
     for sink in (full, text):
-        with pytest.raises(ValueError, match=r"stored h_\{s2\.s1\.s3\.s2,s2\.s1\.s3\.s2\} is 0, not 1"):
-            run_suite(kl, "kl", sink)
+        run_suite(kl, "kl", sink)
+    assert full.records == kl_suite_records(kl)
     element = kl_element_records(kl)
     assert full.records[: len(element)] == element
-    rest = {rec["identity"] for rec in full.records[len(element) :]}
-    assert rest == {"structure_positivity", "mu_structure_constants"}
+    structure, last = full.records[len(element) : -1], full.records[-1]
+    assert {rec["identity"] for rec in structure} == {"structure_positivity", "mu_structure_constants"}
+    assert last["identity"] == "descent_choice_independence" and not last["pass"]
+    undefined = set()
+    for rec in structure:
+        s, u = int(rec["s"][1:]) - 1, a3.names.index(rec["word"])
+        try:
+            expand_in_kl_basis(kl, left_mul_kl(a3, s, kl.kl_element(u)))
+        except ValueError:
+            undefined.add((rec["word"], rec["s"]))
+    # C_s times the damaged C_w itself may expand, to the wrong vector
+    own = {(rec["word"], rec["s"]) for rec in structure if rec["word"] == a3.names[w]}
+    assert undefined and own - undefined
+    assert {(rec["word"], rec["s"]) for rec in structure if not rec["pass"]} == undefined | own
+    for rec in structure:
+        if rec["identity"] == "mu_structure_constants" and not rec["pass"]:
+            assert (rec["lhs"] == "undefined") == ((rec["word"], rec["s"]) in undefined)
+            assert rec["rhs"] != "undefined"
     assert not full.passed() and text.summary() == full.summary() and len(text) == len(full)
     assert text.records == [rec for rec in full.records if not rec["pass"]]
-    with pytest.raises(ValueError):
-        kl_suite_records(kl)
 
 
 @pytest.mark.parametrize("xword", [(2,), (1, 2, 1)], ids=["s3", "s2s3s2"])

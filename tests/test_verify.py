@@ -120,9 +120,10 @@ def test_character_side_records_pass_on_a_damaged_table(ladder, group, wword, xw
 
 @pytest.mark.parametrize("suite", ["branch", "recursion"])
 def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
-    # work-count guard: one restriction map per nonempty word, one
-    # reducedness test and one character step per word, and in the branch
-    # suite one final-level leaf step per nonempty word
+    # work-count guard: one restriction map per nonempty word, one character
+    # step per nonempty word (reducedness is read off its length, no
+    # is_reduced), and in the branch suite one final-level leaf step per
+    # nonempty word
     table, kl = ladder("B3")
     calls = Counter()
 
@@ -140,8 +141,8 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
     for module in (klcat.coxeter, klcat.cells, klcat.branch, klcat.verify):
         if getattr(module, "is_reduced", None) is original_is_reduced:
             counting(module, "is_reduced", lambda args: tuple(args[1]))
-    counting(klcat.hecke, "left_mul_kl", lambda args: None)  # the steps of bott_samelson_class
-    counting(klcat.cells, "left_mul_kl", lambda args: None)  # the one step from the tail's characters
+    counting(klcat.hecke, "left_mul_kl", lambda args: "hecke")  # the steps of bott_samelson_class
+    counting(klcat.cells, "left_mul_kl", lambda args: "cells")  # the one step from the tail's characters
     counting(klcat.branch, "leaf_step", lambda args: None)  # the word's leaf counts, from the tail's characters
     report = run_suite(kl, suite)
     assert report["pass"]
@@ -149,9 +150,9 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
     per_word = Counter(name for name, _ in calls)
     assert max(n for (name, _), n in calls.items() if name == "res_cell_class") == 1
     assert per_word["res_cell_class"] == len(words) - 1
-    assert all(n == 1 for (name, _), n in calls.items() if name == "is_reduced")
-    assert per_word["is_reduced"] <= len(words)
-    assert calls["left_mul_kl", None] <= len(words)
+    assert per_word["is_reduced"] == 0
+    assert calls["left_mul_kl", "cells"] == len(words) - 1
+    assert calls["left_mul_kl", "hecke"] == 0
     assert calls["leaf_step", None] == (len(words) - 1 if suite == "branch" else 0)
 
 
