@@ -18,8 +18,9 @@ LaurentPoly}`` dict), and the graded dimensions, keyed by the simple
 support in ascending order.
 A datum is built one way: stepped from the datum of its tail (the word
 minus its first letter), its characters cost one generator step and its
-reducedness one length comparison; a word given without its tail's datum
-is stepped from the empty word's through its suffixes.  The decomposition
+reducedness one length comparison; for a word given without its tail's
+datum the top element and the characters are stepped from the empty
+word's through its suffixes, and the datum is built once.  The decomposition
 numbers are read from the KL table, not copied, and summed against the
 graded dimensions by :meth:`~klcat.kl.KLTable.combine`.  The leaf counts
 are not kept: the branch suite steps a word's from its tail's characters.
@@ -54,29 +55,28 @@ def build_cell_datum(kl: KLTable, word: Word, tail: CellDatum | None = None) -> 
     The datum is stepped from ``tail``, that of the word minus its first
     letter s: its characters are C_s times the tail's, and the word is
     reduced exactly when s lengthens the tail's product.  Without a tail
-    the steps run from the empty word's datum through the word's suffixes.
-    A non-reduced word is rejected by name, as its statements need not hold.
+    the top element and the characters are stepped from the empty word's
+    through the word's suffixes, with the same checks, and only the whole
+    word's characters are expanded in the KL basis.  A non-reduced word is
+    rejected by name, as its statements need not hold.
     """
     table = kl.table
     word = tuple(word)
     if tail is None:
-        e = table.identity
-        datum = CellDatum(kl, (), e, bruhat_interval(table, e), {e: ONE}, kl.expand_in_kl_basis({e: ONE}))
-        suffixes = range(len(word) - 1, -1, -1)
+        top, chars, suffixes = table.identity, {table.identity: ONE}, range(len(word) - 1, -1, -1)
     elif not word or tail.word != word[1:]:
         raise ValueError(f"{word_name(tail.word)} is not the tail of {word_name(word)}")
     else:
-        datum, suffixes = tail, (0,)
+        top, chars, suffixes = tail.top, tail.cell_chars, (0,)
     for k in suffixes:
         s, n = word[k], len(word) - k
-        w = mult_gen(table, datum.top, s, "left")
-        if table.length[w] != n:
+        top = mult_gen(table, top, s, "left")
+        if table.length[top] != n:
             raise ValueError(f"word {word_name(word)} is not reduced")
         if n > kl.complete_up_to:
-            raise ValueError(f"KL table bound {kl.complete_up_to} does not cover {table.names[w]}")
-        chars = left_mul_kl(table, s, datum.cell_chars)
-        datum = CellDatum(kl, word[k:], w, bruhat_interval(table, w), chars, kl.expand_in_kl_basis(chars))
-    return datum
+            raise ValueError(f"KL table bound {kl.complete_up_to} does not cover {table.names[top]}")
+        chars = left_mul_kl(table, s, chars)
+    return CellDatum(kl, word, top, bruhat_interval(table, top), chars, kl.expand_in_kl_basis(chars))
 
 
 def decomposition_sides(datum: CellDatum) -> list[tuple[int, LaurentPoly, LaurentPoly]]:

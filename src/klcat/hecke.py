@@ -14,9 +14,12 @@ and the degree-shifted generators C_s = H_s + v act on the standard basis by
 
 Only left multiplication by shifted generators and the bar involution are
 needed by the algorithms here (the generic product is a test oracle).
-:func:`left_mul_terms` is the one C_s step, shared by :func:`left_mul_kl`,
-:func:`~klcat.kl.compute_kl` and :func:`~klcat.branch.res_cell_class`;
-outside :mod:`klcat.coxeter` only this module reads the product arrays.
+:func:`left_mul_terms` is the C_s step on polynomial coordinates, shared by
+:func:`left_mul_kl` and :func:`~klcat.branch.res_cell_class`;
+:func:`left_mul_codes` is its integer twin, which
+:func:`~klcat.kl.compute_kl` runs on coordinates held as one integer each,
+their polynomials evaluated at v = 2^K.  Outside :mod:`klcat.coxeter` only
+this module reads the product arrays.
 The bar keeps no state: it is Horner's rule over the prefix tree of the
 canonical words, since every prefix of a ShortLex-minimal word is
 ShortLex-minimal, with each coordinate held as one integer, its polynomial
@@ -51,6 +54,32 @@ def left_mul_terms(table: GroupTable, s: int, pairs) -> dict[int, dict[int, int]
             mult_gen(table, x, s, "left")  # raises: sx lies beyond the table
         c.add_to(acc.setdefault(sx, {}))
         c.add_to(acc.setdefault(x, {}), 1 if length[sx] > length[x] else -1)
+    return acc
+
+
+def left_mul_codes(table: GroupTable, s: int, pairs, shift: int) -> dict[int, int]:
+    """The integer twin of :func:`left_mul_terms`, each coordinate one integer at v = 2^shift.
+
+    A pair ``(x, n)`` is a coordinate c whose code n is c evaluated at
+    v = B = 2^shift; the product's coordinates come back evaluated at B and
+    scaled by v, so C_s H_x = H_sx + v^{+-1} H_x adds ``n << shift`` at sx
+    and ``n << 2 * shift`` or n at x.  The codes decode exactly only while
+    every coefficient of the sums stays below 2^(shift - 1) in absolute
+    value, so this step is for :func:`~klcat.kl.compute_kl`, which reads
+    only values it made and bounded itself; a caller that reads a damaged
+    table or a one-shot product keeps to :func:`left_mul_terms`.  An sx
+    beyond a truncated table raises ``IncompleteTableError``.
+    """
+    length, left = table.length, table._left
+    twice = 2 * shift
+    acc: dict[int, int] = {}
+    get = acc.get
+    for x, n in pairs:
+        sx = left[x][s]
+        if sx is None:
+            mult_gen(table, x, s, "left")  # raises: sx lies beyond the table
+        acc[sx] = get(sx, 0) + (n << shift)
+        acc[x] = get(x, 0) + (n << twice if length[sx] > length[x] else n)
     return acc
 
 

@@ -4,11 +4,13 @@ Two independent computation paths are provided and cross-checked by the
 verification suites:
 
   * :func:`compute_kl` runs the defining algorithm: the KL basis element of
-    ``su`` is ``C_s * C_u`` (:func:`~klcat.hecke.left_mul_terms`) minus,
+    ``su`` is ``C_s * C_u`` (:func:`~klcat.hecke.left_mul_codes`) minus,
     for every z in the support of that product, the constant term of the
-    H_z-coefficient times the KL basis element of z.  The result is the unique bar-invariant element whose
-    lower coefficients lie in vZ[v].  (``compute_kl_by_subtraction`` in the
-    test oracles runs the same algorithm one whole element at a time.)
+    H_z-coefficient times the KL basis element of z.  The result is the
+    unique bar-invariant element whose lower coefficients lie in vZ[v].
+    Each coordinate is one integer, its polynomial at v = 2^K, decoded
+    once per distinct value.  (``compute_kl_by_subtraction`` in the test
+    oracles runs the same algorithm one whole element at a time.)
 
   * :func:`recursion_column` evaluates the normalized one-step recursion
 
@@ -23,11 +25,12 @@ verification suites:
 Classical polynomials in q are related by h_{x,w}(v) = v^(l(w)-l(x)) P_{x,w}(v^-2),
 and mu(z,w) is the linear coefficient of h_{z,w}; :meth:`KLTable.classical`
 converts each (polynomial, l(w) - l(x)) pair once per table.  Hecke
-elements are plain ``{id: LaurentPoly}`` dicts (see :mod:`klcat.hecke`).  Sums of many
-products (each step of :func:`compute_kl`, the recursions,
+elements are plain ``{id: LaurentPoly}`` dicts (see :mod:`klcat.hecke`).
+The other sums of many products (the recursions,
 :meth:`KLTable.expand_in_kl_basis` and its inverse :meth:`KLTable.combine`,
-the word suites' one sum of KL basis elements) accumulate into one
-``{x: {exponent: coefficient}}`` dict and build each polynomial once.
+the word suites' one sum of KL basis elements) read damaged tables or
+one-shot products, so they accumulate into one ``{x: {exponent:
+coefficient}}`` dict and build each polynomial once.
 
 A table is cached and dumped as one canonical JSON document.
 :func:`kl_to_json_text` writes it as text, encoding each element's word
@@ -55,7 +58,7 @@ from .coxeter import (
     descents,
     mult_gen,
 )
-from .hecke import _to_vector, left_mul_kl, left_mul_terms
+from .hecke import _digits, _to_vector, left_mul_codes, left_mul_kl
 from .laurent import LaurentPoly, ONE, ZERO
 
 TOOL_VERSION = "0.1.0"
@@ -83,24 +86,6 @@ class KLTable:
         self._polys: dict[tuple[tuple[int, int], ...], LaurentPoly] = {}  # sorted terms -> the interned instance
         self._sc_memo: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
         self._q_memo: dict[tuple[int, int], tuple[LaurentPoly, LaurentPoly | None]] = {}
-
-    def _store(self, w: int, acc: dict[int, dict[int, int]]) -> None:
-        """Keep an ``{x: {exponent: coefficient}}`` dict as the KL element of w, ids ascending.
-
-        Each h_{x,w} is interned by its sorted nonzero terms, so a
-        ``LaurentPoly`` is built only for a value the table has not seen;
-        an x whose terms all cancel is left out.
-        """
-        polys = self._polys
-        coeffs = {}
-        for x in sorted(acc):
-            terms = tuple(sorted([(e, c) for e, c in acc[x].items() if c]))
-            if terms:
-                h = polys.get(terms)
-                if h is None:
-                    h = polys[terms] = LaurentPoly._from_pruned(dict(terms))
-                coeffs[x] = h
-        self._kl[w] = coeffs
 
     def stored_elements(self) -> list[int]:
         length, bound = self.table.length, self.complete_up_to
@@ -217,11 +202,21 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
     coefficient times the corresponding lower KL element.  The constant
     terms are all read from the product before anything is subtracted.
 
-    Each w is accumulated in one ``{x: {exponent: coefficient}}`` dict:
-    C_s * C_sw is :func:`~klcat.hecke.left_mul_terms` of the stored C_sw,
-    and every g0 * C_z is subtracted from it in place.
-    :meth:`KLTable._store` then interns each coefficient, in ascending id
-    order, so a ``LaurentPoly`` is built only for a value not seen before.
+    Every coordinate is one integer, its polynomial evaluated at
+    v = B = 2^K (the Kronecker substitution, as in the bar): each interned
+    h has its code h(B), memoized by id, and w is accumulated as ``{x:
+    int}`` scaled by v.  C_s * C_sw is :func:`~klcat.hecke.left_mul_codes`
+    of the stored C_sw; g0 is the balanced digit of v^0, and each g0 * C_z
+    is subtracted as ``(g0 * n) << K`` in place.  Each final code is
+    decoded once, as balanced base-B digits, through a ``{code: interned
+    h}`` memo, so a ``LaurentPoly`` is built only for a value the table has
+    not seen.  With M the largest |coefficient| stored so far and N the
+    number of elements stored in all, each product coefficient (so each g0)
+    is at most 2M and at most N elements z are subtracted, so every
+    coefficient of w is at most 2M(1 + N M) in absolute value;
+    K = bitlength(2M(1 + N M)) + 1 keeps every digit below 2^(K - 1).  When
+    a new value raises M past that bound, K grows and both memos are
+    rebuilt from the interned values.
     """
     if up_to_length < 0:
         raise ValueError("up_to_length must be nonnegative")
@@ -233,18 +228,53 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
         raise ValueError("descent_choice must be 'min' or 'max'")
     bound = min(up_to_length, table.complete_length)
     kl = KLTable(table, bound)
-    kl._store(table.identity, {table.identity: {0: 1}})
-    stored = kl._kl
+    stored, polys, elements = kl._kl, kl._polys, kl.stored_elements()
     pick = 0 if descent_choice == "min" else -1
-    for w in kl.stored_elements()[1:]:
-        s = descents(table, w, "left")[pick]
-        acc = left_mul_terms(table, s, stored[mult_gen(table, w, s, "left")].items())
-        lower = [(z, g0) for z, d in acc.items() if z != w and (g0 := d.get(0))]
-        for z, g0 in lower:
-            for x, c in stored[z].items():
-                c.add_to(acc.setdefault(x, {}), 0, -g0)
-        kl._store(w, acc)
+    top = 1  # M, the largest |coefficient| stored so far
+    count = len(elements)
+    shift = _code_width(top, count)
+    codes: dict[int, int] = {}  # id of an interned h -> h(B); each h is kept by polys, so no id is reused
+    decoded: dict[int, LaurentPoly] = {}  # v h(B) -> the interned h
+    for w in elements:
+        if w == table.identity:
+            acc = {w: 1 << shift}  # C_e = H_e
+        else:
+            s = descents(table, w, "left")[pick]
+            sw = stored[mult_gen(table, w, s, "left")]
+            acc = left_mul_codes(table, s, [(x, codes[id(h)]) for x, h in sw.items()], shift)
+            # no term has a negative exponent, so the digit of v^-1 is 0 and v^0's is read unborrowed
+            low, half, base = (1 << 2 * shift) - 1, 1 << shift - 1, 1 << shift
+            lower = [(z, d) for z, n in acc.items() if z != w and (d := (n & low) >> shift)]
+            for z, d in lower:
+                g = (d - base if d >= half else d) << shift
+                for x, h in stored[z].items():
+                    acc[x] -= g * codes[id(h)]  # [e, z] lies in [e, w], the product's support
+        elt = stored[w] = {}
+        for x in sorted(acc):
+            n = acc[x]
+            if n:
+                h = decoded.get(n)
+                if h is None:
+                    h = decoded[n] = _digits(n, shift, 1)
+                    polys[tuple(h.items())] = h
+                    codes[id(h)] = n >> shift
+                    top = max(top, *map(abs, h._coeffs.values()))
+                elt[x] = h
+        if (width := _code_width(top, count)) != shift:
+            shift = width
+            codes = {id(h): _code(h, shift) for h in polys.values()}
+            decoded = {codes[id(h)] << shift: h for h in polys.values()}
     return kl
+
+
+def _code_width(top: int, count: int) -> int:
+    """K for :func:`compute_kl`: every coefficient of a new element stays below 2^(K-1)."""
+    return (2 * top * (1 + count * top)).bit_length() + 1
+
+
+def _code(h: LaurentPoly, shift: int) -> int:
+    """h evaluated at v = 2^shift, for an h with no negative exponent."""
+    return sum(c << shift * e for e, c in h._coeffs.items())
 
 
 def to_classical(h: LaurentPoly, lx: int, lw: int) -> LaurentPoly:

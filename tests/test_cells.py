@@ -5,7 +5,7 @@ import pytest
 from klcat.cells import CellDatum, build_cell_datum, decomposition_sides, verify_decomposition_identity
 from klcat.coxeter import bruhat_interval, build_group, evaluate_word, preset_matrix
 from klcat.hecke import bott_samelson_class
-from klcat.kl import compute_kl
+from klcat.kl import KLTable, canonical_json, compute_kl
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
 from klcat.leaves import characters, leaf_counts
 
@@ -131,6 +131,28 @@ def test_datum_from_tail_equals_datum_from_scratch(ladder, name):
         assert datum.interval is bruhat_interval(table, datum.top), word
         # the right-to-left leaf walk's characters
         assert datum.cell_chars == characters(leaf_counts(table, word))
+
+
+def test_datum_without_tail_expands_once(ladder, monkeypatch):
+    # a length-16 B4 word: only the whole word's characters are expanded in the KL basis
+    _, kl = ladder("B4")
+    word = (0, 1, 0, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 3, 2, 3)
+    stepped = None
+    for k in range(len(word) - 1, -1, -1):
+        stepped = build_cell_datum(kl, word[k:], stepped)
+    expand = KLTable.expand_in_kl_basis
+    calls = []
+
+    def counted(self, h):
+        calls.append(h)
+        return expand(self, h)
+
+    monkeypatch.setattr(KLTable, "expand_in_kl_basis", counted)
+    datum = build_cell_datum(kl, word)
+    assert len(calls) == 1
+    assert datum == stepped
+    report = canonical_json(verify_decomposition_identity(datum))
+    assert report == canonical_json(verify_decomposition_identity(stepped))
 
 
 def test_datum_keeps_no_leaf_count_chain_or_decomposition_dict(kl_a3):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, preset_matrix
-from klcat.hecke import bar_involution, bott_samelson_class, left_mul_kl
+from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, mult_gen, preset_matrix
+from klcat.hecke import _digits, bar_involution, bott_samelson_class, left_mul_codes, left_mul_kl, left_mul_terms
 from klcat.laurent import LaurentPoly, ONE, V, V_INV, v_power
 
 import oracles
@@ -202,3 +202,43 @@ def test_bar_decodes_coefficients_at_the_bound(a3, n):
     assert max(abs(k) for c in image.values() for _, k in c.items()) <= _l1_bound(a3, mixed)
     assert image == oracles.bar_involution(a3, mixed)
     assert bar_involution(a3, image) == mixed
+
+
+def _code(h, shift):
+    """h evaluated at v = 2^shift (h has no negative exponent)."""
+    return sum(k << shift * e for e, k in h.items())
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_integer_step_matches_left_mul_terms(ladder, name):
+    # every stored C_u times every s: the codes decode to the polynomial step's sums;
+    # an su beyond a truncated table raises in both
+    table, kl = ladder(name)
+    top = max(abs(k) for u in kl.stored_elements() for h in kl.kl_element(u).values() for _, k in h.items())
+    shift = (2 * top).bit_length() + 1  # each product coefficient is at most 2 * top
+    beyond = 0
+    for u in kl.stored_elements():
+        elt = kl.kl_element(u)
+        pairs = [(x, _code(h, shift)) for x, h in elt.items()]
+        for s in range(table.rank):
+            try:
+                mult_gen(table, u, s, "left")
+            except IncompleteTableError:
+                beyond += 1
+                with pytest.raises(IncompleteTableError):
+                    left_mul_codes(table, s, pairs, shift)
+                continue
+            want = {x: LaurentPoly(d) for x, d in left_mul_terms(table, s, elt.items()).items()}
+            assert {x: _digits(n, shift, 1) for x, n in left_mul_codes(table, s, pairs, shift).items()} == want
+    assert (beyond > 0) == table.partial
+
+
+@pytest.mark.parametrize("shift", [2, 8, 17, 64])
+def test_codes_decode_at_the_width_boundary(shift):
+    # balanced digits below 2^(shift - 1) in absolute value round-trip exactly, scaled by v;
+    # 2^(shift - 1) itself is one past the width
+    edge = (1 << shift - 1) - 1
+    h = LaurentPoly({0: edge, 1: -edge, 2: -edge, 3: edge, 5: -edge})
+    assert _digits(_code(h, shift) << shift, shift, 1) == h
+    over = LaurentPoly({1: edge + 1})
+    assert _digits(_code(over, shift) << shift, shift, 1) != over

@@ -561,23 +561,42 @@ def _assert_stored_form(elt):
 
 
 def test_compute_kl_subtracts_in_place(ladder, monkeypatch):
-    # one LaurentPoly per distinct stored value
-    table = ladder("B3")[0]
+    # one LaurentPoly per distinct stored value, each decoded once; on B4 and A5
+    # the largest coefficient passes 1, so the code width grows mid-table and
+    # both memos are rebuilt
     calls = Counter()
+    widths = []
 
-    def count(cls, name):
-        fn = getattr(cls, name)
+    def count(owner, name, record=None):
+        fn = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if record is not None:
+                record.append(out)
+            return out
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     count(LaurentPoly, "__init__")
     count(LaurentPoly, "_from_pruned")  # bound to the class, so the wrapper needs no classmethod
-    kl = compute_kl(table, table.complete_length)
-    assert calls["__init__"] + calls["_from_pruned"] <= len(kl._polys) + 2
+    count(klcat.kl, "_digits")
+    count(klcat.kl, "_code_width", widths)
+    count(klcat.kl, "_code")
+    for name in ("B3", "B4", "A5"):
+        table = build_group(preset_matrix(name), 1000) if name == "A5" else ladder(name)[0]
+        calls.clear()
+        widths.clear()
+        kl = compute_kl(table, table.complete_length)
+        assert calls["__init__"] + calls["_from_pruned"] <= len(kl._polys) + 2, name
+        assert calls["_digits"] == len(kl._polys), name
+        assert widths == sorted(widths), name
+        # each rebuild encodes every value interned so far once
+        assert calls["_code"] <= len(kl._polys) * (len(set(widths)) - 1), name
+        assert (len(set(widths)) > 1) == (calls["_code"] > 0) == (name != "B3"), name
+        top = max(abs(k) for h in kl._polys.values() for _, k in h.items())
+        assert widths[-1] == (2 * top * (1 + len(kl.stored_elements()) * top)).bit_length() + 1, name
 
 
 def test_compute_kl_rejects_bad_arguments(a2):
