@@ -30,7 +30,7 @@ from .kl import (
     recursion_column,
     to_classical,
 )
-from .leaves import character_map, characters, leaf_counts, leaf_step, split_by_last_bit
+from .leaves import character_map, leaf_step
 from .cells import CellDatum, build_cell_datum, decomposition_sides, verify_decomposition_identity
 from .branch import branching_sides, derive_kl_recursion, res_cell_class, restriction_counts
 from .verify import run_suite

@@ -23,10 +23,10 @@ reads the cell data of the word and of its tail (the word minus its first
 letter) and the KL table they hold, so none takes a table or recomputes a
 per-word quantity.  A decomposition number d_{x,y} = h_{x,y} is read from
 the KL table, for y over a simple support, which is small, and summed by
-:meth:`~klcat.kl.KLTable.combine`; the word's final-level leaf counts are
-one :func:`~klcat.leaves.leaf_step` from its tail's characters.  The
-functions return values and sides, never records: the suites in
-:mod:`klcat.verify` build those.
+:meth:`~klcat.kl.KLTable.combine`; the word's final-level leaves, split
+into movers and stayers, are one :func:`~klcat.leaves.leaf_step` from its
+tail's characters.  The functions return values and sides, never
+records: the suites in :mod:`klcat.verify` build those.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .cells import CellDatum
 from .coxeter import below_with_descent, mult_gen, word_name
 from .hecke import _to_vector, left_mul_terms
 from .laurent import LaurentPoly, ZERO
-from .leaves import leaf_step, split_by_last_bit
+from .leaves import leaf_step
 
 
 def _check_tail(datum: CellDatum, tail: CellDatum) -> None:
@@ -71,10 +71,10 @@ def branching_sides(
 
     (a) the cell character of the word at x must equal the branching sum,
         v^{-+1} times the tail character at x plus the tail character at sx;
-    (b) the two parts of the final-level leaf partition (the word's leaf
-        counts, one step from the tail's characters, split by their last
-        bit) must realize exactly the degree multisets of the two summands
-        (shifted on the sub side).
+    (b) the two parts of the final-level leaf partition (the word's
+        movers and stayers, one step from the tail's characters) must
+        realize exactly the degree multisets of the two summands (shifted
+        on the sub side).
 
     Neither reads the KL table, so no damaged table can fail them.
     """
@@ -82,7 +82,7 @@ def branching_sides(
     table = datum.kl.table
     length = table.length
     s = datum.word[0]
-    parts = split_by_last_bit(leaf_step(table, tail.cell_chars, s))
+    parts = leaf_step(table, tail.cell_chars, s)
     out = []
     for x in datum.interval:
         sx = mult_gen(table, x, s, "left")

@@ -22,8 +22,9 @@ reducedness one length comparison; for a word given without its tail's
 datum the top element and the characters are stepped from the empty
 word's through its suffixes, and the datum is built once.  The decomposition
 numbers are read from the KL table, not copied, and summed against the
-graded dimensions by :meth:`~klcat.kl.KLTable.combine`.  The leaf counts
-are not kept: the branch suite steps a word's from its tail's characters.
+graded dimensions by :meth:`~klcat.kl.KLTable.combine`.  The final-level
+leaf split is not kept: the branch suite steps a word's from its tail's
+characters.
 """
 
 from __future__ import annotations

@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-length",
         type=int,
         default=None,
-        help="restrict checks to elements/words up to this length (leaf counts grow as 2^length)",
+        help="restrict checks to elements/words up to this length (on an infinite group the number of "
+        "reduced words grows without bound with length, exponentially on hyperbolic groups)",
     )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)

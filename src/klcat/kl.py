@@ -324,9 +324,8 @@ def recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly]:
             continue
         h.add_to(acc.setdefault(sy, {}))
         h.add_to(acc.setdefault(y, {}), 1 if length[sy] > length[y] else -1)
-    upper = kl.kl_element(sw)
     for z in below_with_descent(table, s, sw):
-        m = upper.get(z, ZERO).coefficient(1)
+        m = kl.mu(z, sw)
         if m:
             for x, h in _with_unit_diagonal(kl, z):
                 h.add_to(acc.setdefault(x, {}), 0, -m)
@@ -649,7 +648,8 @@ def kl_to_csv(kl: KLTable) -> str:
     The rows of w walk the support of C_w, which is exactly [e, w] (the
     ``kl_support`` record of ``verify`` checks this, and the cache decoder
     proves it).  The ``h,P,mu`` cell depends only on h and l(w) - l(x), so
-    it is formatted once per interned polynomial and length gap.
+    it is formatted once per interned polynomial and length gap, P read
+    from :meth:`KLTable.classical` and mu from :meth:`KLTable.mu`.
     """
     length, names = kl.table.length, kl.table.names
     cells: dict[tuple[int, int], str] = {}  # (id of h, l(w) - l(x)) -> "h,P,mu"
@@ -660,8 +660,9 @@ def kl_to_csv(kl: KLTable) -> str:
             key = (id(h), lw - length[x])
             cell = cells.get(key)
             if cell is None:
-                p = to_classical(h, length[x], lw)
-                cell = cells[key] = f"{h.render('v')},{p.render('q')},{h.coefficient(1)}"
+                # never None: compute_kl and the cache decoder store only classical h
+                p = kl.classical(x, w)
+                cell = cells[key] = f"{h.render('v')},{p.render('q')},{kl.mu(x, w)}"
             lines.append(names[x] + tail + cell)
     return "\n".join(lines) + "\n"
 

@@ -21,8 +21,9 @@ listed.  Each word gets one context, its
 :class:`~klcat.cells.CellDatum`, built from its tail's: the characters
 (the chain product) are one generator step from the tail's, and
 reducedness is read off one length.  The branch suite steps the word's
-final-level leaf counts from the tail's characters and drops them after
-the word's checks; decomposition numbers are read from the KL table.
+final-level movers and stayers from the tail's characters with
+:func:`~klcat.leaves.leaf_step` and drops them after the word's checks;
+decomposition numbers are read from the KL table.
 Restriction is one linear map per word, the images of every x at once,
 read by both the branch and the recursion suite.  Every sum of KL basis
 elements is one :meth:`~klcat.kl.KLTable.combine` and every index set
@@ -46,9 +47,10 @@ Suites:
                     every other x passes both records by construction and
                     is counted in bulk with :meth:`Sink.add_passes`;
   * ``leaves``    - leaf characters against Hecke coefficients (the
-                    left-to-right walk against the kept characters, the
-                    chain product), leaf count, direction
-                    independence, support, cell decomposition identities;
+                    left-to-right walk, :func:`~klcat.leaves.character_map`,
+                    against the kept characters, the chain product),
+                    leaf count, direction independence, support, cell
+                    decomposition identities;
   * ``branch``    - branching characters, leaf partitions, restriction
                     multiplicities two ways, restriction as a linear map;
   * ``recursion`` - the derived one-step recursion from the branching
@@ -357,7 +359,7 @@ def _leaves_word_checks(datum: CellDatum, sink: Sink) -> None:
     names = table.names
     word = datum.word
     name = word_name(word)
-    mirrored = character_map(table, word, "lr")
+    mirrored = character_map(table, word)
     chars = datum.cell_chars
     for x in datum.interval:
         lhs = mirrored.get(x, ZERO)

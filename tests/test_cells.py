@@ -7,8 +7,8 @@ from klcat.coxeter import bruhat_interval, build_group, evaluate_word, preset_ma
 from klcat.hecke import bott_samelson_class
 from klcat.kl import KLTable, canonical_json, compute_kl
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
-from klcat.leaves import characters, leaf_counts
 
+import oracles
 from oracles import (
     all_reduced_words,
     bruhat_leq,
@@ -129,8 +129,8 @@ def test_datum_from_tail_equals_datum_from_scratch(ladder, name):
         assert build_cell_datum(kl, word) == scratch, word
         # the table's memoized interval itself, not a copy per datum
         assert datum.interval is bruhat_interval(table, datum.top), word
-        # the right-to-left leaf walk's characters
-        assert datum.cell_chars == characters(leaf_counts(table, word))
+        # the right-to-left leaf walk's characters, over the explicit paths
+        assert datum.cell_chars == oracles.character_map(table, word, "rl")
 
 
 def test_datum_without_tail_expands_once(ladder, monkeypatch):
@@ -157,7 +157,7 @@ def test_datum_without_tail_expands_once(ladder, monkeypatch):
 
 def test_datum_keeps_no_leaf_count_chain_or_decomposition_dict(kl_a3):
     # the characters are the only per-word dict of coordinates: d_{x,y} is a
-    # view of the KL table, and leaf counts live only while a word is checked
+    # view of the KL table, and the final-level split lives only while a word is checked
     datum = build_cell_datum(kl_a3, (0, 1, 0, 2))
     assert [f.name for f in fields(datum)] == [
         "kl", "word", "top", "interval", "cell_chars", "simple_gdims"

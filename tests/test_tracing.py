@@ -42,7 +42,8 @@ def test_tracer_binds_to_the_library(kl_a2):
     # verify.records is len(report["records"]) of the text run: every record checked, not only the kept ones
     for run, suite in ((all_run, "all"), (kl_run, "kl")):
         assert run["counts"]["verify.records"] == len(run_suite(kl_a2, suite)["records"]), suite
-    for name in ("coxeter.mult_gen.calls", "coxeter.descents.calls", "leaves.paths"):
+    # leaves.paths counts the character_map walks, leaves.leaf_step.calls the final-level splits
+    for name in ("coxeter.mult_gen.calls", "coxeter.descents.calls", "leaves.paths", "leaves.leaf_step.calls"):
         assert all_run["counts"].get(name, 0) > 0, name
     for name in ("branch.res_cell_class", "branch.restriction_counts", "branch.branching_sides"):
         assert all_run["counts"].get(name + ".calls", 0) > 0, name

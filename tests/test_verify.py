@@ -143,7 +143,7 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
             counting(module, "is_reduced", lambda args: tuple(args[1]))
     counting(klcat.hecke, "left_mul_kl", lambda args: "hecke")  # the steps of bott_samelson_class
     counting(klcat.cells, "left_mul_kl", lambda args: "cells")  # the one step from the tail's characters
-    counting(klcat.branch, "leaf_step", lambda args: None)  # the word's leaf counts, from the tail's characters
+    counting(klcat.branch, "leaf_step", lambda args: None)  # the word's final-level split, from the tail's characters
     report = run_suite(kl, suite)
     assert report["pass"]
     words = reduced_words_in_order(table, kl.complete_up_to)
