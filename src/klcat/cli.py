@@ -28,8 +28,7 @@ from .kl import (
     TOOL_VERSION,
     canonical_json,
     compute_kl,
-    kl_from_json_obj,  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
-    kl_from_json_text,
+    kl_from_json_obj,
     kl_to_csv,
     kl_to_json_obj,  # noqa: F401  unused here; perfbench/tracing.py rebinds it by name
     kl_to_json_text,
@@ -122,6 +121,22 @@ def _write_replacing(path: Path, text: str) -> None:
         os.close(fd)
 
 
+def _write_or_check(path: Path, kl, text: str) -> None:
+    """Write ``text``, the table's canonical document, as the cache at
+    ``path`` if there is none; otherwise check the cache against the table.
+
+    A cache byte-equal to the text is accepted as it is, and any other
+    layout goes through ``json.loads`` and :func:`kl_from_json_obj`.  The
+    file is never rewritten, and the cached text is dropped on return.
+    """
+    if not path.exists():
+        _write_replacing(path, text)
+        return
+    cached = path.read_text()
+    if cached != text:
+        kl_from_json_obj(kl, json.loads(cached))
+
+
 def cmd_kl(args, out) -> int:
     _, table = _group_from_args(args)
     if args.up_to_length is not None and args.up_to_length < 0:
@@ -134,26 +149,20 @@ def cmd_kl(args, out) -> int:
         )
     bound = min(bound, table.complete_length)
     path = _cache_path(args, table.matrix, bound)
-    kl = None
-    try:
-        if path is not None and path.exists():
-            kl = kl_from_json_text(table, path.read_text(), bound)
-    # text that is not JSON raises ValueError, or RecursionError when nested too deep
-    except (CacheMismatchError, OSError, ValueError, RecursionError) as exc:
-        raise CliError(EXIT_CACHE_ERROR, f"cache at {path}: {exc}")
-    text = None  # the canonical JSON document, once encoded
-    if kl is None:
-        kl = compute_kl(table, bound)
-        if path is not None:
-            text = kl_to_json_text(kl)
-            try:
-                _write_replacing(path, text)
-            except OSError as exc:
-                raise CliError(EXIT_CACHE_ERROR, f"cache at {path}: {exc}")
+    kl = compute_kl(table, bound)
+    # the canonical JSON document, encoded once
+    text = kl_to_json_text(kl) if path is not None or args.format == "json" else None
+    if path is not None:
+        try:
+            _write_or_check(path, kl, text)
+        # text that is not JSON raises ValueError, or RecursionError when nested too deep
+        except (CacheMismatchError, OSError, ValueError, RecursionError) as exc:
+            raise CliError(EXIT_CACHE_ERROR, f"cache at {path}: {exc}")
     if args.format == "csv":
+        text = None  # not alive while the CSV is built
         out.write(kl_to_csv(kl))
     else:
-        out.write(text if text is not None else kl_to_json_text(kl))
+        out.write(text)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ reduced words is listed: the word suites of :mod:`klcat.verify` grow the
 reduced words from their tails instead.  Bruhat order is read only from
 the lower intervals of :func:`bruhat_interval`, the table's only memo and
 the one definition of [e, w]: each is one shared tuple per element, which
-the cell data, the cache decoder and the ``kl`` suite compare against;
+the cell data and the ``kl`` suite compare against;
 :func:`below_with_descent` is the one filter of one by a left descent.
 
 If the group does not close within the requested element cap, the table

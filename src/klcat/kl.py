@@ -35,11 +35,10 @@ coefficient}}`` dict and build each polynomial once.
 A table is cached and dumped as one canonical JSON document.
 :func:`kl_to_json_text` writes it as text, encoding each element's word
 and each interned polynomial once; :func:`kl_to_json_obj` is the same
-document as an object, the reference the text is tested against.
-:func:`kl_from_json_text` decodes and validates that text as written: it
-looks up each word and each polynomial text once and builds no object per
-(x, w) pair.  Any other JSON layout of the document is re-encoded once
-into the canonical one (:func:`kl_from_json_obj`) and read the same way.
+document as an object.  A cache is never decoded: the table is computed
+and the cache checked against it, accepted when it is byte-equal to the
+text and otherwise by :func:`kl_from_json_obj`, which compares its
+``json.loads`` object with the table's whatever its layout.
 :func:`kl_to_csv` formats each polynomial once per length gap.
 """
 
@@ -48,7 +47,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import re
 
 from .coxeter import (
     GroupTable,
@@ -414,11 +412,6 @@ def canonical_json(obj) -> str:
     return _encode(obj) + "\n"
 
 
-def _word_text(word) -> str:
-    """A word as the cache writes it between its brackets: ``1,0,2``."""
-    return ",".join(map(str, word))
-
-
 def matrix_content_hash(matrix, up_to_length: int) -> str:
     payload = {"m": [list(r) for r in matrix.orders], "rank": matrix.rank, "up_to": up_to_length}
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
@@ -435,7 +428,7 @@ def _cache_header(matrix, up_to_length: int) -> dict:
 
 def kl_to_json_obj(kl: KLTable) -> dict:
     """The cache document of ``kl`` as an object: what :func:`kl_from_json_obj`
-    reads, and the reference that :func:`kl_to_json_text` is tested against."""
+    compares a cache with, and the reference :func:`kl_to_json_text` is tested against."""
     words = [list(word) for word in kl.table.words]
     polys: dict[int, dict[str, int]] = {}  # id of an interned coefficient -> its JSON object
     body = []
@@ -461,7 +454,7 @@ def kl_to_json_text(kl: KLTable) -> str:
     (x, w) pair costs one concatenation.  The header goes through
     :func:`canonical_json`'s encoder.
     """
-    opening = ["[[" + _word_text(word) + "]," for word in kl.table.words]
+    opening = ["[[" + ",".join(map(str, word)) + "]," for word in kl.table.words]
     polys: dict[int, str] = {}  # id of an interned coefficient -> its JSON text + "]"
     entries = []
     for w in kl.stored_elements():
@@ -479,158 +472,52 @@ def kl_to_json_text(kl: KLTable) -> str:
     )
 
 
-def kl_from_json_text(table: GroupTable, text: str, up_to_length: int) -> KLTable:
-    """Decode and validate a cache document, the text :func:`kl_to_json_text` writes.
+class CacheMismatchError(Exception):
+    """A cache file exists but does not match the request or the computed table."""
 
-    Text in exactly that form, with the header this request writes, is
-    read by :func:`_decode_entries`: no object is built per (x, w) pair.
-    Any other JSON layout (whitespace, key order, extra keys, escapes) is
-    read by ``json.loads``, its header checked, and its body re-encoded
-    once into that form by :func:`kl_from_json_obj`.  A word names an
-    element only as written there, so ``[1.0]`` or ``[true]`` names none.
-    Text that is not JSON raises ValueError (RecursionError when nested
-    too deep); any other fault raises :class:`CacheMismatchError`.
+
+def kl_from_json_obj(kl: KLTable, obj) -> None:
+    """Check a cache document read by ``json.loads`` against ``kl``.
+
+    The header must be the one this table writes (:func:`validate_cache_header`)
+    and the body must hold the entries of :func:`kl_to_json_obj`'s body, in
+    any order of entries, of pairs within an entry and of keys; other keys
+    are ignored.  Values are compared as canonical JSON text, so ``[1.0]``,
+    ``true`` and ``" +1 "`` match no ``[1]``, ``1`` or ``"1"``.  Any
+    difference raises :class:`CacheMismatchError`.
     """
-    head = (
-        f'{{"header":{_encode(_cache_header(table.matrix, up_to_length))},'
-        f'"body":{{"complete_up_to":{up_to_length},"kl":['
-    )
-    if text.startswith(head) and text.endswith(_TAIL):
-        try:
-            return _decode_entries(table, text, len(head), len(text) - len(_TAIL), up_to_length)
-        except _NotCanonical:
-            pass
-    obj = json.loads(text)
     if not isinstance(obj, dict):
         raise CacheMismatchError("cache is not a JSON object")
-    validate_cache_header(obj.get("header", {}), table.matrix, up_to_length)
-    return kl_from_json_obj(table, obj, up_to_length)
-
-
-def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable:
-    """Decode and validate the body of a cache document read by ``json.loads``.
-
-    The body must be ``{"complete_up_to": up_to_length, "kl": [...]}``;
-    its entries are re-encoded once into canonical text and decoded by
-    :func:`_decode_entries`, so a document is checked the same way
-    whatever its layout.  The header is not checked here.
-    """
+    validate_cache_header(obj.get("header", {}), kl.table.matrix, kl.complete_up_to)
     body = obj.get("body")
     if not isinstance(body, dict) or not isinstance(body.get("kl"), list):
         raise CacheMismatchError('cache body is not {"complete_up_to": n, "kl": [...]}')
-    if type(body.get("complete_up_to")) is not int or body["complete_up_to"] != up_to_length:
+    if type(body.get("complete_up_to")) is not int or body["complete_up_to"] != kl.complete_up_to:
         raise CacheMismatchError(
-            f"cache body complete_up_to is {body.get('complete_up_to')!r}, expected {up_to_length!r}"
+            f"cache body complete_up_to is {body.get('complete_up_to')!r}, expected {kl.complete_up_to!r}"
         )
-    entries = _encode(body["kl"])
-    return _decode_entries(table, entries, 1, len(entries) - 1, up_to_length)
+    want = set(_entry_texts(kl_to_json_obj(kl)["body"]["kl"]))
+    got = _entry_texts(body["kl"])
+    for text in got:
+        if text not in want:
+            raise CacheMismatchError(f"cache entry {text:.80} differs from the computed table")
+    if len(got) != len(want) or len(set(got)) != len(got):
+        raise CacheMismatchError(f"cache body holds {len(got)} entries, not the table's {len(want)} once each")
 
 
-class CacheMismatchError(Exception):
-    """A cache file exists but does not match the request or is malformed."""
+_encode_sorted = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True, sort_keys=True).encode
 
 
-class _NotCanonical(CacheMismatchError):
-    """The cache text departs from the form :func:`kl_to_json_text` writes."""
-
-
-_TAIL = "]}}\n"
-# An entry [[word],[[[word],{polynomial}],...]], then a comma before the next
-# entry or the end of the list.  No word or polynomial text holds a bracket.
-# The patterns are compiled on first use (re caches them), not at import.
-_PAIR_TEXT = r"\[\[[^\[\]]*\],\{[^{}\[\]]*\}\]"
-_ENTRY = rf"\[\[([^\[\]]*)\],\[((?:{_PAIR_TEXT},)*{_PAIR_TEXT})\]\](?:,(?=\[)|\Z)"
-_PAIR = r"\[\[([^\[\]]*)\],(\{[^{}\[\]]*\})\]"
-
-
-def _decode_entries(table: GroupTable, text: str, start: int, end: int, up_to_length: int) -> KLTable:
-    """Decode the entries list of a cache document, ``text[start:end]`` within its brackets.
-
-    Words are looked up by their text in a ``{word text: id}`` map built
-    once from ``table.words``.  One pass reads and checks each entry: it
-    names an element of length ``up_to_length`` or less not named before,
-    and every x at most once with a nonzero polynomial; each distinct
-    polynomial text is decoded once, strictly (``json.loads`` of the
-    fragment, then :meth:`LaurentPoly.from_json_obj`), into the table's
-    intern map.  Each entry is stored ids ascending, whatever its order in
-    the file, since the exporters walk the stored elements in order.  Its
-    support must then be its Bruhat interval, which the CSV writer relies
-    on: the coefficient at w must be exactly 1, and the stored ids must be
-    the tuple :func:`~klcat.coxeter.bruhat_interval` memoizes for w.  Each
-    distinct (polynomial, l(w) - l(x)) pair with x < w is checked once for
-    the shape of an h_{x,w}: every exponent e has 0 < e <= l(w) - l(x) and
-    the parity of l(w) - l(x), so :func:`to_classical` accepts it.  After
-    the pass the list must hold exactly one entry per element of length
-    ``up_to_length`` or less.  Any failure raises
-    :class:`CacheMismatchError`, and text that is not in the canonical
-    form (or not JSON) raises its subclass :class:`_NotCanonical`.  Beyond
-    that the polynomials' values are taken on trust (checking them would
-    mean recomputing the table).
-    """
-    kl = KLTable(table, up_to_length)
-    stored = kl.stored_elements()
-    ids = {_word_text(table.words[x]): x for x in stored}
-    decoded: dict[str, LaurentPoly] = {}  # polynomial text -> the interned value
-    length = table.length
-    # ids of the (interned, so never reused) polynomials checked at each length difference
-    bounded: list[set[int]] = [set() for _ in range(table.complete_length + 1)]
-    entry, pair = re.compile(_ENTRY), re.compile(_PAIR)
-    pos = start
-    while pos < end:
-        m = entry.match(text, pos, end)
-        if m is None:
-            raise _NotCanonical(
-                f"cache entry is not [[word],[[[word],{{polynomial}}],...]]: {text[pos:pos + 80]!r}"
-            )
-        pos = m.end()
-        pairs = pair.findall(m[2])
-        elt = {}
-        for word, poly in pairs:
-            c = decoded.get(poly)
-            if c is None:
-                c = decoded[poly] = _decode_poly(kl, poly)
-            elt[ids.get(word)] = c  # an unknown word is the key None
-        w = ids.get(m[1])
-        if w is None or None in elt:
-            raise _NotCanonical(
-                f"cache entry {m[0].rstrip(',')!r:.80} names no element of length {up_to_length} or less"
-            )
-        if w in kl._kl or len(elt) != len(pairs):
-            raise CacheMismatchError(f"unexpected or repeated cache entry for {table.names[w]}")
-        elt = kl._kl[w] = dict(sorted(elt.items()))
-        if elt.get(w) != ONE:
-            raise CacheMismatchError(f"cache coefficient of {table.names[w]} at itself is not 1")
-        if tuple(elt) != bruhat_interval(table, w):
-            raise CacheMismatchError(f"cache support of {table.names[w]} is not its Bruhat interval")
-        lw = length[w]
-        for x, c in elt.items():
-            gap = lw - length[x]  # 0 only on the diagonal, checked above
-            if id(c) not in bounded[gap]:
-                if gap and not all(0 < e <= gap and (gap - e) % 2 == 0 for e in c.exponents()):
-                    raise CacheMismatchError(
-                        f"cache entry of {table.names[w]} holds {c.render()} at length difference "
-                        f"{gap}; its exponents must lie in 1..{gap} and have the parity of {gap}"
-                    )
-                bounded[gap].add(id(c))
-    if len(kl._kl) != len(stored):
-        raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {len(stored)}")
-    return kl
-
-
-def _decode_poly(kl: KLTable, text: str) -> LaurentPoly:
-    """The interned value of one polynomial text: nonzero, and strict as
-    :meth:`LaurentPoly.from_json_obj` is."""
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:
-        raise _NotCanonical(f"cache polynomial {text!r:.80} is not JSON") from exc
-    try:
-        c = LaurentPoly.from_json_obj(obj)
-    except ValueError as exc:
-        raise CacheMismatchError(f"malformed cache polynomial {text!r:.80}: {exc}") from exc
-    if not c:
-        raise CacheMismatchError(f"cache polynomial {text!r:.80} is zero: a stored coefficient never is")
-    return kl._polys.setdefault(tuple(c.items()), c)
+def _entry_texts(entries: list) -> list[str]:
+    """Each entry of a body as canonical JSON text, with keys and the entry's pairs sorted."""
+    texts = []
+    for entry in entries:
+        if type(entry) is list and len(entry) == 2 and type(entry[1]) is list:
+            word, pairs = entry
+            texts.append(f"[{_encode_sorted(word)},[{','.join(sorted(map(_encode_sorted, pairs)))}]]")
+        else:
+            texts.append(_encode_sorted(entry))
+    return texts
 
 
 def validate_cache_header(header: dict, matrix, up_to_length: int) -> None:
@@ -646,8 +533,7 @@ def kl_to_csv(kl: KLTable) -> str:
     """Rows (x, w, h_{x,w}, P_{x,w}, mu) for all x <= w, length-then-ShortLex order.
 
     The rows of w walk the support of C_w, which is exactly [e, w] (the
-    ``kl_support`` record of ``verify`` checks this, and the cache decoder
-    proves it).  The ``h,P,mu`` cell depends only on h and l(w) - l(x), so
+    ``kl_support`` record of ``verify`` checks this).  The ``h,P,mu`` cell depends only on h and l(w) - l(x), so
     it is formatted once per interned polynomial and length gap, P read
     from :meth:`KLTable.classical` and mu from :meth:`KLTable.mu`.
     """
@@ -660,7 +546,7 @@ def kl_to_csv(kl: KLTable) -> str:
             key = (id(h), lw - length[x])
             cell = cells.get(key)
             if cell is None:
-                # never None: compute_kl and the cache decoder store only classical h
+                # never None: compute_kl stores only classical h
                 p = kl.classical(x, w)
                 cell = cells[key] = f"{h.render('v')},{p.render('q')},{kl.mu(x, w)}"
             lines.append(names[x] + tail + cell)

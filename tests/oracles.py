@@ -405,11 +405,13 @@ def interval_kl_csv(kl) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- object-walking cache decoder (reference for kl.kl_from_json_text) ---------
-# The decoder the CLI ran before it read the cache from its text: it walks
-# the document as ``json.loads`` builds it, one list per (x, w) pair and one
-# dict per polynomial occurrence.  It checks the body only; the caller
-# checks the header with ``kl.validate_cache_header``.
+# -- object-walking cache decoder (reference for the warm `kl` check) ---------
+# A decoder the CLI once ran: it walks the document as ``json.loads`` builds
+# it, checks its structure and takes its values on trust.  The CLI now
+# checks a cache against the computed table instead, so it refuses what the
+# walker refuses and, of what the walker accepts, exactly the tables that
+# differ from the computed one.  It checks the body only; the caller checks
+# the header with ``kl.validate_cache_header``.
 
 
 def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable:
