@@ -11,9 +11,10 @@ There is no intrinsic (form-theoretic) computation of the simple support
 here: the KL-side expansion is the adopted definition, consistent with
 reading everything at the level of graded characters.
 
-A :class:`CellDatum` is the per-word record every word suite reads: the
-interval (the tuple :func:`~klcat.coxeter.bruhat_interval` memoizes),
-the characters (the chain product, a standard-basis ``{id:
+A :class:`CellDatum` is the record of one reduced word that the word
+suites read, built once per key (first letter, commutation class of the
+tail): the interval (the tuple :func:`~klcat.coxeter.bruhat_interval`
+memoizes), the characters (the chain product, a standard-basis ``{id:
 LaurentPoly}`` dict), and the graded dimensions, keyed by the simple
 support in ascending order.
 A datum is built one way: stepped from the datum of its tail (the word

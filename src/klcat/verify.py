@@ -17,14 +17,17 @@ The word suites share one pass over the reduced words in length order.
 Each length layer is grown from the previous one: every reduced word is a
 letter s in front of a reduced tail (the word minus its first letter)
 whose product s lengthens, so no word above the KL table's bound is ever
-listed.  Each word gets one context, its
-:class:`~klcat.cells.CellDatum`, built from its tail's: the characters
-(the chain product) are one generator step from the tail's, and
-reducedness is read off one length.  The branch suite steps the word's
-final-level movers and stayers from the tail's characters with
-:func:`~klcat.leaves.leaf_step` and drops them after the word's checks;
-decomposition numbers are read from the KL table.
-Restriction is one linear map per word, the images of every x at once,
+listed.  A word reaches every checked quantity only through its chain
+product C_{s_1} ... C_{s_n}, and C_s C_t = C_t C_s when m_st = 2, so its
+checks are a function of its key: its first letter s and the commutation
+class of its tail.  Each key's checks are made once, on one
+:class:`~klcat.cells.CellDatum` stepped from its tail class's (the
+characters in one generator step, reducedness by one length), and
+replayed under the name of each of its words.  The branch suite steps
+the key's final-level movers and stayers from the tail's characters with
+:func:`~klcat.leaves.leaf_step`; decomposition numbers are read from the
+KL table.
+Restriction is one linear map per key, the images of every x at once,
 read by both the branch and the recursion suite.  Every sum of KL basis
 elements is one :meth:`~klcat.kl.KLTable.combine` and every index set
 {z : sz < z < u} one :func:`~klcat.coxeter.below_with_descent`;
@@ -431,45 +434,111 @@ def _recursion_word_checks(datum: CellDatum, images: dict[int, dict[int, Laurent
 WORD_SUITES = ("leaves", "branch", "recursion")
 
 
+class _KeyChecks:
+    """One word suite's checks of one key, made once and replayed under each word of the key.
+
+    It takes the calls a :class:`Sink` takes, and drops their word.  For a
+    sink that keeps no passes it keeps the failing checks and counts the
+    passing ones per identity; otherwise it keeps every check, in order.
+    """
+
+    def __init__(self, keeps_passes: bool):
+        self.keeps_passes = keeps_passes
+        self.checks: list[tuple] = []  # (identity, ok, sides, render, spot)
+        self.passes: dict[str, int] = {}
+
+    def __call__(self, identity: str, word: str, ok: bool, sides=None, render=LaurentPoly.render, **spot) -> None:
+        if ok and not self.keeps_passes:
+            self.passes[identity] = self.passes.get(identity, 0) + 1
+        else:
+            self.checks.append((identity, ok, sides, render, spot))
+
+    def replay(self, sink: Sink, word: str) -> None:
+        """Send the checks to ``sink`` as the checks of the word named ``word``."""
+        for identity, n in self.passes.items():
+            sink.add_passes(identity, n)
+        for identity, ok, sides, render, spot in self.checks:
+            sink(identity, word, ok, sides, render, **spot)
+
+
+def _prepend_letter(form: tuple[tuple[int, ...], ...], s: int, dependent: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The normal form of the commutation class of s times a word of the class ``form``.
+
+    ``form[t]`` lists the levels of the letter t's pieces in the heap,
+    highest first.  A piece's level is 1 plus the highest level of the
+    later pieces whose letters are in its ``dependent`` (the t with m_st
+    != 2, s among them), or 1: the Cartier-Foata normal form read from
+    the right end, so a letter put in front moves no other piece.
+    """
+    level = 1 + max((form[t][0] for t in dependent if form[t]), default=0)
+    return form[:s] + ((level, *form[s]),) + form[s + 1:]
+
+
+def _key_checks(datum: CellDatum, tail: CellDatum | None, sinks: dict[str, Sink]) -> dict[str, _KeyChecks]:
+    """The checks of every suite named in ``sinks`` on ``datum``, whose tail's datum is ``tail``."""
+    checks = {name: _KeyChecks(target.keeps_passes) for name, target in sinks.items()}
+    if "leaves" in checks:
+        _leaves_word_checks(datum, checks["leaves"])
+    if tail is not None and ("branch" in checks or "recursion" in checks):
+        images = branch_mod.res_cell_class(datum, tail)
+        if "branch" in checks:
+            _branch_word_checks(datum, tail, images, checks["branch"])
+        if "recursion" in checks:
+            _recursion_word_checks(datum, images, checks["recursion"])
+    return checks
+
+
 def _word_suite_checks(kl: KLTable, suites: list[str], sink: Sink) -> None:
     """Feed the named word suites' checks to ``sink``, suite by suite, each in word order.
 
     Word order is by product id, then by word; ids run in (length,
     ShortLex) order, so the words come one length layer at a time.  The
-    layer of length n is grown from the kept data t of layer n - 1: the
-    word ``(s, *t.word)`` for every s that is not a left descent of
-    ``t.top``, with t as its tail, for n up to the KL table's bound.  Only
-    the previous layer is kept.  Restriction is one map per word, the
-    images of every x, read by both the branch and the recursion suite.
-    The first suite feeds ``sink`` directly; the later ones feed spools
-    of it, appended at the end.
+    layer of length n is grown from the classes of layer n - 1, each one
+    datum (the first its keys built) and its words: the words ``(s, *t)``
+    for each word t of a class and each s that is not a left descent of
+    its product, for n up to the KL table's bound.  A key's checks are
+    made when its first word comes, on the datum of ``(s, *tail.word)``,
+    and dropped when the product or the first letter changes, as a key's
+    words share both and come together in word order.  The first suite
+    feeds ``sink`` directly; the later ones feed spools of it, appended
+    at the end.
     """
     table = kl.table
+    orders = table.matrix.orders
+    dependent = [tuple(t for t in range(table.rank) if orders[s][t] != 2) for s in range(table.rank)]
     sinks = {name: sink.spool() if i else sink for i, name in enumerate(suites)}
-    leaves, branch, recursion = (sinks.get(name) for name in WORD_SUITES)
-    grown: list[tuple[int, Word, CellDatum | None]] = [(table.identity, (), None)]
-    while grown:
+    # a key is (s, normal form of the tail's class), and None for the empty word
+    layer: list[tuple[int, Word, tuple | None]] = [(table.identity, (), None)]
+    classes: dict[tuple, tuple[CellDatum, list[Word]]] = {}  # normal form -> (datum, words)
+    while layer:
+        tails, classes, head = classes, {}, None
+        for top, word, key in layer:
+            if (top, word[:1]) != head:
+                head, made = (top, word[:1]), {}
+            if key not in made:
+                if key is None:
+                    tail, form = None, ((),) * table.rank
+                    datum = cells_mod.build_cell_datum(kl, ())
+                else:
+                    s, tail_form = key
+                    tail = tails[tail_form][0]
+                    form = _prepend_letter(tail_form, s, dependent[s])
+                    datum = cells_mod.build_cell_datum(kl, (s, *tail.word), tail)
+                made[key] = form, _key_checks(datum, tail, sinks)
+                classes.setdefault(form, (datum, []))
+            form, checks = made[key]
+            classes[form][1].append(word)
+            name = word_name(word)
+            for suite, key_checks in checks.items():
+                key_checks.replay(sinks[suite], name)
         layer = []
-        for _, word, tail in grown:
-            datum = cells_mod.build_cell_datum(kl, word, tail)
-            layer.append(datum)
-            if leaves is not None:
-                _leaves_word_checks(datum, leaves)
-            if not word or (branch is None and recursion is None):
-                continue
-            images = branch_mod.res_cell_class(datum, tail)
-            if branch is not None:
-                _branch_word_checks(datum, tail, images, branch)
-            if recursion is not None:
-                _recursion_word_checks(datum, images, recursion)
-        # the (product, word) pairs are distinct, so no two tails are compared
-        grown = sorted(
-            (mult_gen(table, t.top, s, "left"), (s, *t.word), t)
-            for t in layer
-            if len(t.word) < kl.complete_up_to
-            for s in range(table.rank)
-            if s not in descents(table, t.top, "left")
-        )
+        for form, (datum, words) in classes.items():
+            if len(datum.word) < kl.complete_up_to:
+                for s in range(table.rank):
+                    if s not in descents(table, datum.top, "left"):
+                        top = mult_gen(table, datum.top, s, "left")
+                        layer.extend((top, (s, *word), (s, form)) for word in words)
+        layer.sort()  # the (product, word) pairs are distinct, so no two keys are compared
     for name in suites[1:]:
         sink.extend(sinks[name])
 

@@ -301,6 +301,22 @@ def reduced_words_in_order(table, bound: int) -> list[tuple[int, ...]]:
     return [w for e in table.elements if table.length[e] <= bound for w in sorted(all_reduced_words(table, e))]
 
 
+def commutation_class(word: tuple[int, ...], matrix) -> frozenset[tuple[int, ...]]:
+    """Every word reached from ``word`` by swapping adjacent letters s, t with m_st = 2."""
+    orders = matrix.orders
+    seen = {word}
+    queue = deque([word])
+    while queue:
+        w = queue.popleft()
+        for i in range(len(w) - 1):
+            if orders[w[i]][w[i + 1]] == 2:
+                swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                if swapped not in seen:
+                    seen.add(swapped)
+                    queue.append(swapped)
+    return frozenset(seen)
+
+
 # -- standard-basis Hecke arithmetic (oracle) ---------------------------------
 # Whole-element sums, scalings, H_s-multiplication and products of
 # ``{id: LaurentPoly}`` dicts, one LaurentPoly operation per coordinate; the

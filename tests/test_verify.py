@@ -10,12 +10,12 @@ import klcat
 import klcat.cells
 import klcat.cli
 from klcat.cli import main
-from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, preset_matrix
+from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, preset_matrix, word_name
 from klcat.kl import canonical_json, compute_kl
 from klcat.laurent import v_power
 from klcat.verify import SUITES, FailRecords, JsonStream, RecordList, run_suite
 
-from oracles import LADDER, damaged_table, reduced_words_in_order, word_suite_records
+from oracles import LADDER, commutation_class, damaged_table, reduced_words_in_order, word_suite_records
 
 
 def test_unknown_suite_rejected(kl_a2):
@@ -47,16 +47,54 @@ def test_repeated_runs_give_equal_reports(kl_a3):
 
 
 WORD_SUITES = ("leaves", "branch", "recursion")
+# rungs whose per-word oracle runs to length 5 only: the truncated ones, and
+# those with over a thousand reduced words (B4 has 103 k)
+BOUNDED_RUNGS = ("H3", "D4", "A4", "B4", "affineA2", "triangle4-0-3")
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "I2(7)", "affineA2", "triangle4-0-3"])
+def oracle_reports(kl):
+    """Every suite's report, each word-suite record from the per-word oracle ``word_suite_records``.
+
+    The kl suite, which the oracle does not cover, is the production run.
+    """
+    words = {suite: word_suite_records(kl, suite) for suite in WORD_SUITES}
+    kl_records = run_suite(kl, "kl")["records"]
+    reports = {}
+    for suite in SUITES:
+        records = list(kl_records) if suite in ("kl", "all") else []
+        for name in WORD_SUITES:
+            if suite in (name, "all"):
+                records += words[name]
+        counts = {}
+        for rec in records:
+            counts.setdefault(rec["identity"], Counter())[rec["pass"]] += 1
+        summary = {identity: {"pass": c[True], "fail": c[False]} for identity, c in sorted(counts.items())}
+        reports[suite] = {"suite": suite, "records": records, "summary": summary, "pass": all(r["pass"] for r in records)}
+    return reports
+
+
+def assert_reports_match(kl, group_args, head, reports):
+    # the list report, and both output formats of cmd_verify, against the oracle's
+    for suite, report in reports.items():
+        assert run_suite(kl, suite) == report, suite
+        code, text = _cli(["verify", *group_args, "--suite", suite, "--format", "json"])
+        assert (code, text) == (0 if report["pass"] else 1, canonical_json(report)), suite
+        code, text = _cli(["verify", *group_args, "--suite", suite])
+        assert (code, text) == (0 if report["pass"] else 1, text_report(report, head)), suite
+
+
+@pytest.mark.parametrize("name", LADDER)
 def test_word_suites_match_per_word_oracles(ladder, name):
-    # the full rungs for the finite groups, length 5 for the truncated ones
+    # each word suite runs once per key (first letter, commutation class of the
+    # tail) and replays its records per word; the oracle walks every word
     table, kl = ladder(name)
-    if table.partial:
+    rows, cap = LADDER[name]
+    group_args = ["--matrix", json.dumps({"rank": table.rank, "m": rows}), "--cap", str(cap)]
+    if name in BOUNDED_RUNGS:
         kl = compute_kl(table, min(5, table.complete_length))
-    for suite in WORD_SUITES:
-        assert run_suite(kl, suite)["records"] == word_suite_records(kl, suite), suite
+        group_args += ["--max-length", str(kl.complete_up_to)]
+    head = f"group: custom (order {'>= ' if table.partial else ''}{table.order})"
+    assert_reports_match(kl, group_args, head, oracle_reports(kl))
 
 
 DAMAGED = [
@@ -71,6 +109,8 @@ DAMAGED = [
     ("A3", (0, 1), (1, 0), lambda c: c + v_power(3)),
     ("A3", (0, 1, 0), (2,), lambda c: c + v_power(3)),
     ("B3", (0, 1, 0, 2, 1), (2, 1, 2), lambda c: c + v_power(3)),
+    # s2.s1.s3 and s2.s3.s1 are one key: s2, and the class of s1.s3
+    ("A3", (1, 0, 2), (1,), lambda c: c + v_power(3)),
 ]
 DAMAGED_IDS = [
     "A3-extra-term",
@@ -83,6 +123,7 @@ DAMAGED_IDS = [
     "A3-s1s2-outside-s2s1",
     "A3-s1s2s1-outside-s3",
     "B3-s1s2s1s3s2-outside-s3s2s3",
+    "A3-s2s1s3-extra-term",
 ]
 
 
@@ -118,13 +159,21 @@ def test_character_side_records_pass_on_a_damaged_table(ladder, group, wword, xw
     assert any(counts["fail"] for counts in summary.values())
 
 
+def word_keys(table, words):
+    """The (first letter, commutation class of the tail) of every nonempty word."""
+    classes = {}
+    for word in words:
+        if word[1:] not in classes:
+            classes[word[1:]] = commutation_class(word[1:], table.matrix)
+    return [(word[0], classes[word[1:]]) for word in words if word]
+
+
 @pytest.mark.parametrize("suite", ["branch", "recursion"])
 def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
-    # work-count guard: one restriction map per nonempty word, one character
-    # step per nonempty word (reducedness is read off its length, no
-    # is_reduced), and in the branch suite one final-level leaf step per
-    # nonempty word
-    table, kl = ladder("B3")
+    # work-count guard: one restriction map per nonempty key (first letter,
+    # commutation class of the tail), one character step per nonempty key
+    # (reducedness is read off its length, no is_reduced), and in the branch
+    # suite one final-level leaf step per nonempty key
     calls = Counter()
 
     def counting(module, name, key):
@@ -136,30 +185,42 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(klcat.branch, "res_cell_class", lambda args: args[0].word)
+    key_of = {}
+    counting(klcat.branch, "res_cell_class", lambda args: key_of[args[0].word])
     original_is_reduced = klcat.coxeter.is_reduced
     for module in (klcat.coxeter, klcat.cells, klcat.branch, klcat.verify):
         if getattr(module, "is_reduced", None) is original_is_reduced:
             counting(module, "is_reduced", lambda args: tuple(args[1]))
     counting(klcat.hecke, "left_mul_kl", lambda args: "hecke")  # the steps of bott_samelson_class
     counting(klcat.cells, "left_mul_kl", lambda args: "cells")  # the one step from the tail's characters
-    counting(klcat.branch, "leaf_step", lambda args: None)  # the word's final-level split, from the tail's characters
-    report = run_suite(kl, suite)
-    assert report["pass"]
-    words = reduced_words_in_order(table, kl.complete_up_to)
-    per_word = Counter(name for name, _ in calls)
-    assert max(n for (name, _), n in calls.items() if name == "res_cell_class") == 1
-    assert per_word["res_cell_class"] == len(words) - 1
-    assert per_word["is_reduced"] == 0
-    assert calls["left_mul_kl", "cells"] == len(words) - 1
-    assert calls["left_mul_kl", "hecke"] == 0
-    assert calls["leaf_step", None] == (len(words) - 1 if suite == "branch" else 0)
+    counting(klcat.branch, "leaf_step", lambda args: None)  # the key's final-level split, from the tail's characters
+    for group in ("B3", "triangle4-0-3", "affineA2"):
+        table, kl = ladder(group)
+        if table.partial:
+            kl = compute_kl(table, 5)
+        words = reduced_words_in_order(table, kl.complete_up_to)
+        keys = word_keys(table, words)
+        key_of.clear()
+        key_of.update(zip((word for word in words if word), keys))
+        calls.clear()
+        report = run_suite(kl, suite)
+        assert report["pass"], group
+        per_key = Counter(name for name, _ in calls)
+        assert {key for name, key in calls if name == "res_cell_class"} == set(keys), group
+        assert max(n for (name, _), n in calls.items() if name == "res_cell_class") == 1, group
+        assert per_key["is_reduced"] == 0, group
+        assert calls["left_mul_kl", "cells"] == len(set(keys)), group
+        assert calls["left_mul_kl", "hecke"] == 0, group
+        assert calls["leaf_step", None] == (len(set(keys)) if suite == "branch" else 0), group
+        # no two letters commute in the truncated groups, so each key has one word
+        assert (len(set(keys)) == len(keys)) == table.partial, group
 
 
 @pytest.mark.parametrize("name, bound", [(name, None) for name in LADDER] + [("A4", 4)])
 def test_word_suites_walk_every_reduced_word_in_order(monkeypatch, ladder, name, bound):
     # each cell datum is stubbed to its word and product (B4 alone has 103 k
-    # reduced words), so this checks the word order and the tails handed on
+    # reduced words), so this checks the word order at the replay point and
+    # the tails handed on
     table, kl = ladder(name)
     if bound is not None:
         kl = compute_kl(table, bound)
@@ -170,9 +231,10 @@ def test_word_suites_walk_every_reduced_word_in_order(monkeypatch, ladder, name,
         return SimpleNamespace(word=word, top=evaluate_word(table, word))
 
     monkeypatch.setattr(klcat.cells, "build_cell_datum", light_datum)
-    monkeypatch.setattr(klcat.verify, "_leaves_word_checks", lambda datum, sink: walked.append(datum.word))
+    monkeypatch.setattr(klcat.verify, "_leaves_word_checks", lambda datum, sink: None)
+    monkeypatch.setattr(klcat.verify._KeyChecks, "replay", lambda checks, sink, word: walked.append(word))
     run_suite(kl, "leaves")
-    assert walked == reduced_words_in_order(table, kl.complete_up_to)
+    assert walked == [word_name(word) for word in reduced_words_in_order(table, kl.complete_up_to)]
 
 
 def test_a_bounded_run_lists_no_word_above_its_bound():
@@ -187,6 +249,24 @@ def test_a_bounded_run_lists_no_word_above_its_bound():
         tracemalloc.stop()
     assert report["pass"]
     assert peak < 16 * 2**20, peak
+
+
+# tracemalloc peaks of the three word suites in one text-mode pass, measured
+# on the per-word walk that the keyed one replaced (it kept one cell datum per
+# reduced word of a layer); the keyed walk peaks at 0.8 and 6.2 MiB
+PER_WORD_PEAKS = {"B3": 1_686_040, "A4": 58_896_728}
+
+
+@pytest.mark.parametrize("name", PER_WORD_PEAKS)
+def test_word_suites_peak_no_higher_than_the_per_word_walk(ladder, name):
+    table, kl = ladder(name)
+    tracemalloc.start()
+    try:
+        klcat.verify._word_suite_checks(kl, list(WORD_SUITES), FailRecords())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_WORD_PEAKS[name], peak
 
 
 # -- sinks: the streamed JSON and the text report against the list report -----
@@ -253,14 +333,28 @@ def test_cli_reports_match_the_list_report_on_a_damaged_table(monkeypatch, ladde
     table, _ = ladder(group)
     kl = damaged_table(table, evaluate_word(table, wword), evaluate_word(table, xword), change)
     monkeypatch.setattr(klcat.cli, "compute_kl", lambda table, bound: kl)
-    for suite in SUITES:
-        report = run_suite(kl, suite)
-        code, text = _cli(["verify", "--type", group, "--suite", suite, "--format", "json"])
-        assert (code, text) == (0 if report["pass"] else 1, canonical_json(report)), suite
-        code, text = _cli(["verify", "--type", group, "--suite", suite])
-        head = f"group: {group} (order {table.order})"
-        assert (code, text) == (0 if report["pass"] else 1, text_report(report, head)), suite
-    assert not report["pass"]  # the last suite is all
+    reports = oracle_reports(kl)
+    assert_reports_match(kl, ["--type", group], f"group: {group} (order {table.order})", reports)
+    assert not reports["all"]["pass"]
+
+
+def test_each_word_of_a_failing_key_prints_its_own_fail_lines(monkeypatch, ladder):
+    # the key's checks are made once, on s2.s1.s3, and replayed under s2.s1.s3 and s2.s3.s1
+    group, wword, xword, change = DAMAGED[DAMAGED_IDS.index("A3-s2s1s3-extra-term")]
+    table, _ = ladder(group)
+    kl = damaged_table(table, evaluate_word(table, wword), evaluate_word(table, xword), change)
+    monkeypatch.setattr(klcat.cli, "compute_kl", lambda table, bound: kl)
+    code, text = _cli(["verify", "--type", group, "--suite", "recursion"])
+    assert code == 1
+    fails = {}
+    for line in text.splitlines():
+        if line.startswith("FAIL "):
+            word = line.split("[word=", 1)[1].split(",", 1)[0]
+            fails.setdefault(word, []).append(line.replace(f"[word={word},", "[word=*,"))
+    want = ["FAIL correction_index_consistency [word=*,x=s2] lhs=1*v^2 rhs=1*v^2+1*v^3"]
+    assert fails["s2.s1.s3"] == fails["s2.s3.s1"] == want
+    # and s1 in front of that class
+    assert len(fails["s1.s2.s1.s3"]) == 4 and fails["s1.s2.s1.s3"] == fails["s1.s2.s3.s1"]
 
 
 @pytest.mark.parametrize("damaged", [False, True], ids=["intact", "damaged"])
