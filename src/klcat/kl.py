@@ -72,16 +72,16 @@ class KLTable:
     A table holds few distinct polynomials, so every stored coefficient
     is the table's single instance of its value (as in du Cloux's
     Coxeter3): equal coefficients are the same object, and the exporters
-    format each one once; the intern map is keyed by a value's sorted
-    (exponent, coefficient) terms.  The q-forms (:meth:`classical`) and
-    the structure constants are memoized on the table.
+    format each one once; ``_polys`` lists the interned values, each
+    once.  The q-forms (:meth:`classical`) and the structure constants
+    are memoized on the table.
     """
 
     def __init__(self, table: GroupTable, complete_up_to: int):
         self.table = table
         self.complete_up_to = complete_up_to
         self._kl: dict[int, dict[int, LaurentPoly]] = {}
-        self._polys: dict[tuple[tuple[int, int], ...], LaurentPoly] = {}  # sorted terms -> the interned instance
+        self._polys: list[LaurentPoly] = []  # the interned values
         self._sc_memo: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
         self._q_memo: dict[tuple[int, int], tuple[LaurentPoly, LaurentPoly | None]] = {}
 
@@ -254,14 +254,14 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
                 h = decoded.get(n)
                 if h is None:
                     h = decoded[n] = _digits(n, shift, 1)
-                    polys[tuple(h.items())] = h
+                    polys.append(h)
                     codes[id(h)] = n >> shift
                     top = max(top, *map(abs, h._coeffs.values()))
                 elt[x] = h
         if (width := _code_width(top, count)) != shift:
             shift = width
-            codes = {id(h): _code(h, shift) for h in polys.values()}
-            decoded = {codes[id(h)] << shift: h for h in polys.values()}
+            codes = {id(h): _code(h, shift) for h in polys}
+            decoded = {codes[id(h)] << shift: h for h in polys}
     return kl
 
 

@@ -22,8 +22,11 @@ product C_{s_1} ... C_{s_n}, and C_s C_t = C_t C_s when m_st = 2, so its
 checks are a function of its key: its first letter s and the commutation
 class of its tail.  Each key's checks are made once, on one
 :class:`~klcat.cells.CellDatum` stepped from its tail class's (the
-characters in one generator step, reducedness by one length), and
-replayed under the name of each of its words.  The branch suite steps
+characters in one generator step, reducedness by one length), into a
+:class:`RecordList` (a :class:`FailRecords` for a sink that keeps no
+passes) named after the key's first word, so each record is built and
+rendered once per key; each word of the key hands them to the sink
+under its own name with :meth:`Sink.take`.  The branch suite steps
 the key's final-level movers and stayers from the tail's characters with
 :func:`~klcat.leaves.leaf_step`; decomposition numbers are read from the
 KL table.
@@ -132,7 +135,8 @@ class Sink:
     with :func:`build_record`'s arguments; the record is built, and its
     sides rendered, only when the sink keeps it.  :meth:`add_passes`
     counts passing checks without a call each, for a sink whose
-    ``keeps_passes`` is False.  ``len(sink)`` is the number of checks.
+    ``keeps_passes`` is False, and :meth:`take` counts and keeps another
+    sink's checks under a new word.  ``len(sink)`` is the number of checks.
     """
 
     keeps_passes = True
@@ -153,6 +157,15 @@ class Sink:
         """Count n passing checks of ``identity`` at once, none of them kept."""
         if n:
             self.counts.setdefault(identity, [0, 0])[1] += n
+
+    def take(self, checks: RecordList, word: str) -> None:
+        """Count the checks of ``checks`` here and keep its records as the records of the word named ``word``."""
+        for identity, (fails, passes) in checks.counts.items():
+            counts = self.counts.setdefault(identity, [0, 0])
+            counts[0] += fails
+            counts[1] += passes
+        for rec in checks.records:
+            self.keep(rec if rec["word"] == word else {**rec, "word": word})
 
     def keep(self, rec: dict) -> None:
         raise NotImplementedError
@@ -434,33 +447,6 @@ def _recursion_word_checks(datum: CellDatum, images: dict[int, dict[int, Laurent
 WORD_SUITES = ("leaves", "branch", "recursion")
 
 
-class _KeyChecks:
-    """One word suite's checks of one key, made once and replayed under each word of the key.
-
-    It takes the calls a :class:`Sink` takes, and drops their word.  For a
-    sink that keeps no passes it keeps the failing checks and counts the
-    passing ones per identity; otherwise it keeps every check, in order.
-    """
-
-    def __init__(self, keeps_passes: bool):
-        self.keeps_passes = keeps_passes
-        self.checks: list[tuple] = []  # (identity, ok, sides, render, spot)
-        self.passes: dict[str, int] = {}
-
-    def __call__(self, identity: str, word: str, ok: bool, sides=None, render=LaurentPoly.render, **spot) -> None:
-        if ok and not self.keeps_passes:
-            self.passes[identity] = self.passes.get(identity, 0) + 1
-        else:
-            self.checks.append((identity, ok, sides, render, spot))
-
-    def replay(self, sink: Sink, word: str) -> None:
-        """Send the checks to ``sink`` as the checks of the word named ``word``."""
-        for identity, n in self.passes.items():
-            sink.add_passes(identity, n)
-        for identity, ok, sides, render, spot in self.checks:
-            sink(identity, word, ok, sides, render, **spot)
-
-
 def _prepend_letter(form: tuple[tuple[int, ...], ...], s: int, dependent: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The normal form of the commutation class of s times a word of the class ``form``.
 
@@ -474,9 +460,14 @@ def _prepend_letter(form: tuple[tuple[int, ...], ...], s: int, dependent: tuple[
     return form[:s] + ((level, *form[s]),) + form[s + 1:]
 
 
-def _key_checks(datum: CellDatum, tail: CellDatum | None, sinks: dict[str, Sink]) -> dict[str, _KeyChecks]:
-    """The checks of every suite named in ``sinks`` on ``datum``, whose tail's datum is ``tail``."""
-    checks = {name: _KeyChecks(target.keeps_passes) for name, target in sinks.items()}
+def _key_checks(datum: CellDatum, tail: CellDatum | None, sinks: dict[str, Sink]) -> dict[str, RecordList]:
+    """The checks of every suite named in ``sinks`` on ``datum``, whose tail's datum is ``tail``.
+
+    Each suite's checks go to a :class:`FailRecords` when its target sink
+    keeps no passes and to a :class:`RecordList` otherwise, the records
+    named after ``datum.word``.
+    """
+    checks = {name: RecordList() if target.keeps_passes else FailRecords() for name, target in sinks.items()}
     if "leaves" in checks:
         _leaves_word_checks(datum, checks["leaves"])
     if tail is not None and ("branch" in checks or "recursion" in checks):
@@ -530,7 +521,7 @@ def _word_suite_checks(kl: KLTable, suites: list[str], sink: Sink) -> None:
             classes[form][1].append(word)
             name = word_name(word)
             for suite, key_checks in checks.items():
-                key_checks.replay(sinks[suite], name)
+                sinks[suite].take(key_checks, name)
         layer = []
         for form, (datum, words) in classes.items():
             if len(datum.word) < kl.complete_up_to:

@@ -463,6 +463,7 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
     # a JSON polynomial's terms and their types (so 1.0 and true never reuse the
     # decoding of 1) -> the interned value
     decoded: dict[tuple, LaurentPoly] = {}
+    polys: dict[tuple, LaurentPoly] = {}  # sorted terms -> the interned value
     for entry in body["kl"]:
         try:
             word, coeffs = entry
@@ -477,13 +478,14 @@ def kl_from_json_obj(table: GroupTable, obj: dict, up_to_length: int) -> KLTable
                     c = LaurentPoly.from_json_obj(poly)
                     if not c:
                         raise ValueError("a stored coefficient is never zero")
-                    c = decoded[key] = kl._polys.setdefault(tuple(c.items()), c)
+                    c = decoded[key] = polys.setdefault(tuple(c.items()), c)
                 elt[index[tuple(xw)]] = c
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheMismatchError(f"malformed cache entry {entry!r:.80}") from exc
         if table.length[w] > up_to_length or w in kl._kl or len(elt) != len(coeffs):
             raise CacheMismatchError(f"unexpected or repeated cache entry for {table.names[w]}")
         kl._kl[w] = dict(sorted(elt.items()))
+    kl._polys = list(polys.values())
     stored = kl.stored_elements()
     if len(kl._kl) != len(stored):
         raise CacheMismatchError(f"cache body holds {len(kl._kl)} entries, expected {len(stored)}")
@@ -594,7 +596,7 @@ def compute_kl_by_subtraction(table, up_to_length, descent_choice="min"):
             if g0:
                 prod = add(prod, scale(kl._kl[z], -g0))
         kl._kl[w] = {x: interned.setdefault(c, c) for x, c in sorted(prod.items())}
-    kl._polys = {tuple(c.items()): c for c in interned}
+    kl._polys = list(interned.values())
     return kl
 
 

@@ -550,9 +550,11 @@ def test_compute_kl_matches_subtraction_oracle(ladder, name, choice):
         assert kl._kl[w] == elt
         _assert_stored_form(kl.kl_element(w))
     assert len(kl._polys) == len(want._polys)
+    assert len(set(kl._polys)) == len(kl._polys)
+    interned = {id(h) for h in kl._polys}
     for elt in kl._kl.values():
         for c in elt.values():
-            assert kl._polys[tuple(c.items())] is c
+            assert id(c) in interned
 
 
 def _assert_stored_form(elt):
@@ -596,7 +598,7 @@ def test_compute_kl_subtracts_in_place(ladder, monkeypatch):
         # each rebuild encodes every value interned so far once
         assert calls["_code"] <= len(kl._polys) * (len(set(widths)) - 1), name
         assert (len(set(widths)) > 1) == (calls["_code"] > 0) == (name != "B3"), name
-        top = max(abs(k) for h in kl._polys.values() for _, k in h.items())
+        top = max(abs(k) for h in kl._polys for _, k in h.items())
         assert widths[-1] == (2 * top * (1 + len(kl.stored_elements()) * top)).bit_length() + 1, name
 
 

@@ -86,7 +86,7 @@ def assert_reports_match(kl, group_args, head, reports):
 @pytest.mark.parametrize("name", LADDER)
 def test_word_suites_match_per_word_oracles(ladder, name):
     # each word suite runs once per key (first letter, commutation class of the
-    # tail) and replays its records per word; the oracle walks every word
+    # tail) and each word takes the key's records; the oracle walks every word
     table, kl = ladder(name)
     rows, cap = LADDER[name]
     group_args = ["--matrix", json.dumps({"rank": table.rank, "m": rows}), "--cap", str(cap)]
@@ -216,11 +216,37 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
         assert (len(set(keys)) == len(keys)) == table.partial, group
 
 
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_word_suites_build_each_record_once_per_key(monkeypatch, ladder, name):
+    # work-count guard: a key's records are built, and their sides rendered,
+    # once, under its first word; its later words take renamed copies
+    table, kl = ladder(name)
+    built = Counter()
+    original = klcat.verify.build_record
+
+    def counted(identity, word, *args):
+        built[word] += 1
+        return original(identity, word, *args)
+
+    monkeypatch.setattr(klcat.verify, "build_record", counted)
+    sink = RecordList()
+    klcat.verify._word_suite_checks(kl, list(WORD_SUITES), sink)
+    words = reduced_words_in_order(table, kl.complete_up_to)
+    keys = word_keys(table, words)
+    assert len(set(keys)) < len(keys), name
+    firsts = {}
+    for word, key in zip(words[1:], keys):
+        firsts.setdefault(key, word_name(word))
+    first = {word_name(()), *firsts.values()}
+    assert sum(built.values()) == sum(rec["word"] in first for rec in sink.records), name
+    assert set(built) <= first, name
+
+
 @pytest.mark.parametrize("name, bound", [(name, None) for name in LADDER] + [("A4", 4)])
 def test_word_suites_walk_every_reduced_word_in_order(monkeypatch, ladder, name, bound):
     # each cell datum is stubbed to its word and product (B4 alone has 103 k
-    # reduced words), so this checks the word order at the replay point and
-    # the tails handed on
+    # reduced words), so this checks the word order at the point where each
+    # word takes its key's records, and the tails handed on
     table, kl = ladder(name)
     if bound is not None:
         kl = compute_kl(table, bound)
@@ -232,7 +258,7 @@ def test_word_suites_walk_every_reduced_word_in_order(monkeypatch, ladder, name,
 
     monkeypatch.setattr(klcat.cells, "build_cell_datum", light_datum)
     monkeypatch.setattr(klcat.verify, "_leaves_word_checks", lambda datum, sink: None)
-    monkeypatch.setattr(klcat.verify._KeyChecks, "replay", lambda checks, sink, word: walked.append(word))
+    monkeypatch.setattr(klcat.verify.Sink, "take", lambda sink, checks, word: walked.append(word))
     run_suite(kl, "leaves")
     assert walked == [word_name(word) for word in reduced_words_in_order(table, kl.complete_up_to)]
 
@@ -336,10 +362,11 @@ def test_cli_reports_match_the_list_report_on_a_damaged_table(monkeypatch, ladde
     reports = oracle_reports(kl)
     assert_reports_match(kl, ["--type", group], f"group: {group} (order {table.order})", reports)
     assert not reports["all"]["pass"]
+    assert any(not rec["pass"] for suite in WORD_SUITES for rec in reports[suite]["records"])
 
 
 def test_each_word_of_a_failing_key_prints_its_own_fail_lines(monkeypatch, ladder):
-    # the key's checks are made once, on s2.s1.s3, and replayed under s2.s1.s3 and s2.s3.s1
+    # the key's checks are made once, on s2.s1.s3, and taken under s2.s1.s3 and s2.s3.s1
     group, wword, xword, change = DAMAGED[DAMAGED_IDS.index("A3-s2s1s3-extra-term")]
     table, _ = ladder(group)
     kl = damaged_table(table, evaluate_word(table, wword), evaluate_word(table, xword), change)
