@@ -17,9 +17,10 @@ needed by the algorithms here (the generic product is a test oracle).
 :func:`left_mul_terms` is the C_s step on polynomial coordinates, shared by
 :func:`left_mul_kl` and :func:`~klcat.branch.res_cell_class`;
 :func:`left_mul_codes` is its integer twin, which
-:func:`~klcat.kl.compute_kl` runs on coordinates held as one integer each,
-their polynomials evaluated at v = 2^K.  Outside :mod:`klcat.coxeter` only
-this module reads the product arrays.
+:func:`~klcat.kl.compute_kl` and the ``kl`` suite's checks run on
+coordinates held as one integer each, their polynomials evaluated at
+v = 2^K.  Outside :mod:`klcat.coxeter` only this module and the q-form
+recursion column of :mod:`klcat.kl` read the product arrays.
 The bar keeps no state: it is Horner's rule over the prefix tree of the
 canonical words, since every prefix of a ShortLex-minimal word is
 ShortLex-minimal, with each coordinate held as one integer, its polynomial
@@ -27,6 +28,8 @@ evaluated at v = 2^K.  Left multiplication by
 H_t^-1 at most triples the l1 norm of an element, which bounds every
 coefficient of the image, and K is chosen above that bound, so the
 integers decode exactly into their polynomials as balanced base-2^K digits.
+:func:`bar_invariant` compares those integers with the element's own
+codes and decodes nothing.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def left_mul_terms(table: GroupTable, s: int, pairs) -> dict[int, dict[int, int]
     return acc
 
 
-def left_mul_codes(table: GroupTable, s: int, pairs, shift: int) -> dict[int, int]:
+def left_mul_codes(table: GroupTable, s: int, pairs, shift: int, beyond_longer: bool = False) -> dict[int, int]:
     """The integer twin of :func:`left_mul_terms`, each coordinate one integer at v = 2^shift.
 
     A pair ``(x, n)`` is a coordinate c whose code n is c evaluated at
@@ -65,10 +68,14 @@ def left_mul_codes(table: GroupTable, s: int, pairs, shift: int) -> dict[int, in
     scaled by v, so C_s H_x = H_sx + v^{+-1} H_x adds ``n << shift`` at sx
     and ``n << 2 * shift`` or n at x.  The codes decode exactly only while
     every coefficient of the sums stays below 2^(shift - 1) in absolute
-    value, so this step is for :func:`~klcat.kl.compute_kl`, which reads
-    only values it made and bounded itself; a caller that reads a damaged
-    table or a one-shot product keeps to :func:`left_mul_terms`.  An sx
-    beyond a truncated table raises ``IncompleteTableError``.
+    value, so a caller bounds its values first: :func:`~klcat.kl.compute_kl`
+    reads only values it made, and the ``kl`` suite's checks read the code
+    view of :meth:`~klcat.kl.KLTable.codes`, whose width bounds every
+    stored value; a caller that reads a one-shot product keeps to
+    :func:`left_mul_terms`.  An sx beyond a truncated table raises
+    ``IncompleteTableError``, unless ``beyond_longer`` counts it as longer
+    than x (the one-step recursion's reading), which adds only the v term
+    at x.
     """
     length, left = table.length, table._left
     twice = 2 * shift
@@ -77,7 +84,10 @@ def left_mul_codes(table: GroupTable, s: int, pairs, shift: int) -> dict[int, in
     for x, n in pairs:
         sx = left[x][s]
         if sx is None:
-            mult_gen(table, x, s, "left")  # raises: sx lies beyond the table
+            if not beyond_longer:
+                mult_gen(table, x, s, "left")  # raises: sx lies beyond the table
+            acc[x] = get(x, 0) + (n << twice)
+            continue
         acc[sx] = get(sx, 0) + (n << shift)
         acc[x] = get(x, 0) + (n << twice if length[sx] > length[x] else n)
     return acc
@@ -89,7 +99,41 @@ def left_mul_kl(table: GroupTable, s: int, h: dict[int, LaurentPoly]) -> dict[in
 
 
 def bar_involution(table: GroupTable, h: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-    """The ring involution with v -> v^-1 and H_x -> (H_{x^-1})^-1, by Horner's rule at v = 2^K.
+    """The ring involution with v -> v^-1 and H_x -> (H_{x^-1})^-1: :func:`_bar_codes`, decoded.
+
+    Each coordinate is decoded exactly as its balanced base-2^K digits,
+    the digit of B^j being the coefficient of v^(j - m).  A product that
+    leaves a truncated table raises ``IncompleteTableError``.
+    """
+    if not h:
+        return {}
+    codes, shift, m = _bar_codes(table, h)
+    return {y: _digits(n, shift, m) for y, n in codes.items() if n}
+
+
+def bar_invariant(table: GroupTable, h: dict[int, LaurentPoly]) -> bool:
+    """``bar_involution(table, h) == h``, decided on the codes of :func:`_bar_codes`.
+
+    h is encoded at the bar's own K and m and compared as integers, so
+    nothing is decoded.  Every exponent of bar(h) is at least -m, so an h
+    with an exponent below -m is not bar-invariant.  K bounds the l1 norm
+    of h as well as every coefficient of bar(h), so both sides are
+    balanced digit expansions and their codes are equal exactly when they
+    are.
+    """
+    if not h:
+        return True
+    codes, shift, m = _bar_codes(table, h)
+    own = {}
+    for x, c in h.items():
+        if min(c._coeffs, default=0) < -m:
+            return False
+        own[x] = sum(k << shift * (m + e) for e, k in c._coeffs.items())
+    return own == {y: n for y, n in codes.items() if n}
+
+
+def _bar_codes(table: GroupTable, h: dict[int, LaurentPoly]) -> tuple[dict[int, int], int, int]:
+    """bar(h) for a nonzero h by Horner's rule at v = 2^K: ``(codes, K, m)``.
 
     Over the canonical word s_1 ... s_k of x, H_x maps to H_{s_1}^-1 ...
     H_{s_k}^-1.  Every prefix of a ShortLex-minimal word is ShortLex-minimal
@@ -108,13 +152,9 @@ def bar_involution(table: GroupTable, h: dict[int, LaurentPoly]) -> dict[int, La
     at least m - l(z) - e.  One step adds ``g << K`` at ty and
     g (B^2 - 1) at y.  Left multiplication by H_t^-1 at most triples the
     l1 norm, so every coefficient of bar(h) is at most N = sum of
-    l1(c_x) 3^l(x) in absolute value; with K = bitlength(N) + 2 each
-    result is decoded exactly as its balanced base-B digits, the digit of
-    B^j being the coefficient of v^(j - m).  A product that leaves a
-    truncated table raises ``IncompleteTableError``.
+    l1(c_x) 3^l(x) in absolute value, and K = bitlength(N) + 2.  The
+    codes of bar(h) are those of G(e), a cancelled coordinate reading 0.
     """
-    if not h:
-        return {}
     length, words, left = table.length, table.words, table._left
     m = max(0, max(length[x] + max(c._coeffs, default=0) for x, c in h.items()))
     bound = sum(sum(map(abs, c._coeffs.values())) * 3 ** length[x] for x, c in h.items())
@@ -136,7 +176,7 @@ def bar_involution(table: GroupTable, h: dict[int, LaurentPoly]) -> dict[int, La
             acc[ty] = acc.get(ty, 0) + (n << shift)
             if length[ty] > length[y]:
                 acc[y] = acc.get(y, 0) + (n << twice) - n
-    return {y: _digits(n, shift, m) for y, n in pending.get(table.identity, {}).items() if n}
+    return pending.get(table.identity, {}), shift, m
 
 
 def _digits(n: int, shift: int, m: int) -> LaurentPoly:

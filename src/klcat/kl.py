@@ -20,17 +20,21 @@ verification suites:
     sz < z < sw) for every x at once, using only table entries strictly
     below w; :func:`classical_recursion_column` does the same for the
     q-form, reading mu on the classical side.  Both sum over
-    :func:`~klcat.coxeter.below_with_descent`.
+    :func:`~klcat.coxeter.below_with_descent`, on the integer codes of
+    the table's :class:`CodeView`, and decode the sum;
+    :func:`recursion_columns_hold` compares both sums with C_w without
+    decoding them.
 
 Classical polynomials in q are related by h_{x,w}(v) = v^(l(w)-l(x)) P_{x,w}(v^-2),
 and mu(z,w) is the linear coefficient of h_{z,w}; :meth:`KLTable.classical`
 converts each (polynomial, l(w) - l(x)) pair once per table.  Hecke
 elements are plain ``{id: LaurentPoly}`` dicts (see :mod:`klcat.hecke`).
-The other sums of many products (the recursions,
-:meth:`KLTable.expand_in_kl_basis` and its inverse :meth:`KLTable.combine`,
-the word suites' one sum of KL basis elements) read damaged tables or
-one-shot products, so they accumulate into one ``{x: {exponent:
-coefficient}}`` dict and build each polynomial once.
+The ``kl`` suite's other check, of C_s * C_u against its expected
+KL-basis expansion, also runs on those codes (:meth:`KLTable.expands_as`).
+The remaining sums of many products (:meth:`KLTable.expand_in_kl_basis`
+and its inverse :meth:`KLTable.combine`, the word suites' one sum of KL
+basis elements) read one-shot products, so they accumulate into one
+``{x: {exponent: coefficient}}`` dict and build each polynomial once.
 
 A table is cached and dumped as one canonical JSON document.
 :func:`kl_to_json_text` writes it as text, encoding each element's word
@@ -56,7 +60,7 @@ from .coxeter import (
     descents,
     mult_gen,
 )
-from .hecke import _digits, _to_vector, left_mul_codes, left_mul_kl
+from .hecke import _digits, left_mul_codes, left_mul_kl
 from .laurent import LaurentPoly, ONE, ZERO
 
 TOOL_VERSION = "0.1.0"
@@ -74,7 +78,12 @@ class KLTable:
     Coxeter3): equal coefficients are the same object, and the exporters
     format each one once; ``_polys`` lists the interned values, each
     once.  The q-forms (:meth:`classical`) and the structure constants
-    are memoized on the table.
+    are memoized on the table, and so is one :class:`CodeView`
+    (:meth:`codes`): every stored element, damaged or not, as one integer
+    per coordinate at v = 2^K, with K = ``_code_width(M, N)`` for M the
+    largest stored |coefficient| (at least 1) and N the number of stored
+    elements, wide enough that a recursion column or a structure-constant
+    check decodes exactly.
     """
 
     def __init__(self, table: GroupTable, complete_up_to: int):
@@ -84,6 +93,7 @@ class KLTable:
         self._polys: list[LaurentPoly] = []  # the interned values
         self._sc_memo: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
         self._q_memo: dict[tuple[int, int], tuple[LaurentPoly, LaurentPoly | None]] = {}
+        self._codes: CodeView | None = None
 
     def stored_elements(self) -> list[int]:
         length, bound = self.table.length, self.complete_up_to
@@ -189,6 +199,96 @@ class KLTable:
             self._sc_memo[key] = cached
         return cached
 
+    def codes(self) -> CodeView:
+        """The table's :class:`CodeView`, built from the stored values at first use."""
+        if self._codes is None:
+            self._codes = CodeView(self)
+        return self._codes
+
+    def expands_as(self, s: int, u: int, coeffs: dict[int, LaurentPoly]) -> bool:
+        """True only when :meth:`expand_in_kl_basis` of C_s * C_u returns exactly ``coeffs``.
+
+        Checked forward, on codes: C_u and every C_y of ``coeffs`` must be
+        unitriangular (stored h_{y,y} = 1 and no stored id above y), and
+        C_s * C_u must equal sum a_y C_y.  Then the back-substitution takes
+        the largest y left at each step, whose coordinate there is a_y,
+        and subtracts a_y C_y, so it returns ``coeffs``.  Both sides decode
+        exactly: C_s * C_u has coefficients of at most 2M, and the sum at
+        most M times the l1 norm of the a_y, which must be at most
+        2(1 + N M); each a_y is scaled by v, as the product is, so its
+        exponents must be at least -1.  False also when C_s * C_u leaves
+        a truncated table.
+        """
+        view = self.codes()
+        tri = view.unitriangular
+        if u not in tri or not tri.issuperset(coeffs):
+            return False
+        terms = [a._coeffs.items() for a in coeffs.values()]
+        weight = sum(abs(k) for t in terms for _, k in t)
+        if weight > 2 * (1 + len(self._kl) * view.top) or any(e < -1 for t in terms for e, _ in t):
+            return False
+        shift, unit = view.shift, view.unit
+        try:
+            acc = left_mul_codes(self.table, s, unit[u].items(), shift)
+        except IncompleteTableError:
+            return False
+        get = acc.get
+        for y, t in zip(coeffs, terms):
+            factor = sum(k << shift * (e + 1) for e, k in t)
+            for x, n in unit[y].items():
+                acc[x] = get(x, 0) - factor * n
+        return not any(acc.values())
+
+
+class CodeView:
+    """Every stored C_y of a :class:`KLTable` as one integer per coordinate, for checks that compare sums.
+
+    With M = max(1, largest |coefficient| stored), N the number of stored
+    elements and K = ``_code_width(M, N)``, a coordinate of a recursion
+    column, of C_s * C_u or of C_su + sum mu C_z is at most 2M(1 + N M)
+    in absolute value, below 2^(K - 1), so its code at v = 2^K holds
+    every coefficient as one balanced digit: two codes are equal exactly
+    when their polynomials are, and each decodes with
+    :func:`~klcat.hecke._digits`.  The view is built from the stored
+    values, damaged or not.
+
+    ``unit[y]`` is ``{x: code}`` for the stored C_y with h_{y,y} read as 1,
+    as :meth:`KLTable.kl_poly` reads it: each h at v = 2^K times v^offset,
+    offset = max(0, -least stored exponent), so no exponent is negative.
+    ``classical[y]`` holds the q-forms of the same coordinates
+    (:meth:`KLTable.classical`) at q = 2^K, None where h is not classical.
+    ``unitriangular`` holds the y whose stored h_{y,y} is 1 with no stored
+    id above y.
+    """
+
+    def __init__(self, kl: KLTable):
+        values = {id(h): h for elt in kl._kl.values() for h in elt.values()}
+        self.top = max([1, *(abs(c) for h in values.values() for c in h._coeffs.values())])
+        self.offset = -min([0, *(e for h in values.values() for e in h._coeffs)])
+        self.shift = shift = _code_width(self.top, len(kl._kl))
+        code = {i: _code(h, shift, self.offset) for i, h in values.items()}
+        one = 1 << shift * self.offset
+        q_code: dict[int, int] = {}  # id of a q-form (held by the table's memo) -> its code
+        classical = kl.classical
+        self.unit: dict[int, dict[int, int]] = {}
+        self.classical: dict[int, dict[int, int | None]] = {}
+        self.unitriangular: set[int] = set()
+        for y, elt in kl._kl.items():
+            unit = self.unit[y] = {x: code[id(h)] for x, h in elt.items()}
+            unit[y] = one
+            qs = self.classical[y] = {}
+            for x in elt:
+                p = classical(x, y)
+                if p is not None:
+                    n = q_code.get(id(p))
+                    if n is None:
+                        n = q_code[id(p)] = _code(p, shift)
+                    p = n
+                qs[x] = p
+            qs[y] = 1
+            if elt.get(y) == ONE and next(reversed(elt)) == y:
+                self.unitriangular.add(y)
+
 
 def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min") -> KLTable:
     """Fill a KL table for all elements of length <= ``up_to_length``.
@@ -270,9 +370,9 @@ def _code_width(top: int, count: int) -> int:
     return (2 * top * (1 + count * top)).bit_length() + 1
 
 
-def _code(h: LaurentPoly, shift: int) -> int:
-    """h evaluated at v = 2^shift, for an h with no negative exponent."""
-    return sum(c << shift * e for e, c in h._coeffs.items())
+def _code(h: LaurentPoly, shift: int, offset: int = 0) -> int:
+    """v^offset h evaluated at v = 2^shift, for an h with no exponent below -offset."""
+    return sum(c << shift * (e + offset) for e, c in h._coeffs.items())
 
 
 def to_classical(h: LaurentPoly, lx: int, lw: int) -> LaurentPoly:
@@ -306,28 +406,12 @@ def recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly]:
     stored support of C_sw, and every h_{y,y} is read as 1, so a damaged
     table gives exactly the per-x values.  Requires s to be a left
     descent of w; x absent from the result has h_{x,w} = 0 by the
-    recursion.
+    recursion.  The column is summed on codes (:func:`_v_column`) and
+    decoded here.
     """
-    table = kl.table
-    length = table.length
-    sw = _descent_neighbour(table, w, s)
-    acc: dict[int, dict[int, int]] = {}
-    # not left_mul_terms: h_{y,y} reads as 1, and an sy beyond a truncated table counts as longer
-    for y, h in _with_unit_diagonal(kl, sw):
-        try:
-            sy = mult_gen(table, y, s, "left")
-        except IncompleteTableError:
-            # sy beyond a truncated table is longer than y
-            h.add_to(acc.setdefault(y, {}), 1)
-            continue
-        h.add_to(acc.setdefault(sy, {}))
-        h.add_to(acc.setdefault(y, {}), 1 if length[sy] > length[y] else -1)
-    for z in below_with_descent(table, s, sw):
-        m = kl.mu(z, sw)
-        if m:
-            for x, h in _with_unit_diagonal(kl, z):
-                h.add_to(acc.setdefault(x, {}), 0, -m)
-    return _to_vector(acc)
+    view = kl.codes()
+    column = _v_column(kl, s, *_recursion_index(kl.table, w, s))
+    return {x: _digits(n, view.shift, view.offset + 1) for x, n in column.items() if n}
 
 
 def classical_recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly | None]:
@@ -344,61 +428,113 @@ def classical_recursion_column(kl: KLTable, w: int, s: int) -> dict[int, Laurent
     classical side (never the v-side linear coefficient or ``kl.mu``).
     These exponents are forced by substituting q = v^-2 into the v-form
     recursion; getting either sign backwards breaks the identity with
-    :func:`to_classical`.  The (z, mu, shift) list depends only on (w, s)
-    and is built once; each P is :meth:`KLTable.classical`.  An x whose
-    ingredients include a stored h_{y,z} that is not classical (wrong
-    parity, or an exponent above l(z) - l(y)) maps to None, as does every
-    x below w when a mu ingredient is one.
+    :func:`to_classical`.  Each P is :meth:`KLTable.classical`.  An x
+    whose ingredients include a stored h_{y,z} that is not classical
+    (wrong parity, or an exponent above l(z) - l(y)) maps to None, as
+    does every x below w when a mu ingredient is one.  The column is
+    summed on codes (:func:`_q_column`) and decoded here.
+    """
+    column, undefined = _q_column(kl, w, s, *_recursion_index(kl.table, w, s))
+    shift = kl.codes().shift
+    out: dict[int, LaurentPoly | None] = {}
+    for x in bruhat_interval(kl.table, w):
+        if x == w:
+            out[x] = ONE
+        elif undefined is None or x in undefined:
+            out[x] = None
+        else:
+            out[x] = _digits(column.get(x, 0), shift, 0)
+    return out
+
+
+def recursion_columns_hold(kl: KLTable, w: int, s: int) -> bool:
+    """True only when both recursion columns of (w, s) equal C_w at every x.
+
+    Compared on codes: the v-column with the stored C_w, h_{w,w} read as
+    1, and the q-column with its q-forms, every ingredient defined.  Each
+    column is compared over all its coordinates, not only the stored x or
+    [e, w], so False may also mean that every x still agrees; a caller
+    then compares the decoded columns x by x.
+    """
+    view = kl.codes()
+    shift = view.shift
+    sw, below = _recursion_index(kl.table, w, s)
+    column = _v_column(kl, s, sw, below)
+    if {x: n for x, n in column.items() if n} != {x: n << shift for x, n in view.unit[w].items()}:
+        return False
+    column, undefined = _q_column(kl, w, s, sw, below)
+    return undefined == set() and {x: n for x, n in column.items() if n} == view.classical[w]
+
+
+def _recursion_index(table: GroupTable, w: int, s: int) -> tuple[int, list[int]]:
+    """sw and the recursion's index set {z : sz < z < sw}, for s a left descent of w."""
+    if s not in descents(table, w, "left"):
+        raise ValueError(f"s{s + 1} is not a left descent of {table.names[w]}")
+    sw = mult_gen(table, w, s, "left")
+    return sw, below_with_descent(table, s, sw)
+
+
+def _v_column(kl: KLTable, s: int, sw: int, below: list[int]) -> dict[int, int]:
+    """v times the v-form column of (w, s), on the codes of :meth:`KLTable.codes`.
+
+    :func:`~klcat.hecke.left_mul_codes` of the codes of C_sw, h_{sw,sw}
+    read as 1 and an sy beyond a truncated table read as longer, minus
+    ``(mu << K) * code`` over the codes of each C_z.
+    """
+    view = kl.codes()
+    unit, shift, upper = view.unit, view.shift, kl.kl_element(sw)
+    acc = left_mul_codes(kl.table, s, unit[sw].items(), shift, beyond_longer=True)
+    get = acc.get
+    for z in below:
+        m = upper.get(z, ZERO).coefficient(1)  # mu(z, sw)
+        if m:
+            g = m << shift
+            for x, n in unit[z].items():
+                acc[x] = get(x, 0) - g * n
+    return acc
+
+
+def _q_column(kl: KLTable, w: int, s: int, sw: int, below: list[int]) -> tuple[dict[int, int], set[int] | None]:
+    """The q-form column of (w, s) on the q-form codes of :meth:`KLTable.codes`, and its undefined x.
+
+    The same sum as :func:`_v_column` on the q-forms, z-major over each
+    C_z's stored support: C_s's step adds a code at y and at sy, times q
+    when sy is shorter.  The x whose ingredients include a None come back
+    as a set, or None for every x when a mu ingredient is None.  Only the
+    coordinates in [e, w] are the column's.
     """
     table = kl.table
-    length = table.length
-    sw = _descent_neighbour(table, w, s)
-    p = kl.classical
-    terms: list[tuple[int, int, int]] | None = []
-    for z in below_with_descent(table, s, sw):
+    length, left = table.length, table._left
+    view = kl.codes()
+    classical, shift = view.classical, view.shift
+    acc: dict[int, int] = {}
+    get = acc.get
+    undefined: set[int] = set()
+    for y, n in classical[sw].items():
+        sy = left[y][s]
+        if n is None:
+            undefined.update((y,) if sy is None else (y, sy))
+        elif sy is not None:  # an sy beyond the table puts y beyond [e, w]
+            if length[sy] < length[y]:
+                n <<= shift
+            acc[y] = get(y, 0) + n
+            acc[sy] = get(sy, 0) + n
+    for z in below:
         exp = length[sw] - length[z] - 1
         if exp % 2 != 0:
             continue
-        pz = p(z, sw)
+        pz = kl.classical(z, sw)
         if pz is None:
-            terms = None
-            break
+            return acc, None
         m = pz.coefficient(exp // 2)
         if m:
-            terms.append((z, m, (length[w] - length[z]) // 2))
-    column: dict[int, LaurentPoly | None] = {}
-    for x in bruhat_interval(table, w):
-        if x == w:
-            column[x] = ONE
-            continue
-        column[x] = None
-        if terms is None:
-            continue
-        sx = mult_gen(table, x, s, "left")  # x < w keeps sx within any stored bound
-        c = 0 if length[sx] > length[x] else 1
-        parts = [(p(sx, sw), 1 - c, 1), (p(x, sw), c, 1)]
-        parts += [(p(x, z), k, -m) for z, m, k in terms]
-        if all(q is not None for q, _, _ in parts):
-            acc: dict[int, int] = {}
-            for q, k, m in parts:
-                q.add_to(acc, k, m)
-            column[x] = LaurentPoly(acc)
-    return column
-
-
-def _descent_neighbour(table: GroupTable, w: int, s: int) -> int:
-    """sw, for s a left descent of w."""
-    if s not in descents(table, w, "left"):
-        raise ValueError(f"s{s + 1} is not a left descent of {table.names[w]}")
-    return mult_gen(table, w, s, "left")
-
-
-def _with_unit_diagonal(kl: KLTable, z: int):
-    """The (x, h_{x,z}) pairs of the stored C_z, with h_{z,z} read as 1 as ``kl_poly`` does."""
-    yield z, ONE
-    for x, h in kl.kl_element(z).items():
-        if x != z:
-            yield x, h
+            k = shift * ((length[w] - length[z]) // 2)
+            for x, n in classical[z].items():
+                if n is None:
+                    undefined.add(x)
+                else:
+                    acc[x] = get(x, 0) - (m * n << k)
+    return acc, undefined
 
 
 # -- export and cache ------------------------------------------------------

@@ -48,10 +48,16 @@ Suites:
   * ``kl``        - KL basis invariants and the two single-step recursions
                     against the defining algorithm, each recursion
                     evaluated once per (w, s) for every x.  A sink that
-                    keeps no passes (the text report) walks only the live
-                    x, those in either column or the stored C_w, and w;
-                    every other x passes both records by construction and
-                    is counted in bulk with :meth:`Sink.add_passes`;
+                    keeps no passes (the text report) compares both
+                    columns with C_w as integer codes and counts an
+                    (w, s) that holds in bulk with :meth:`Sink.add_passes`;
+                    otherwise, and in every sink that keeps passes, the
+                    decoded columns are walked, the text report walking
+                    only the live x (those in either column or the stored
+                    C_w, and w).  The bar and the structure constants of
+                    C_s C_u are checked on codes too, the latter forward
+                    against their expected value, so a passing run
+                    builds no polynomial for them;
   * ``leaves``    - leaf characters against Hecke coefficients (the
                     left-to-right walk, :func:`~klcat.leaves.character_map`,
                     against the kept characters, the chain product),
@@ -82,13 +88,14 @@ from .coxeter import (
     mult_gen,
     word_name,
 )
-from .hecke import bar_involution
+from .hecke import bar_invariant
 from .kl import (
     KLTable,
     _encode,  # canonical_json's encoder, without the newline
     classical_recursion_column,
     compute_kl,
     recursion_column,
+    recursion_columns_hold,
 )
 from .laurent import LaurentPoly, ONE, ZERO
 from .leaves import character_map
@@ -275,18 +282,21 @@ class JsonStream(Sink):
 def _kl_element_checks(kl: KLTable, w: int, stored: list[int], sink: Sink) -> None:
     """The per-element invariants of C_w and both recursions at every left descent s of w.
 
-    The recursion records come per stored x.  An x in neither column nor
-    the stored C_w, and not w itself (``kl_poly(w, w)`` reads 1 even when
-    h_{w,w} is not stored), reads ``ZERO`` on all four sides, so it passes
-    both records: a sink that keeps no passes walks only the other x and
-    counts these in bulk.  The stored side of a q record is
+    The recursion records come per stored x.  A sink that keeps no passes
+    first asks :func:`~klcat.kl.recursion_columns_hold`, which compares
+    both columns with C_w as integer codes, and counts every record of an
+    (w, s) that holds in bulk.  Otherwise the decoded columns are walked:
+    an x in neither column nor the stored C_w, and not w itself
+    (``kl_poly(w, w)`` reads 1 even when h_{w,w} is not stored), reads
+    ``ZERO`` on all four sides, so it passes both records, and that sink
+    walks only the other x.  The stored side of a q record is
     :meth:`~klcat.kl.KLTable.classical`, converted once per table.
     """
     table = kl.table
     length, names = table.length, table.names
     elt = kl.kl_element(w)
     name = names[w]
-    sink("bar_invariance", name, bar_involution(table, elt) == elt, ("bar(C_w)", "C_w"), None)
+    sink("bar_invariance", name, bar_invariant(table, elt), ("bar(C_w)", "C_w"), None)
     sink("positive_degrees", name, all(c.in_positive_part() for x, c in elt.items() if x != w))
     parity_ok = all(
         all((e - (length[w] - length[x])) % 2 == 0 for e in c.exponents())
@@ -296,6 +306,10 @@ def _kl_element_checks(kl: KLTable, w: int, stored: list[int], sink: Sink) -> No
     sink("positivity", name, all(c.is_nonnegative() for _, c in elt.items()))
     sink("kl_support", name, elt.get(w) == ONE and tuple(elt) == bruhat_interval(table, w))
     for s in descents(table, w, "left"):
+        if not sink.keeps_passes and recursion_columns_hold(kl, w, s):
+            sink.add_passes("recursion_agreement", len(stored))
+            sink.add_passes("classical_recursion_agreement", len(stored))
+            continue
         column = recursion_column(kl, w, s)
         columnq = classical_recursion_column(kl, w, s)
         label = f"s{s + 1}"
@@ -326,7 +340,12 @@ def _mu_structure_checks(kl: KLTable, u: int, sink: Sink) -> None:
     elsewhere (without the descent condition the identity is false: for
     instance C_s C_t = C_st although mu(e,t) = 1).  Where C_s * C_u has no
     KL-basis expansion, both records fail and the product renders as
-    ``undefined``."""
+    ``undefined``.
+
+    The expected expansion, or (v + v^-1) C_u when su < u, is checked
+    forward first (:meth:`~klcat.kl.KLTable.expands_as`); when it holds it
+    is the structure constants, and only otherwise are they computed by
+    back-substitution."""
     table = kl.table
     length = table.length
     name = table.names[u]
@@ -338,18 +357,25 @@ def _mu_structure_checks(kl: KLTable, u: int, sink: Sink) -> None:
             continue
         if length[su] > kl.complete_up_to:
             continue
-        try:
-            sc = kl.structure_constants(s, u)
-        except ValueError:  # C_s C_u has no KL-basis expansion: a damaged table
-            sc = None
-        label = f"s{s + 1}"
-        sink("structure_positivity", name, sc is not None and all(c.is_nonnegative() for c in sc.values()), s=label)
-        if length[su] > length[u]:
+        ascending = length[su] > length[u]
+        if ascending:
             expected: dict[int, LaurentPoly] = {su: LaurentPoly({0: 1})}
             for z in below_with_descent(table, s, su):
                 m = kl.mu(z, u)
                 if m:
                     expected[z] = LaurentPoly({0: m})
+        else:
+            expected = {u: LaurentPoly({-1: 1, 1: 1})}  # C_s C_u = (v + v^-1) C_u
+        if kl.expands_as(s, u, expected):
+            sc = expected
+        else:
+            try:
+                sc = kl.structure_constants(s, u)
+            except ValueError:  # C_s C_u has no KL-basis expansion: a damaged table
+                sc = None
+        label = f"s{s + 1}"
+        sink("structure_positivity", name, sc is not None and all(c.is_nonnegative() for c in sc.values()), s=label)
+        if ascending:
             sink("mu_structure_constants", name, sc == expected, (sc, expected), render, s=label)
 
 

@@ -752,21 +752,6 @@ def expand_in_kl_basis(kl, h):
     return dict(sorted(out.items()))
 
 
-class _OracleStructureConstants:
-    """A KL table whose ``structure_constants`` come from :func:`expand_in_kl_basis`."""
-
-    def __init__(self, kl):
-        self._kl = kl
-
-    def __getattr__(self, name):
-        return getattr(self._kl, name)
-
-    def structure_constants(self, s, u):
-        from klcat.hecke import left_mul_kl
-
-        return expand_in_kl_basis(self._kl, left_mul_kl(self._kl.table, s, self._kl.kl_element(u)))
-
-
 def record(identity, word, ok, lhs="", rhs="", **extra):
     """A record in ``pass``-after-``word`` key order, sides (when given) as text, then the spot keys."""
     rec = {"identity": identity, "word": word, "pass": ok}
@@ -780,18 +765,59 @@ def record(identity, word, ok, lhs="", rhs="", **extra):
 def kl_suite_records(kl):
     """The ``kl`` suite's records, element by element and x by x through the oracles above.
 
-    The per-element checks are :func:`kl_element_records`; the
-    mu-structure records are shaped by ``verify`` (unchanged) from oracle
-    structure constants.
+    The per-element checks are :func:`kl_element_records` and the
+    structure records :func:`mu_structure_records`; only the closing
+    descent-choice record is shaped by ``verify``.
     """
     from klcat import verify
 
-    shim = _OracleStructureConstants(kl)
     shaped = verify.RecordList()
-    for u in kl.stored_elements():
-        verify._mu_structure_checks(shim, u, shaped)
     verify._descent_choice_check(kl.table, kl, shaped)
-    return kl_element_records(kl) + shaped.records
+    return kl_element_records(kl) + mu_structure_records(kl) + shaped.records
+
+
+def mu_structure_records(kl):
+    """The ``kl`` suite's structure records, every C_s * C_u expanded by :func:`expand_in_kl_basis`.
+
+    C_s * C_u is H_s C_u + v C_u.  Where it has no expansion, its records
+    fail and render ``undefined``.  For su > u the expected expansion is
+    1 at su and mu(z, u) at each z < su (Bruhat order by the lifting
+    recursion) with s a left descent of z and mu nonzero, read off the
+    stored C_u.
+    """
+    from klcat.coxeter import IncompleteTableError
+    from klcat.laurent import V
+
+    table = kl.table
+    length, names = table.length, table.names
+    records = []
+    for u in kl.stored_elements():
+        cu = kl.kl_element(u)
+        for s in range(table.rank):
+            try:
+                su = mult_gen(table, u, s, "left")
+            except IncompleteTableError:
+                continue
+            if length[su] > kl.complete_up_to:
+                continue
+            try:
+                sc = expand_in_kl_basis(kl, add(left_mul_std(table, s, cu), scale(cu, V)))
+            except ValueError:
+                sc = None
+            label = f"s{s + 1}"
+            positive = sc is not None and all(c.is_nonnegative() for c in sc.values())
+            records.append(record("structure_positivity", names[u], positive, s=label))
+            if length[su] > length[u]:
+                expected = {su: ONE}
+                for z in cu:
+                    m = kl.kl_poly(z, u).coefficient(1)
+                    if m and z != su and s in descents(table, z, "left") and bruhat_leq(table, z, su):
+                        expected[z] = LaurentPoly({0: m})
+                lhs = "undefined" if sc is None else _vec_render(table, sc)
+                records.append(
+                    record("mu_structure_constants", names[u], sc == expected, lhs, _vec_render(table, expected), s=label)
+                )
+    return records
 
 
 def kl_element_records(kl):

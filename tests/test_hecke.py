@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, mult_gen, preset_matrix
-from klcat.hecke import _digits, bar_involution, bott_samelson_class, left_mul_codes, left_mul_kl, left_mul_terms
+from klcat.hecke import (
+    _digits,
+    bar_invariant,
+    bar_involution,
+    bott_samelson_class,
+    left_mul_codes,
+    left_mul_kl,
+    left_mul_terms,
+)
 from klcat.laurent import LaurentPoly, ONE, V, V_INV, v_power
 
 import oracles
@@ -162,6 +170,7 @@ def test_bar_matches_oracle(ladder, name):
     # oracle on every C_w takes 22 s on B4)
     for u in kl.stored_elements():
         assert bar_involution(table, kl.kl_element(u)) == kl.kl_element(u)
+        assert bar_invariant(table, kl.kl_element(u))
 
 
 # coefficients up to 10^40 in absolute value, exponents in [-40, 40]
@@ -181,6 +190,9 @@ def test_bar_kernel_on_big_coefficients(ladder, name, data):
     image = bar_involution(table, h)
     assert image == oracles.bar_involution(table, h)
     assert bar_involution(table, image) == h
+    # the codes decide invariance as the decoded image does; h + bar(h) is invariant
+    assert bar_invariant(table, h) == (image == h)
+    assert bar_invariant(table, add(h, image))
     assert vars(table) == before
 
 
@@ -227,6 +239,14 @@ def test_integer_step_matches_left_mul_terms(ladder, name):
                 beyond += 1
                 with pytest.raises(IncompleteTableError):
                     left_mul_codes(table, s, pairs, shift)
+                # the one-step recursion's reading: an sx beyond the table is longer than x
+                inside = [(x, h) for x, h in elt.items() if table._left[x][s] is not None]
+                want = left_mul_terms(table, s, inside)
+                for x, h in elt.items():
+                    if table._left[x][s] is None:
+                        h.add_to(want.setdefault(x, {}), 1)
+                got = left_mul_codes(table, s, pairs, shift, beyond_longer=True)
+                assert {x: _digits(n, shift, 1) for x, n in got.items()} == {x: LaurentPoly(d) for x, d in want.items()}
                 continue
             want = {x: LaurentPoly(d) for x, d in left_mul_terms(table, s, elt.items()).items()}
             assert {x: _digits(n, shift, 1) for x, n in left_mul_codes(table, s, pairs, shift).items()} == want

@@ -224,7 +224,20 @@ def test_expansion_rejects_a_non_unit_diagonal(a2, diagonal):
         expand_in_kl_basis(kl, left_mul_kl(a2, 0, {a2.identity: ONE}))
 
 
-def test_expansion_rejects_a_coordinate_that_feeds_back(a3):
+def _counted_expansions(monkeypatch) -> Counter:
+    """Count the calls of ``KLTable.expand_in_kl_basis`` from now on, under the key None."""
+    calls = Counter()
+    original = klcat.kl.KLTable.expand_in_kl_basis
+
+    def counted(self, h):
+        calls[None] += 1
+        return original(self, h)
+
+    monkeypatch.setattr(klcat.kl.KLTable, "expand_in_kl_basis", counted)
+    return calls
+
+
+def test_expansion_rejects_a_coordinate_that_feeds_back(monkeypatch, a3):
     # C_{s1.s2} stored with v at s1.s2.s3: clearing s1.s2 feeds s1.s2.s3, and
     # clearing s1.s2.s3 feeds s1.s2 again, so the back-substitution never ends
     s2, s1s2, s1s2s3 = (evaluate_word(a3, word) for word in ((1,), (0, 1), (0, 1, 2)))
@@ -234,12 +247,26 @@ def test_expansion_rejects_a_coordinate_that_feeds_back(a3):
         kl.expand_in_kl_basis(left_mul_kl(a3, 0, kl.kl_element(s2)))
     with pytest.raises(ValueError, match=r"s1\.s2 comes up for clearing twice"):
         expand_in_kl_basis(kl, left_mul_kl(a3, 0, kl.kl_element(s2)))
-    # the kl suite fails the structure records of that product and goes on
+    # the kl suite fails the structure records of that product and goes on; the
+    # forward check cannot prove those products, so the back-substitution runs
+    expansions = _counted_expansions(monkeypatch)
     records = run_suite(kl, "kl")["records"]
+    assert expansions[None] >= 1
     undefined = [r for r in records if r.get("lhs") == "undefined" and r["identity"] == "mu_structure_constants"]
     assert ("s2", "s1") in {(r["word"], r["s"]) for r in undefined}
     assert not any(r["pass"] for r in undefined)
     assert records == kl_suite_records(kl)
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_kl_suite_expands_no_product_of_an_intact_table(monkeypatch, ladder, name):
+    # work-count guard: every C_s * C_u of an intact table equals its expected sum of
+    # unitriangular C_y as codes, so no structure constant goes through the back-substitution
+    table, _ = ladder(name)
+    kl = compute_kl(table, table.complete_length)  # a fresh table, no structure constant memoized
+    expansions = _counted_expansions(monkeypatch)
+    assert run_suite(kl, "kl", FailRecords())["pass"]
+    assert expansions[None] == 0
 
 
 def test_kl_support_fails_on_a_coordinate_not_below_w(a3):
@@ -447,28 +474,34 @@ def test_a_coordinate_outside_the_interval_matches_oracle_in_both_formats(monkey
 
 
 def test_text_sink_is_called_once_per_live_check(monkeypatch, ladder):
-    # on an intact table the live x of (w, s) are [e, w]: both columns and C_w are supported there
+    # on an intact table both columns of every (w, s) equal C_w as codes, so no x is live:
+    # the text sink takes no recursion record and counts them all in bulk, while the
+    # pass-keeping sink still takes one call per stored x
     table, kl = ladder("A4")
-    stored = kl.stored_elements()
-    live = sum(len(bruhat_interval(table, w)) * len(descents(table, w, "left")) for w in stored[1:])
-    calls = Counter()
-    original = Sink.__call__
+    calls, bulk = Counter(), Counter()
+    original_call, original_add = Sink.__call__, Sink.add_passes
 
     def counted(self, identity, *args, **kwargs):
         calls[identity] += 1
-        return original(self, identity, *args, **kwargs)
+        return original_call(self, identity, *args, **kwargs)
+
+    def added(self, identity, n):
+        bulk[identity] += n
+        return original_add(self, identity, n)
 
     monkeypatch.setattr(Sink, "__call__", counted)
+    monkeypatch.setattr(Sink, "add_passes", added)
     recursion = ("recursion_agreement", "classical_recursion_agreement")
     for sink in (FailRecords(), RecordList()):
         calls.clear()
+        bulk.clear()
         run_suite(kl, "kl", sink)
         for identity, counts in sink.summary().items():
-            walked = live if identity in recursion and not sink.keeps_passes else counts["pass"] + counts["fail"]
+            walked = 0 if identity in recursion and not sink.keeps_passes else counts["pass"] + counts["fail"]
             assert calls[identity] == walked, identity
-    # 57,600 recursion records, 17,840 of them walked in text mode
-    assert 2 * live == 17_840
-    assert sum(calls[identity] for identity in recursion) == 57_600
+            assert calls[identity] + bulk[identity] == counts["pass"] + counts["fail"], identity
+        assert sum(calls[identity] + bulk[identity] for identity in recursion) == 57_600
+        assert sum(bulk[identity] for identity in recursion) == (0 if sink.keeps_passes else 57_600)
     assert sum(calls.values()) == len(sink)  # the pass-keeping sink, run last
 
 
