@@ -29,7 +29,9 @@ H_t^-1 at most triples the l1 norm of an element, which bounds every
 coefficient of the image, and K is chosen above that bound, so the
 integers decode exactly into their polynomials as balanced base-2^K digits.
 :func:`bar_invariant` compares those integers with the element's own
-codes and decodes nothing.
+codes and decodes nothing.  The ``kl`` suite walks the bar only for the
+C_w that its recursion does not prove bar-invariant (see
+:func:`~klcat.kl.v_column_holds`): none on an intact table.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ def bar_invariant(table: GroupTable, h: dict[int, LaurentPoly]) -> bool:
     with an exponent below -m is not bar-invariant.  K bounds the l1 norm
     of h as well as every coefficient of bar(h), so both sides are
     balanced digit expansions and their codes are equal exactly when they
-    are.
+    are.  This is the slow path of the ``kl`` suite's bar records, whose
+    proof from the recursion must give the same verdict.
     """
     if not h:
         return True

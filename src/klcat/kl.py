@@ -23,7 +23,10 @@ verification suites:
     :func:`~klcat.coxeter.below_with_descent`, on the integer codes of
     the table's :class:`CodeView`, and decode the sum;
     :func:`recursion_columns_hold` compares both sums with C_w without
-    decoding them.
+    decoding them, and :func:`v_column_holds` is its v half.  The v-form
+    recursion is also the classical proof that C_w is bar-invariant
+    (Kazhdan-Lusztig 1979), so the ``kl`` suite decides its bar records
+    from the v half's verdict and the :class:`CodeView`'s ``proven`` set.
 
 Classical polynomials in q are related by h_{x,w}(v) = v^(l(w)-l(x)) P_{x,w}(v^-2),
 and mu(z,w) is the linear coefficient of h_{z,w}; :meth:`KLTable.classical`
@@ -258,7 +261,11 @@ class CodeView:
     ``classical[y]`` holds the q-forms of the same coordinates
     (:meth:`KLTable.classical`) at q = 2^K, None where h is not classical.
     ``unitriangular`` holds the y whose stored h_{y,y} is 1 with no stored
-    id above y.
+    id above y.  ``proven`` holds the unitriangular y whose stored C_y is
+    known to be bar-invariant: e when the stored C_e is exactly {e: 1},
+    and each w whose ``bar_invariance`` record the ``kl`` suite has passed,
+    in id order, by :func:`v_column_holds` over proven C_y or by the walk
+    of :func:`~klcat.hecke.bar_invariant`.
     """
 
     def __init__(self, kl: KLTable):
@@ -273,6 +280,8 @@ class CodeView:
         self.unit: dict[int, dict[int, int]] = {}
         self.classical: dict[int, dict[int, int | None]] = {}
         self.unitriangular: set[int] = set()
+        e = kl.table.identity
+        self.proven: set[int] = {e} if kl._kl.get(e) == {e: ONE} else set()
         for y, elt in kl._kl.items():
             unit = self.unit[y] = {x: code[id(h)] for x, h in elt.items()}
             unit[y] = one
@@ -410,7 +419,7 @@ def recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly]:
     decoded here.
     """
     view = kl.codes()
-    column = _v_column(kl, s, *_recursion_index(kl.table, w, s))
+    column, _ = _v_column(kl, s, *_recursion_index(kl.table, w, s))
     return {x: _digits(n, view.shift, view.offset + 1) for x, n in column.items() if n}
 
 
@@ -447,23 +456,39 @@ def classical_recursion_column(kl: KLTable, w: int, s: int) -> dict[int, Laurent
     return out
 
 
-def recursion_columns_hold(kl: KLTable, w: int, s: int) -> bool:
+def recursion_columns_hold(kl: KLTable, w: int, s: int, v_holds: bool) -> bool:
     """True only when both recursion columns of (w, s) equal C_w at every x.
 
     Compared on codes: the v-column with the stored C_w, h_{w,w} read as
-    1, and the q-column with its q-forms, every ingredient defined.  Each
-    column is compared over all its coordinates, not only the stored x or
-    [e, w], so False may also mean that every x still agrees; a caller
-    then compares the decoded columns x by x.
+    1, whose verdict the caller has from :func:`v_column_holds` and
+    passes as ``v_holds``, and the q-column, summed here, with its
+    q-forms, every ingredient defined.  Each column is compared over all
+    its coordinates, not only the stored x or [e, w], so False may also
+    mean that every x still agrees; a caller then compares the decoded
+    columns x by x.
+    """
+    if not v_holds:
+        return False
+    column, undefined = _q_column(kl, w, s, *_recursion_index(kl.table, w, s))
+    return undefined == set() and {x: n for x, n in column.items() if n} == kl.codes().classical[w]
+
+
+def v_column_holds(kl: KLTable, w: int, s: int) -> tuple[bool, list[int]]:
+    """Whether the v-form column of (w, s) equals C_w on codes, and the stored C_y the column reads.
+
+    The first half of :func:`recursion_columns_hold`.  The C_y are sw and
+    each z of the correction sum with mu(z, sw) != 0.  When the column
+    holds and those C_y are unitriangular and bar-invariant, C_w is
+    bar-invariant too, as C_s and the integers mu are: the column is then
+    the true Hecke product, since no sy of a unitriangular C_sw or C_z
+    leaves the table, and the view's K makes equal codes equal
+    polynomials.  The ``kl`` suite proves its bar records so.
     """
     view = kl.codes()
-    shift = view.shift
     sw, below = _recursion_index(kl.table, w, s)
-    column = _v_column(kl, s, sw, below)
-    if {x: n for x, n in column.items() if n} != {x: n << shift for x, n in view.unit[w].items()}:
-        return False
-    column, undefined = _q_column(kl, w, s, sw, below)
-    return undefined == set() and {x: n for x, n in column.items() if n} == view.classical[w]
+    column, terms = _v_column(kl, s, sw, below)
+    holds = {x: n for x, n in column.items() if n} == {x: n << view.shift for x, n in view.unit[w].items()}
+    return holds, [sw, *terms]
 
 
 def _recursion_index(table: GroupTable, w: int, s: int) -> tuple[int, list[int]]:
@@ -474,24 +499,26 @@ def _recursion_index(table: GroupTable, w: int, s: int) -> tuple[int, list[int]]
     return sw, below_with_descent(table, s, sw)
 
 
-def _v_column(kl: KLTable, s: int, sw: int, below: list[int]) -> dict[int, int]:
-    """v times the v-form column of (w, s), on the codes of :meth:`KLTable.codes`.
+def _v_column(kl: KLTable, s: int, sw: int, below: list[int]) -> tuple[dict[int, int], list[int]]:
+    """v times the v-form column of (w, s), on the codes of :meth:`KLTable.codes`, and the z it subtracts.
 
     :func:`~klcat.hecke.left_mul_codes` of the codes of C_sw, h_{sw,sw}
     read as 1 and an sy beyond a truncated table read as longer, minus
-    ``(mu << K) * code`` over the codes of each C_z.
+    ``(mu << K) * code`` over the codes of each C_z with mu(z, sw) != 0.
     """
     view = kl.codes()
     unit, shift, upper = view.unit, view.shift, kl.kl_element(sw)
     acc = left_mul_codes(kl.table, s, unit[sw].items(), shift, beyond_longer=True)
     get = acc.get
+    terms = []
     for z in below:
         m = upper.get(z, ZERO).coefficient(1)  # mu(z, sw)
         if m:
+            terms.append(z)
             g = m << shift
             for x, n in unit[z].items():
                 acc[x] = get(x, 0) - g * n
-    return acc
+    return acc, terms
 
 
 def _q_column(kl: KLTable, w: int, s: int, sw: int, below: list[int]) -> tuple[dict[int, int], set[int] | None]:

@@ -54,10 +54,12 @@ Suites:
                     otherwise, and in every sink that keeps passes, the
                     decoded columns are walked, the text report walking
                     only the live x (those in either column or the stored
-                    C_w, and w).  The bar and the structure constants of
-                    C_s C_u are checked on codes too, the latter forward
-                    against their expected value, so a passing run
-                    builds no polynomial for them;
+                    C_w, and w).  The bar record of a unitriangular C_w
+                    is proved from its v-form recursion over C_y already
+                    proved, in id order, and the bar is walked only where
+                    that fails.  The structure constants of C_s C_u are
+                    checked forward on codes against their expected
+                    value, so a passing run builds no polynomial for them;
   * ``leaves``    - leaf characters against Hecke coefficients (the
                     left-to-right walk, :func:`~klcat.leaves.character_map`,
                     against the kept characters, the chain product),
@@ -96,6 +98,7 @@ from .kl import (
     compute_kl,
     recursion_column,
     recursion_columns_hold,
+    v_column_holds,
 )
 from .laurent import LaurentPoly, ONE, ZERO
 from .leaves import character_map
@@ -282,21 +285,38 @@ class JsonStream(Sink):
 def _kl_element_checks(kl: KLTable, w: int, stored: list[int], sink: Sink) -> None:
     """The per-element invariants of C_w and both recursions at every left descent s of w.
 
+    The v-column of each (w, s) is compared with C_w once, on codes
+    (:func:`~klcat.kl.v_column_holds`).  The bar record is decided by
+    induction in id order: a unitriangular C_w passes it unwalked when
+    the v-column of some s holds and reads only C_y in the code view's
+    ``proven`` set, since the recursion then writes C_w as C_s C_sw minus
+    integer multiples of bar-invariant C_z.  Otherwise
+    :func:`~klcat.hecke.bar_invariant` walks the bar, as the slow path
+    whose verdict the proof equals.  A unitriangular w that passes joins
+    ``proven``.
+
     The recursion records come per stored x.  A sink that keeps no passes
-    first asks :func:`~klcat.kl.recursion_columns_hold`, which compares
-    both columns with C_w as integer codes, and counts every record of an
-    (w, s) that holds in bulk.  Otherwise the decoded columns are walked:
-    an x in neither column nor the stored C_w, and not w itself
-    (``kl_poly(w, w)`` reads 1 even when h_{w,w} is not stored), reads
-    ``ZERO`` on all four sides, so it passes both records, and that sink
-    walks only the other x.  The stored side of a q record is
-    :meth:`~klcat.kl.KLTable.classical`, converted once per table.
+    asks :func:`~klcat.kl.recursion_columns_hold`, with the v verdict, and
+    counts every record of an (w, s) that holds in bulk.  Otherwise the
+    decoded columns are walked: an x in neither column nor the stored
+    C_w, and not w itself (``kl_poly(w, w)`` reads 1 even when h_{w,w} is
+    not stored), reads ``ZERO`` on all four sides, so it passes both
+    records, and that sink walks only the other x.  The stored side of a
+    q record is :meth:`~klcat.kl.KLTable.classical`, converted once per
+    table.
     """
     table = kl.table
     length, names = table.length, table.names
     elt = kl.kl_element(w)
     name = names[w]
-    sink("bar_invariance", name, bar_invariant(table, elt), ("bar(C_w)", "C_w"), None)
+    view = kl.codes()
+    held = {s: v_column_holds(kl, w, s) for s in descents(table, w, "left")}
+    triangular = w in view.unitriangular
+    proved = triangular and any(holds and view.proven.issuperset(reads) for holds, reads in held.values())
+    bar_ok = proved or bar_invariant(table, elt)
+    if bar_ok and triangular:
+        view.proven.add(w)
+    sink("bar_invariance", name, bar_ok, ("bar(C_w)", "C_w"), None)
     sink("positive_degrees", name, all(c.in_positive_part() for x, c in elt.items() if x != w))
     parity_ok = all(
         all((e - (length[w] - length[x])) % 2 == 0 for e in c.exponents())
@@ -305,8 +325,8 @@ def _kl_element_checks(kl: KLTable, w: int, stored: list[int], sink: Sink) -> No
     sink("exponent_parity", name, parity_ok)
     sink("positivity", name, all(c.is_nonnegative() for _, c in elt.items()))
     sink("kl_support", name, elt.get(w) == ONE and tuple(elt) == bruhat_interval(table, w))
-    for s in descents(table, w, "left"):
-        if not sink.keeps_passes and recursion_columns_hold(kl, w, s):
+    for s, (holds, _) in held.items():
+        if not sink.keeps_passes and recursion_columns_hold(kl, w, s, holds):
             sink.add_passes("recursion_agreement", len(stored))
             sink.add_passes("classical_recursion_agreement", len(stored))
             continue

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import klcat.cli
+import klcat.hecke
 import klcat.kl
 from klcat.coxeter import (
     IncompleteTableError,
@@ -16,7 +17,7 @@ from klcat.coxeter import (
     mult_gen,
     preset_matrix,
 )
-from klcat.hecke import _to_vector, bar_involution, left_mul_kl
+from klcat.hecke import _to_vector, bar_invariant, bar_involution, left_mul_kl
 from klcat.kl import (
     CacheMismatchError,
     canonical_json,
@@ -49,7 +50,7 @@ from oracles import (
     satisfies_kl_conditions,
     scale,
 )
-from test_verify import text_report
+from test_verify import DAMAGED, DAMAGED_IDS, text_report
 
 
 def test_first_kl_elements(a2, kl_a2):
@@ -267,6 +268,99 @@ def test_kl_suite_expands_no_product_of_an_intact_table(monkeypatch, ladder, nam
     expansions = _counted_expansions(monkeypatch)
     assert run_suite(kl, "kl", FailRecords())["pass"]
     assert expansions[None] == 0
+
+
+def _counted_bar_walks(monkeypatch) -> list:
+    """The elements whose bar ``hecke._bar_codes`` walks from now on, in call order."""
+    walked = []
+    original = klcat.hecke._bar_codes
+
+    def counted(table, h):
+        walked.append(h)
+        return original(table, h)
+
+    monkeypatch.setattr(klcat.hecke, "_bar_codes", counted)
+    return walked
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_kl_suite_walks_no_bar_of_an_intact_table(monkeypatch, ladder, name):
+    # work-count guard: every C_w of an intact table is proved bar-invariant from its
+    # recursion over C_y already proved, in id order, so the bar is never walked
+    table, _ = ladder(name)
+    kl = compute_kl(table, table.complete_length)  # a fresh code view: only e is proved
+    walked = _counted_bar_walks(monkeypatch)
+    assert run_suite(kl, "kl", FailRecords())["pass"]
+    assert walked == []
+    assert kl.codes().proven == set(kl.stored_elements())
+
+
+# B3: s2.s3.s2 has the one left descent s2, and its recursion is C_s2 C_{s3.s2} - C_s2,
+# as mu(s2, s3.s2) = 1; C_s2 gets a term that breaks its bar-invariance, and
+# C_{s2.s3.s2} is intact
+CORRECTION_TERM_DAMAGE = ("B3", (1,), (), lambda c: c + v_power(3))
+
+# case -> (group, w, x, change of h_{x,w}, the word whose C_w is then reset to its recursion
+# column, so that the v-column holds there but reads a damaged C_y)
+EXTRA_BAR_CASES = {
+    "B3-s2-correction-term": (*CORRECTION_TERM_DAMAGE, None),
+    "B3-s2-carried-up": (*CORRECTION_TERM_DAMAGE, (1, 2, 1)),
+    "B3-s3s2-carried-up": ("B3", (2, 1), (), lambda c: c + v_power(3), (1, 2, 1)),
+    # the column reads h_{w,w} as 1
+    "A3-s1s2-diagonal": ("A3", (0, 1), (0, 1), lambda c: c * 2, None),
+}
+
+
+def _bar_case(ladder, case):
+    """A fresh KL table, nothing above e proved: a LADDER rung, a ``DAMAGED`` table or an ``EXTRA_BAR_CASES`` one."""
+    if case in LADDER:
+        table, _ = ladder(case)
+        return compute_kl(table, table.complete_length)
+    if case in EXTRA_BAR_CASES:
+        group, wword, xword, change, carried = EXTRA_BAR_CASES[case]
+    else:
+        (group, wword, xword, change), carried = DAMAGED[DAMAGED_IDS.index(case)], None
+    table, _ = ladder(group)
+    kl = damaged_table(table, evaluate_word(table, wword), evaluate_word(table, xword), change)
+    if carried is not None:
+        w = evaluate_word(table, carried)
+        kl._kl[w] = dict(sorted(recursion_column(kl, w, carried[0]).items()))
+        kl._codes = None  # the column was summed on the view of the old C_w
+    return kl
+
+
+BAR_CASES = [*LADDER, *DAMAGED_IDS, *EXTRA_BAR_CASES]
+
+
+@pytest.mark.parametrize("case", BAR_CASES)
+def test_bar_records_equal_the_walk(ladder, case):
+    # fast path against slow path: each w's bar record, proved from the recursion or
+    # walked, is bar_invariant(table, C_w)
+    kl = _bar_case(ladder, case)
+    table = kl.table
+    stored = kl.stored_elements()
+    report = run_suite(kl, "kl", FailRecords())
+    failed = [rec["word"] for rec in report["records"].records if rec["identity"] == "bar_invariance"]
+    want = [table.names[w] for w in stored[1:] if not bar_invariant(table, kl.kl_element(w))]
+    assert failed == want
+    assert report["summary"]["bar_invariance"] == {"pass": len(stored) - 1 - len(want), "fail": len(want)}
+    if case.endswith("carried-up"):
+        assert "s2.s3.s2" in failed
+
+
+def test_a_damaged_correction_term_leaves_w_to_the_walk(monkeypatch, ladder):
+    # C_s2 is not bar-invariant, so no recursion of s2.s3.s2 proves its bar: the walk
+    # decides the record, and it passes, as C_{s2.s3.s2} is intact
+    kl = _bar_case(ladder, "B3-s2-correction-term")
+    table = kl.table
+    s2, w = (evaluate_word(table, word) for word in ((1,), (1, 2, 1)))
+    walked = _counted_bar_walks(monkeypatch)
+    records = run_suite(kl, "kl")["records"]
+    assert kl.kl_element(w) in walked
+    bar = {r["word"]: r["pass"] for r in records if r["identity"] == "bar_invariance"}
+    assert (bar["s2"], bar["s2.s3.s2"]) == (False, True)
+    assert s2 not in kl.codes().proven and w in kl.codes().proven
+    assert records == kl_suite_records(kl)
 
 
 def test_kl_support_fails_on_a_coordinate_not_below_w(a3):
