@@ -31,7 +31,7 @@ integers decode exactly into their polynomials as balanced base-2^K digits.
 :func:`bar_invariant` compares those integers with the element's own
 codes and decodes nothing.  The ``kl`` suite walks the bar only for the
 C_w that its recursion does not prove bar-invariant (see
-:func:`~klcat.kl.v_column_holds`): none on an intact table.
+:func:`~klcat.kl.recursion_columns`): none on an intact table.
 """
 
 from __future__ import annotations

@@ -19,14 +19,14 @@ verification suites:
     (exponent +1 when l(sx) > l(x), -1 otherwise; the sum over z with
     sz < z < sw) for every x at once, using only table entries strictly
     below w; :func:`classical_recursion_column` does the same for the
-    q-form, reading mu on the classical side.  Both sum over
+    q-form, reading mu on the classical side.  Both decode the one
+    :class:`RecursionColumns` of :func:`recursion_columns`, which sums
+    the two columns of (w, s) in one pass over
     :func:`~klcat.coxeter.below_with_descent`, on the integer codes of
-    the table's :class:`CodeView`, and decode the sum;
-    :func:`recursion_columns_hold` compares both sums with C_w without
-    decoding them, and :func:`v_column_holds` is its v half.  The v-form
-    recursion is also the classical proof that C_w is bar-invariant
-    (Kazhdan-Lusztig 1979), so the ``kl`` suite decides its bar records
-    from the v half's verdict and the :class:`CodeView`'s ``proven`` set.
+    the table's :class:`CodeView`, and compares each with C_w without
+    decoding it.  The v-form recursion is also the classical proof that
+    C_w is bar-invariant (Kazhdan-Lusztig 1979), so the ``kl`` suite
+    decides its bar records from the v verdict and the C_y it reads.
 
 Classical polynomials in q are related by h_{x,w}(v) = v^(l(w)-l(x)) P_{x,w}(v^-2),
 and mu(z,w) is the linear coefficient of h_{z,w}; :meth:`KLTable.classical`
@@ -54,6 +54,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+from dataclasses import dataclass, field
 
 from .coxeter import (
     GroupTable,
@@ -261,11 +262,8 @@ class CodeView:
     ``classical[y]`` holds the q-forms of the same coordinates
     (:meth:`KLTable.classical`) at q = 2^K, None where h is not classical.
     ``unitriangular`` holds the y whose stored h_{y,y} is 1 with no stored
-    id above y.  ``proven`` holds the unitriangular y whose stored C_y is
-    known to be bar-invariant: e when the stored C_e is exactly {e: 1},
-    and each w whose ``bar_invariance`` record the ``kl`` suite has passed,
-    in id order, by :func:`v_column_holds` over proven C_y or by the walk
-    of :func:`~klcat.hecke.bar_invariant`.
+    id above y.  The view is a function of the stored values alone and is
+    never changed after it is built.
     """
 
     def __init__(self, kl: KLTable):
@@ -280,8 +278,6 @@ class CodeView:
         self.unit: dict[int, dict[int, int]] = {}
         self.classical: dict[int, dict[int, int | None]] = {}
         self.unitriangular: set[int] = set()
-        e = kl.table.identity
-        self.proven: set[int] = {e} if kl._kl.get(e) == {e: ONE} else set()
         for y, elt in kl._kl.items():
             unit = self.unit[y] = {x: code[id(h)] for x, h in elt.items()}
             unit[y] = one
@@ -415,12 +411,10 @@ def recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly]:
     stored support of C_sw, and every h_{y,y} is read as 1, so a damaged
     table gives exactly the per-x values.  Requires s to be a left
     descent of w; x absent from the result has h_{x,w} = 0 by the
-    recursion.  The column is summed on codes (:func:`_v_column`) and
-    decoded here.
+    recursion.  The column is :meth:`RecursionColumns.column` of
+    :func:`recursion_columns`.
     """
-    view = kl.codes()
-    column, _ = _v_column(kl, s, *_recursion_index(kl.table, w, s))
-    return {x: _digits(n, view.shift, view.offset + 1) for x, n in column.items() if n}
+    return recursion_columns(kl, w, s).column()
 
 
 def classical_recursion_column(kl: KLTable, w: int, s: int) -> dict[int, LaurentPoly | None]:
@@ -441,102 +435,85 @@ def classical_recursion_column(kl: KLTable, w: int, s: int) -> dict[int, Laurent
     whose ingredients include a stored h_{y,z} that is not classical
     (wrong parity, or an exponent above l(z) - l(y)) maps to None, as
     does every x below w when a mu ingredient is one.  The column is
-    summed on codes (:func:`_q_column`) and decoded here.
+    :meth:`RecursionColumns.classical_column` of :func:`recursion_columns`.
     """
-    column, undefined = _q_column(kl, w, s, *_recursion_index(kl.table, w, s))
-    shift = kl.codes().shift
-    out: dict[int, LaurentPoly | None] = {}
-    for x in bruhat_interval(kl.table, w):
-        if x == w:
-            out[x] = ONE
-        elif undefined is None or x in undefined:
-            out[x] = None
-        else:
-            out[x] = _digits(column.get(x, 0), shift, 0)
-    return out
+    return recursion_columns(kl, w, s).classical_column()
 
 
-def recursion_columns_hold(kl: KLTable, w: int, s: int, v_holds: bool) -> bool:
-    """True only when both recursion columns of (w, s) equal C_w at every x.
+@dataclass
+class RecursionColumns:
+    """Both recursion columns of one (w, s) on the codes of :meth:`KLTable.codes`, and their verdicts.
 
-    Compared on codes: the v-column with the stored C_w, h_{w,w} read as
-    1, whose verdict the caller has from :func:`v_column_holds` and
-    passes as ``v_holds``, and the q-column, summed here, with its
-    q-forms, every ingredient defined.  Each column is compared over all
-    its coordinates, not only the stored x or [e, w], so False may also
-    mean that every x still agrees; a caller then compares the decoded
-    columns x by x.
+    ``v`` is v times the v-form column on the ``unit`` codes and ``q`` the
+    q-form column on the ``classical`` codes; ``undefined`` holds the x
+    whose q ingredients include a None, or is None for every x when a mu
+    ingredient is one.  Only the coordinates of ``q`` in [e, w] are the
+    column's.  ``v_holds`` is True exactly when ``v`` equals the stored
+    C_w, h_{w,w} read as 1, and ``q_holds`` when ``q`` equals its q-forms
+    with every ingredient defined.  Each is compared over all the column's
+    coordinates, not only the stored x or [e, w], so False may also mean
+    that every x still agrees; a caller then compares the decoded columns
+    x by x.  ``reads`` lists the stored C_y the v-column reads: sw and
+    each z of the correction sum with mu(z, sw) != 0.
     """
-    if not v_holds:
-        return False
-    column, undefined = _q_column(kl, w, s, *_recursion_index(kl.table, w, s))
-    return undefined == set() and {x: n for x, n in column.items() if n} == kl.codes().classical[w]
+
+    kl: KLTable = field(repr=False)
+    w: int
+    v_holds: bool
+    q_holds: bool
+    reads: list[int]
+    v: dict[int, int]
+    q: dict[int, int]
+    undefined: set[int] | None
+
+    def column(self) -> dict[int, LaurentPoly]:
+        """The v-form column decoded: :func:`recursion_column`."""
+        view = self.kl.codes()
+        return {x: _digits(n, view.shift, view.offset + 1) for x, n in self.v.items() if n}
+
+    def classical_column(self) -> dict[int, LaurentPoly | None]:
+        """The q-form column decoded over [e, w]: :func:`classical_recursion_column`."""
+        shift, undefined = self.kl.codes().shift, self.undefined
+        out: dict[int, LaurentPoly | None] = {}
+        for x in bruhat_interval(self.kl.table, self.w):
+            if x == self.w:
+                out[x] = ONE
+            elif undefined is None or x in undefined:
+                out[x] = None
+            else:
+                out[x] = _digits(self.q.get(x, 0), shift, 0)
+        return out
 
 
-def v_column_holds(kl: KLTable, w: int, s: int) -> tuple[bool, list[int]]:
-    """Whether the v-form column of (w, s) equals C_w on codes, and the stored C_y the column reads.
+def recursion_columns(kl: KLTable, w: int, s: int) -> RecursionColumns:
+    """Both recursion columns of (w, s) summed once, in one pass over {z : sz < z < sw}, and compared with C_w.
 
-    The first half of :func:`recursion_columns_hold`.  The C_y are sw and
-    each z of the correction sum with mu(z, sw) != 0.  When the column
-    holds and those C_y are unitriangular and bar-invariant, C_w is
-    bar-invariant too, as C_s and the integers mu are: the column is then
-    the true Hecke product, since no sy of a unitriangular C_sw or C_z
-    leaves the table, and the view's K makes equal codes equal
-    polynomials.  The ``kl`` suite proves its bar records so.
+    The v-column is :func:`~klcat.hecke.left_mul_codes` of the codes of
+    C_sw, h_{sw,sw} read as 1 and an sy beyond a truncated table read as
+    longer, minus ``(mu << K) * code`` over the codes of each C_z with
+    mu(z, sw) != 0.  The q-column is the same sum on the q-forms: C_s's
+    step adds a code at y and at sy, times q when sy is shorter, and each
+    C_z is subtracted with the classical mu.  Requires s to be a left
+    descent of w.
+
+    The v-form recursion is also the classical proof that C_w is
+    bar-invariant (Kazhdan-Lusztig 1979): when ``v_holds`` and every C_y
+    of ``reads`` is unitriangular and bar-invariant, so is C_w, as C_s
+    and the integers mu are.  The column is then the true Hecke product,
+    since no sy of a unitriangular C_sw or C_z leaves the table, and the
+    view's K makes equal codes equal polynomials.
     """
-    view = kl.codes()
-    sw, below = _recursion_index(kl.table, w, s)
-    column, terms = _v_column(kl, s, sw, below)
-    holds = {x: n for x, n in column.items() if n} == {x: n << view.shift for x, n in view.unit[w].items()}
-    return holds, [sw, *terms]
-
-
-def _recursion_index(table: GroupTable, w: int, s: int) -> tuple[int, list[int]]:
-    """sw and the recursion's index set {z : sz < z < sw}, for s a left descent of w."""
+    table = kl.table
     if s not in descents(table, w, "left"):
         raise ValueError(f"s{s + 1} is not a left descent of {table.names[w]}")
     sw = mult_gen(table, w, s, "left")
-    return sw, below_with_descent(table, s, sw)
-
-
-def _v_column(kl: KLTable, s: int, sw: int, below: list[int]) -> tuple[dict[int, int], list[int]]:
-    """v times the v-form column of (w, s), on the codes of :meth:`KLTable.codes`, and the z it subtracts.
-
-    :func:`~klcat.hecke.left_mul_codes` of the codes of C_sw, h_{sw,sw}
-    read as 1 and an sy beyond a truncated table read as longer, minus
-    ``(mu << K) * code`` over the codes of each C_z with mu(z, sw) != 0.
-    """
-    view = kl.codes()
-    unit, shift, upper = view.unit, view.shift, kl.kl_element(sw)
-    acc = left_mul_codes(kl.table, s, unit[sw].items(), shift, beyond_longer=True)
-    get = acc.get
-    terms = []
-    for z in below:
-        m = upper.get(z, ZERO).coefficient(1)  # mu(z, sw)
-        if m:
-            terms.append(z)
-            g = m << shift
-            for x, n in unit[z].items():
-                acc[x] = get(x, 0) - g * n
-    return acc, terms
-
-
-def _q_column(kl: KLTable, w: int, s: int, sw: int, below: list[int]) -> tuple[dict[int, int], set[int] | None]:
-    """The q-form column of (w, s) on the q-form codes of :meth:`KLTable.codes`, and its undefined x.
-
-    The same sum as :func:`_v_column` on the q-forms, z-major over each
-    C_z's stored support: C_s's step adds a code at y and at sy, times q
-    when sy is shorter.  The x whose ingredients include a None come back
-    as a set, or None for every x when a mu ingredient is None.  Only the
-    coordinates in [e, w] are the column's.
-    """
-    table = kl.table
     length, left = table.length, table._left
     view = kl.codes()
-    classical, shift = view.classical, view.shift
-    acc: dict[int, int] = {}
-    get = acc.get
-    undefined: set[int] = set()
+    unit, classical, shift = view.unit, view.classical, view.shift
+    v = left_mul_codes(table, s, unit[sw].items(), shift, beyond_longer=True)
+    q: dict[int, int] = {}
+    vget, qget = v.get, q.get
+    undefined: set[int] | None = set()
     for y, n in classical[sw].items():
         sy = left[y][s]
         if n is None:
@@ -544,24 +521,34 @@ def _q_column(kl: KLTable, w: int, s: int, sw: int, below: list[int]) -> tuple[d
         elif sy is not None:  # an sy beyond the table puts y beyond [e, w]
             if length[sy] < length[y]:
                 n <<= shift
-            acc[y] = get(y, 0) + n
-            acc[sy] = get(sy, 0) + n
-    for z in below:
+            q[y] = qget(y, 0) + n
+            q[sy] = qget(sy, 0) + n
+    upper, reads = kl.kl_element(sw), [sw]
+    for z in below_with_descent(table, s, sw):
+        m = upper.get(z, ZERO).coefficient(1)  # mu(z, sw) on the v side
+        if m:
+            reads.append(z)
+            g = m << shift
+            for x, n in unit[z].items():
+                v[x] = vget(x, 0) - g * n
         exp = length[sw] - length[z] - 1
-        if exp % 2 != 0:
+        if undefined is None or exp % 2 != 0:
             continue
         pz = kl.classical(z, sw)
         if pz is None:
-            return acc, None
-        m = pz.coefficient(exp // 2)
+            undefined = None
+            continue
+        m = pz.coefficient(exp // 2)  # mu(z, sw) on the classical side
         if m:
             k = shift * ((length[w] - length[z]) // 2)
             for x, n in classical[z].items():
                 if n is None:
                     undefined.add(x)
                 else:
-                    acc[x] = get(x, 0) - (m * n << k)
-    return acc, undefined
+                    q[x] = qget(x, 0) - (m * n << k)
+    v_holds = {x: n for x, n in v.items() if n} == {x: n << shift for x, n in unit[w].items()}
+    q_holds = undefined == set() and {x: n for x, n in q.items() if n} == classical[w]
+    return RecursionColumns(kl, w, v_holds, q_holds, reads, v, q, undefined)
 
 
 # -- export and cache ------------------------------------------------------
@@ -722,6 +709,8 @@ __all__ = [
     "to_classical",
     "recursion_column",
     "classical_recursion_column",
+    "recursion_columns",
+    "RecursionColumns",
     "canonical_json",
     "matrix_content_hash",
     "kl_to_json_obj",

@@ -46,20 +46,22 @@ record renders its equal sides once.
 
 Suites:
   * ``kl``        - KL basis invariants and the two single-step recursions
-                    against the defining algorithm, each recursion
-                    evaluated once per (w, s) for every x.  A sink that
-                    keeps no passes (the text report) compares both
-                    columns with C_w as integer codes and counts an
-                    (w, s) that holds in bulk with :meth:`Sink.add_passes`;
+                    against the defining algorithm, both columns of each
+                    (w, s) summed once for every x, in one pass, and
+                    compared with C_w as integer codes
+                    (:func:`~klcat.kl.recursion_columns`).  A sink that
+                    keeps no passes (the text report) counts an (w, s)
+                    that holds in bulk with :meth:`Sink.add_passes`;
                     otherwise, and in every sink that keeps passes, the
-                    decoded columns are walked, the text report walking
-                    only the live x (those in either column or the stored
-                    C_w, and w).  The bar record of a unitriangular C_w
-                    is proved from its v-form recursion over C_y already
-                    proved, in id order, and the bar is walked only where
-                    that fails.  The structure constants of C_s C_u are
-                    checked forward on codes against their expected
-                    value, so a passing run builds no polynomial for them;
+                    columns are decoded and walked, the text report
+                    walking only the live x (those in either column or
+                    the stored C_w, and w).  The bar record of a
+                    unitriangular C_w is proved from its v-form recursion
+                    over C_y already proved, in id order, a set the run
+                    keeps, and the bar is walked only where that fails.
+                    The structure constants of C_s C_u are checked
+                    forward on codes against their expected value, so a
+                    passing run builds no polynomial for them;
   * ``leaves``    - leaf characters against Hecke coefficients (the
                     left-to-right walk, :func:`~klcat.leaves.character_map`,
                     against the kept characters, the chain product),
@@ -94,11 +96,8 @@ from .hecke import bar_invariant
 from .kl import (
     KLTable,
     _encode,  # canonical_json's encoder, without the newline
-    classical_recursion_column,
     compute_kl,
-    recursion_column,
-    recursion_columns_hold,
-    v_column_holds,
+    recursion_columns,
 )
 from .laurent import LaurentPoly, ONE, ZERO
 from .leaves import character_map
@@ -282,40 +281,38 @@ class JsonStream(Sink):
 # -- kl suite ---------------------------------------------------------------
 
 
-def _kl_element_checks(kl: KLTable, w: int, stored: list[int], sink: Sink) -> None:
+def _kl_element_checks(kl: KLTable, w: int, stored: list[int], proven: set[int], sink: Sink) -> None:
     """The per-element invariants of C_w and both recursions at every left descent s of w.
 
-    The v-column of each (w, s) is compared with C_w once, on codes
-    (:func:`~klcat.kl.v_column_holds`).  The bar record is decided by
-    induction in id order: a unitriangular C_w passes it unwalked when
-    the v-column of some s holds and reads only C_y in the code view's
-    ``proven`` set, since the recursion then writes C_w as C_s C_sw minus
-    integer multiples of bar-invariant C_z.  Otherwise
-    :func:`~klcat.hecke.bar_invariant` walks the bar, as the slow path
-    whose verdict the proof equals.  A unitriangular w that passes joins
-    ``proven``.
+    Both columns of each (w, s) are summed once, by
+    :func:`~klcat.kl.recursion_columns`, and the bar proof, the bulk count
+    and the decoded walk all read that one result.  The bar record is decided by induction in id order: a
+    unitriangular C_w passes it unwalked when the v-column of some s
+    holds and reads only C_y in ``proven``, since the recursion then
+    writes C_w as C_s C_sw minus integer multiples of bar-invariant C_z.
+    Otherwise :func:`~klcat.hecke.bar_invariant` walks the bar, as the
+    slow path whose verdict the proof equals.  A unitriangular w that
+    passes joins ``proven``.
 
     The recursion records come per stored x.  A sink that keeps no passes
-    asks :func:`~klcat.kl.recursion_columns_hold`, with the v verdict, and
-    counts every record of an (w, s) that holds in bulk.  Otherwise the
-    decoded columns are walked: an x in neither column nor the stored
-    C_w, and not w itself (``kl_poly(w, w)`` reads 1 even when h_{w,w} is
-    not stored), reads ``ZERO`` on all four sides, so it passes both
-    records, and that sink walks only the other x.  The stored side of a
-    q record is :meth:`~klcat.kl.KLTable.classical`, converted once per
-    table.
+    counts every record of an (w, s) whose two columns hold in bulk.
+    Otherwise the columns are decoded and walked: an x in neither column
+    nor the stored C_w, and not w itself (``kl_poly(w, w)`` reads 1 even
+    when h_{w,w} is not stored), reads ``ZERO`` on all four sides, so it
+    passes both records, and that sink walks only the other x.  The
+    stored side of a q record is :meth:`~klcat.kl.KLTable.classical`,
+    converted once per table.
     """
     table = kl.table
     length, names = table.length, table.names
     elt = kl.kl_element(w)
     name = names[w]
-    view = kl.codes()
-    held = {s: v_column_holds(kl, w, s) for s in descents(table, w, "left")}
-    triangular = w in view.unitriangular
-    proved = triangular and any(holds and view.proven.issuperset(reads) for holds, reads in held.values())
+    columns = [(s, recursion_columns(kl, w, s)) for s in descents(table, w, "left")]
+    triangular = w in kl.codes().unitriangular
+    proved = triangular and any(cols.v_holds and proven.issuperset(cols.reads) for _, cols in columns)
     bar_ok = proved or bar_invariant(table, elt)
     if bar_ok and triangular:
-        view.proven.add(w)
+        proven.add(w)
     sink("bar_invariance", name, bar_ok, ("bar(C_w)", "C_w"), None)
     sink("positive_degrees", name, all(c.in_positive_part() for x, c in elt.items() if x != w))
     parity_ok = all(
@@ -325,13 +322,13 @@ def _kl_element_checks(kl: KLTable, w: int, stored: list[int], sink: Sink) -> No
     sink("exponent_parity", name, parity_ok)
     sink("positivity", name, all(c.is_nonnegative() for _, c in elt.items()))
     sink("kl_support", name, elt.get(w) == ONE and tuple(elt) == bruhat_interval(table, w))
-    for s, (holds, _) in held.items():
-        if not sink.keeps_passes and recursion_columns_hold(kl, w, s, holds):
+    for s, cols in columns:
+        if not sink.keeps_passes and cols.v_holds and cols.q_holds:
             sink.add_passes("recursion_agreement", len(stored))
             sink.add_passes("classical_recursion_agreement", len(stored))
             continue
-        column = recursion_column(kl, w, s)
-        columnq = classical_recursion_column(kl, w, s)
+        column = cols.column()
+        columnq = cols.classical_column()
         label = f"s{s + 1}"
         walked = stored
         if not sink.keeps_passes:
@@ -596,8 +593,10 @@ def run_suite(kl: KLTable, suite: str, sink: Sink | None = None) -> dict:
     records = RecordList() if sink is None else sink
     if suite in ("kl", "all"):
         stored = kl.stored_elements()
+        e = table.identity
+        proven = {e} if kl.kl_element(e) == {e: ONE} else set()  # the C_y proved bar-invariant, in id order
         for w in stored[1:]:
-            _kl_element_checks(kl, w, stored, records)
+            _kl_element_checks(kl, w, stored, proven, records)
         for u in stored:
             _mu_structure_checks(kl, u, records)
         _descent_choice_check(table, kl, records)

@@ -31,7 +31,7 @@ from klcat.kl import (
     to_classical,
 )
 from klcat.laurent import LaurentPoly, ONE, V, ZERO, v_power
-from klcat.verify import FailRecords, RecordList, Sink, run_suite
+from klcat.verify import FailRecords, JsonStream, RecordList, Sink, run_suite
 
 from oracles import (
     LADDER,
@@ -283,16 +283,78 @@ def _counted_bar_walks(monkeypatch) -> list:
     return walked
 
 
+def _counted_decodes(monkeypatch) -> Counter:
+    """Count the calls of the two decoders of ``kl.RecursionColumns`` from now on, by method name."""
+    calls = Counter()
+    for name in ("column", "classical_column"):
+        original = getattr(klcat.kl.RecursionColumns, name)
+
+        def counted(self, name=name, original=original):
+            calls[name] += 1
+            return original(self)
+
+        monkeypatch.setattr(klcat.kl.RecursionColumns, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", LADDER)
 def test_kl_suite_walks_no_bar_of_an_intact_table(monkeypatch, ladder, name):
     # work-count guard: every C_w of an intact table is proved bar-invariant from its
-    # recursion over C_y already proved, in id order, so the bar is never walked
-    table, _ = ladder(name)
-    kl = compute_kl(table, table.complete_length)  # a fresh code view: only e is proved
+    # recursion over C_y already proved, in id order, so the bar is never walked; and
+    # the text report counts the records of a (w, s) whose two columns equal C_w as
+    # codes in bulk, so no column is decoded
+    _, kl = ladder(name)
     walked = _counted_bar_walks(monkeypatch)
+    decodes = _counted_decodes(monkeypatch)
     assert run_suite(kl, "kl", FailRecords())["pass"]
     assert walked == []
-    assert kl.codes().proven == set(kl.stored_elements())
+    assert decodes == Counter()
+
+
+def _counted_column_work(monkeypatch) -> Counter:
+    """Count the recursion's work in ``klcat.kl`` from now on.
+
+    ``("index", s, sw)`` counts the index sets {z : sz < z < sw} built
+    for (s, sw), and ``"v-step"`` the C_s steps of a v-column, the only
+    :func:`~klcat.hecke.left_mul_codes` calls that read an sy beyond a
+    truncated table as longer.
+    """
+    calls = Counter()
+    below, step = klcat.kl.below_with_descent, klcat.kl.left_mul_codes
+
+    def counted_below(table, s, sw):
+        calls["index", s, sw] += 1
+        return below(table, s, sw)
+
+    def counted_step(table, s, pairs, shift, beyond_longer=False):
+        calls["v-step"] += beyond_longer
+        return step(table, s, pairs, shift, beyond_longer)
+
+    monkeypatch.setattr(klcat.kl, "below_with_descent", counted_below)
+    monkeypatch.setattr(klcat.kl, "left_mul_codes", counted_step)
+    return calls
+
+
+@pytest.mark.parametrize("sink", ["text", "list", "json"])
+@pytest.mark.parametrize("case", ["A4", "A3-extra-term"])
+def test_kl_suite_sums_each_recursion_column_once(monkeypatch, ladder, case, sink):
+    # work-count guard: each (w, s) of the kl suite builds its index set once and sums
+    # its v-column once, and the q-column in the same pass over that index, in every
+    # sink; on the damaged table the text report decodes and walks the failing columns
+    kl = _bar_case(ladder, case)
+    table = kl.table
+    pairs = {
+        ("index", s, mult_gen(table, w, s, "left"))
+        for w in kl.stored_elements()[1:]
+        for s in descents(table, w, "left")
+    }
+    target = {"text": FailRecords(), "list": RecordList(), "json": JsonStream(io.StringIO(), "kl")}[sink]
+    work = _counted_column_work(monkeypatch)
+    report = run_suite(kl, "kl", target)
+    assert report["pass"] == (case in LADDER)
+    if case not in LADDER:
+        assert report["summary"]["recursion_agreement"]["fail"] > 0
+    assert work == Counter({**dict.fromkeys(pairs, 1), "v-step": len(pairs)})
 
 
 # B3: s2.s3.s2 has the one left descent s2, and its recursion is C_s2 C_{s3.s2} - C_s2,
@@ -352,14 +414,15 @@ def test_a_damaged_correction_term_leaves_w_to_the_walk(monkeypatch, ladder):
     # C_s2 is not bar-invariant, so no recursion of s2.s3.s2 proves its bar: the walk
     # decides the record, and it passes, as C_{s2.s3.s2} is intact
     kl = _bar_case(ladder, "B3-s2-correction-term")
-    table = kl.table
-    s2, w = (evaluate_word(table, word) for word in ((1,), (1, 2, 1)))
+    names = kl.table.names
     walked = _counted_bar_walks(monkeypatch)
     records = run_suite(kl, "kl")["records"]
-    assert kl.kl_element(w) in walked
     bar = {r["word"]: r["pass"] for r in records if r["identity"] == "bar_invariance"}
     assert (bar["s2"], bar["s2.s3.s2"]) == (False, True)
-    assert s2 not in kl.codes().proven and w in kl.codes().proven
+    # no column that reads the damaged C_s2 proves a bar, so s1.s2 and s3.s2 are walked
+    # too; s2.s3.s2 passes its walk and joins the proved C_y, so nothing above it is walked
+    walked_names = [names[w] for h in walked for w in kl.stored_elements() if kl.kl_element(w) is h]
+    assert walked_names == ["s2", "s1.s2", "s3.s2", "s2.s3.s2"]
     assert records == kl_suite_records(kl)
 
 
