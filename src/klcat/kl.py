@@ -26,17 +26,19 @@ verification suites:
     the table's :class:`CodeView`, and compares each with C_w without
     decoding it.  The v-form recursion is also the classical proof that
     C_w is bar-invariant (Kazhdan-Lusztig 1979), so the ``kl`` suite
-    decides its bar records from the v verdict and the C_y it reads.
+    decides its bar records from the v verdict and the C_y it reads, and
+    its structure records too: the column of (su, s) is C_s * C_u
+    rearranged.
 
 Classical polynomials in q are related by h_{x,w}(v) = v^(l(w)-l(x)) P_{x,w}(v^-2),
 and mu(z,w) is the linear coefficient of h_{z,w}; :meth:`KLTable.classical`
 converts each (polynomial, l(w) - l(x)) pair once per table.  Hecke
 elements are plain ``{id: LaurentPoly}`` dicts (see :mod:`klcat.hecke`).
-The ``kl`` suite's other check, of C_s * C_u against its expected
-KL-basis expansion, also runs on those codes (:meth:`KLTable.expands_as`).
-The remaining sums of many products (:meth:`KLTable.expand_in_kl_basis`
-and its inverse :meth:`KLTable.combine`, the word suites' one sum of KL
-basis elements) read one-shot products, so they accumulate into one
+The ``kl`` suite computes :meth:`KLTable.structure_constants` only where
+no recursion column proves them.  Sums of many products
+(:meth:`KLTable.expand_in_kl_basis` and its inverse
+:meth:`KLTable.combine`, the word suites' one sum of KL basis elements)
+read one-shot products, so they accumulate into one
 ``{x: {exponent: coefficient}}`` dict and build each polynomial once.
 
 A table is cached and dumped as one canonical JSON document.
@@ -86,8 +88,7 @@ class KLTable:
     (:meth:`codes`): every stored element, damaged or not, as one integer
     per coordinate at v = 2^K, with K = ``_code_width(M, N)`` for M the
     largest stored |coefficient| (at least 1) and N the number of stored
-    elements, wide enough that a recursion column or a structure-constant
-    check decodes exactly.
+    elements, wide enough that a recursion column decodes exactly.
     """
 
     def __init__(self, table: GroupTable, complete_up_to: int):
@@ -209,52 +210,17 @@ class KLTable:
             self._codes = CodeView(self)
         return self._codes
 
-    def expands_as(self, s: int, u: int, coeffs: dict[int, LaurentPoly]) -> bool:
-        """True only when :meth:`expand_in_kl_basis` of C_s * C_u returns exactly ``coeffs``.
-
-        Checked forward, on codes: C_u and every C_y of ``coeffs`` must be
-        unitriangular (stored h_{y,y} = 1 and no stored id above y), and
-        C_s * C_u must equal sum a_y C_y.  Then the back-substitution takes
-        the largest y left at each step, whose coordinate there is a_y,
-        and subtracts a_y C_y, so it returns ``coeffs``.  Both sides decode
-        exactly: C_s * C_u has coefficients of at most 2M, and the sum at
-        most M times the l1 norm of the a_y, which must be at most
-        2(1 + N M); each a_y is scaled by v, as the product is, so its
-        exponents must be at least -1.  False also when C_s * C_u leaves
-        a truncated table.
-        """
-        view = self.codes()
-        tri = view.unitriangular
-        if u not in tri or not tri.issuperset(coeffs):
-            return False
-        terms = [a._coeffs.items() for a in coeffs.values()]
-        weight = sum(abs(k) for t in terms for _, k in t)
-        if weight > 2 * (1 + len(self._kl) * view.top) or any(e < -1 for t in terms for e, _ in t):
-            return False
-        shift, unit = view.shift, view.unit
-        try:
-            acc = left_mul_codes(self.table, s, unit[u].items(), shift)
-        except IncompleteTableError:
-            return False
-        get = acc.get
-        for y, t in zip(coeffs, terms):
-            factor = sum(k << shift * (e + 1) for e, k in t)
-            for x, n in unit[y].items():
-                acc[x] = get(x, 0) - factor * n
-        return not any(acc.values())
-
 
 class CodeView:
     """Every stored C_y of a :class:`KLTable` as one integer per coordinate, for checks that compare sums.
 
     With M = max(1, largest |coefficient| stored), N the number of stored
     elements and K = ``_code_width(M, N)``, a coordinate of a recursion
-    column, of C_s * C_u or of C_su + sum mu C_z is at most 2M(1 + N M)
-    in absolute value, below 2^(K - 1), so its code at v = 2^K holds
-    every coefficient as one balanced digit: two codes are equal exactly
-    when their polynomials are, and each decodes with
-    :func:`~klcat.hecke._digits`.  The view is built from the stored
-    values, damaged or not.
+    column is at most 2M(1 + N M) in absolute value, below 2^(K - 1), so
+    its code at v = 2^K holds every coefficient as one balanced digit:
+    two codes are equal exactly when their polynomials are, and each
+    decodes with :func:`~klcat.hecke._digits`.  The view is built from
+    the stored values, damaged or not.
 
     ``unit[y]`` is ``{x: code}`` for the stored C_y with h_{y,y} read as 1,
     as :meth:`KLTable.kl_poly` reads it: each h at v = 2^K times v^offset,

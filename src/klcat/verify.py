@@ -59,9 +59,10 @@ Suites:
                     unitriangular C_w is proved from its v-form recursion
                     over C_y already proved, in id order, a set the run
                     keeps, and the bar is walked only where that fails.
-                    The structure constants of C_s C_u are checked
-                    forward on codes against their expected value, so a
-                    passing run builds no polynomial for them;
+                    The structure records of C_s C_u are proved from the
+                    same columns, (su, s) when su > u and (u, s) when
+                    su < u, and the structure constants are computed by
+                    back-substitution only where no proof applies;
   * ``leaves``    - leaf characters against Hecke coefficients (the
                     left-to-right walk, :func:`~klcat.leaves.character_map`,
                     against the kept characters, the chain product),
@@ -281,15 +282,20 @@ class JsonStream(Sink):
 # -- kl suite ---------------------------------------------------------------
 
 
-def _kl_element_checks(kl: KLTable, w: int, stored: list[int], proven: set[int], sink: Sink) -> None:
+def _kl_element_checks(kl: KLTable, w: int, stored: list[int], proven: set[int], sink: Sink) -> dict[int, list[int]]:
     """The per-element invariants of C_w and both recursions at every left descent s of w.
 
     Both columns of each (w, s) are summed once, by
     :func:`~klcat.kl.recursion_columns`, and the bar proof, the bulk count
-    and the decoded walk all read that one result.  The bar record is decided by induction in id order: a
-    unitriangular C_w passes it unwalked when the v-column of some s
-    holds and reads only C_y in ``proven``, since the recursion then
-    writes C_w as C_s C_sw minus integer multiples of bar-invariant C_z.
+    and the decoded walk all read that one result.  The column of s
+    *proves* when its v-column holds and C_w and every C_y it reads are
+    unitriangular: the recursion then writes C_w as C_s C_sw minus
+    integer multiples of the C_z it reads, as an identity of the Hecke
+    algebra.  The returned ``{s: reads}`` holds the ``reads`` of every
+    proving column, from which :func:`_mu_structure_checks` decides the
+    structure records.  The bar record is decided by induction in id
+    order: C_w passes it unwalked when some proving column reads only C_y
+    in ``proven``, since C_s and the integers mu are bar-invariant.
     Otherwise :func:`~klcat.hecke.bar_invariant` walks the bar, as the
     slow path whose verdict the proof equals.  A unitriangular w that
     passes joins ``proven``.
@@ -308,10 +314,10 @@ def _kl_element_checks(kl: KLTable, w: int, stored: list[int], proven: set[int],
     elt = kl.kl_element(w)
     name = names[w]
     columns = [(s, recursion_columns(kl, w, s)) for s in descents(table, w, "left")]
-    triangular = w in kl.codes().unitriangular
-    proved = triangular and any(cols.v_holds and proven.issuperset(cols.reads) for _, cols in columns)
-    bar_ok = proved or bar_invariant(table, elt)
-    if bar_ok and triangular:
+    tri = kl.codes().unitriangular
+    proofs = {s: cols.reads for s, cols in columns if cols.v_holds and w in tri and tri.issuperset(cols.reads)}
+    bar_ok = any(proven.issuperset(reads) for reads in proofs.values()) or bar_invariant(table, elt)
+    if bar_ok and w in tri:
         proven.add(w)
     sink("bar_invariance", name, bar_ok, ("bar(C_w)", "C_w"), None)
     sink("positive_degrees", name, all(c.in_positive_part() for x, c in elt.items() if x != w))
@@ -345,13 +351,16 @@ def _kl_element_checks(kl: KLTable, w: int, stored: list[int], proven: set[int],
         skipped = len(stored) - len(walked)
         sink.add_passes("recursion_agreement", skipped)
         sink.add_passes("classical_recursion_agreement", skipped)
+    return proofs
 
 
 def _render_q(p: LaurentPoly | None) -> str:
     return "undefined" if p is None else p.render("q")
 
 
-def _mu_structure_checks(kl: KLTable, u: int, sink: Sink) -> None:
+def _mu_structure_checks(
+    kl: KLTable, u: int, proofs: dict[int, dict[int, list[int]]], descending: list[set[int]], sink: Sink
+) -> None:
     """C_s * C_u in the KL basis: positivity, and for ascending products the
     coefficient at su is 1 while the rest is mu(z,u) on {z : sz < z} and 0
     elsewhere (without the descent condition the identity is false: for
@@ -359,10 +368,15 @@ def _mu_structure_checks(kl: KLTable, u: int, sink: Sink) -> None:
     KL-basis expansion, both records fail and the product renders as
     ``undefined``.
 
-    The expected expansion, or (v + v^-1) C_u when su < u, is checked
-    forward first (:meth:`~klcat.kl.KLTable.expands_as`); when it holds it
-    is the structure constants, and only otherwise are they computed by
-    back-substitution."""
+    ``proofs[w]`` is :func:`_kl_element_checks`'s ``{s: reads}`` of w.
+    When su > u and the column (su, s) proves over the same z as the
+    expected expansion, that column is C_s C_u = C_su + sum mu(z,u) C_z
+    rearranged, a sum of unitriangular C_y, so it is the structure
+    constants.  When su < u, C_s C_u = (v + v^-1) C_u follows from the
+    proving column (u, s), C_s C_s = (v + v^-1) C_s and the same identity
+    for each C_z it reads, so it is proved in id order and u joins
+    ``descending[s]``, a set the run keeps.  Only where no proof applies
+    are the structure constants computed, by back-substitution."""
     table = kl.table
     length = table.length
     name = table.names[u]
@@ -381,9 +395,15 @@ def _mu_structure_checks(kl: KLTable, u: int, sink: Sink) -> None:
                 m = kl.mu(z, u)
                 if m:
                     expected[z] = LaurentPoly({0: m})
+            reads = proofs[su].get(s)
+            proved = reads is not None and set(expected) == {su, *reads[1:]}
         else:
             expected = {u: LaurentPoly({-1: 1, 1: 1})}  # C_s C_u = (v + v^-1) C_u
-        if kl.expands_as(s, u, expected):
+            reads = proofs[u].get(s)
+            proved = reads is not None and descending[s].issuperset(reads[1:])
+            if proved:
+                descending[s].add(u)
+        if proved:
             sc = expected
         else:
             try:
@@ -595,10 +615,11 @@ def run_suite(kl: KLTable, suite: str, sink: Sink | None = None) -> dict:
         stored = kl.stored_elements()
         e = table.identity
         proven = {e} if kl.kl_element(e) == {e: ONE} else set()  # the C_y proved bar-invariant, in id order
-        for w in stored[1:]:
-            _kl_element_checks(kl, w, stored, proven, records)
+        proofs = {w: _kl_element_checks(kl, w, stored, proven, records) for w in stored[1:]}
+        kl._codes = None  # nothing reads the code view from here on, so the second table does not share its peak
+        descending = [set() for _ in range(table.rank)]  # per s, the u proved to have C_s C_u = (v + v^-1) C_u
         for u in stored:
-            _mu_structure_checks(kl, u, records)
+            _mu_structure_checks(kl, u, proofs, descending, records)
         _descent_choice_check(table, kl, records)
     word_suites = [name for name in WORD_SUITES if suite in (name, "all")]
     if word_suites:

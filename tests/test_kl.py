@@ -46,6 +46,7 @@ from oracles import (
     interval_kl_csv,
     kl_element_records,
     kl_suite_records,
+    mu_structure_records,
     recursion_kl_poly,
     satisfies_kl_conditions,
     scale,
@@ -248,8 +249,8 @@ def test_expansion_rejects_a_coordinate_that_feeds_back(monkeypatch, a3):
         kl.expand_in_kl_basis(left_mul_kl(a3, 0, kl.kl_element(s2)))
     with pytest.raises(ValueError, match=r"s1\.s2 comes up for clearing twice"):
         expand_in_kl_basis(kl, left_mul_kl(a3, 0, kl.kl_element(s2)))
-    # the kl suite fails the structure records of that product and goes on; the
-    # forward check cannot prove those products, so the back-substitution runs
+    # the kl suite fails the structure records of that product and goes on; no
+    # recursion column proves those products, so the back-substitution runs
     expansions = _counted_expansions(monkeypatch)
     records = run_suite(kl, "kl")["records"]
     assert expansions[None] >= 1
@@ -261,13 +262,35 @@ def test_expansion_rejects_a_coordinate_that_feeds_back(monkeypatch, a3):
 
 @pytest.mark.parametrize("name", LADDER)
 def test_kl_suite_expands_no_product_of_an_intact_table(monkeypatch, ladder, name):
-    # work-count guard: every C_s * C_u of an intact table equals its expected sum of
-    # unitriangular C_y as codes, so no structure constant goes through the back-substitution
+    # work-count guard: every structure record of an intact table is proved from a recursion
+    # column the element checks already summed, so the structure checks form no product
+    # C_s * C_u, on codes or on polynomials, and no structure constant goes through the
+    # back-substitution
     table, _ = ladder(name)
     kl = compute_kl(table, table.complete_length)  # a fresh table, no structure constant memoized
     expansions = _counted_expansions(monkeypatch)
+    products, inside = Counter(), []
+    checks = klcat.verify._mu_structure_checks
+
+    def tracked(*args):
+        inside.append(None)
+        try:
+            return checks(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(klcat.verify, "_mu_structure_checks", tracked)
+    for product in ("left_mul_codes", "left_mul_kl"):
+
+        def counted(*args, product=product, original=getattr(klcat.kl, product), **kwargs):
+            products[product, bool(inside)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(klcat.kl, product, counted)
     assert run_suite(kl, "kl", FailRecords())["pass"]
     assert expansions[None] == 0
+    # only the element checks form products: each v-column is one left_mul_codes step
+    assert set(products) == {("left_mul_codes", False)}
 
 
 def _counted_bar_walks(monkeypatch) -> list:
@@ -370,6 +393,9 @@ EXTRA_BAR_CASES = {
     "B3-s3s2-carried-up": ("B3", (2, 1), (), lambda c: c + v_power(3), (1, 2, 1)),
     # the column reads h_{w,w} as 1
     "A3-s1s2-diagonal": ("A3", (0, 1), (0, 1), lambda c: c * 2, None),
+    # mu(s3, s1s2) = 1 outside [e, s1s2]: the column of s3.s1.s2 holds, but its correction
+    # sum runs over z < s1s2, and the expected expansion of C_s3 C_s1s2 over z < s3.s1.s2
+    "A3-s1s2-outside-s3-carried-up": ("A3", (0, 1), (2,), lambda c: c + V, (2, 0, 1)),
 }
 
 
@@ -406,8 +432,18 @@ def test_bar_records_equal_the_walk(ladder, case):
     want = [table.names[w] for w in stored[1:] if not bar_invariant(table, kl.kl_element(w))]
     assert failed == want
     assert report["summary"]["bar_invariance"] == {"pass": len(stored) - 1 - len(want), "fail": len(want)}
-    if case.endswith("carried-up"):
+    if case.startswith("B3-") and case.endswith("carried-up"):  # C_{s2.s3.s2} carries the damaged C_s2 up
         assert "s2.s3.s2" in failed
+
+
+@pytest.mark.parametrize("case", BAR_CASES)
+def test_structure_records_equal_the_expansion(ladder, case):
+    # fast path against slow path: each structure record, proved from a recursion column
+    # or computed by back-substitution, is the oracle's expansion of C_s * C_u
+    kl = _bar_case(ladder, case)
+    structure = {"structure_positivity", "mu_structure_constants"}
+    records = [rec for rec in run_suite(kl, "kl")["records"] if rec["identity"] in structure]
+    assert records == mu_structure_records(kl)
 
 
 def test_a_damaged_correction_term_leaves_w_to_the_walk(monkeypatch, ladder):

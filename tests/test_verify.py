@@ -127,19 +127,6 @@ DAMAGED_IDS = [
 ]
 
 
-@pytest.mark.parametrize("group, wword, xword, change", DAMAGED, ids=DAMAGED_IDS)
-def test_word_suites_match_oracles_on_a_damaged_table(ladder, group, wword, xword, change):
-    # failing records must carry the same lhs/rhs strings as the oracle's
-    table, _ = ladder(group)
-    kl = damaged_table(table, evaluate_word(table, wword), evaluate_word(table, xword), change)
-    failed = 0
-    for suite in WORD_SUITES:
-        records = run_suite(kl, suite)["records"]
-        assert records == word_suite_records(kl, suite), suite
-        failed += sum(not rec["pass"] for rec in records)
-    assert failed
-
-
 # Both sides of these records come from the characters by two routes (for
 # decomposition_identity, the characters and the combine of their KL-basis
 # expansion), so they read no KL data and no damaged table fails them.
