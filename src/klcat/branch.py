@@ -13,27 +13,32 @@ the KL-basis structure constants of C_s * C_u read at x.  Equating the two
 routes through the simple basis and isolating the coefficient of the
 tail's top simple class re-derives the one-step KL recursion, with its
 correction sum over the simple support or over {z : sz < z < tail top}.
-:func:`derive_kl_recursion` forms both sums, each ingredient on its own
+:func:`recursion_sides` forms both sums, each ingredient on its own
 pipeline (structure constants by KL-basis expansion, never by mu).
 
 A vector of a graded Grothendieck group is a plain ``{id: LaurentPoly}``
 dict over a simple-class basis, ids ascending and no zero coordinate, the
-form :mod:`klcat.cells` stores its graded dimensions in.  Every function
-reads the cell data of the word and of its tail (the word minus its first
-letter) and the KL table they hold, so none takes a table or recomputes a
-per-word quantity.  A decomposition number d_{x,y} = h_{x,y} is read from
-the KL table, for y over a simple support, which is small, and summed by
-:meth:`~klcat.kl.KLTable.combine`; the word's final-level leaves, split
-into movers and stayers, are one :func:`~klcat.leaves.leaf_step` from its
-tail's characters.  The functions return values and sides, never
-records: the suites in :mod:`klcat.verify` build those.
+form :mod:`klcat.cells` stores its graded dimensions in.  The per-word
+functions read the cell data of the word and of its tail (the word minus
+its first letter) and the KL table they hold, so none takes a table or
+recomputes a per-word quantity.  A decomposition number d_{x,y} = h_{x,y}
+is read from the KL table, for y over a simple support, which is small,
+and summed by :meth:`~klcat.kl.KLTable.combine`; the word's final-level
+leaves, split into movers and stayers, are one
+:func:`~klcat.leaves.leaf_step` from its tail's characters.  Column u of
+both restriction routes is a function of (s, u) once no filter to the
+word's simple support or to [e, w] drops anything, and
+:func:`restriction_columns` forms it from the whole stored table, for a
+run that checks it once per (s, u).  The functions return values and
+sides, never records: the suites in :mod:`klcat.verify` build those.
 """
 
 from __future__ import annotations
 
 from .cells import CellDatum
-from .coxeter import below_with_descent, mult_gen, word_name
-from .hecke import _to_vector, left_mul_terms
+from .coxeter import below_with_descent, bruhat_interval, mult_gen, word_name
+from .hecke import _to_vector, left_mul_kl, left_mul_terms
+from .kl import KLTable
 from .laurent import LaurentPoly, ZERO
 from .leaves import leaf_step
 
@@ -117,28 +122,58 @@ def restriction_counts(datum: CellDatum, tail: CellDatum) -> dict[int, dict[int,
     return counts
 
 
+def restriction_columns(
+    kl: KLTable, s: int, u: int
+) -> tuple[dict[int, LaurentPoly], dict[int, LaurentPoly], dict[int, LaurentPoly]]:
+    """Column u of both restriction routes over the whole stored table, and the structure constants.
+
+    The first is C_s C_u in the standard basis, :func:`res_cell_class`'s
+    column u before its filter to [e, w]; the second is sum sc_x C_x
+    (:meth:`~klcat.kl.KLTable.combine`) over the structure constants sc
+    of C_s C_u, :func:`restriction_counts`' column u before its filters
+    to the simple support and to [e, w].  sc is expanded from the first,
+    as :meth:`~klcat.kl.KLTable.structure_constants` expands it, but not
+    memoized.  An sx beyond a truncated table raises
+    ``IncompleteTableError`` and a product without a KL-basis expansion
+    ``ValueError``.
+    """
+    image = left_mul_kl(kl.table, s, kl.kl_element(u))
+    sc = kl.expand_in_kl_basis(image)
+    return image, _to_vector(kl.combine(sc.items())), sc
+
+
 def derive_kl_recursion(
     datum: CellDatum, images: dict[int, dict[int, LaurentPoly]]
 ) -> dict[int, tuple[LaurentPoly, LaurentPoly, LaurentPoly]]:
-    """(stored h_{x,w}, rhs, alt) for every x below w, from the branching pipeline alone.
+    """:func:`recursion_sides` of the word: its simple support, and the images of :func:`res_cell_class`."""
+    kl, s = datum.kl, datum.word[0]
+    wp = mult_gen(kl.table, datum.top, s, "left")  # product of the tail
+    column = {x: image[wp] for x, image in images.items() if wp in image}
+    return recursion_sides(kl, s, wp, kl.structure_constants(s, wp), datum.simple_gdims, column)
+
+
+def recursion_sides(
+    kl: KLTable, s: int, wp: int, sc: dict[int, LaurentPoly], support, column: dict[int, LaurentPoly]
+) -> dict[int, tuple[LaurentPoly, LaurentPoly, LaurentPoly]]:
+    """(stored h_{x,w}, rhs, alt) for every x below w = s wp, from the branching pipeline alone.
 
     rhs = (coefficient of the tail-top simple class in Res[cell(x)])
-          - sum over z in the word's simple support, z != w, of
-            h_{s,tail-top}^z * h_{x,z},
+          - sum over z in ``support``, z != w, of h_{s,wp}^z * h_{x,z},
 
-    and alt is rhs with z over {z : sz < z < tail-top} instead, summed on its
-    own.  The structure constants come from the KL-basis expansion (never
-    from mu), the first term from ``images[x]`` (:func:`res_cell_class`),
-    and each sum is one :meth:`~klcat.kl.KLTable.combine`; all three must agree.
+    and alt is rhs with z over {z : sz < z < wp} instead, summed on its
+    own.  ``sc`` holds the structure constants h_{s,wp}^z of C_s C_wp,
+    from the KL-basis expansion (never from mu); ``support`` is the
+    word's simple support, or sc's own; ``column`` maps x to the first
+    term, column wp of :func:`res_cell_class`, or C_s C_wp itself.  Each
+    sum is one :meth:`~klcat.kl.KLTable.combine`; all three must agree.
     """
-    kl, w, s = datum.kl, datum.top, datum.word[0]
-    wp = mult_gen(kl.table, w, s, "left")  # product of the tail
-    sc = kl.structure_constants(s, wp)
-    acc = kl.combine((z, -sc[z]) for z in datum.simple_gdims if z != w and z in sc)
-    alt_acc = kl.combine((z, -sc[z]) for z in below_with_descent(kl.table, s, wp) if z in sc)
+    table = kl.table
+    w = mult_gen(table, wp, s, "left")
+    acc = kl.combine((z, -sc[z]) for z in support if z != w and z in sc)
+    alt_acc = kl.combine((z, -sc[z]) for z in below_with_descent(table, s, wp) if z in sc)
     out = {}
-    for x in datum.interval:
-        first = images[x].get(wp, ZERO)
+    for x in bruhat_interval(table, w):
+        first = column.get(x, ZERO)
         row, alt = acc.get(x, {}), alt_acc.get(x, {})
         first.add_to(row)
         first.add_to(alt)

@@ -31,10 +31,13 @@ the key's final-level movers and stayers from the tail's characters with
 :func:`~klcat.leaves.leaf_step`; decomposition numbers are read from the
 KL table.
 Restriction is one linear map per key, the images of every x at once,
-read by both the branch and the recursion suite.  Every sum of KL basis
-elements is one :meth:`~klcat.kl.KLTable.combine` and every index set
-{z : sz < z < u} one :func:`~klcat.coxeter.below_with_descent`;
-:func:`~klcat.branch.derive_kl_recursion` sums the derived recursion over
+read by both the branch and the recursion suite; a sink that keeps no
+passes builds it only for a key that :class:`_Restrictions`, checking
+each column once per (s, u), cannot count in bulk, and the per-key path
+is the slow path and the oracle.  Every sum of KL basis elements is one
+:meth:`~klcat.kl.KLTable.combine` and every index set {z : sz < z < u}
+one :func:`~klcat.coxeter.below_with_descent`;
+:func:`~klcat.branch.recursion_sides` sums the derived recursion over
 both index sets.  Both sides of ``branching_characters``,
 ``leaf_partition``, ``decomposition_identity`` (the characters and the
 ``combine`` of their expansion) and the leaves suite's character records
@@ -62,7 +65,9 @@ Suites:
                     The structure records of C_s C_u are proved from the
                     same columns, (su, s) when su > u and (u, s) when
                     su < u, and the structure constants are computed by
-                    back-substitution only where no proof applies;
+                    back-substitution only where no proof applies.  The
+                    value records are decided once per (interned value,
+                    length gap);
   * ``leaves``    - leaf characters against Hecke coefficients (the
                     left-to-right walk, :func:`~klcat.leaves.character_map`,
                     against the kept characters, the chain product),
@@ -282,7 +287,9 @@ class JsonStream(Sink):
 # -- kl suite ---------------------------------------------------------------
 
 
-def _kl_element_checks(kl: KLTable, w: int, stored: list[int], proven: set[int], sink: Sink) -> dict[int, list[int]]:
+def _kl_element_checks(
+    kl: KLTable, w: int, stored: list[int], proven: set[int], values: dict, sink: Sink
+) -> dict[int, list[int]]:
     """The per-element invariants of C_w and both recursions at every left descent s of w.
 
     Both columns of each (w, s) are summed once, by
@@ -299,6 +306,10 @@ def _kl_element_checks(kl: KLTable, w: int, stored: list[int], proven: set[int],
     Otherwise :func:`~klcat.hecke.bar_invariant` walks the bar, as the
     slow path whose verdict the proof equals.  A unitriangular w that
     passes joins ``proven``.
+
+    ``values``, which the run keeps, holds the verdicts of
+    ``positive_degrees``, ``exponent_parity`` and ``positivity`` per
+    (id(h), l(w) - l(x)), all that they read, each entry holding h.
 
     The recursion records come per stored x.  A sink that keeps no passes
     counts every record of an (w, s) whose two columns hold in bulk.
@@ -320,13 +331,20 @@ def _kl_element_checks(kl: KLTable, w: int, stored: list[int], proven: set[int],
     if bar_ok and w in tri:
         proven.add(w)
     sink("bar_invariance", name, bar_ok, ("bar(C_w)", "C_w"), None)
-    sink("positive_degrees", name, all(c.in_positive_part() for x, c in elt.items() if x != w))
-    parity_ok = all(
-        all((e - (length[w] - length[x])) % 2 == 0 for e in c.exponents())
-        for x, c in elt.items()
-    )
+    degrees_ok = parity_ok = nonneg_ok = True
+    for x, c in elt.items():
+        key = (id(c), length[w] - length[x])
+        entry = values.get(key)
+        if entry is None:
+            gap = key[1]
+            parity = all((e - gap) % 2 == 0 for e in c.exponents())
+            entry = values[key] = (c, c.in_positive_part(), parity, c.is_nonnegative())
+        degrees_ok = degrees_ok and (entry[1] or x == w)
+        parity_ok = parity_ok and entry[2]
+        nonneg_ok = nonneg_ok and entry[3]
+    sink("positive_degrees", name, degrees_ok)
     sink("exponent_parity", name, parity_ok)
-    sink("positivity", name, all(c.is_nonnegative() for _, c in elt.items()))
+    sink("positivity", name, nonneg_ok)
     sink("kl_support", name, elt.get(w) == ONE and tuple(elt) == bruhat_interval(table, w))
     for s, cols in columns:
         if not sink.keeps_passes and cols.v_holds and cols.q_holds:
@@ -464,14 +482,19 @@ def _leaves_word_checks(datum: CellDatum, sink: Sink) -> None:
 
 
 def _branch_word_checks(
-    datum: CellDatum, tail: CellDatum, images: dict[int, dict[int, LaurentPoly]], sink: Sink
+    datum: CellDatum, tail: CellDatum, images: dict[int, dict[int, LaurentPoly]] | None, sink: Sink
 ) -> None:
+    """The branch suite on one key; ``images`` is None when its restriction records are counted in bulk."""
     table = datum.kl.table
     name = word_name(datum.word)
     names = table.names
     for x, lhs, rhs, got, want in branch_mod.branching_sides(datum, tail):
         sink("branching_characters", name, lhs == rhs, (lhs, rhs), x=names[x])
         sink("leaf_partition", name, got == want, (got, want), _partition_render, x=names[x])
+    if images is None:
+        sink.add_passes("restriction_counts", len(datum.interval) * len(tail.simple_gdims))
+        sink.add_passes("res_linear_map", len(datum.interval))
+        return
     # restriction multiplicities two ways: through structure constants, and
     # read off the restricted cell class
     counts = branch_mod.restriction_counts(datum, tail)
@@ -498,7 +521,12 @@ def _vec_render(table: GroupTable, vec: dict[int, LaurentPoly] | None) -> str:
     return "; ".join(f"{table.names[u]}:{c.render()}" for u, c in sorted(vec.items()))
 
 
-def _recursion_word_checks(datum: CellDatum, images: dict[int, dict[int, LaurentPoly]], sink: Sink) -> None:
+def _recursion_word_checks(datum: CellDatum, images: dict[int, dict[int, LaurentPoly]] | None, sink: Sink) -> None:
+    """The recursion suite on one key; ``images`` is None when its records are counted in bulk."""
+    if images is None:
+        sink.add_passes("derived_recursion", len(datum.interval))
+        sink.add_passes("correction_index_consistency", len(datum.interval))
+        return
     names = datum.kl.table.names
     name = word_name(datum.word)
     for x, (lhs, rhs, alt) in branch_mod.derive_kl_recursion(datum, images).items():
@@ -508,6 +536,65 @@ def _recursion_word_checks(datum: CellDatum, images: dict[int, dict[int, Laurent
 
 
 WORD_SUITES = ("leaves", "branch", "recursion")
+
+
+class _Restrictions:
+    """The restriction columns of a run whose sink keeps no passes, each formed once per (s, u).
+
+    ``columns[s, u]`` holds, from :func:`~klcat.branch.restriction_columns`,
+    whether the two columns are equal, the top of the ids of C_u and of
+    both columns when those ids are exactly [e, top] (on an intact table,
+    [e, max(u, su)]), and the support of sc.  A key (s, tail) reuses it
+    for a simple u of its tail when sc lies inside the word's simple
+    support and the top inside [e, w]: the per-key filters then drop
+    nothing, so the key's records for u are the column's verdict.
+    ``recursions[s, u]`` is the verdict of
+    :func:`~klcat.branch.recursion_sides` over [e, su] with sc as the
+    support, formed with each ascending column when the run has the
+    recursion suite, for the keys whose tail top is u.  A column whose
+    forming raises is None: its keys take the per-key path.
+    """
+
+    def __init__(self, kl: KLTable, suites: list[str]):
+        self.kl = kl
+        self.suites = {"branch", "recursion"}.intersection(suites)
+        self.columns: dict[tuple[int, int], tuple | None] = {}
+        self.recursions: dict[tuple[int, int], bool] = {}
+
+    def column(self, s: int, u: int) -> tuple | None:
+        if (s, u) in self.columns:
+            return self.columns[s, u]
+        kl, table = self.kl, self.kl.table
+        entry = None
+        try:
+            image, counted, sc = branch_mod.restriction_columns(kl, s, u)
+            su = mult_gen(table, u, s, "left")
+            if "recursion" in self.suites and table.length[su] > table.length[u]:
+                sides = branch_mod.recursion_sides(kl, s, u, sc, sc, image).values()
+                self.recursions[s, u] = all(lhs == rhs == alt for lhs, rhs, alt in sides)
+            reach = {*kl.kl_element(u), *image, *counted}
+            top = max(reach)
+            entry = (image == counted, top if reach == set(bruhat_interval(table, top)) else None, sc.keys())
+        except (ValueError, IncompleteTableError):  # no expansion, or beyond a truncated table
+            pass
+        self.columns[s, u] = entry
+        return entry
+
+    def bulk(self, datum: CellDatum, tail: CellDatum) -> set[str]:
+        """The suites, of branch and recursion, whose restriction records of the key all pass."""
+        s, simple, inside = datum.word[0], datum.simple_gdims.keys(), set(datum.interval)
+
+        def holds(u: int) -> bool:
+            entry = self.column(s, u)
+            return entry is not None and entry[0] and entry[1] in inside and entry[2] <= simple
+
+        bulk = set()
+        if "branch" in self.suites and all(map(holds, tail.simple_gdims)):
+            bulk.add("branch")
+        wp = tail.top
+        if "recursion" in self.suites and wp in tail.simple_gdims and holds(wp) and self.recursions.get((s, wp)):
+            bulk.add("recursion")
+        return bulk
 
 
 def _prepend_letter(form: tuple[tuple[int, ...], ...], s: int, dependent: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -523,22 +610,29 @@ def _prepend_letter(form: tuple[tuple[int, ...], ...], s: int, dependent: tuple[
     return form[:s] + ((level, *form[s]),) + form[s + 1:]
 
 
-def _key_checks(datum: CellDatum, tail: CellDatum | None, sinks: dict[str, Sink]) -> dict[str, RecordList]:
+def _key_checks(
+    datum: CellDatum, tail: CellDatum | None, sinks: dict[str, Sink], restrictions: _Restrictions | None
+) -> dict[str, RecordList]:
     """The checks of every suite named in ``sinks`` on ``datum``, whose tail's datum is ``tail``.
 
     Each suite's checks go to a :class:`FailRecords` when its target sink
     keeps no passes and to a :class:`RecordList` otherwise, the records
-    named after ``datum.word``.
+    named after ``datum.word``.  The restriction map is built only for a
+    suite whose records ``restrictions`` (None when the sinks keep passes)
+    does not count as a whole.
     """
     checks = {name: RecordList() if target.keeps_passes else FailRecords() for name, target in sinks.items()}
     if "leaves" in checks:
         _leaves_word_checks(datum, checks["leaves"])
     if tail is not None and ("branch" in checks or "recursion" in checks):
-        images = branch_mod.res_cell_class(datum, tail)
+        bulk = restrictions.bulk(datum, tail) if restrictions is not None else set()
+        images = None
+        if not bulk.issuperset(checks.keys() & {"branch", "recursion"}):
+            images = branch_mod.res_cell_class(datum, tail)
         if "branch" in checks:
-            _branch_word_checks(datum, tail, images, checks["branch"])
+            _branch_word_checks(datum, tail, None if "branch" in bulk else images, checks["branch"])
         if "recursion" in checks:
-            _recursion_word_checks(datum, images, checks["recursion"])
+            _recursion_word_checks(datum, None if "recursion" in bulk else images, checks["recursion"])
     return checks
 
 
@@ -561,6 +655,7 @@ def _word_suite_checks(kl: KLTable, suites: list[str], sink: Sink) -> None:
     orders = table.matrix.orders
     dependent = [tuple(t for t in range(table.rank) if orders[s][t] != 2) for s in range(table.rank)]
     sinks = {name: sink.spool() if i else sink for i, name in enumerate(suites)}
+    restrictions = None if sink.keeps_passes else _Restrictions(kl, suites)
     # a key is (s, normal form of the tail's class), and None for the empty word
     layer: list[tuple[int, Word, tuple | None]] = [(table.identity, (), None)]
     classes: dict[tuple, tuple[CellDatum, list[Word]]] = {}  # normal form -> (datum, words)
@@ -578,7 +673,7 @@ def _word_suite_checks(kl: KLTable, suites: list[str], sink: Sink) -> None:
                     tail = tails[tail_form][0]
                     form = _prepend_letter(tail_form, s, dependent[s])
                     datum = cells_mod.build_cell_datum(kl, (s, *tail.word), tail)
-                made[key] = form, _key_checks(datum, tail, sinks)
+                made[key] = form, _key_checks(datum, tail, sinks, restrictions)
                 classes.setdefault(form, (datum, []))
             form, checks = made[key]
             classes[form][1].append(word)
@@ -615,7 +710,8 @@ def run_suite(kl: KLTable, suite: str, sink: Sink | None = None) -> dict:
         stored = kl.stored_elements()
         e = table.identity
         proven = {e} if kl.kl_element(e) == {e: ONE} else set()  # the C_y proved bar-invariant, in id order
-        proofs = {w: _kl_element_checks(kl, w, stored, proven, records) for w in stored[1:]}
+        values = {}  # (id(h), l(w) - l(x)) -> (h, the verdicts of h there)
+        proofs = {w: _kl_element_checks(kl, w, stored, proven, values, records) for w in stored[1:]}
         kl._codes = None  # nothing reads the code view from here on, so the second table does not share its peak
         descending = [set() for _ in range(table.rank)]  # per s, the u proved to have C_s C_u = (v + v^-1) C_u
         for u in stored:

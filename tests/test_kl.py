@@ -446,6 +446,40 @@ def test_structure_records_equal_the_expansion(ladder, case):
     assert records == mu_structure_records(kl)
 
 
+@pytest.mark.parametrize("case", ["A3", "B3", *DAMAGED_IDS, "A3-diagonal-value-at-odd-gap"])
+def test_value_records_are_decided_once_per_value_and_gap(monkeypatch, ladder, case):
+    # positive_degrees, exponent_parity and positivity read each stored h_{x,w} only through
+    # its value and l(w) - l(x), so each (value, gap) is decided once, with the per-coordinate
+    # records unchanged; the last case stores the table's own h_{s1,s1} = 1 as h_{e,s1} too,
+    # one value at gaps 0 and 1
+    if case == "A3-diagonal-value-at-odd-gap":
+        table, _ = ladder("A3")
+        kl = compute_kl(table, table.complete_length)
+        s1 = evaluate_word(table, (0,))
+        kl._kl[s1] = {**kl.kl_element(s1), table.identity: kl.kl_element(s1)[s1]}
+    else:
+        kl = _bar_case(ladder, case)
+    length = kl.table.length
+    calls = Counter()
+    original = LaurentPoly.in_positive_part
+
+    def counted(self):
+        calls[None] += 1
+        return original(self)
+
+    monkeypatch.setattr(LaurentPoly, "in_positive_part", counted)
+    records = run_suite(kl, "kl")["records"]
+    monkeypatch.undo()
+    stored = kl.stored_elements()
+    pairs = {(id(h), length[w] - length[x]) for w in stored[1:] for x, h in kl.kl_element(w).items()}
+    coordinates = sum(len(kl.kl_element(w)) for w in stored[1:])
+    assert calls[None] == len(pairs) < coordinates
+    value = {"positive_degrees", "exponent_parity", "positivity"}
+    assert [r for r in records if r["identity"] in value] == [
+        r for r in kl_element_records(kl) if r["identity"] in value
+    ]
+
+
 def test_a_damaged_correction_term_leaves_w_to_the_walk(monkeypatch, ladder):
     # C_s2 is not bar-invariant, so no recursion of s2.s3.s2 proves its bar: the walk
     # decides the record, and it passes, as C_{s2.s3.s2} is intact

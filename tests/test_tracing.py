@@ -45,8 +45,12 @@ def test_tracer_binds_to_the_library(kl_a2):
     # leaves.paths counts the character_map walks, leaves.leaf_step.calls the final-level splits
     for name in ("coxeter.mult_gen.calls", "coxeter.descents.calls", "leaves.paths", "leaves.leaf_step.calls"):
         assert all_run["counts"].get(name, 0) > 0, name
-    for name in ("branch.res_cell_class", "branch.restriction_counts", "branch.branching_sides"):
+    # the text run checks each restriction column once per (s, u), so an intact table
+    # builds no per-key restriction map and sums no per-key multiplicities
+    for name in ("branch.restriction_columns", "branch.branching_sides"):
         assert all_run["counts"].get(name + ".calls", 0) > 0, name
+    for name in ("branch.res_cell_class", "branch.restriction_counts"):
+        assert all_run["counts"].get(name + ".calls", 0) == 0, name
     # the kl suite's text run sums and compares the recursion columns as codes; every bar
     # record there is proved from the recursion, so the bar is never walked
     assert kl_run["counts"].get("kl.recursion_columns.calls", 0) > 0

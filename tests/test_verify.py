@@ -12,7 +12,7 @@ import klcat.cli
 from klcat.cli import main
 from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, preset_matrix, word_name
 from klcat.kl import canonical_json, compute_kl
-from klcat.laurent import v_power
+from klcat.laurent import V, v_power
 from klcat.verify import SUITES, FailRecords, JsonStream, RecordList, run_suite
 
 from oracles import LADDER, commutation_class, damaged_table, reduced_words_in_order, word_suite_records
@@ -111,6 +111,8 @@ DAMAGED = [
     ("B3", (0, 1, 0, 2, 1), (2, 1, 2), lambda c: c + v_power(3)),
     # s2.s1.s3 and s2.s3.s1 are one key: s2, and the class of s1.s3
     ("A3", (1, 0, 2), (1,), lambda c: c + v_power(3)),
+    # a structure constant of s3 times a simple of s1.s2 outside the simple support of s3.s1.s2
+    ("A3", (0, 1), (), lambda c: c + V),
 ]
 DAMAGED_IDS = [
     "A3-extra-term",
@@ -124,6 +126,7 @@ DAMAGED_IDS = [
     "A3-s1s2s1-outside-s3",
     "B3-s1s2s1s3s2-outside-s3s2s3",
     "A3-s2s1s3-extra-term",
+    "A3-s1s2-sc-outside-s3s1s2",
 ]
 
 
@@ -201,6 +204,72 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
         assert calls["leaf_step", None] == (len(set(keys)) if suite == "branch" else 0), group
         # no two letters commute in the truncated groups, so each key has one word
         assert (len(set(keys)) == len(keys)) == table.partial, group
+
+
+@pytest.mark.parametrize("suite", ["branch", "recursion", "all"])
+def test_text_word_suites_form_each_restriction_column_once(monkeypatch, ladder, suite):
+    # work-count guard: a run whose sink keeps no passes forms each restriction column once
+    # per (s, u), u over the tail's simple support, and each derived-recursion verdict once
+    # per (s, tail top); an intact table takes the per-key path for no key
+    calls, keys = Counter(), []
+    for name in ("restriction_columns", "recursion_sides", "res_cell_class", "restriction_counts", "derive_kl_recursion"):
+        original = getattr(klcat.branch, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name, args[1:3] if _name in ("restriction_columns", "recursion_sides") else None] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(klcat.branch, name, counted)
+    key_checks = klcat.verify._key_checks
+
+    def listed(datum, tail, *args):
+        if tail is not None:
+            keys.append((datum.word[0], tail))
+        return key_checks(datum, tail, *args)
+
+    monkeypatch.setattr(klcat.verify, "_key_checks", listed)
+    for group in ("B3", "A4", "triangle4-0-3", "affineA2"):
+        table, kl = ladder(group)
+        if table.partial:
+            kl = compute_kl(table, 5)
+        calls.clear()
+        keys.clear()
+        assert run_suite(kl, suite, FailRecords())["pass"], group
+        pairs = [(s, u) for s, tail in keys for u in tail.simple_gdims]
+        tops = {(s, tail.top) for s, tail in keys}
+        columns = set(pairs) if suite != "recursion" else tops
+        formed = {key: n for (name, key), n in calls.items() if name == "restriction_columns"}
+        verdicts = {key: n for (name, key), n in calls.items() if name == "recursion_sides"}
+        assert formed == dict.fromkeys(columns, 1), group
+        assert verdicts == (dict.fromkeys(tops, 1) if suite != "branch" else {}), group
+        for name in ("res_cell_class", "restriction_counts", "derive_kl_recursion"):
+            assert calls[name, None] == 0, (group, name)
+        if group == "B3" and suite == "branch":
+            assert (len(keys), len(pairs), len(formed)) == (117, 392, 99)
+
+
+def test_a_key_outside_a_reused_column_takes_the_per_key_path(monkeypatch, ladder):
+    # in A3-s1s2-sc-outside-s3s1s2 the structure constants of s3 times a simple of s1.s2
+    # leave the simple support of s3.s1.s2, so that key alone builds its restriction map,
+    # and its records fail there as in the list report
+    group, wword, xword, change = DAMAGED[DAMAGED_IDS.index("A3-s1s2-sc-outside-s3s1s2")]
+    table, _ = ladder(group)
+    kl = damaged_table(table, evaluate_word(table, wword), evaluate_word(table, xword), change)
+    walked = []
+    original = klcat.branch.res_cell_class
+
+    def counted(datum, tail):
+        walked.append(word_name(datum.word))
+        return original(datum, tail)
+
+    monkeypatch.setattr(klcat.branch, "res_cell_class", counted)
+    sink = FailRecords()
+    run_suite(kl, "branch", sink)
+    assert walked == ["s3.s1.s2"]
+    report = run_suite(kl, "branch")
+    assert {rec["word"] for rec in sink.records} == {"s3.s1.s2"}
+    assert sink.records == [rec for rec in report["records"] if not rec["pass"]]
+    assert sink.summary() == report["summary"]
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
