@@ -26,18 +26,20 @@ is read from the KL table, for y over a simple support, which is small,
 and summed by :meth:`~klcat.kl.KLTable.combine`; the word's final-level
 leaves, split into movers and stayers, are one
 :func:`~klcat.leaves.leaf_step` from its tail's characters.  Column u of
-both restriction routes is a function of (s, u) once no filter to the
-word's simple support or to [e, w] drops anything, and
-:func:`restriction_columns` forms it from the whole stored table, for a
-run that checks it once per (s, u).  The functions return values and
-sides, never records: the suites in :mod:`klcat.verify` build those.
+both restriction routes is C_s C_u restricted to [e, w] once the
+structure constants of C_s C_u lie inside the word's simple support, so
+a run that checks them once per (s, u) reads only
+:meth:`~klcat.kl.KLTable.structure_constants` and, for the derived
+recursion, :func:`recursion_sides` of the tail top.  The functions
+return values and sides, never records: the suites in
+:mod:`klcat.verify` build those.
 """
 
 from __future__ import annotations
 
 from .cells import CellDatum
 from .coxeter import below_with_descent, bruhat_interval, mult_gen, word_name
-from .hecke import _to_vector, left_mul_kl, left_mul_terms
+from .hecke import _to_vector, left_mul_terms
 from .kl import KLTable
 from .laurent import LaurentPoly, ZERO
 from .leaves import leaf_step
@@ -120,26 +122,6 @@ def restriction_counts(datum: CellDatum, tail: CellDatum) -> dict[int, dict[int,
             if z in counts and (p := LaurentPoly(row)):
                 counts[z][u] = p
     return counts
-
-
-def restriction_columns(
-    kl: KLTable, s: int, u: int
-) -> tuple[dict[int, LaurentPoly], dict[int, LaurentPoly], dict[int, LaurentPoly]]:
-    """Column u of both restriction routes over the whole stored table, and the structure constants.
-
-    The first is C_s C_u in the standard basis, :func:`res_cell_class`'s
-    column u before its filter to [e, w]; the second is sum sc_x C_x
-    (:meth:`~klcat.kl.KLTable.combine`) over the structure constants sc
-    of C_s C_u, :func:`restriction_counts`' column u before its filters
-    to the simple support and to [e, w].  sc is expanded from the first,
-    as :meth:`~klcat.kl.KLTable.structure_constants` expands it, but not
-    memoized.  An sx beyond a truncated table raises
-    ``IncompleteTableError`` and a product without a KL-basis expansion
-    ``ValueError``.
-    """
-    image = left_mul_kl(kl.table, s, kl.kl_element(u))
-    sc = kl.expand_in_kl_basis(image)
-    return image, _to_vector(kl.combine(sc.items())), sc
 
 
 def derive_kl_recursion(

@@ -32,9 +32,11 @@ the key's final-level movers and stayers from the tail's characters with
 KL table.
 Restriction is one linear map per key, the images of every x at once,
 read by both the branch and the recursion suite; a sink that keeps no
-passes builds it only for a key that :class:`_Restrictions`, checking
-each column once per (s, u), cannot count in bulk, and the per-key path
-is the slow path and the oracle.  Every sum of KL basis elements is one
+passes builds it only for a key that :func:`_bulk` cannot count in bulk:
+one whose structure constants of C_s C_u, u over the tail's simples
+(memoized per (s, u)), leave the word's simple support, or whose derived
+recursion, decided once per (s, tail top), fails.  The per-key path is
+the slow path and the oracle.  Every sum of KL basis elements is one
 :meth:`~klcat.kl.KLTable.combine` and every index set {z : sz < z < u}
 one :func:`~klcat.coxeter.below_with_descent`;
 :func:`~klcat.branch.recursion_sides` sums the derived recursion over
@@ -98,7 +100,7 @@ from .coxeter import (
     mult_gen,
     word_name,
 )
-from .hecke import bar_invariant
+from .hecke import bar_invariant, left_mul_kl
 from .kl import (
     KLTable,
     _encode,  # canonical_json's encoder, without the newline
@@ -538,63 +540,38 @@ def _recursion_word_checks(datum: CellDatum, images: dict[int, dict[int, Laurent
 WORD_SUITES = ("leaves", "branch", "recursion")
 
 
-class _Restrictions:
-    """The restriction columns of a run whose sink keeps no passes, each formed once per (s, u).
+def _bulk(datum: CellDatum, tail: CellDatum, suites, recursions: dict[tuple[int, int], bool]) -> set[str]:
+    """The suites, of branch and recursion in ``suites``, whose restriction records of the key all pass.
 
-    ``columns[s, u]`` holds, from :func:`~klcat.branch.restriction_columns`,
-    whether the two columns are equal, the top of the ids of C_u and of
-    both columns when those ids are exactly [e, top] (on an intact table,
-    [e, max(u, su)]), and the support of sc.  A key (s, tail) reuses it
-    for a simple u of its tail when sc lies inside the word's simple
-    support and the top inside [e, w]: the per-key filters then drop
-    nothing, so the key's records for u are the column's verdict.
-    ``recursions[s, u]`` is the verdict of
-    :func:`~klcat.branch.recursion_sides` over [e, su] with sc as the
-    support, formed with each ascending column when the run has the
-    recursion suite, for the keys whose tail top is u.  A column whose
-    forming raises is None: its keys take the per-key path.
+    Column u of both restriction routes is C_s C_u restricted to [e, w],
+    the second summed over the structure constants sc of C_s C_u that lie
+    in the word's simple support ([e, w] is s-stable, so no filter before
+    the C_s step drops anything).  When sc lies inside that support for
+    every simple u of the tail, the two routes are equal, since
+    :meth:`~klcat.kl.KLTable.expand_in_kl_basis` stops only at a zero
+    remainder; the memoized :meth:`~klcat.kl.KLTable.structure_constants`
+    decide it.  When they also lie inside it for u = tail top, the key's
+    derived recursion is that of u, with sc as the support and C_s C_u as
+    the first term, decided once per (s, u) into ``recursions``, a dict
+    local to the run.  An expansion that raises leaves the key to the
+    per-key path.
     """
-
-    def __init__(self, kl: KLTable, suites: list[str]):
-        self.kl = kl
-        self.suites = {"branch", "recursion"}.intersection(suites)
-        self.columns: dict[tuple[int, int], tuple | None] = {}
-        self.recursions: dict[tuple[int, int], bool] = {}
-
-    def column(self, s: int, u: int) -> tuple | None:
-        if (s, u) in self.columns:
-            return self.columns[s, u]
-        kl, table = self.kl, self.kl.table
-        entry = None
-        try:
-            image, counted, sc = branch_mod.restriction_columns(kl, s, u)
-            su = mult_gen(table, u, s, "left")
-            if "recursion" in self.suites and table.length[su] > table.length[u]:
-                sides = branch_mod.recursion_sides(kl, s, u, sc, sc, image).values()
-                self.recursions[s, u] = all(lhs == rhs == alt for lhs, rhs, alt in sides)
-            reach = {*kl.kl_element(u), *image, *counted}
-            top = max(reach)
-            entry = (image == counted, top if reach == set(bruhat_interval(table, top)) else None, sc.keys())
-        except (ValueError, IncompleteTableError):  # no expansion, or beyond a truncated table
-            pass
-        self.columns[s, u] = entry
-        return entry
-
-    def bulk(self, datum: CellDatum, tail: CellDatum) -> set[str]:
-        """The suites, of branch and recursion, whose restriction records of the key all pass."""
-        s, simple, inside = datum.word[0], datum.simple_gdims.keys(), set(datum.interval)
-
-        def holds(u: int) -> bool:
-            entry = self.column(s, u)
-            return entry is not None and entry[0] and entry[1] in inside and entry[2] <= simple
-
-        bulk = set()
-        if "branch" in self.suites and all(map(holds, tail.simple_gdims)):
+    kl, s, simple = datum.kl, datum.word[0], datum.simple_gdims.keys()
+    bulk = set()
+    try:
+        if "branch" in suites and all(kl.structure_constants(s, u).keys() <= simple for u in tail.simple_gdims):
             bulk.add("branch")
         wp = tail.top
-        if "recursion" in self.suites and wp in tail.simple_gdims and holds(wp) and self.recursions.get((s, wp)):
-            bulk.add("recursion")
-        return bulk
+        if "recursion" in suites and (sc := kl.structure_constants(s, wp)).keys() <= simple:
+            if (s, wp) not in recursions:
+                column = left_mul_kl(kl.table, s, kl.kl_element(wp))
+                sides = branch_mod.recursion_sides(kl, s, wp, sc, sc, column).values()
+                recursions[s, wp] = all(lhs == rhs == alt for lhs, rhs, alt in sides)
+            if recursions[s, wp]:
+                bulk.add("recursion")
+    except (ValueError, IncompleteTableError):  # no expansion, or beyond a truncated table
+        return set()
+    return bulk
 
 
 def _prepend_letter(form: tuple[tuple[int, ...], ...], s: int, dependent: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -611,21 +588,21 @@ def _prepend_letter(form: tuple[tuple[int, ...], ...], s: int, dependent: tuple[
 
 
 def _key_checks(
-    datum: CellDatum, tail: CellDatum | None, sinks: dict[str, Sink], restrictions: _Restrictions | None
+    datum: CellDatum, tail: CellDatum | None, sinks: dict[str, Sink], recursions: dict[tuple[int, int], bool] | None
 ) -> dict[str, RecordList]:
     """The checks of every suite named in ``sinks`` on ``datum``, whose tail's datum is ``tail``.
 
     Each suite's checks go to a :class:`FailRecords` when its target sink
     keeps no passes and to a :class:`RecordList` otherwise, the records
     named after ``datum.word``.  The restriction map is built only for a
-    suite whose records ``restrictions`` (None when the sinks keep passes)
-    does not count as a whole.
+    suite whose records :func:`_bulk` does not count as a whole; it runs
+    with the run's ``recursions``, which is None when the sinks keep passes.
     """
     checks = {name: RecordList() if target.keeps_passes else FailRecords() for name, target in sinks.items()}
     if "leaves" in checks:
         _leaves_word_checks(datum, checks["leaves"])
     if tail is not None and ("branch" in checks or "recursion" in checks):
-        bulk = restrictions.bulk(datum, tail) if restrictions is not None else set()
+        bulk = set() if recursions is None else _bulk(datum, tail, checks, recursions)
         images = None
         if not bulk.issuperset(checks.keys() & {"branch", "recursion"}):
             images = branch_mod.res_cell_class(datum, tail)
@@ -655,7 +632,7 @@ def _word_suite_checks(kl: KLTable, suites: list[str], sink: Sink) -> None:
     orders = table.matrix.orders
     dependent = [tuple(t for t in range(table.rank) if orders[s][t] != 2) for s in range(table.rank)]
     sinks = {name: sink.spool() if i else sink for i, name in enumerate(suites)}
-    restrictions = None if sink.keeps_passes else _Restrictions(kl, suites)
+    recursions = None if sink.keeps_passes else {}  # (s, tail top) -> the derived recursion's verdict
     # a key is (s, normal form of the tail's class), and None for the empty word
     layer: list[tuple[int, Word, tuple | None]] = [(table.identity, (), None)]
     classes: dict[tuple, tuple[CellDatum, list[Word]]] = {}  # normal form -> (datum, words)
@@ -673,7 +650,7 @@ def _word_suite_checks(kl: KLTable, suites: list[str], sink: Sink) -> None:
                     tail = tails[tail_form][0]
                     form = _prepend_letter(tail_form, s, dependent[s])
                     datum = cells_mod.build_cell_datum(kl, (s, *tail.word), tail)
-                made[key] = form, _key_checks(datum, tail, sinks, restrictions)
+                made[key] = form, _key_checks(datum, tail, sinks, recursions)
                 classes.setdefault(form, (datum, []))
             form, checks = made[key]
             classes[form][1].append(word)

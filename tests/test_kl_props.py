@@ -8,7 +8,11 @@ coefficients up to 2^80 in absolute value, far beyond the intact table's
 code width), dropped, set on the diagonal, or added outside [e, w]
 (possibly above w, where it feeds the KL-basis expansion back).  The list
 report must equal :func:`oracles.kl_suite_records`, and the text CLI must
-print the summary and FAIL records of a sink that walks every x.
+print the summary and FAIL records of a sink that walks every x.  The
+text runs of the ``branch`` and ``recursion`` suites, which count a key's
+restriction records in bulk where the structure constants allow it, must
+keep the FAIL records and summary of the list report, which builds every
+key's records, or raise as it does.
 """
 
 import functools
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 from klcat.coxeter import CoxeterMatrix, IncompleteTableError, bruhat_interval, build_group, preset_matrix
 from klcat.kl import KLTable, compute_kl
 from klcat.laurent import LaurentPoly
-from klcat.verify import run_suite
+from klcat.verify import FailRecords, run_suite
 
 from oracles import kl_suite_records
 from test_kl import _FullWalk, _cli_kl, _head
@@ -99,3 +103,33 @@ def test_one_damaged_coordinate_gives_the_oracle_records(name, kind, data):
     report = {"suite": "kl", "summary": full.summary(), "records": full.records, "pass": full.passed()}
     assert full.records == [rec for rec in want if not rec["pass"]]
     assert (code, text) == (0 if full.passed() else 1, text_report(report, _head(kl.table)))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (IncompleteTableError, ValueError) as exc:  # a damaged expansion, or a product beyond the table
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(list(GROUPS)),
+    kind=st.sampled_from(KINDS),
+    suite=st.sampled_from(["branch", "recursion"]),
+    data=st.data(),
+)
+def test_one_damaged_coordinate_gives_the_word_suites_list_report(name, kind, suite, data):
+    kl = _copy(_intact(name))
+    _damage(data, kl, kind)
+
+    def listed():
+        report = run_suite(_copy(kl), suite)  # its own structure-constant memo
+        return [rec for rec in report["records"] if not rec["pass"]], report["summary"]
+
+    def text():
+        sink = FailRecords()
+        run_suite(kl, suite, sink)
+        return sink.records, sink.summary()
+
+    assert _outcome(text) == _outcome(listed)

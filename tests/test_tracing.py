@@ -45,9 +45,10 @@ def test_tracer_binds_to_the_library(kl_a2):
     # leaves.paths counts the character_map walks, leaves.leaf_step.calls the final-level splits
     for name in ("coxeter.mult_gen.calls", "coxeter.descents.calls", "leaves.paths", "leaves.leaf_step.calls"):
         assert all_run["counts"].get(name, 0) > 0, name
-    # the text run checks each restriction column once per (s, u), so an intact table
-    # builds no per-key restriction map and sums no per-key multiplicities
-    for name in ("branch.restriction_columns", "branch.branching_sides"):
+    # the text run decides each key from the structure constants of C_s C_u and one derived
+    # recursion per (s, tail top), so an intact table builds no per-key restriction map and
+    # sums no per-key multiplicities
+    for name in ("branch.recursion_sides", "branch.branching_sides"):
         assert all_run["counts"].get(name + ".calls", 0) > 0, name
     for name in ("branch.res_cell_class", "branch.restriction_counts"):
         assert all_run["counts"].get(name + ".calls", 0) == 0, name

@@ -208,15 +208,16 @@ def test_word_suites_compute_each_quantity_once(monkeypatch, ladder, suite):
 
 @pytest.mark.parametrize("suite", ["branch", "recursion", "all"])
 def test_text_word_suites_form_each_restriction_column_once(monkeypatch, ladder, suite):
-    # work-count guard: a run whose sink keeps no passes forms each restriction column once
-    # per (s, u), u over the tail's simple support, and each derived-recursion verdict once
-    # per (s, tail top); an intact table takes the per-key path for no key
+    # work-count guard: a run whose sink keeps no passes decides each key from the memoized
+    # structure constants of C_s C_u, u over the tail's simple support, so it expands each
+    # (s, u) once, and forms each derived-recursion verdict once per (s, tail top); an
+    # intact table takes the per-key path for no key
     calls, keys = Counter(), []
-    for name in ("restriction_columns", "recursion_sides", "res_cell_class", "restriction_counts", "derive_kl_recursion"):
+    for name in ("recursion_sides", "res_cell_class", "restriction_counts", "derive_kl_recursion"):
         original = getattr(klcat.branch, name)
 
         def counted(*args, _name=name, _original=original):
-            calls[_name, args[1:3] if _name in ("restriction_columns", "recursion_sides") else None] += 1
+            calls[_name, args[1:3] if _name == "recursion_sides" else None] += 1
             return _original(*args)
 
         monkeypatch.setattr(klcat.branch, name, counted)
@@ -229,23 +230,21 @@ def test_text_word_suites_form_each_restriction_column_once(monkeypatch, ladder,
 
     monkeypatch.setattr(klcat.verify, "_key_checks", listed)
     for group in ("B3", "A4", "triangle4-0-3", "affineA2"):
-        table, kl = ladder(group)
-        if table.partial:
-            kl = compute_kl(table, 5)
+        table, _ = ladder(group)
+        kl = compute_kl(table, 5 if table.partial else table.complete_length)  # an empty structure-constant memo
         calls.clear()
         keys.clear()
         assert run_suite(kl, suite, FailRecords())["pass"], group
-        pairs = [(s, u) for s, tail in keys for u in tail.simple_gdims]
+        pairs = {(s, u) for s, tail in keys for u in tail.simple_gdims}
         tops = {(s, tail.top) for s, tail in keys}
-        columns = set(pairs) if suite != "recursion" else tops
-        formed = {key: n for (name, key), n in calls.items() if name == "restriction_columns"}
         verdicts = {key: n for (name, key), n in calls.items() if name == "recursion_sides"}
-        assert formed == dict.fromkeys(columns, 1), group
         assert verdicts == (dict.fromkeys(tops, 1) if suite != "branch" else {}), group
+        # the kl suite of ``all`` proves every structure record, so it expands no product
+        assert kl._sc_memo.keys() == (tops if suite == "recursion" else pairs), group
         for name in ("res_cell_class", "restriction_counts", "derive_kl_recursion"):
             assert calls[name, None] == 0, (group, name)
         if group == "B3" and suite == "branch":
-            assert (len(keys), len(pairs), len(formed)) == (117, 392, 99)
+            assert (len(keys), sum(len(tail.simple_gdims) for _, tail in keys), len(kl._sc_memo)) == (117, 392, 99)
 
 
 def test_a_key_outside_a_reused_column_takes_the_per_key_path(monkeypatch, ladder):
