@@ -19,19 +19,14 @@ needed by the algorithms here (the generic product is a test oracle).
 :func:`left_mul_codes` is its integer twin, which
 :func:`~klcat.kl.compute_kl` and the ``kl`` suite's checks run on
 coordinates held as one integer each, their polynomials evaluated at
-v = 2^K.  Outside :mod:`klcat.coxeter` only this module and the q-form
-recursion column of :mod:`klcat.kl` read the product arrays.
-The bar keeps no state: it is Horner's rule over the prefix tree of the
-canonical words, since every prefix of a ShortLex-minimal word is
-ShortLex-minimal, with each coordinate held as one integer, its polynomial
-evaluated at v = 2^K.  Left multiplication by
-H_t^-1 at most triples the l1 norm of an element, which bounds every
-coefficient of the image, and K is chosen above that bound, so the
-integers decode exactly into their polynomials as balanced base-2^K digits.
-:func:`bar_invariant` compares those integers with the element's own
-codes and decodes nothing.  The ``kl`` suite walks the bar only for the
-C_w that its recursion does not prove bar-invariant (see
-:func:`~klcat.kl.recursion_columns`): none on an intact table.
+v = 2^K (:mod:`klcat.kl` encodes and decodes them).  Outside
+:mod:`klcat.coxeter` only this module and the q-form recursion column of
+:mod:`klcat.kl` read the product arrays.  The bar keeps no state: it is
+Horner's rule over the prefix tree of the canonical words, since every
+prefix of a ShortLex-minimal word is ShortLex-minimal.  The ``kl`` suite
+walks the bar only for the C_w that its recursion does not prove
+bar-invariant (see :func:`~klcat.kl.recursion_columns`): none on an
+intact table.
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ def left_mul_terms(table: GroupTable, s: int, pairs) -> dict[int, dict[int, int]
     return acc
 
 
-def left_mul_codes(table: GroupTable, s: int, pairs, shift: int, beyond_longer: bool = False) -> dict[int, int]:
+def left_mul_codes(table: GroupTable, s: int, pairs, shift: int) -> dict[int, int]:
     """The integer twin of :func:`left_mul_terms`, each coordinate one integer at v = 2^shift.
 
     A pair ``(x, n)`` is a coordinate c whose code n is c evaluated at
@@ -74,10 +69,11 @@ def left_mul_codes(table: GroupTable, s: int, pairs, shift: int, beyond_longer: 
     reads only values it made, and the ``kl`` suite's checks read the code
     view of :meth:`~klcat.kl.KLTable.codes`, whose width bounds every
     stored value; a caller that reads a one-shot product keeps to
-    :func:`left_mul_terms`.  An sx beyond a truncated table raises
-    ``IncompleteTableError``, unless ``beyond_longer`` counts it as longer
-    than x (the one-step recursion's reading), which adds only the v term
-    at x.
+    :func:`left_mul_terms`.  An sx beyond a truncated table counts as
+    longer than x (the one-step recursion's reading), which adds only the
+    v term at x.  :func:`~klcat.kl.compute_kl` never meets one: each x it
+    steps lies in [e, sw], s a left descent of w, so sx <= w (the
+    Z-property).
     """
     length, left = table.length, table._left
     twice = 2 * shift
@@ -85,13 +81,9 @@ def left_mul_codes(table: GroupTable, s: int, pairs, shift: int, beyond_longer: 
     get = acc.get
     for x, n in pairs:
         sx = left[x][s]
-        if sx is None:
-            if not beyond_longer:
-                mult_gen(table, x, s, "left")  # raises: sx lies beyond the table
-            acc[x] = get(x, 0) + (n << twice)
-            continue
-        acc[sx] = get(sx, 0) + (n << shift)
-        acc[x] = get(x, 0) + (n << twice if length[sx] > length[x] else n)
+        if sx is not None:
+            acc[sx] = get(sx, 0) + (n << shift)
+        acc[x] = get(x, 0) + (n << twice if sx is None or length[sx] > length[x] else n)
     return acc
 
 
@@ -101,42 +93,7 @@ def left_mul_kl(table: GroupTable, s: int, h: dict[int, LaurentPoly]) -> dict[in
 
 
 def bar_involution(table: GroupTable, h: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-    """The ring involution with v -> v^-1 and H_x -> (H_{x^-1})^-1: :func:`_bar_codes`, decoded.
-
-    Each coordinate is decoded exactly as its balanced base-2^K digits,
-    the digit of B^j being the coefficient of v^(j - m).  A product that
-    leaves a truncated table raises ``IncompleteTableError``.
-    """
-    if not h:
-        return {}
-    codes, shift, m = _bar_codes(table, h)
-    return {y: _digits(n, shift, m) for y, n in codes.items() if n}
-
-
-def bar_invariant(table: GroupTable, h: dict[int, LaurentPoly]) -> bool:
-    """``bar_involution(table, h) == h``, decided on the codes of :func:`_bar_codes`.
-
-    h is encoded at the bar's own K and m and compared as integers, so
-    nothing is decoded.  Every exponent of bar(h) is at least -m, so an h
-    with an exponent below -m is not bar-invariant.  K bounds the l1 norm
-    of h as well as every coefficient of bar(h), so both sides are
-    balanced digit expansions and their codes are equal exactly when they
-    are.  This is the slow path of the ``kl`` suite's bar records, whose
-    proof from the recursion must give the same verdict.
-    """
-    if not h:
-        return True
-    codes, shift, m = _bar_codes(table, h)
-    own = {}
-    for x, c in h.items():
-        if min(c._coeffs, default=0) < -m:
-            return False
-        own[x] = sum(k << shift * (m + e) for e, k in c._coeffs.items())
-    return own == {y: n for y, n in codes.items() if n}
-
-
-def _bar_codes(table: GroupTable, h: dict[int, LaurentPoly]) -> tuple[dict[int, int], int, int]:
-    """bar(h) for a nonzero h by Horner's rule at v = 2^K: ``(codes, K, m)``.
+    """The ring involution with v -> v^-1 and H_x -> (H_{x^-1})^-1, by Horner's rule.
 
     Over the canonical word s_1 ... s_k of x, H_x maps to H_{s_1}^-1 ...
     H_{s_k}^-1.  Every prefix of a ShortLex-minimal word is ShortLex-minimal
@@ -145,58 +102,36 @@ def _bar_codes(table: GroupTable, h: dict[int, LaurentPoly]) -> tuple[dict[int, 
 
         G(p) = bar(c_p) + sum over children x = p*t of H_t^-1 G(x),
 
-    filled from the largest id down.  H_t^-1 = H_t + (v - v^-1) sends H_y
-    to H_ty, plus (v - v^-1) H_y when l(ty) > l(y).
-
-    Each coordinate of G(x) is kept as one integer, the polynomial
-    evaluated at v = B = 2^K and scaled by v^(m - l(x)), where m is the
-    largest l(x) + e over the terms v^e of the c_x (at least 0).  No
-    exponent is then negative: a term of c_z reaches G(x) with exponents
-    at least m - l(z) - e.  One step adds ``g << K`` at ty and
-    g (B^2 - 1) at y.  Left multiplication by H_t^-1 at most triples the
-    l1 norm, so every coefficient of bar(h) is at most N = sum of
-    l1(c_x) 3^l(x) in absolute value, and K = bitlength(N) + 2.  The
-    codes of bar(h) are those of G(e), a cancelled coordinate reading 0.
+    filled from the largest id down, each coordinate of G(x) an
+    ``{exponent: coefficient}`` row.  H_t^-1 = H_t + (v - v^-1) sends H_y
+    to H_ty, plus (v - v^-1) H_y when l(ty) > l(y).  A step that leaves a
+    truncated table raises ``IncompleteTableError``.
     """
     length, words, left = table.length, table.words, table._left
-    m = max(0, max(length[x] + max(c._coeffs, default=0) for x, c in h.items()))
-    bound = sum(sum(map(abs, c._coeffs.values())) * 3 ** length[x] for x, c in h.items())
-    shift = bound.bit_length() + 2
-    twice = 2 * shift
-    pending = {
-        x: {table.identity: sum(k << shift * (m - length[x] - e) for e, k in c._coeffs.items())}
-        for x, c in h.items()
-    }
-    for x in range(max(pending), 0, -1):
+    pending = {x: {table.identity: {-e: k for e, k in c._coeffs.items()}} for x, c in h.items()}
+    for x in range(max(pending, default=0), 0, -1):
         if (g := pending.pop(x, None)) is None:
             continue
         t = words[x][-1]
         acc = pending.setdefault(mult_gen(table, x, t, "right"), {})
-        for y, n in g.items():
+        for y, row in g.items():
             ty = left[y][t]
             if ty is None:
                 mult_gen(table, y, t, "left")  # raises: ty lies beyond the table
-            acc[ty] = acc.get(ty, 0) + (n << shift)
+            up = acc.setdefault(ty, {})
+            for e, k in row.items():
+                up[e] = up.get(e, 0) + k
             if length[ty] > length[y]:
-                acc[y] = acc.get(y, 0) + (n << twice) - n
-    return pending.get(table.identity, {}), shift, m
+                d = acc.setdefault(y, {})
+                for e, k in row.items():
+                    d[e + 1] = d.get(e + 1, 0) + k
+                    d[e - 1] = d.get(e - 1, 0) - k
+    return _to_vector(pending.get(table.identity, {}))
 
 
-def _digits(n: int, shift: int, m: int) -> LaurentPoly:
-    """The polynomial whose value at v = 2^shift, times v^m, is n: balanced base-2^shift digits."""
-    base = 1 << shift
-    mask, half = base - 1, base >> 1
-    coeffs: dict[int, int] = {}
-    e = -m
-    while n:
-        d = n & mask
-        if d >= half:
-            d -= base
-        if d:
-            coeffs[e] = d
-        n = (n - d) >> shift
-        e += 1
-    return LaurentPoly._from_pruned(coeffs)
+def bar_invariant(table: GroupTable, h: dict[int, LaurentPoly]) -> bool:
+    """``bar_involution(table, h) == h``: the slow path of the ``kl`` suite's bar records."""
+    return bar_involution(table, h) == h
 
 
 def bott_samelson_class(table: GroupTable, word: Word) -> dict[int, LaurentPoly]:

@@ -9,8 +9,9 @@ verification suites:
     H_z-coefficient times the KL basis element of z.  The result is the
     unique bar-invariant element whose lower coefficients lie in vZ[v].
     Each coordinate is one integer, its polynomial at v = 2^K, decoded
-    once per distinct value.  (``compute_kl_by_subtraction`` in the test
-    oracles runs the same algorithm one whole element at a time.)
+    once per distinct value; this module alone encodes and decodes such
+    codes.  (``compute_kl_by_subtraction`` in the test oracles runs the
+    same algorithm one whole element at a time.)
 
   * :func:`recursion_column` evaluates the normalized one-step recursion
 
@@ -66,7 +67,7 @@ from .coxeter import (
     descents,
     mult_gen,
 )
-from .hecke import _digits, left_mul_codes, left_mul_kl
+from .hecke import left_mul_codes, left_mul_kl
 from .laurent import LaurentPoly, ONE, ZERO
 
 TOOL_VERSION = "0.1.0"
@@ -219,7 +220,7 @@ class CodeView:
     column is at most 2M(1 + N M) in absolute value, below 2^(K - 1), so
     its code at v = 2^K holds every coefficient as one balanced digit:
     two codes are equal exactly when their polynomials are, and each
-    decodes with :func:`~klcat.hecke._digits`.  The view is built from
+    decodes with :func:`_digits`.  The view is built from
     the stored values, damaged or not.
 
     ``unit[y]`` is ``{x: code}`` for the stored C_y with h_{y,y} read as 1,
@@ -272,7 +273,7 @@ def compute_kl(table: GroupTable, up_to_length: int, descent_choice: str = "min"
     terms are all read from the product before anything is subtracted.
 
     Every coordinate is one integer, its polynomial evaluated at
-    v = B = 2^K (the Kronecker substitution, as in the bar): each interned
+    v = B = 2^K (the Kronecker substitution): each interned
     h has its code h(B), memoized by id, and w is accumulated as ``{x:
     int}`` scaled by v.  C_s * C_sw is :func:`~klcat.hecke.left_mul_codes`
     of the stored C_sw; g0 is the balanced digit of v^0, and each g0 * C_z
@@ -344,6 +345,23 @@ def _code_width(top: int, count: int) -> int:
 def _code(h: LaurentPoly, shift: int, offset: int = 0) -> int:
     """v^offset h evaluated at v = 2^shift, for an h with no exponent below -offset."""
     return sum(c << shift * (e + offset) for e, c in h._coeffs.items())
+
+
+def _digits(n: int, shift: int, m: int) -> LaurentPoly:
+    """The polynomial whose value at v = 2^shift, times v^m, is n: balanced base-2^shift digits."""
+    base = 1 << shift
+    mask, half = base - 1, base >> 1
+    coeffs: dict[int, int] = {}
+    e = -m
+    while n:
+        d = n & mask
+        if d >= half:
+            d -= base
+        if d:
+            coeffs[e] = d
+        n = (n - d) >> shift
+        e += 1
+    return LaurentPoly._from_pruned(coeffs)
 
 
 def to_classical(h: LaurentPoly, lx: int, lw: int) -> LaurentPoly:
@@ -476,7 +494,7 @@ def recursion_columns(kl: KLTable, w: int, s: int) -> RecursionColumns:
     length, left = table.length, table._left
     view = kl.codes()
     unit, classical, shift = view.unit, view.classical, view.shift
-    v = left_mul_codes(table, s, unit[sw].items(), shift, beyond_longer=True)
+    v = left_mul_codes(table, s, unit[sw].items(), shift)
     q: dict[int, int] = {}
     vget, qget = v.get, q.get
     undefined: set[int] | None = set()

@@ -28,9 +28,7 @@ class LaurentPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self._coeffs: dict[int, int] = (
-            {int(e): c for e, c in coeffs.items() if c} if coeffs else {}
-        )
+        self._coeffs: dict[int, int] = {e: c for e, c in coeffs.items() if c} if coeffs else {}
 
     # -- construction helpers ------------------------------------------
 

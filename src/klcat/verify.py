@@ -58,12 +58,11 @@ Suites:
                     keeps no passes (the text report) counts an (w, s)
                     that holds in bulk with :meth:`Sink.add_passes`;
                     otherwise, and in every sink that keeps passes, the
-                    columns are decoded and walked, the text report
-                    walking only the live x (those in either column or
-                    the stored C_w, and w).  The bar record of a
-                    unitriangular C_w is proved from its v-form recursion
-                    over C_y already proved, in id order, a set the run
-                    keeps, and the bar is walked only where that fails.
+                    columns are decoded and walked at every stored x.
+                    The bar record of a unitriangular C_w is proved from
+                    its v-form recursion over C_y already proved, in id
+                    order, a set the run keeps, and the bar is walked
+                    only where that fails.
                     The structure records of C_s C_u are proved from the
                     same columns, (su, s) when su > u and (u, s) when
                     su < u, and the structure constants are computed by
@@ -315,10 +314,7 @@ def _kl_element_checks(
 
     The recursion records come per stored x.  A sink that keeps no passes
     counts every record of an (w, s) whose two columns hold in bulk.
-    Otherwise the columns are decoded and walked: an x in neither column
-    nor the stored C_w, and not w itself (``kl_poly(w, w)`` reads 1 even
-    when h_{w,w} is not stored), reads ``ZERO`` on all four sides, so it
-    passes both records, and that sink walks only the other x.  The
+    Otherwise the columns are decoded and walked at every stored x.  The
     stored side of a q record is :meth:`~klcat.kl.KLTable.classical`,
     converted once per table.
     """
@@ -356,11 +352,7 @@ def _kl_element_checks(
         column = cols.column()
         columnq = cols.classical_column()
         label = f"s{s + 1}"
-        walked = stored
-        if not sink.keeps_passes:
-            live = {w, *column, *columnq, *elt}
-            walked = [x for x in stored if x in live]
-        for x in walked:
+        for x in stored:
             got = column.get(x, ZERO)
             want = kl.kl_poly(x, w)
             sink("recursion_agreement", name, got == want, (got, want), x=names[x], s=label)
@@ -368,9 +360,6 @@ def _kl_element_checks(
             wantq = kl.classical(x, w) if x in columnq else ZERO
             ok = gotq is not None and gotq == wantq
             sink("classical_recursion_agreement", name, ok, (gotq, wantq), _render_q, x=names[x], s=label)
-        skipped = len(stored) - len(walked)
-        sink.add_passes("recursion_agreement", skipped)
-        sink.add_passes("classical_recursion_agreement", skipped)
     return proofs
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from klcat.coxeter import IncompleteTableError, build_group, evaluate_word, mult_gen, preset_matrix
 from klcat.hecke import (
-    _digits,
     bar_invariant,
     bar_involution,
     bott_samelson_class,
@@ -15,6 +14,7 @@ from klcat.hecke import (
     left_mul_kl,
     left_mul_terms,
 )
+from klcat.kl import _digits
 from klcat.laurent import LaurentPoly, ONE, V, V_INV, v_power
 
 import oracles
@@ -196,22 +196,14 @@ def test_bar_kernel_on_big_coefficients(ladder, name, data):
     assert vars(table) == before
 
 
-def _l1_bound(table, h):
-    """N = sum of l1(c_x) 3^l(x): the bound on every coefficient of bar(h) that sets the base."""
-    return sum(sum(abs(k) for _, k in c.items()) * 3 ** table.length[x] for x, c in h.items())
-
-
 @pytest.mark.parametrize("n", [2**64 - 1, 2**64, BIG])
-def test_bar_decodes_coefficients_at_the_bound(a3, n):
-    # at the identity the l1 norm is a single coefficient, so bar(h) has one equal to N;
-    # its neighbours carry the opposite sign, a borrow in every balanced digit
+def test_bar_keeps_big_coefficients(a3, n):
+    # coefficients far beyond 64 bits, one alone and three side by side with alternating signs
     e, w0 = a3.identity, max(a3.elements)
     edge = {e: v_power(-40, n)}
-    assert _l1_bound(a3, edge) == n
     assert bar_involution(a3, edge) == {e: v_power(40, n)}
     mixed = {e: LaurentPoly({-1: -n, 0: n, 1: -n}), w0: LaurentPoly({40: n})}
     image = bar_involution(a3, mixed)
-    assert max(abs(k) for c in image.values() for _, k in c.items()) <= _l1_bound(a3, mixed)
     assert image == oracles.bar_involution(a3, mixed)
     assert bar_involution(a3, image) == mixed
 
@@ -223,8 +215,8 @@ def _code(h, shift):
 
 @pytest.mark.parametrize("name", LADDER)
 def test_integer_step_matches_left_mul_terms(ladder, name):
-    # every stored C_u times every s: the codes decode to the polynomial step's sums;
-    # an su beyond a truncated table raises in both
+    # every stored C_u times every s: the codes decode to the polynomial step's sums,
+    # an sx beyond a truncated table read as longer than x
     table, kl = ladder(name)
     top = max(abs(k) for u in kl.stored_elements() for h in kl.kl_element(u).values() for _, k in h.items())
     shift = (2 * top).bit_length() + 1  # each product coefficient is at most 2 * top
@@ -237,15 +229,12 @@ def test_integer_step_matches_left_mul_terms(ladder, name):
                 mult_gen(table, u, s, "left")
             except IncompleteTableError:
                 beyond += 1
-                with pytest.raises(IncompleteTableError):
-                    left_mul_codes(table, s, pairs, shift)
-                # the one-step recursion's reading: an sx beyond the table is longer than x
                 inside = [(x, h) for x, h in elt.items() if table._left[x][s] is not None]
                 want = left_mul_terms(table, s, inside)
                 for x, h in elt.items():
                     if table._left[x][s] is None:
                         h.add_to(want.setdefault(x, {}), 1)
-                got = left_mul_codes(table, s, pairs, shift, beyond_longer=True)
+                got = left_mul_codes(table, s, pairs, shift)
                 assert {x: _digits(n, shift, 1) for x, n in got.items()} == {x: LaurentPoly(d) for x, d in want.items()}
                 continue
             want = {x: LaurentPoly(d) for x, d in left_mul_terms(table, s, elt.items()).items()}

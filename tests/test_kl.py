@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -294,15 +295,15 @@ def test_kl_suite_expands_no_product_of_an_intact_table(monkeypatch, ladder, nam
 
 
 def _counted_bar_walks(monkeypatch) -> list:
-    """The elements whose bar ``hecke._bar_codes`` walks from now on, in call order."""
+    """The elements whose bar ``hecke.bar_involution`` walks from now on, in call order."""
     walked = []
-    original = klcat.hecke._bar_codes
+    original = klcat.hecke.bar_involution
 
     def counted(table, h):
         walked.append(h)
         return original(table, h)
 
-    monkeypatch.setattr(klcat.hecke, "_bar_codes", counted)
+    monkeypatch.setattr(klcat.hecke, "bar_involution", counted)
     return walked
 
 
@@ -338,9 +339,9 @@ def _counted_column_work(monkeypatch) -> Counter:
     """Count the recursion's work in ``klcat.kl`` from now on.
 
     ``("index", s, sw)`` counts the index sets {z : sz < z < sw} built
-    for (s, sw), and ``"v-step"`` the C_s steps of a v-column, the only
-    :func:`~klcat.hecke.left_mul_codes` calls that read an sy beyond a
-    truncated table as longer.
+    for (s, sw), and ``"v-step"`` the C_s steps of a v-column: the
+    :func:`~klcat.hecke.left_mul_codes` calls made by
+    :func:`~klcat.kl.recursion_columns`, not by ``compute_kl``.
     """
     calls = Counter()
     below, step = klcat.kl.below_with_descent, klcat.kl.left_mul_codes
@@ -349,9 +350,9 @@ def _counted_column_work(monkeypatch) -> Counter:
         calls["index", s, sw] += 1
         return below(table, s, sw)
 
-    def counted_step(table, s, pairs, shift, beyond_longer=False):
-        calls["v-step"] += beyond_longer
-        return step(table, s, pairs, shift, beyond_longer)
+    def counted_step(*args):
+        calls["v-step"] += sys._getframe(1).f_code.co_name == "recursion_columns"
+        return step(*args)
 
     monkeypatch.setattr(klcat.kl, "below_with_descent", counted_below)
     monkeypatch.setattr(klcat.kl, "left_mul_codes", counted_step)
@@ -634,7 +635,8 @@ def _head(table):
 
 @pytest.mark.parametrize("case", [*LADDER, *DAMAGES])
 def test_bulk_counted_text_report_matches_the_full_walk(monkeypatch, ladder, a3, a4, case):
-    # the text report walks only the live x; a pass-keeping sink walks them all
+    # the text report counts a holding (w, s) in bulk and walks a failing one at every
+    # stored x, keeping only its FAIL records; a pass-keeping sink walks every (w, s)
     if case in DAMAGES:
         group, wword, xword, change = DAMAGES[case]
         table = {"A3": a3, "A4": a4}[group]
@@ -653,7 +655,8 @@ def test_bulk_counted_text_report_matches_the_full_walk(monkeypatch, ladder, a3,
 
 
 def test_a_dropped_diagonal_keeps_w_live(a3):
-    # kl_poly(w, w) reads 1 without a stored h_{w,w}, so both sinks walk x = w; a C_s C_u with
+    # kl_poly(w, w) reads 1 without a stored h_{w,w}, as the recursion columns do, so only
+    # bar_invariance and kl_support fail among w's own records, in both sinks; a C_s C_u with
     # no KL-basis expansion fails its structure records, lhs undefined, and the run goes on
     w = evaluate_word(a3, (1, 0, 2, 1))
     kl = damaged_table(a3, w, w, lambda c: None)
@@ -701,9 +704,9 @@ def test_a_coordinate_outside_the_interval_matches_oracle_in_both_formats(monkey
 
 
 def test_text_sink_is_called_once_per_live_check(monkeypatch, ladder):
-    # on an intact table both columns of every (w, s) equal C_w as codes, so no x is live:
-    # the text sink takes no recursion record and counts them all in bulk, while the
-    # pass-keeping sink still takes one call per stored x
+    # on an intact table both columns of every (w, s) equal C_w as codes, so no column is
+    # walked: the text sink takes no recursion record and counts them all in bulk, while
+    # the pass-keeping sink still takes one call per stored x
     table, kl = ladder("A4")
     calls, bulk = Counter(), Counter()
     original_call, original_add = Sink.__call__, Sink.add_passes
@@ -815,6 +818,17 @@ def test_compute_kl_matches_subtraction_oracle(ladder, name, choice):
     for elt in kl._kl.values():
         for c in elt.values():
             assert id(c) in interned
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_compute_kl_never_steps_beyond_the_table(ladder, name):
+    # for x <= sw, s a left descent of w, sx <= w (the Z-property), so every C_s step of
+    # compute_kl stays inside a truncated table and left_mul_codes needs no raise there
+    table, kl = ladder(name)
+    for w in kl.stored_elements()[1:]:
+        for s in descents(table, w, "left"):
+            sw = mult_gen(table, w, s, "left")
+            assert all(table._left[x][s] is not None for x in kl.kl_element(sw)), (name, w, s)
 
 
 def _assert_stored_form(elt):
